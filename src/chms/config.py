@@ -14,6 +14,13 @@ from .grid import GridSpec
 VALID_DIAGNOSTICS = ("noether", "mff", "bridges")
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("parameters must be finite")
+    return v
+
+
 def parse_initial_condition(spec: str, domain_length: float):
     """Initial-velocity sampler from a spec string.
 
@@ -29,16 +36,16 @@ def parse_initial_condition(spec: str, domain_length: float):
                 raise ValueError("rest takes no parameters")
             return lambda x: np.zeros_like(np.asarray(x, dtype=float))
         if name == "uniform":
-            c = float(rest)
+            c = _finite(rest)
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
         if name == "cosine":
-            a = float(rest)
+            a = _finite(rest)
             w = 2.0 * math.pi / domain_length
             return lambda x: a * np.cos(w * np.asarray(x, dtype=float))
         if name == "gaussian_bump":
             amp_s, _, width_s = rest.partition(",")
-            a = float(amp_s)
-            width = float(width_s)
+            a = _finite(amp_s)
+            width = _finite(width_s)
             if width <= 0.0:
                 raise ValueError("width must be positive")
             centre = 0.5 * domain_length
@@ -82,10 +89,10 @@ class RunConfig:
             raise ConfigError("n_space: must be at least 3")
         if self.n_steps < 0:
             raise ConfigError("n_steps: must be nonnegative")
-        if self.domain_length <= 0.0:
-            raise ConfigError("domain_length: must be positive")
-        if self.cfl <= 0.0:
-            raise ConfigError("cfl: must be positive")
+        if not (math.isfinite(self.domain_length) and self.domain_length > 0.0):
+            raise ConfigError("domain_length: must be positive and finite")
+        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
+            raise ConfigError("cfl: must be positive and finite")
         if self.save_every < 1:
             raise ConfigError("save_every: must be at least 1")
         for d in self.diagnostics:

@@ -15,6 +15,7 @@ being silently regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +38,6 @@ from .lagrangian import (
     stencil_parts,
 )
 
-#: Frozen proportionality constant between the expanded ten-term form of
-#: the interior equations and the raw action gradient.  Determined once
-#: on a generic stencil configuration; the two agree exactly.
-EXPANDED_SCALE = 1.0
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton iteration controls for the implicit row solve."""
@@ -53,7 +48,9 @@ class SolverConfig:
     max_backtracks: int = 30
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0 or self.max_iters <= 0 or self.max_backtracks <= 0:
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
+            raise ValueError("tol_residual must be positive and finite")
+        if self.max_iters <= 0 or self.max_backtracks <= 0:
             raise ValueError("solver controls must be positive")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
@@ -158,14 +155,19 @@ class EvolveResult:
 
 
 def _wrap_next(row: np.ndarray, lift: float) -> np.ndarray:
-    """row[i+1] with periodic wraparound; the seam entry gains `lift`."""
-    out = np.roll(row, -1)
-    out[-1] += lift
+    """row[..., i+1] with periodic wraparound along the last axis; the
+    seam entry gains `lift`."""
+    out = np.roll(row, -1, axis=-1)
+    out[..., -1] += lift
     return out
 
 
 def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec):
-    """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`."""
+    """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`.
+
+    Stacked rows (any leading shape, space along the last axis) give the
+    parts of every rectangle row at once.
+    """
     lam = g.domain_length
     return stencil_parts(lo, _wrap_next(lo, lam), _wrap_next(hi, lam), hi, g.h, g.k)
 
@@ -216,7 +218,7 @@ def del_residual_expanded(s: Section, p: tuple[int, int]) -> float:
     """Ten-term expanded form of the interior equations.
 
     Kept as an independent cross-check of :func:`del_residual`; the two
-    agree up to the frozen factor EXPANDED_SCALE.
+    agree to rounding.
     """
     i, j = p
     if not 1 <= j <= s.grid.n_time - 2:

@@ -22,7 +22,6 @@ from .del_solver import (
     Section,
     SolverConfig,
     _row_parts,
-    _wrap_next,
     del_residual_row,
     residual_scale_row,
     solve_cyclic_tridiagonal,
@@ -99,6 +98,24 @@ def _tangent_rect(t: TangentSection, rect: Rect) -> tuple[float, float, float, f
     return tuple(t.value(*rect.vertex(l)) for l in (1, 2, 3, 4))
 
 
+def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
+    """Tangent rectangles of a rectangle row, shape (4, n_space): vertex
+    l's values in row l - 1 (tangents are periodic, no lift)."""
+    return np.stack([vlo, np.roll(vlo, -1), np.roll(vhi, -1), vhi])
+
+
+def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rectangle two-forms omega_l for a batch of rectangles.
+
+    hess has shape batch + (4, 4); the tangent rectangles v, w carry the
+    vertex index first, shape (4,) + batch; the result is (4,) + batch.
+    The vectorized form of :func:`omega_l`: the same antisymmetric
+    products, so omega(v, v) and constant pairs are exactly 0.0.
+    """
+    anti = v[:, None] * w[None, :] - v[None, :] * w[:, None]  # [k, l] = v_k w_l - v_l w_k
+    return np.einsum("...kl,kl...->l...", hess, anti)
+
+
 # ---------------------------------------------------------------------------
 # Tangent-linear (first variation) marching.
 
@@ -115,8 +132,7 @@ def _linear_row_terms(phi: Section, vm1, v0, vp1, j: int):
     def contributions(lo_row, hi_row, vlo, vhi):
         a, b, c = _row_parts(lo_row, hi_row, g)
         hess = hess_full_from_parts(a, b, c, h, k)
-        t = np.stack([vlo, np.roll(vlo, -1), np.roll(vhi, -1), vhi])
-        return np.einsum("nkl,kn->ln", hess, t)
+        return np.einsum("nkl,kn->ln", hess, _tangent_rects(vlo, vhi))
 
     top = contributions(phi.row_y(j), phi.row_y(j + 1), v0, vp1)
     bot = contributions(phi.row_y(j - 1), phi.row_y(j), vm1, v0)
@@ -190,27 +206,45 @@ def solve_first_variation(
 
 
 # ---------------------------------------------------------------------------
-# Boundary sums.
+# Boundary sums.  A full-circle window's boundary is its first and last
+# rows, so the sums take vertices 1, 2 of rectangle row j_lo and vertices
+# 3, 4 of rectangle row j_hi - 1: 4 * n_space terms per window.
 
 
-def _boundary_terms(phi: Section, r: Region, term) -> np.ndarray:
-    out = []
-    for p in r.boundary_points():
-        for rect, l in rectangles_touching(p, phi.grid):
-            if r.contains_rect(rect):
-                out.append(term(rect, l))
-    return np.array(out)
+def section_parts(phi: Section):
+    """(a, b, c) over every rectangle of the section, shape (n_time - 1, n_space)."""
+    y = phi.rows_y()
+    return _row_parts(y[:-1], y[1:], phi.grid)
+
+
+def _rect_row_parts(phi: Section, j: int):
+    if not 0 <= j <= phi.grid.n_time - 2:
+        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
+    return _row_parts(phi.row_y(j), phi.row_y(j + 1), phi.grid)
+
+
+def _row_grad(phi: Section, j: int):
+    """(g1, g2, g3, g4) over the rectangle row j."""
+    return grad_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
+
+
+def _row_omega(phi: Section, v: TangentSection, w: TangentSection, j: int) -> np.ndarray:
+    """(4, n_space) two-forms omega_l over the rectangle row j."""
+    hess = hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
+    return omega_from_hess(
+        hess,
+        _tangent_rects(v.row(j), v.row(j + 1)),
+        _tangent_rects(w.row(j), w.row(j + 1)),
+    )
 
 
 def mff_boundary_terms(
     phi: Section, v: TangentSection, w: TangentSection, r: Region
 ) -> np.ndarray:
     """Individual summands of the two-form boundary sum over the region."""
-
-    def term(rect, l):
-        return omega_l(phi.stencil(rect), _tangent_rect(v, rect), _tangent_rect(w, rect), l)
-
-    return _boundary_terms(phi, r, term)
+    lo = _row_omega(phi, v, w, r.j_lo)[:2]
+    hi = _row_omega(phi, v, w, r.j_hi - 1)[2:]
+    return np.concatenate([lo, hi]).ravel()
 
 
 def mff_boundary_sum(
@@ -225,11 +259,9 @@ def noether_boundary_terms(
     phi: Section, xi: SymmetryGenerator, r: Region
 ) -> np.ndarray:
     """Individual summands of the momentum-map boundary sum."""
-
-    def term(rect, l):
-        return momentum_map_l(phi.stencil(rect), xi, l)
-
-    return _boundary_terms(phi, r, term)
+    g1, g2, _, _ = _row_grad(phi, r.j_lo)
+    _, _, g3, g4 = _row_grad(phi, r.j_hi - 1)
+    return xi.xi * np.concatenate([g1, g2, g3, g4])
 
 
 def noether_boundary_sum(phi: Section, xi: SymmetryGenerator, r: Region) -> float:
@@ -246,18 +278,12 @@ def total_momentum(phi: Section, j: int) -> float:
     of this quantity, so its drift across steps is the conservation
     violation.
     """
-    if not 0 <= j <= phi.grid.n_time - 2:
-        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
-    a, b, c = _row_parts(phi.row_y(j), phi.row_y(j + 1), phi.grid)
-    _, _, g3, g4 = grad_from_parts(a, b, c, phi.grid.h, phi.grid.k)
+    _, _, g3, g4 = _row_grad(phi, j)
     return float(np.sum(g3 + g4))
 
 
 def total_momentum_scale(phi: Section, j: int) -> float:
     """Sum of |dL/dy3| + |dL/dy4| over the rectangle row j: the natural
     magnitude against which momentum drift is measured."""
-    if not 0 <= j <= phi.grid.n_time - 2:
-        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
-    a, b, c = _row_parts(phi.row_y(j), phi.row_y(j + 1), phi.grid)
-    _, _, g3, g4 = grad_from_parts(a, b, c, phi.grid.h, phi.grid.k)
+    _, _, g3, g4 = _row_grad(phi, j)
     return float(np.sum(np.abs(g3) + np.abs(g4)))

@@ -136,9 +136,10 @@ def continuous_density(etax: float, etat: float, etatx: float) -> float:
     """Continuous Lagrangian density (etax*etat**2 + etatx**2/etax) / 2.
 
     Only the three derivatives the density actually depends on appear.
+    Scalars or arrays of samples.
     """
-    if etax <= 0.0:
-        raise NonMonotone(f"etax must be positive, got {etax!r}")
+    if np.any(etax <= 0.0):
+        raise NonMonotone(f"etax must be positive (min found {np.min(etax):g})")
     return 0.5 * (etax * etat * etat + etatx * etatx / etax)
 
 
@@ -199,7 +200,7 @@ def jacobian_bands(a, b, c, h: float, k: float):
 
 
 def hess_full_from_parts(a, b, c, h: float, k: float) -> np.ndarray:
-    """Full (n, 4, 4) Hessian batch for first-variation assembly."""
+    """Full Hessian batch, shape a.shape + (4, 4)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -212,10 +213,10 @@ def hess_full_from_parts(a, b, c, h: float, k: float) -> np.ndarray:
     q = 1.0 / (h * k)
     dc = np.array([q, -q, q, -q])
     out = (
-        laa[:, None, None] * np.outer(da, da)
-        + lbb[:, None, None] * np.outer(db, db)
-        + lcc[:, None, None] * np.outer(dc, dc)
-        + b[:, None, None] * (np.outer(da, db) + np.outer(db, da))
-        + lac[:, None, None] * (np.outer(da, dc) + np.outer(dc, da))
+        laa[..., None, None] * np.outer(da, da)
+        + lbb[..., None, None] * np.outer(db, db)
+        + lcc[..., None, None] * np.outer(dc, dc)
+        + b[..., None, None] * (np.outer(da, db) + np.outer(db, da))
+        + lac[..., None, None] * (np.outer(da, dc) + np.outer(dc, da))
     )
     return out

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from chms.del_solver import Section, SolverConfig, evolve, initialize
-from chms.grid import GridSpec
+from chms.geometry_checks import _tangent_rect, momentum_map_l, omega_l
+from chms.grid import GridSpec, rectangles_touching
 from chms.lagrangian import Stencil, eval_L
 
 TWO_PI = 2.0 * math.pi
@@ -59,6 +60,33 @@ def cosine_run_64():
     t0 = time.perf_counter()
     res = cosine_trajectory()
     return TimedRun(res, time.perf_counter() - t0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar boundary-sum oracles: one Stencil per boundary point and touching
+# rectangle, independent of the row kernels the package uses.
+
+
+def boundary_terms_oracle(phi, region, term):
+    out = []
+    for p in region.boundary_points():
+        for rect, l in rectangles_touching(p, phi.grid):
+            if region.contains_rect(rect):
+                out.append(term(rect, l))
+    return np.array(out)
+
+
+def noether_terms_oracle(phi, xi, region):
+    return boundary_terms_oracle(
+        phi, region, lambda rect, l: momentum_map_l(phi.stencil(rect), xi, l)
+    )
+
+
+def mff_terms_oracle(phi, v, w, region):
+    def term(rect, l):
+        return omega_l(phi.stencil(rect), _tangent_rect(v, rect), _tangent_rect(w, rect), l)
+
+    return boundary_terms_oracle(phi, region, term)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,33 @@ def test_config_errors_exit_two(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--cfl", "nan"),
+        ("--domain-length", "nan"),
+        ("--cfl", "inf"),
+        ("--ic", "cosine:nan"),
+        ("--tol-residual", "nan"),
+    ],
+)
+def test_non_finite_inputs_exit_two(tmp_path, capsys, flag, value):
+    code = run_cli("run", flag, value, "--n-space", "8", "--n-steps", "2",
+                   "--out-dir", str(tmp_path / "nf"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_run_diagnostics_failure_exits_three(tmp_path, capsys):
+    # The label-form residual at n_space 512 is above the tangent-linear
+    # on-shell gate, so the mff diagnostics raise NotOnShell.
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "512", "--n-steps", "2",
+                   "--diagnostics", "mff", "--out-dir", str(tmp_path / "off"))
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort:") and err.count("\n") == 1
+
+
 def test_config_file_rejects_malformed_lines(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("n_space 16\n")

@@ -4,7 +4,6 @@ import pytest
 from conftest import TWO_PI, cosine_u0, random_section
 
 from chms.del_solver import (
-    EXPANDED_SCALE,
     Section,
     SolverConfig,
     action_sum,
@@ -82,7 +81,7 @@ def test_expanded_form_matches_gradient(rng):
         for p in [(0, 1), (3, 2), (7, 3)]:
             raw = del_residual(s, p)
             expanded = del_residual_expanded(s, p)
-            assert expanded == pytest.approx(EXPANDED_SCALE * raw, rel=1e-10, abs=1e-12)
+            assert expanded == pytest.approx(raw, rel=1e-10, abs=1e-12)
 
 
 def test_residual_requires_interior_point():

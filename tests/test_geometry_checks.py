@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import EPS, TWO_PI, cosine_trajectory, cosine_u0, random_stencil
+from conftest import (
+    EPS,
+    TWO_PI,
+    cosine_trajectory,
+    cosine_u0,
+    mff_terms_oracle,
+    noether_terms_oracle,
+    random_stencil,
+)
 
 from chms.del_solver import Section, evolve, initialize
 from chms.errors import NotOnShell
@@ -209,6 +218,37 @@ def test_noether_nonzero_off_shell(short_cosine, rng):
     )
     terms = noether_boundary_terms(perturbed, SymmetryGenerator(1.0), region)
     assert abs(terms.sum()) > 1e-6 * np.abs(terms).sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_space=st.integers(3, 32),
+    n_time=st.integers(2, 8),
+    cfl=st.floats(0.1, 2.0),
+    amp=st.floats(0.0, 0.45),
+    xi=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_row_boundary_sums_match_scalar_oracle(n_space, n_time, cfl, amp, xi, seed, data):
+    """Row-kernel boundary sums equal the point-by-point Stencil sums on
+    random monotone sections and random windows."""
+    g = GridSpec.from_circle(n_space, n_time, TWO_PI, cfl)
+    rng = np.random.default_rng(seed)
+    s = Section(g, amp * g.h * rng.uniform(-1.0, 1.0, size=(n_time, n_space)))
+    v = TangentSection(g, rng.standard_normal((n_time, n_space)))
+    w = TangentSection(g, rng.standard_normal((n_time, n_space)))
+    j_lo = data.draw(st.integers(0, n_time - 2))
+    region = classify_region(j_lo, data.draw(st.integers(j_lo + 1, n_time - 1)), g)
+    gen = SymmetryGenerator(xi)
+    for new, old in (
+        (noether_boundary_terms(s, gen, region), noether_terms_oracle(s, gen, region)),
+        (mff_boundary_terms(s, v, w, region), mff_terms_oracle(s, v, w, region)),
+    ):
+        assert new.size == old.size == 4 * n_space
+        scale = np.sum(np.abs(old))
+        assert abs(np.sum(new) - np.sum(old)) <= 1e-12 * scale
+        assert abs(np.sum(np.abs(new)) - scale) <= 1e-12 * scale
 
 
 def test_total_momentum_uniform_value_and_conservation():
