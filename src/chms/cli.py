@@ -207,24 +207,36 @@ def run_command(cfg: RunConfig) -> int:
             "failure": None,
         },
     }
-    if result.ok and s.grid.n_time >= 3 and ({"noether", "mff"} & set(cfg.diagnostics)):
-        tangents = _tangent_pair(s, cfg, rng) if "mff" in cfg.diagnostics else None
-        report["windows"] = _window_records(s, "noether" in cfg.diagnostics, tangents)
-    if result.ok and "bridges" in cfg.diagnostics:
-        report["summary"]["bridges"] = _bridges_summary(s)
+    summary = report["summary"]
+    abort = None
     if not result.ok:
-        report["summary"]["failure"] = {
+        summary["failure"] = {
             "step": result.failure.step,
             "error": result.failure.error,
             "message": result.failure.message,
         }
+        abort = f"solver abort at step {result.failure.step}: {result.failure.message}"
+    else:
+        # A failing structure check leaves a completed march: the trajectory
+        # and the failure report are still written before exiting 3.
+        try:
+            if s.grid.n_time >= 3 and ({"noether", "mff"} & set(cfg.diagnostics)):
+                tangents = _tangent_pair(s, cfg, rng) if "mff" in cfg.diagnostics else None
+                report["windows"] = _window_records(s, "noether" in cfg.diagnostics, tangents)
+            if "bridges" in cfg.diagnostics:
+                summary["bridges"] = _bridges_summary(s)
+        except ChmsError as exc:
+            summary["status"] = "aborted"
+            summary["failure"] = {
+                "stage": "diagnostics",
+                "error": type(exc).__name__,
+                "message": str(exc),
+            }
+            abort = f"solver abort: diagnostics: {exc}"
     write_trajectory_csv(out_dir / "trajectory.csv", s, cfg.save_every)
     dump_json(report, out_dir / "diagnostics.json")
-    if not result.ok:
-        print(
-            f"solver abort at step {result.failure.step}: {result.failure.message}",
-            file=sys.stderr,
-        )
+    if abort is not None:
+        print(abort, file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -552,3 +564,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

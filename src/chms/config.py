@@ -54,7 +54,9 @@ def parse_initial_condition(spec: str, domain_length: float):
                 x = np.asarray(x, dtype=float)
                 d = np.abs((x - centre) % domain_length)
                 d = np.minimum(d, domain_length - d)
-                return a * np.exp(-0.5 * (d / width) ** 2)
+                # A tiny width overflows d / width; exp(-inf) = 0 is the limit.
+                with np.errstate(over="ignore"):
+                    return a * np.exp(-0.5 * (d / width) ** 2)
 
             return bump
     except ValueError as exc:

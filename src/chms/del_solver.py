@@ -262,26 +262,43 @@ def action_sum(s: Section, r: Region) -> float:
 # Cyclic tridiagonal linear algebra.
 
 
-def _thomas(lower, diag, upper, rhs):
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
+def _thomas(lower, diag, upper, rhs, u):
+    """Tridiagonal elimination of two right-hand sides with shared pivots.
+
+    One forward and one back sweep over Python floats (scalar arithmetic
+    on floats is several times cheaper than indexing numpy arrays); the
+    operation order is that of textbook elimination applied to each
+    right-hand side on its own, so each solution is bit-identical to it.
+    """
+    lower, diag, upper, rhs, u = (v.tolist() for v in (lower, diag, upper, rhs, u))
+    isfinite = math.isfinite
     piv = diag[0]
-    if piv == 0.0 or not np.isfinite(piv):
+    if piv == 0.0 or not isfinite(piv):
         raise SingularJacobian("zero pivot in tridiagonal elimination")
-    cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i] * cp[i - 1]
-        if piv == 0.0 or not np.isfinite(piv):
-            raise SingularJacobian(f"zero pivot at row {i}")
-        cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    c = upper[0] / piv
+    pr = rhs[0] / piv
+    pu = u[0] / piv
+    cp = [c]
+    dr = [pr]
+    du = [pu]
+    for lo, di, up, ri, ui in zip(lower[1:], diag[1:], upper[1:], rhs[1:], u[1:]):
+        piv = di - lo * c
+        if piv == 0.0 or not isfinite(piv):
+            raise SingularJacobian(f"zero pivot at row {len(cp)}")
+        c = up / piv
+        pr = (ri - lo * pr) / piv
+        pu = (ui - lo * pu) / piv
+        cp.append(c)
+        dr.append(pr)
+        du.append(pu)
+    xr = [pr]
+    xu = [pu]
+    for c, qr, qu in zip(cp[-2::-1], dr[-2::-1], du[-2::-1]):
+        pr = qr - c * pr
+        pu = qu - c * pu
+        xr.append(pr)
+        xu.append(pu)
+    return np.array(xr[::-1]), np.array(xu[::-1])
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
@@ -316,8 +333,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = upper[-1]
-    y = _thomas(lower, d, upper, rhs)
-    z = _thomas(lower, d, upper, u)
+    y, z = _thomas(lower, d, upper, rhs, u)
     denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
     if denom == 0.0 or not np.isfinite(denom):
         raise SingularJacobian("singular Sherman-Morrison correction")

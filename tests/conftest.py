@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chms.del_solver import Section, SolverConfig, evolve, initialize
+from chms.errors import SingularJacobian
 from chms.geometry_checks import _tangent_rect, momentum_map_l, omega_l
 from chms.grid import GridSpec, rectangles_touching
 from chms.lagrangian import Stencil, eval_L
@@ -87,6 +88,54 @@ def mff_terms_oracle(phi, v, w, region):
         return omega_l(phi.stencil(rect), _tangent_rect(v, rect), _tangent_rect(w, rect), l)
 
     return boundary_terms_oracle(phi, region, term)
+
+
+# ---------------------------------------------------------------------------
+# Scalar cyclic tridiagonal oracle: Sherman-Morrison around two separate
+# elimination sweeps on numpy scalars, one per right-hand side.  The
+# package's solver shares the pivots between the two right-hand sides and
+# must reproduce this bit for bit.
+
+
+def thomas_oracle(lower, diag, upper, rhs):
+    n = diag.size
+    cp = np.empty(n)
+    dp = np.empty(n)
+    piv = diag[0]
+    if piv == 0.0 or not np.isfinite(piv):
+        raise SingularJacobian("zero pivot in tridiagonal elimination")
+    cp[0] = upper[0] / piv
+    dp[0] = rhs[0] / piv
+    for i in range(1, n):
+        piv = diag[i] - lower[i] * cp[i - 1]
+        if piv == 0.0 or not np.isfinite(piv):
+            raise SingularJacobian(f"zero pivot at row {i}")
+        cp[i] = upper[i] / piv
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
+    x = np.empty(n)
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+def cyclic_solve_oracle(lower, diag, upper, rhs):
+    """Banded path only (n >= 8), same conventions as the package solver."""
+    n = diag.size
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
+    d = diag.copy()
+    d[0] -= gamma
+    d[-1] -= lower[0] * upper[-1] / gamma
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = upper[-1]
+    y = thomas_oracle(lower, d, upper, rhs)
+    z = thomas_oracle(lower, d, upper, u)
+    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SingularJacobian("singular Sherman-Morrison correction")
+    factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
+    return y - factor * z
 
 
 # ---------------------------------------------------------------------------

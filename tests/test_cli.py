@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chms
 from chms.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -189,6 +194,14 @@ def test_run_diagnostics_failure_exits_three(tmp_path, capsys):
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
     assert err.startswith("solver abort:") and err.count("\n") == 1
+    # The march completed, so its trajectory and the failure report are written.
+    out = tmp_path / "off"
+    assert (out / "trajectory.csv").read_text().count("\n") == 1 + 4 * 512
+    summary = json.loads((out / "diagnostics.json").read_text())["summary"]
+    assert summary["status"] == "aborted"
+    assert summary["failure"]["stage"] == "diagnostics"
+    assert summary["failure"]["error"] == "NotOnShell"
+    assert "does not solve the field equations" in summary["failure"]["message"]
 
 
 def test_config_file_rejects_malformed_lines(tmp_path):
@@ -299,3 +312,33 @@ def test_json_floats_parse_back(tmp_path):
     text = (out / "diagnostics.json").read_text()
     report = json.loads(text)
     assert isinstance(report["summary"]["momentum_drift_max"], float)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_bump_subnormal_width_is_silent(tmp_path):
+    # d / width overflows to inf; the bump's limit exp(-inf) = 0 is exact.
+    code = run_cli("run", "--ic", "gaussian_bump:0.1,1e-320", "--n-space", "8",
+                   "--n-steps", "2", "--out-dir", str(tmp_path / "thin"))
+    assert code == EXIT_OK
+
+
+def _fresh_python(*args, cwd):
+    src = str(Path(chms.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    proc = _fresh_python("-m", "chms.cli", "run", "--cfl", "nan", "--n-space", "8",
+                         "--out-dir", str(tmp_path / "o"), cwd=tmp_path)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error:")
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # SciPy would add about 0.2 s of start-up and 26 MiB of memory to every run.
+    proc = _fresh_python("-c", "import sys, chms.cli; assert 'scipy' not in sys.modules",
+                         cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import TWO_PI, cosine_u0, random_section
+from conftest import TWO_PI, cosine_trajectory, cosine_u0, cyclic_solve_oracle, random_section
 
 from chms.del_solver import (
     Section,
     SolverConfig,
+    _row_parts,
     action_sum,
     advance_row,
     del_residual,
@@ -210,6 +212,16 @@ def test_jacobian_matches_finite_differences(rng):
     assert np.max(np.abs(fd - dense)) <= 1e-6 * max(1.0, np.max(np.abs(dense)))
 
 
+def dense_cyclic(lower, diag, upper):
+    n = diag.size
+    dense = np.zeros((n, n))
+    idx = np.arange(n)
+    dense[idx, idx] = diag
+    dense[idx, (idx + 1) % n] = upper
+    dense[idx, (idx - 1) % n] = lower
+    return dense
+
+
 def test_cyclic_tridiagonal_solver(rng):
     for n in (5, 16, 300):
         lower = rng.uniform(-1.0, 1.0, n)
@@ -217,11 +229,7 @@ def test_cyclic_tridiagonal_solver(rng):
         diag = 4.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant
         rhs = rng.standard_normal(n)
         x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-        dense = np.zeros((n, n))
-        idx = np.arange(n)
-        dense[idx, idx] = diag
-        dense[idx, (idx + 1) % n] = upper
-        dense[idx, (idx - 1) % n] = lower
+        dense = dense_cyclic(lower, diag, upper)
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -229,6 +237,56 @@ def test_cyclic_tridiagonal_singular():
     n = 12
     with pytest.raises(SingularJacobian):
         solve_cyclic_tridiagonal(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
+
+
+@pytest.mark.parametrize("n, bad", [(5, np.nan), (12, np.nan), (12, np.inf), (12, -np.inf)])
+@pytest.mark.parametrize("row", [0, 3])
+def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
+    diag = np.full(n, 4.0)
+    diag[row] = bad
+    with pytest.raises(SingularJacobian):
+        solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
+
+
+def test_cyclic_tridiagonal_zero_pivot_after_first_row():
+    # Row 0 of the Sherman-Morrison-shifted band has pivot 2 * 2 = 4, so
+    # row 1 eliminates to 0.25 - 1 * (1 / 4) = 0 exactly.
+    n = 12
+    diag = np.full(n, 4.0)
+    diag[0] = 2.0
+    diag[1] = 0.25
+    with pytest.raises(SingularJacobian, match="zero pivot at row 1"):
+        solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 300])
+def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
+    s = cosine_trajectory(n_space=n, n_steps=6).section
+    rng = np.random.default_rng(n)
+    for j in range(1, s.grid.n_time - 1):
+        a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
+        lower, diag, upper = jacobian_bands(a, b, c, s.grid.h, s.grid.k)
+        for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
+            x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            assert np.array_equal(x, cyclic_solve_oracle(lower, diag, upper, rhs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 40), data=st.data())
+def test_cyclic_solve_matches_dense_on_dominant_bands(n, data):
+    # Covers the dense path (n < 8) and the banded path.
+    unit = st.floats(-1.0, 1.0)
+    lower = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    upper = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    margin = np.array(data.draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
+    sign = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    rhs = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    diag = sign * (np.abs(lower) + np.abs(upper) + margin)
+    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    dense = dense_cyclic(lower, diag, upper)
+    reference = np.linalg.solve(dense, rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+    assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_wave_breaking_reported():
