@@ -12,30 +12,23 @@ from .errors import (
     OutOfRange,
     SingularJacobian,
 )
-from .grid import GridSpec, Rect, Region, classify_region, rectangles_touching
-from .lagrangian import GradL, HessL, Stencil, continuous_density, eval_L, grad_L, hess_L
+from .grid import GridSpec, Region, classify_region
+from .lagrangian import continuous_density
 from .del_solver import (
     EvolveResult,
     Section,
     SolverConfig,
     StepFailure,
     StepStats,
-    action_sum,
-    del_residual,
-    del_residual_expanded,
     evolve,
     initialize,
-    step,
 )
 from .geometry_checks import (
     SymmetryGenerator,
     TangentSection,
     mff_boundary_sum,
-    momentum_map_l,
     noether_boundary_sum,
-    omega_l,
     solve_first_variation,
-    theta_l,
     total_momentum,
 )
 from .bridges import (

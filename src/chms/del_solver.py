@@ -27,12 +27,10 @@ from .errors import (
     OutOfRange,
     SingularJacobian,
 )
-from .grid import GridSpec, Rect, Region, rectangles_touching
+from .grid import GridSpec
 from .lagrangian import (
     DELTA_MIN_FACTOR,
-    Stencil,
     eval_from_parts,
-    grad_L,
     grad_from_parts,
     jacobian_bands,
     stencil_parts,
@@ -102,16 +100,6 @@ class Section:
 
     def row_y(self, j: int) -> np.ndarray:
         return self.xs() + self.displacement[j]
-
-    def y(self, i: int, j: int) -> float:
-        """Label value with the periodic lift applied to the spatial index."""
-        n = self.grid.n_space
-        wraps, im = divmod(i, n)
-        return wraps * self.grid.domain_length + im * self.grid.h + self.displacement[j, im]
-
-    def stencil(self, rect: Rect) -> Stencil:
-        v = [self.y(*rect.vertex(l)) for l in (1, 2, 3, 4)]
-        return Stencil(v[0], v[1], v[2], v[3], self.grid.h, self.grid.k)
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "Section":
@@ -199,63 +187,10 @@ def residual_scale_row(s: Section, j: int) -> float:
     return float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)))
 
 
-def del_residual(s: Section, p: tuple[int, int]) -> float:
-    """Sum of dL/dy_l over the four rectangles touching the interior point p.
-
-    This is the derivative of the action sum with respect to y at p
-    (residual = +gradient of the action).
-    """
-    i, j = p
-    if not 1 <= j <= s.grid.n_time - 2:
-        raise OutOfRange(f"point {p} is not interior in time")
-    total = 0.0
-    for rect, l in rectangles_touching((i, j), s.grid):
-        total += grad_L(s.stencil(rect)).component(l)
-    return total
-
-
-def del_residual_expanded(s: Section, p: tuple[int, int]) -> float:
-    """Ten-term expanded form of the interior equations.
-
-    Kept as an independent cross-check of :func:`del_residual`; the two
-    agree to rounding.
-    """
-    i, j = p
-    if not 1 <= j <= s.grid.n_time - 2:
-        raise OutOfRange(f"point {p} is not interior in time")
-    h, k = s.grid.h, s.grid.k
-    y = s.y
-
-    def dk(ii, jj):
-        return y(ii, jj + 1) - y(ii, jj)
-
-    def dh(ii, jj):
-        return y(ii + 1, jj) - y(ii, jj)
-
-    hk2 = h * k * k
-    return (
-        (dk(i + 1, j) - dk(i, j)) ** 2 / (2.0 * hk2 * dh(i, j) ** 2)
-        - (dk(i, j) - dk(i - 1, j)) ** 2 / (2.0 * hk2 * dh(i - 1, j) ** 2)
-        - dk(i, j) ** 2 / (2.0 * hk2)
-        + dk(i - 1, j) ** 2 / (2.0 * hk2)
-        + (dk(i + 1, j) - dk(i, j)) / (hk2 * dh(i, j))
-        - (dk(i, j) - dk(i - 1, j)) / (hk2 * dh(i - 1, j))
-        - (dk(i + 1, j - 1) - dk(i, j - 1)) / (hk2 * dh(i, j - 1))
-        + (dk(i, j - 1) - dk(i - 1, j - 1)) / (hk2 * dh(i - 1, j - 1))
-        - dh(i, j) * dk(i, j) / hk2
-        + dh(i, j - 1) * dk(i, j - 1) / hk2
-    )
-
-
 def row_action(s: Section, j: int) -> float:
     """Sum of the rectangle Lagrangian over the rectangle row j."""
     a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
     return float(np.sum(eval_from_parts(a, b, c)))
-
-
-def action_sum(s: Section, r: Region) -> float:
-    """Discrete action: rectangle Lagrangian summed over the region."""
-    return sum(row_action(s, j) for j in range(r.j_lo, r.j_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +254,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
         dense[idx, idx] = diag
         dense[idx, (idx + 1) % n] = upper
         dense[idx, (idx - 1) % n] = lower
+        if not np.all(np.isfinite(dense)):
+            raise SingularJacobian("non-finite entry in dense Jacobian")
         try:
             x = np.linalg.solve(dense, rhs)
         except np.linalg.LinAlgError as exc:
@@ -437,13 +374,6 @@ def advance_row(
     )
 
 
-def step(s: Section, cfg: SolverConfig | None = None) -> tuple[np.ndarray, StepStats]:
-    """Advance from the last two rows of a section; returns the new row."""
-    cfg = cfg or SolverConfig()
-    j = s.grid.n_time - 1
-    return advance_row(s.row_y(j - 1), s.row_y(j), s.grid, cfg)
-
-
 def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> EvolveResult:
     """March n_steps levels from the final two rows of s0.
 
@@ -489,6 +419,11 @@ def initialize(u0, g: GridSpec) -> Section:
         raise ValueError("u0 must map the sample positions to one value each")
     d = np.zeros((2, g.n_space))
     d[1] = g.k * v
+    if not np.all(np.isfinite(d[1])):
+        i = int(np.argmin(np.isfinite(d[1])))
+        raise BadInitialData(
+            f"velocity kick k*u0(x) is not finite at x = {xs[i]:g} (u0 = {v[i]:g})"
+        )
     try:
         return Section(g.with_time_levels(2), d)
     except NonMonotone as exc:

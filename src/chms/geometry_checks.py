@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnShell, OutOfRange, SingularJacobian
-from .grid import GridSpec, Rect, Region, rectangles_touching
+from .grid import GridSpec, Region
 from .del_solver import (
     Section,
     SolverConfig,
@@ -26,14 +26,7 @@ from .del_solver import (
     residual_scale_row,
     solve_cyclic_tridiagonal,
 )
-from .lagrangian import (
-    Stencil,
-    grad_L,
-    grad_from_parts,
-    hess_L,
-    hess_full_from_parts,
-    jacobian_bands,
-)
+from .lagrangian import grad_from_parts, hess_full_from_parts, jacobian_bands
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +47,8 @@ class TangentSection:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def value(self, i: int, j: int) -> float:
-        return float(self.values[j, i % self.grid.n_space])
-
     def row(self, j: int) -> np.ndarray:
         return self.values[j]
-
-    @classmethod
-    def constant(cls, grid: GridSpec, c: float) -> "TangentSection":
-        return cls(grid, np.full((grid.n_time, grid.n_space), float(c)))
 
 
 @dataclass(frozen=True)
@@ -72,32 +58,6 @@ class SymmetryGenerator:
     xi: float
 
 
-def theta_l(s: Stencil, v, l: int) -> float:
-    """l-th boundary one-form paired with a tangent rectangle: dL/dy_l * v_l."""
-    return grad_L(s).component(l) * v[l - 1]
-
-
-def omega_l(s: Stencil, v, w, l: int) -> float:
-    """l-th rectangle two-form on two tangent rectangles.
-
-    sum_k d2L/dy_k dy_l * (v_k w_l - v_l w_k);  antisymmetric in (v, w),
-    and the four forms sum to zero over l.
-    """
-    m = hess_L(s).matrix
-    vl = v[l - 1]
-    wl = w[l - 1]
-    return float(sum(m[k, l - 1] * (v[k] * wl - vl * w[k]) for k in range(4)))
-
-
-def momentum_map_l(s: Stencil, xi: SymmetryGenerator, l: int) -> float:
-    """l-th momentum map for fiber translation: dL/dy_l * xi."""
-    return grad_L(s).component(l) * xi.xi
-
-
-def _tangent_rect(t: TangentSection, rect: Rect) -> tuple[float, float, float, float]:
-    return tuple(t.value(*rect.vertex(l)) for l in (1, 2, 3, 4))
-
-
 def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
     """Tangent rectangles of a rectangle row, shape (4, n_space): vertex
     l's values in row l - 1 (tangents are periodic, no lift)."""
@@ -105,12 +65,15 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
 
 
 def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rectangle two-forms omega_l for a batch of rectangles.
+    """Rectangle two-forms for a batch of rectangles:
 
-    hess has shape batch + (4, 4); the tangent rectangles v, w carry the
-    vertex index first, shape (4,) + batch; the result is (4,) + batch.
-    The vectorized form of :func:`omega_l`: the same antisymmetric
-    products, so omega(v, v) and constant pairs are exactly 0.0.
+        omega_l(v, w) = sum_k d2L/dy_k dy_l * (v_k w_l - v_l w_k),
+
+    antisymmetric in (v, w); the four forms sum to zero over l.  hess has
+    shape batch + (4, 4); the tangent rectangles v, w carry the vertex
+    index first, shape (4,) + batch; the result is (4,) + batch.  The
+    antisymmetric products are formed first, so omega(v, v) and constant
+    pairs are exactly 0.0.
     """
     anti = v[:, None] * w[None, :] - v[None, :] * w[:, None]  # [k, l] = v_k w_l - v_l w_k
     return np.einsum("...kl,kl...->l...", hess, anti)
@@ -120,40 +83,26 @@ def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
 # Tangent-linear (first variation) marching.
 
 
-def _linear_row_terms(phi: Section, vm1, v0, vp1, j: int):
-    """Per-point contributions of the linearized equations at level j.
+def _linear_terms(hess: np.ndarray, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
+    """(4, n_space): sum_k d2L/dy_k dy_l * V_k over a rectangle row, for
+    each vertex l, with the tangent rows vlo (bottom) and vhi (top)."""
+    return np.einsum("nkl,kn->ln", hess, _tangent_rects(vlo, vhi))
 
-    Mirrors the residual assembly: full Hessians of the rectangle rows
-    (j, j+1) and (j-1, j) contracted with the tangent rectangles.
-    """
-    g = phi.grid
-    h, k = g.h, g.k
 
-    def contributions(lo_row, hi_row, vlo, vhi):
-        a, b, c = _row_parts(lo_row, hi_row, g)
-        hess = hess_full_from_parts(a, b, c, h, k)
-        return np.einsum("nkl,kn->ln", hess, _tangent_rects(vlo, vhi))
-
-    top = contributions(phi.row_y(j), phi.row_y(j + 1), v0, vp1)
-    bot = contributions(phi.row_y(j - 1), phi.row_y(j), vm1, v0)
+def _point_terms(top: np.ndarray, bot: np.ndarray):
+    """Per-point contributions of the linearized equations at a level from
+    the linear terms of the rectangle rows above (top) and below (bot):
+    vertex 1 up-right, 2 up-left, 3 down-left, 4 down-right; the same
+    assembly as the residual."""
     return top[0], np.roll(top[1], 1), np.roll(bot[2], 1), bot[3]
 
 
-def first_variation_residual(phi: Section, t: TangentSection, p: tuple[int, int]) -> float:
-    """Linearized-equation residual of a tangent field at interior point p."""
-    i, j = p
-    if not 1 <= j <= phi.grid.n_time - 2:
-        raise OutOfRange(f"point {p} is not interior in time")
-    total = 0.0
-    for rect, l in rectangles_touching((i, j), phi.grid):
-        m = hess_L(phi.stencil(rect)).matrix
-        tv = _tangent_rect(t, rect)
-        total += float(sum(m[k, l - 1] * tv[k] for k in range(4)))
-    return total
-
-
 def first_variation_residual_row(phi: Section, t: TangentSection, j: int) -> np.ndarray:
-    t1, t2, t3, t4 = _linear_row_terms(phi, t.row(j - 1), t.row(j), t.row(j + 1), j)
+    """Linearized-equation residual of a tangent field at every point of
+    the interior level j."""
+    top = _linear_terms(_row_hess(phi, j), t.row(j), t.row(j + 1))
+    bot = _linear_terms(_row_hess(phi, j - 1), t.row(j - 1), t.row(j))
+    t1, t2, t3, t4 = _point_terms(top, bot)
     return t1 + t2 + t3 + t4
 
 
@@ -187,21 +136,25 @@ def solve_first_variation(
     vals = np.empty((levels, n))
     vals[:2] = v0
     h, k = g.h, g.k
+    zeros = np.zeros(n)
+    # Rectangle row j serves as the top row at level j and as the bottom
+    # row at level j + 1, so its parts and Hessian are built once.
+    hess_lo = _row_hess(phi, 0)
     for j in range(1, levels - 1):
-        t1, t2, t3, t4 = _linear_row_terms(
-            phi, vals[j - 1], vals[j], np.zeros(n), j
-        )
-        rhs = -(t1 + t2 + t3 + t4)
-        a_t, b_t, c_t = _row_parts(phi.row_y(j), phi.row_y(j + 1), g)
-        lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
-        vals[j + 1] = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-        t1, t2, t3, t4 = _linear_row_terms(phi, vals[j - 1], vals[j], vals[j + 1], j)
+        parts = _row_parts(phi.row_y(j), phi.row_y(j + 1), g)
+        hess_hi = hess_full_from_parts(*parts, h, k)
+        lower, diag, upper = jacobian_bands(*parts, h, k)
+        bot = _linear_terms(hess_lo, vals[j - 1], vals[j])
+        t1, t2, t3, t4 = _point_terms(_linear_terms(hess_hi, vals[j], zeros), bot)
+        vals[j + 1] = solve_cyclic_tridiagonal(lower, diag, upper, -(t1 + t2 + t3 + t4))
+        t1, t2, t3, t4 = _point_terms(_linear_terms(hess_hi, vals[j], vals[j + 1]), bot)
         res = float(np.max(np.abs(t1 + t2 + t3 + t4)))
         scale = max(1.0, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4))))
         if res > cfg.tol_residual * scale:
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {res:g}"
             )
+        hess_lo = hess_hi
     return TangentSection(g, vals)
 
 
@@ -228,11 +181,15 @@ def _row_grad(phi: Section, j: int):
     return grad_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
 
 
+def _row_hess(phi: Section, j: int) -> np.ndarray:
+    """(n_space, 4, 4) Hessians over the rectangle row j."""
+    return hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
+
+
 def _row_omega(phi: Section, v: TangentSection, w: TangentSection, j: int) -> np.ndarray:
     """(4, n_space) two-forms omega_l over the rectangle row j."""
-    hess = hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
     return omega_from_hess(
-        hess,
+        _row_hess(phi, j),
         _tangent_rects(v.row(j), v.row(j + 1)),
         _tangent_rects(w.row(j), w.row(j + 1)),
     )

@@ -1,4 +1,4 @@
-"""Periodic spacetime lattice: rectangles and time-window combinatorics.
+"""Periodic spacetime lattice and its full-circle time windows.
 
 The base space is a spatial circle of ``n_space`` points crossed with
 ``n_time`` time levels.  Spatial indices wrap modulo ``n_space``, so the
@@ -8,6 +8,7 @@ rows only; all conservation diagnostics reduce to sums over those rows.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -35,8 +36,8 @@ class GridSpec:
             raise ValueError("n_space must be at least 3")
         if self.n_time < 2:
             raise ValueError("n_time must be at least 2")
-        if not (self.h > 0.0 and self.k > 0.0 and self.domain_length > 0.0):
-            raise ValueError("h, k and domain_length must be positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.h, self.k, self.domain_length)):
+            raise ValueError("h, k and domain_length must be positive and finite")
         if abs(self.n_space * self.h - self.domain_length) > 4.0 * _EPS * self.domain_length:
             raise ValueError(
                 f"n_space * h = {self.n_space * self.h!r} does not match "
@@ -52,45 +53,6 @@ class GridSpec:
     def with_time_levels(self, n_time: int) -> "GridSpec":
         return replace(self, n_time=n_time)
 
-    def x(self, i: int) -> float:
-        """Reference position of spatial index i (not wrapped)."""
-        return i * self.h
-
-    def time(self, j: int) -> float:
-        return j * self.k
-
-
-@dataclass(frozen=True)
-class Rect:
-    """Lattice rectangle whose first vertex is (i, j).
-
-    Vertex order is fixed: 1 -> (i, j), 2 -> (i+1, j), 3 -> (i+1, j+1),
-    4 -> (i, j+1).  The first index is stored modulo ``n_space``.
-    """
-
-    i: int
-    j: int
-    n_space: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "i", self.i % self.n_space)
-
-    def vertex(self, l: int) -> tuple[int, int]:
-        """Lattice point of vertex l in {1, 2, 3, 4} (spatial part unwrapped)."""
-        if l == 1:
-            return (self.i, self.j)
-        if l == 2:
-            return (self.i + 1, self.j)
-        if l == 3:
-            return (self.i + 1, self.j + 1)
-        if l == 4:
-            return (self.i, self.j + 1)
-        raise ValueError("vertex index must be in 1..4")
-
-    @property
-    def vertices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.vertex(l) for l in (1, 2, 3, 4))
-
 
 @dataclass(frozen=True)
 class Region:
@@ -99,47 +61,14 @@ class Region:
     Interior points are the rows strictly between j_lo and j_hi; the
     boundary is the pair of extreme rows; the member rectangles are the
     rows j_lo .. j_hi-1 of rectangles.  Such a window is always regular
-    (it equals interior plus boundary).
+    (it equals interior plus boundary).  The rectangle with first vertex
+    (i, j) has vertices 1 -> (i, j), 2 -> (i+1, j), 3 -> (i+1, j+1),
+    4 -> (i, j+1).
     """
 
     grid: GridSpec
     j_lo: int
     j_hi: int
-
-    def interior_points(self) -> list[tuple[int, int]]:
-        n = self.grid.n_space
-        return [(i, j) for j in range(self.j_lo + 1, self.j_hi) for i in range(n)]
-
-    def boundary_points(self) -> list[tuple[int, int]]:
-        n = self.grid.n_space
-        return [(i, j) for j in (self.j_lo, self.j_hi) for i in range(n)]
-
-    def rectangles(self) -> list[Rect]:
-        n = self.grid.n_space
-        return [Rect(i, j, n) for j in range(self.j_lo, self.j_hi) for i in range(n)]
-
-    def contains_rect(self, rect: Rect) -> bool:
-        return self.j_lo <= rect.j <= self.j_hi - 1
-
-
-def rectangles_touching(p: tuple[int, int], g: GridSpec) -> list[tuple[Rect, int]]:
-    """Rectangles having lattice point p as a vertex, with the vertex index.
-
-    A point with both time neighbours present is touched by exactly four
-    rectangles, one per vertex index; points on the first or last time
-    level are touched by two.
-    """
-    i, j = p
-    if not 0 <= j <= g.n_time - 1:
-        raise OutOfRange(f"time index {j} outside [0, {g.n_time - 1}]")
-    n = g.n_space
-    candidates = (
-        (Rect(i, j, n), 1),
-        (Rect(i - 1, j, n), 2),
-        (Rect(i - 1, j - 1, n), 3),
-        (Rect(i, j - 1, n), 4),
-    )
-    return [(r, l) for r, l in candidates if 0 <= r.j <= g.n_time - 2]
 
 
 def classify_region(j_lo: int, j_hi: int, g: GridSpec) -> Region:

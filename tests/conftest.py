@@ -6,11 +6,11 @@ import time
 import numpy as np
 import pytest
 
+from oracles import rect_value
+
 from chms.del_solver import Section, SolverConfig, evolve, initialize
-from chms.errors import SingularJacobian
-from chms.geometry_checks import _tangent_rect, momentum_map_l, omega_l
-from chms.grid import GridSpec, rectangles_touching
-from chms.lagrangian import Stencil, eval_L
+from chms.geometry_checks import TangentSection
+from chms.grid import GridSpec
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -21,19 +21,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_stencil(rng, h=1.0, k=1.0) -> Stencil:
-    """Admissible stencil with the bottom edge bounded away from zero."""
+def random_stencil(rng, h=1.0, k=1.0) -> np.ndarray:
+    """Corner values (y1, y2, y3, y4) of an admissible rectangle with the
+    bottom edge bounded away from zero."""
     y1 = rng.uniform(-1.0, 1.0)
     y2 = y1 + h * rng.uniform(0.3, 2.5)
     y3 = y2 + rng.uniform(-1.0, 1.0)
     y4 = y1 + rng.uniform(-1.0, 1.0)
-    return Stencil(y1, y2, y3, y4, h, k)
+    return np.array([y1, y2, y3, y4])
 
 
 def random_section(grid: GridSpec, rng, amp=0.15) -> Section:
     """Identity plus bounded random displacement; always monotone."""
     d = amp * grid.h * rng.uniform(-1.0, 1.0, size=(grid.n_time, grid.n_space))
     return Section(grid, d)
+
+
+def constant_tangent(grid: GridSpec, c: float) -> TangentSection:
+    return TangentSection(grid, np.full((grid.n_time, grid.n_space), float(c)))
 
 
 def cosine_u0(amp: float, lam: float):
@@ -61,81 +66,6 @@ def cosine_run_64():
     t0 = time.perf_counter()
     res = cosine_trajectory()
     return TimedRun(res, time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# Scalar boundary-sum oracles: one Stencil per boundary point and touching
-# rectangle, independent of the row kernels the package uses.
-
-
-def boundary_terms_oracle(phi, region, term):
-    out = []
-    for p in region.boundary_points():
-        for rect, l in rectangles_touching(p, phi.grid):
-            if region.contains_rect(rect):
-                out.append(term(rect, l))
-    return np.array(out)
-
-
-def noether_terms_oracle(phi, xi, region):
-    return boundary_terms_oracle(
-        phi, region, lambda rect, l: momentum_map_l(phi.stencil(rect), xi, l)
-    )
-
-
-def mff_terms_oracle(phi, v, w, region):
-    def term(rect, l):
-        return omega_l(phi.stencil(rect), _tangent_rect(v, rect), _tangent_rect(w, rect), l)
-
-    return boundary_terms_oracle(phi, region, term)
-
-
-# ---------------------------------------------------------------------------
-# Scalar cyclic tridiagonal oracle: Sherman-Morrison around two separate
-# elimination sweeps on numpy scalars, one per right-hand side.  The
-# package's solver shares the pivots between the two right-hand sides and
-# must reproduce this bit for bit.
-
-
-def thomas_oracle(lower, diag, upper, rhs):
-    n = diag.size
-    cp = np.empty(n)
-    dp = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0 or not np.isfinite(piv):
-        raise SingularJacobian("zero pivot in tridiagonal elimination")
-    cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i] * cp[i - 1]
-        if piv == 0.0 or not np.isfinite(piv):
-            raise SingularJacobian(f"zero pivot at row {i}")
-        cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def cyclic_solve_oracle(lower, diag, upper, rhs):
-    """Banded path only (n >= 8), same conventions as the package solver."""
-    n = diag.size
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= lower[0] * upper[-1] / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = upper[-1]
-    y = thomas_oracle(lower, d, upper, rhs)
-    z = thomas_oracle(lower, d, upper, u)
-    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularJacobian("singular Sherman-Morrison correction")
-    factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
-    return y - factor * z
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +122,10 @@ def fd_hessian(f, x, scale=1.0):
 
 
 def stencil_fn(h, k):
-    """eval_L as a function of the 4-vector of corner values."""
+    """The rectangle Lagrangian as a function of the 4-vector of corner values."""
 
     def f(y):
-        return eval_L(Stencil(y[0], y[1], y[2], y[3], h, k))
+        return rect_value(y, h, k)
 
     return f
 

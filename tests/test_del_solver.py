@@ -2,24 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TWO_PI, cosine_trajectory, cosine_u0, cyclic_solve_oracle, random_section
+from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section
+from oracles import cyclic_solve, del_residual, del_residual_expanded, label
 
 from chms.del_solver import (
     Section,
     SolverConfig,
     _row_parts,
-    action_sum,
     advance_row,
-    del_residual,
-    del_residual_expanded,
     del_residual_row,
     evolve,
     initialize,
+    row_action,
     solve_cyclic_tridiagonal,
-    step,
 )
 from chms.errors import BadInitialData, NonMonotone, OutOfRange, SingularJacobian
-from chms.grid import GridSpec, classify_region
+from chms.grid import GridSpec
 from chms.lagrangian import jacobian_bands
 
 
@@ -28,23 +26,25 @@ def o1_grid(n_space=16, n_time=6):
     return GridSpec(n_space, n_time, 1.0, 0.5, float(n_space))
 
 
-def interior_points(g):
-    return [(i, j) for j in range(1, g.n_time - 1) for i in range(g.n_space)]
+def max_residual(s):
+    return max(np.max(np.abs(del_residual_row(s, j))) for j in range(1, s.grid.n_time - 1))
+
+
+def action_sum(s, j_lo, j_hi):
+    """Discrete action over the rectangle rows j_lo .. j_hi - 1."""
+    return sum(row_action(s, j) for j in range(j_lo, j_hi))
 
 
 def test_rest_and_uniform_residuals_vanish():
     g = o1_grid()
     for s in (Section.identity(g), Section.uniform_translation(g, 0.3)):
-        worst = max(abs(del_residual(s, p)) for p in interior_points(g))
-        assert worst <= 1e-13
+        assert max_residual(s) <= 1e-13
 
 
 def test_affine_sections_are_exact():
     g = o1_grid()
     for c, b in [(0.4, 0.0), (-0.2, 1.5), (0.0, -0.7)]:
-        s = Section.uniform_translation(g, c, offset=b)
-        worst = max(abs(del_residual(s, p)) for p in interior_points(g))
-        assert worst <= 1e-12
+        assert max_residual(Section.uniform_translation(g, c, offset=b)) <= 1e-12
 
 
 def test_row_residual_matches_pointwise(rng):
@@ -62,17 +62,16 @@ def test_residual_is_action_gradient(rng):
         s = random_section(g, rng)
         i = int(rng.integers(0, g.n_space))
         j = int(rng.integers(1, g.n_time - 1))
-        window = classify_region(j - 1, j + 1, g)
         step_size = np.finfo(float).eps ** (1.0 / 3.0)
 
         def patch_action(value):
             d = s.displacement.copy()
             d[j, i] = value - i * g.h
-            return action_sum(Section(g, d), window)
+            return action_sum(Section(g, d), j - 1, j + 1)
 
-        base = s.y(i, j)
+        base = label(s, i, j)
         fd = (patch_action(base + step_size) - patch_action(base - step_size)) / (2 * step_size)
-        res = del_residual(s, (i, j))
+        res = del_residual_row(s, j)[i]
         assert abs(fd - res) <= 1e-7 * max(1.0, abs(res))
 
 
@@ -80,9 +79,9 @@ def test_expanded_form_matches_gradient(rng):
     g = o1_grid(n_space=8, n_time=5)
     for _ in range(20):
         s = random_section(g, rng)
-        for p in [(0, 1), (3, 2), (7, 3)]:
-            raw = del_residual(s, p)
-            expanded = del_residual_expanded(s, p)
+        for i, j in [(0, 1), (3, 2), (7, 3)]:
+            raw = del_residual_row(s, j)[i]
+            expanded = del_residual_expanded(s, (i, j))
             assert expanded == pytest.approx(raw, rel=1e-10, abs=1e-12)
 
 
@@ -90,28 +89,26 @@ def test_residual_requires_interior_point():
     g = o1_grid()
     s = Section.identity(g)
     with pytest.raises(OutOfRange):
-        del_residual(s, (0, 0))
+        del_residual_row(s, 0)
     with pytest.raises(OutOfRange):
-        del_residual_expanded(s, (0, g.n_time - 1))
+        del_residual_row(s, g.n_time - 1)
 
 
 def test_action_examples():
     g = o1_grid(n_space=10, n_time=4)
-    region = classify_region(0, 3, g)
-    assert action_sum(Section.identity(g), region) == 0.0
+    assert action_sum(Section.identity(g), 0, 3) == 0.0
     c = 0.4
     s = Section.uniform_translation(g, c)
-    n_rects = len(region.rectangles())
+    n_rects = 3 * g.n_space
     # every stencil has slope 1, velocity c, zero mixed difference
-    assert action_sum(s, region) == pytest.approx(n_rects * c * c / 2.0, rel=1e-12)
+    assert action_sum(s, 0, 3) == pytest.approx(n_rects * c * c / 2.0, rel=1e-12)
 
 
 def test_action_uniform_unit_spacings():
     g = GridSpec(10, 4, 1.0, 1.0, 10.0)
     c = 0.4
-    region = classify_region(0, 3, g)
     s = Section.uniform_translation(g, c)
-    assert action_sum(s, region) == pytest.approx(len(region.rectangles()) * c * c / 2.0, rel=1e-12)
+    assert action_sum(s, 0, 3) == pytest.approx(3 * g.n_space * c * c / 2.0, rel=1e-12)
 
 
 def test_initialize_examples():
@@ -133,10 +130,23 @@ def test_initialize_rejects_violent_kick():
         initialize(cosine_u0(2.0, TWO_PI), g)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_initialize_rejects_non_finite_velocity(bad):
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+
+    def u0(x):
+        v = np.zeros_like(x)
+        v[5] = bad
+        return v
+
+    with pytest.raises(BadInitialData, match="not finite"):
+        initialize(u0, g)
+
+
 def test_step_rest_converges_at_initial_guess():
     g = o1_grid(n_space=12, n_time=2)
     s = Section.identity(g)
-    new_row, stats = step(s)
+    new_row, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
     assert stats.iterations == 0
     assert np.allclose(new_row, s.row_y(1), atol=1e-14)
 
@@ -145,7 +155,7 @@ def test_step_uniform_converges_at_initial_guess():
     g = o1_grid(n_space=12, n_time=2)
     c = 0.3
     s = Section.uniform_translation(g, c)
-    new_row, stats = step(s)
+    new_row, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
     assert stats.iterations == 0
     assert np.allclose(new_row, s.xs() + 2 * c * g.k, atol=1e-12)
 
@@ -239,7 +249,9 @@ def test_cyclic_tridiagonal_singular():
         solve_cyclic_tridiagonal(np.zeros(n), np.zeros(n), np.zeros(n), np.ones(n))
 
 
-@pytest.mark.parametrize("n, bad", [(5, np.nan), (12, np.nan), (12, np.inf), (12, -np.inf)])
+@pytest.mark.parametrize(
+    "n, bad", [(5, np.nan), (5, np.inf), (5, -np.inf), (12, np.nan), (12, np.inf), (12, -np.inf)]
+)
 @pytest.mark.parametrize("row", [0, 3])
 def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
     diag = np.full(n, 4.0)
@@ -268,7 +280,7 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
         lower, diag, upper = jacobian_bands(a, b, c, s.grid.h, s.grid.k)
         for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
             x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-            assert np.array_equal(x, cyclic_solve_oracle(lower, diag, upper, rhs))
+            assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,36 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (
-    EPS,
-    TWO_PI,
-    cosine_trajectory,
-    cosine_u0,
-    mff_terms_oracle,
-    noether_terms_oracle,
-    random_stencil,
-)
+from conftest import EPS, TWO_PI, constant_tangent, cosine_trajectory, cosine_u0, random_stencil
+from oracles import first_variation_residual, mff_terms, noether_terms, rect_grad, rect_omega
 
 from chms.del_solver import Section, evolve, initialize
 from chms.errors import NotOnShell
 from chms.geometry_checks import (
     SymmetryGenerator,
     TangentSection,
-    first_variation_residual,
     first_variation_residual_row,
     mff_boundary_sum,
     mff_boundary_terms,
-    momentum_map_l,
     noether_boundary_sum,
     noether_boundary_terms,
-    omega_l,
     solve_first_variation,
-    theta_l,
     total_momentum,
     total_momentum_scale,
 )
 from chms.grid import GridSpec, classify_region
-from chms.lagrangian import Stencil
 
 
 @pytest.fixture(scope="module")
@@ -39,68 +27,61 @@ def short_cosine():
     return cosine_trajectory(n_space=16, n_steps=5, amp=0.1).section
 
 
+def theta(y, v):
+    """Boundary one-forms dL/dy_l * v_l of a unit rectangle, l = 1..4."""
+    return rect_grad(y, 1.0, 1.0) * v
+
+
 def test_theta_examples():
-    s = Stencil(0, 0.5, 1.0, 0.3, 1, 1)
-    assert theta_l(s, (0.0, 0.0, 0.0, 0.0), 2) == 0.0
-    assert theta_l(s, (0.0, 0.0, 0.0, 1.0), 4) == pytest.approx(-0.25, abs=1e-15)
-    const = (1.0, 1.0, 1.0, 1.0)
-    total = sum(theta_l(s, const, l) for l in (1, 2, 3, 4))
-    assert abs(total) <= 1e-14
+    y = (0, 0.5, 1.0, 0.3)
+    assert theta(y, np.zeros(4))[1] == 0.0
+    assert theta(y, np.array([0.0, 0.0, 0.0, 1.0]))[3] == pytest.approx(-0.25, abs=1e-15)
+    assert abs(np.sum(theta(y, np.ones(4)))) <= 1e-14
 
 
 def test_omega_antisymmetry_exact(rng):
     for _ in range(100):
-        s = random_stencil(rng)
+        y = random_stencil(rng)
         v = rng.standard_normal(4)
         w = rng.standard_normal(4)
-        for l in (1, 2, 3, 4):
-            assert omega_l(s, v, w, l) == -omega_l(s, w, v, l)
-            assert omega_l(s, v, v, l) == 0.0
+        assert np.array_equal(rect_omega(y, 1.0, 1.0, v, w), -rect_omega(y, 1.0, 1.0, w, v))
+        assert np.all(rect_omega(y, 1.0, 1.0, v, v) == 0.0)
 
 
 def test_omega_closure_identity(rng):
     for _ in range(300):
-        s = random_stencil(rng)
+        y = random_stencil(rng)
         v = rng.standard_normal(4)
         w = rng.standard_normal(4)
-        terms = [omega_l(s, v, w, l) for l in (1, 2, 3, 4)]
-        assert abs(sum(terms)) <= 1e-12 * max(sum(abs(t) for t in terms), 1e-300)
+        terms = rect_omega(y, 1.0, 1.0, v, w)
+        assert abs(np.sum(terms)) <= 1e-12 * max(np.sum(np.abs(terms)), 1e-300)
 
 
 def test_omega_matches_directional_derivative(rng):
     """omega equals the antisymmetrized directional derivative of theta."""
     step = EPS ** (1.0 / 3.0)
     for _ in range(50):
-        s = random_stencil(rng)
+        y = random_stencil(rng)
         v = rng.standard_normal(4)
         w = rng.standard_normal(4)
-
-        def shifted(t, d):
-            return Stencil(
-                s.y1 + t * d[0], s.y2 + t * d[1], s.y3 + t * d[2], s.y4 + t * d[3], s.h, s.k
-            )
-
-        for l in (1, 2, 3, 4):
-            d_v = (theta_l(shifted(step, v), w, l) - theta_l(shifted(-step, v), w, l)) / (2 * step)
-            d_w = (theta_l(shifted(step, w), v, l) - theta_l(shifted(-step, w), v, l)) / (2 * step)
-            val = omega_l(s, v, w, l)
-            assert abs((d_v - d_w) - val) <= 1e-6 * max(1.0, abs(val))
+        d_v = (theta(y + step * v, w) - theta(y - step * v, w)) / (2 * step)
+        d_w = (theta(y + step * w, v) - theta(y - step * w, v)) / (2 * step)
+        val = rect_omega(y, 1.0, 1.0, v, w)
+        assert np.all(np.abs((d_v - d_w) - val) <= 1e-6 * np.maximum(1.0, np.abs(val)))
 
 
 def test_momentum_map_examples(rng):
-    s = Stencil(0, 0.5, 1.0, 0.3, 1, 1)
-    assert momentum_map_l(s, SymmetryGenerator(0.0), 3) == 0.0
-    assert momentum_map_l(s, SymmetryGenerator(2.0), 4) == pytest.approx(-0.5, abs=1e-15)
+    """Momentum maps for fiber translation: xi * dL/dy_l."""
+    assert 2.0 * rect_grad((0, 0.5, 1.0, 0.3), 1.0, 1.0)[3] == pytest.approx(-0.5, abs=1e-15)
     for _ in range(200):
-        st = random_stencil(rng)
-        xi = SymmetryGenerator(rng.uniform(-3.0, 3.0))
-        terms = [momentum_map_l(st, xi, l) for l in (1, 2, 3, 4)]
-        assert abs(sum(terms)) <= 1e-12 * max(sum(abs(t) for t in terms), 1e-300)
+        y = random_stencil(rng)
+        terms = rng.uniform(-3.0, 3.0) * rect_grad(y, 1.0, 1.0)
+        assert abs(np.sum(terms)) <= 1e-12 * max(np.sum(np.abs(terms)), 1e-300)
 
 
 def test_constant_tangents_solve_linearized_equations(short_cosine):
     s = short_cosine
-    const = TangentSection.constant(s.grid, 1.7)
+    const = constant_tangent(s.grid, 1.7)
     for j in range(1, s.grid.n_time - 1):
         row = first_variation_residual_row(s, const, j)
         assert np.max(np.abs(row)) <= 1e-10
@@ -166,15 +147,15 @@ def test_mff_exact_zero_cases(short_cosine, rng):
     region = classify_region(0, s.grid.n_time - 1, s.grid)
     t = TangentSection(s.grid, rng.standard_normal((s.grid.n_time, s.grid.n_space)))
     assert mff_boundary_sum(s, t, t, region) == 0.0
-    c1 = TangentSection.constant(s.grid, 1.0)
-    c2 = TangentSection.constant(s.grid, -2.5)
+    c1 = constant_tangent(s.grid, 1.0)
+    c2 = constant_tangent(s.grid, -2.5)
     assert mff_boundary_sum(s, c1, c2, region) == 0.0
 
 
 def test_mff_vanishes_on_shell(rng):
     s = cosine_trajectory(n_space=16, n_steps=4, amp=0.1).section
     region = classify_region(0, s.grid.n_time - 1, s.grid)
-    v = TangentSection.constant(s.grid, 1.0)
+    v = constant_tangent(s.grid, 1.0)
     w = solve_first_variation(s, rng.standard_normal((2, 16)))
     terms = mff_boundary_terms(s, v, w, region)
     assert abs(terms.sum()) <= 1e-9 * np.abs(terms).sum()
@@ -242,8 +223,8 @@ def test_row_boundary_sums_match_scalar_oracle(n_space, n_time, cfl, amp, xi, se
     region = classify_region(j_lo, data.draw(st.integers(j_lo + 1, n_time - 1)), g)
     gen = SymmetryGenerator(xi)
     for new, old in (
-        (noether_boundary_terms(s, gen, region), noether_terms_oracle(s, gen, region)),
-        (mff_boundary_terms(s, v, w, region), mff_terms_oracle(s, v, w, region)),
+        (noether_boundary_terms(s, gen, region), noether_terms(s, gen, region)),
+        (mff_boundary_terms(s, v, w, region), mff_terms(s, v, w, region)),
     ):
         assert new.size == old.size == 4 * n_space
         scale = np.sum(np.abs(old))

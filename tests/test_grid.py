@@ -1,7 +1,10 @@
+import math
+
 import pytest
+from oracles import boundary_points, contains_rect, interior_points, rectangles_touching
 
 from chms.errors import EmptyRegion, OutOfRange
-from chms.grid import GridSpec, Rect, classify_region, rectangles_touching
+from chms.grid import GridSpec, classify_region
 
 
 def grid(n_space=8, n_time=5, h=1.0, k=0.5):
@@ -20,12 +23,10 @@ def test_gridspec_validation():
     assert g.k == pytest.approx(0.075)
 
 
-def test_rect_vertex_ordering():
-    r = Rect(2, 3, 8)
-    assert r.vertices == ((2, 3), (3, 3), (3, 4), (2, 4))
-    assert Rect(9, 3, 8).i == 1  # normalized modulo the circle
-    with pytest.raises(ValueError):
-        r.vertex(5)
+@pytest.mark.parametrize("h, k, domain_length", [(math.inf, 1.0, math.inf), (1.0, math.inf, 8.0)])
+def test_gridspec_rejects_non_finite_spacings(h, k, domain_length):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(8, 2, h, k, domain_length)
 
 
 def test_touching_interior_point():
@@ -34,17 +35,14 @@ def test_touching_interior_point():
     assert len(pairs) == 4
     assert [l for _, l in pairs] == [1, 2, 3, 4]
     by_l = {l: r for r, l in pairs}
-    assert by_l[1] == Rect(3, 2, 8)
-    assert by_l[2] == Rect(2, 2, 8)
-    assert by_l[3] == Rect(2, 1, 8)
-    assert by_l[4] == Rect(3, 1, 8)
+    assert by_l == {1: (3, 2), 2: (2, 2), 3: (2, 1), 4: (3, 1)}
 
 
 def test_touching_time_boundaries():
     g = grid()
     first = rectangles_touching((3, 0), g)
     assert [l for _, l in first] == [1, 2]
-    assert all(r.j == 0 for r, _ in first)
+    assert all(r[1] == 0 for r, _ in first)
     last = rectangles_touching((3, g.n_time - 1), g)
     assert [l for _, l in last] == [3, 4]
     with pytest.raises(OutOfRange):
@@ -57,8 +55,8 @@ def test_touching_spatial_wraparound():
     g = GridSpec(3, 4, 1.0, 0.5, 3.0)
     pairs = rectangles_touching((0, 2), g)
     by_l = {l: r for r, l in pairs}
-    assert by_l[2].i == 2  # i-1 wraps to the top of the circle
-    assert by_l[3].i == 2
+    assert by_l[2][0] == 2  # i-1 wraps to the top of the circle
+    assert by_l[3][0] == 2
 
 
 def test_touching_periodic_index_arithmetic():
@@ -71,16 +69,16 @@ def test_touching_periodic_index_arithmetic():
 def test_classify_region_counts():
     g = GridSpec(4, 5, 1.0, 0.5, 4.0)
     r = classify_region(0, 2, g)
-    assert len(r.interior_points()) == 4  # row 1
-    assert len(r.boundary_points()) == 8  # rows 0 and 2
-    assert len(r.rectangles()) == 8
+    assert (r.j_lo, r.j_hi) == (0, 2)
+    assert len(interior_points(r)) == 4  # row 1
+    assert len(boundary_points(r)) == 8  # rows 0 and 2
 
 
 def test_classify_region_empty_interior():
     g = grid()
     r = classify_region(0, 1, g)
-    assert r.interior_points() == []
-    assert {j for _, j in r.boundary_points()} == {0, 1}
+    assert interior_points(r) == []
+    assert {j for _, j in boundary_points(r)} == {0, 1}
 
 
 def test_classify_region_errors():
@@ -96,7 +94,7 @@ def test_classify_region_errors():
 def test_interior_points_touched_only_by_members():
     g = grid()
     r = classify_region(1, 4, g)
-    for p in r.interior_points():
+    for p in interior_points(r):
         pairs = rectangles_touching(p, g)
         assert len(pairs) == 4
-        assert all(r.contains_rect(rect) for rect, _ in pairs)
+        assert all(contains_rect(r, rect) for rect, _ in pairs)

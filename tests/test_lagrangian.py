@@ -4,60 +4,49 @@ import numpy as np
 import pytest
 
 from conftest import EPS, fd_gradient, fd_hessian, random_stencil, smooth_eta_derivs, stencil_fn
+from oracles import rect_grad, rect_hess, rect_value
 
 from chms.errors import NonMonotone
-from chms.lagrangian import (
-    Stencil,
-    continuous_density,
-    eval_L,
-    eval_from_parts,
-    grad_L,
-    grad_from_parts,
-    hess_L,
-    hess_full_from_parts,
-    stencil_parts,
-)
+from chms.lagrangian import continuous_density, jacobian_bands
 
 
 def test_eval_examples():
-    assert eval_L(Stencil(0, 1, 1, 0, 1, 1)) == 0.0
-    assert eval_L(Stencil(0, 1, 2, 1, 1, 1)) == pytest.approx(0.5, abs=1e-15)
-    assert eval_L(Stencil(0, 0.5, 1.0, 0.3, 1, 1)) == pytest.approx(0.0625, abs=1e-15)
+    assert rect_value((0, 1, 1, 0), 1, 1) == 0.0
+    assert rect_value((0, 1, 2, 1), 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert rect_value((0, 0.5, 1.0, 0.3), 1, 1) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_eval_rejects_flat_bottom_edge():
     with pytest.raises(NonMonotone):
-        eval_L(Stencil(0.0, 0.0, 1.0, 0.5, 1, 1))
+        rect_value((0.0, 0.0, 1.0, 0.5), 1, 1)
     with pytest.raises(NonMonotone):
-        eval_L(Stencil(0.0, 5e-9, 1.0, 0.5, 1, 1))  # below the 1e-8*h cutoff
+        rect_value((0.0, 5e-9, 1.0, 0.5), 1, 1)  # below the 1e-8*h cutoff
 
 
 def test_grad_example():
-    g = grad_L(Stencil(0, 0.5, 1.0, 0.3, 1, 1))
-    assert g.g4 == pytest.approx(-0.25, abs=1e-15)
+    g = rect_grad((0, 0.5, 1.0, 0.3), 1, 1)
+    assert g[3] == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_grad_components_sum_to_zero(rng):
     for _ in range(300):
-        s = random_stencil(rng, h=rng.uniform(0.5, 2.0), k=rng.uniform(0.5, 2.0))
-        g = grad_L(s)
-        scale = sum(abs(v) for v in (g.g1, g.g2, g.g3, g.g4))
-        assert abs(g.g1 + g.g2 + g.g3 + g.g4) <= 8.0 * EPS * max(scale, 1.0)
+        h, k = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        g = rect_grad(random_stencil(rng, h, k), h, k)
+        assert abs(np.sum(g)) <= 8.0 * EPS * max(np.sum(np.abs(g)), 1.0)
 
 
 def test_grad_matches_finite_differences(rng):
     for _ in range(200):
         h, k = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        s = random_stencil(rng, h, k)
-        g = grad_L(s).as_array()
-        fd = fd_gradient(stencil_fn(h, k), [s.y1, s.y2, s.y3, s.y4])
+        y = random_stencil(rng, h, k)
+        g = rect_grad(y, h, k)
+        fd = fd_gradient(stencil_fn(h, k), y)
         assert np.max(np.abs(fd - g)) <= 1e-7 * max(1.0, np.max(np.abs(g)))
 
 
 def test_hess_symmetric_and_row_sums(rng):
     for _ in range(300):
-        s = random_stencil(rng)
-        m = hess_L(s).matrix
+        m = rect_hess(random_stencil(rng), 1.0, 1.0)
         assert np.array_equal(m, m.T)
         scale = np.max(np.abs(m))
         assert np.max(np.abs(m @ np.ones(4))) <= 16.0 * EPS * max(scale, 1.0)
@@ -66,19 +55,18 @@ def test_hess_symmetric_and_row_sums(rng):
 def test_hess_matches_finite_differences(rng):
     for _ in range(100):
         h, k = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        s = random_stencil(rng, h, k)
-        m = hess_L(s).matrix
-        fd = fd_hessian(stencil_fn(h, k), [s.y1, s.y2, s.y3, s.y4])
+        y = random_stencil(rng, h, k)
+        m = rect_hess(y, h, k)
+        fd = fd_hessian(stencil_fn(h, k), y)
         assert np.max(np.abs(fd - m)) <= 1e-5 * max(1.0, np.max(np.abs(m)))
 
 
 def test_translation_invariance(rng):
     for _ in range(200):
-        s = random_stencil(rng)
+        y = random_stencil(rng)
         c = rng.uniform(-2.0, 2.0)
-        shifted = Stencil(s.y1 + c, s.y2 + c, s.y3 + c, s.y4 + c, s.h, s.k)
-        base = eval_L(s)
-        assert abs(eval_L(shifted) - base) <= 1e-13 * max(1.0, abs(base))
+        base = rect_value(y, 1.0, 1.0)
+        assert abs(rect_value(y + c, 1.0, 1.0) - base) <= 1e-13 * max(1.0, abs(base))
 
 
 def test_density_examples():
@@ -101,28 +89,18 @@ def test_discrete_lagrangian_consistent_with_density():
         def eta(xx, tt):
             return xx + alpha * math.sin(xx - tt)
 
-        s = Stencil(
-            eta(x, t), eta(x + h, t), eta(x + h, t + k), eta(x, t + k), h, k
-        )
-        return abs(eval_L(s) - target)
+        y = (eta(x, t), eta(x + h, t), eta(x + h, t + k), eta(x, t + k))
+        return abs(rect_value(y, h, k) - target)
 
     e1 = sampled_error(0.02, 0.02)
     e2 = sampled_error(0.01, 0.01)
     assert e1 / e2 >= 2.0**0.8
 
 
-def test_array_kernels_match_scalar(rng):
-    h, k = 0.7, 0.4
-    stencils = [random_stencil(rng, h, k) for _ in range(64)]
-    y = np.array([[s.y1, s.y2, s.y3, s.y4] for s in stencils]).T
-    a, b, c = stencil_parts(y[0], y[1], y[2], y[3], h, k)
-    ev = eval_from_parts(a, b, c)
-    g1, g2, g3, g4 = grad_from_parts(a, b, c, h, k)
-    hess = hess_full_from_parts(a, b, c, h, k)
-    for n, s in enumerate(stencils):
-        assert ev[n] == pytest.approx(eval_L(s), rel=1e-14)
-        g = grad_L(s)
-        assert (g1[n], g2[n], g3[n], g4[n]) == pytest.approx(
-            (g.g1, g.g2, g.g3, g.g4), rel=1e-13, abs=1e-14
-        )
-        assert np.allclose(hess[n], hess_L(s).matrix, rtol=1e-13, atol=1e-13)
+def test_jacobian_bands_of_stacked_rows_match_each_row(rng):
+    a = rng.uniform(0.5, 2.0, size=(3, 9))
+    b, c = rng.standard_normal((2, 3, 9))
+    stacked = jacobian_bands(a, b, c, 0.7, 0.4)
+    for m in range(3):
+        for band, row in zip(stacked, jacobian_bands(a[m], b[m], c[m], 0.7, 0.4)):
+            assert np.array_equal(band[m], row)
