@@ -243,13 +243,8 @@ def phase_field(s: Section):
     jets; no interpolation.
     """
     jets, levels = section_to_jets(s)
-    ptx = jets["eta_tx"] / jets["eta_x"]
-    px = 0.5 * (jets["eta_t"] ** 2 - ptx**2)
-    pt = jets["eta_x"] * jets["eta_t"] - (
-        jets["eta_txx"] * jets["eta_x"] - jets["eta_tx"] * jets["eta_xx"]
-    ) / (jets["eta_x"] ** 2)
-    z = np.stack([jets["eta"], jets["eta_x"], jets["eta_t"], px, pt, ptx], axis=-1)
-    return z, levels
+    p = legendre(Jet3Sample(**jets))
+    return np.stack([p.eta, p.eta_x, p.eta_t, p.px, p.pt, p.ptx], axis=-1), levels
 
 
 def hamilton_residuals(z: np.ndarray, g: GridSpec, levels=None):

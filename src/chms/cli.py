@@ -185,9 +185,17 @@ def _execute(cfg: RunConfig) -> EvolveResult:
     return evolve(s0, cfg.n_steps, cfg.solver())
 
 
-def run_command(cfg: RunConfig) -> int:
+def _out_dir(cfg: RunConfig) -> Path:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create {cfg.out_dir!r}: {exc}") from exc
+    return out_dir
+
+
+def run_command(cfg: RunConfig) -> int:
+    out_dir = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     result = _execute(cfg)
     s = result.section
@@ -264,11 +272,25 @@ def parse_levels(text: str) -> list[int]:
 _EXACT_ERROR = 1e-10  # successive differences below this are roundoff
 
 
+def _orders(values, factors) -> list:
+    """Order estimates log(v_a / v_b) / log(f_b / f_a) of successive values
+    at successive refinement factors: "exact" when both values are below
+    roundoff, None when either is missing."""
+    out = []
+    for va, vb, fa, fb in zip(values, values[1:], factors, factors[1:]):
+        if va is None or vb is None:
+            out.append(None)
+        elif va < _EXACT_ERROR and vb < _EXACT_ERROR:
+            out.append("exact")
+        else:
+            out.append(math.log(va / vb) / math.log(fb / fa))
+    return out
+
+
 def converge_command(cfg: RunConfig, levels: list[int]) -> int:
     """Run the same physical problem at each refinement of the base grid
     and compare solutions at the shared final physical time."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     rows = []
     sections = []
     status = "ok"
@@ -305,27 +327,12 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
         fine = sb.row_y(fb * cfg.n_steps)[::ratio]
         coarse = sa.row_y(fa * cfg.n_steps)
         errors.append(float(np.max(np.abs(fine - coarse))))
-    orders = []
-    for m, (ea, eb) in enumerate(zip(errors, errors[1:])):
-        if ea < _EXACT_ERROR and eb < _EXACT_ERROR:
-            orders.append("exact")
-        else:
-            # errors[m] and errors[m+1] are measured on grids refined by
-            # the consecutive factor ratio.
-            ratio = levels[m + 1] / levels[m]
-            orders.append(math.log(ea / eb) / math.log(ratio))
-    bridges_orders = {}
-    for key in ("conservation_residual_max", "continuous_el_residual_max"):
-        vals = [r["bridges"][key] if r["bridges"] else None for r in rows]
-        seq = []
-        for (va, vb), (ra, rb) in zip(zip(vals, vals[1:]), zip(rows, rows[1:])):
-            if va is None or vb is None:
-                seq.append(None)
-            elif va < _EXACT_ERROR and vb < _EXACT_ERROR:
-                seq.append("exact")
-            else:
-                seq.append(math.log(va / vb) / math.log(rb["factor"] / ra["factor"]))
-        bridges_orders[key] = seq
+    orders = _orders(errors, levels)
+    factors = [r["factor"] for r in rows]
+    bridges_orders = {
+        key: _orders([r["bridges"][key] if r["bridges"] else None for r in rows], factors)
+        for key in ("conservation_residual_max", "continuous_el_residual_max")
+    }
     report = {
         "config": cfg.as_dict(),
         "levels": rows,
@@ -429,13 +436,9 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     worst_ham = float(np.max(np.abs(lhs - dens) / scale))
     checks.append(_check("legendre_hamiltonian_identity", worst_ham, 8.0 * sys.float_info.epsilon))
 
-    worst_skew = 0.0
-    for _ in range(200):
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(6)
-        w1, w0 = bridges.omega_pair(u, v)
-        s1, s0 = bridges.omega_pair(v, u)
-        worst_skew = max(worst_skew, abs(w1 + s1), abs(w0 + s0))
+    u, v = np.moveaxis(rng.standard_normal((200, 2, 6)), 1, 0)
+    (w1, w0), (s1, s0) = bridges.omega_pair(u, v), bridges.omega_pair(v, u)
+    worst_skew = float(max(np.max(np.abs(w1 + s1)), np.max(np.abs(w0 + s0))))
     checks.append(_check("omega_pair_skew_exact", worst_skew, 0.0))
     entry_err = max(
         abs(bridges.omega_pair([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0])[0] + 1.0),
@@ -466,8 +469,7 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
 
 
 def check_command(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     checks, code = check_suite(cfg)
     dump_json({"config": cfg.as_dict(), "checks": checks}, out_dir / "check.json")
     for c in checks:

@@ -97,6 +97,8 @@ class RunConfig:
             raise ConfigError("cfl: must be positive and finite")
         if self.save_every < 1:
             raise ConfigError("save_every: must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
         for d in self.diagnostics:
             if d not in VALID_DIAGNOSTICS:
                 raise ConfigError(
@@ -152,19 +154,23 @@ def parse_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys rejected."""
     values: dict = {}
     known = {f.name for f in fields(RunConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, val)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _coerce(key, val)
     return values
 
 

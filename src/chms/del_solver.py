@@ -7,10 +7,9 @@ to vanish on a whole row at once, which couples the unknowns cyclically;
 the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
 row j+1.  The solve uses the analytic Jacobian with Sherman-Morrison
-corrected tridiagonal elimination (dense fallback for tiny circles) and
-backtracking that rejects candidate rows violating monotonicity, so a
-breakdown of the particle map is reported as wave breaking instead of
-being silently regularized.
+corrected tridiagonal elimination and backtracking that rejects
+candidate rows violating monotonicity, so a breakdown of the particle
+map is reported as wave breaking instead of being silently regularized.
 """
 
 from __future__ import annotations
@@ -54,6 +53,14 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1)")
 
 
+def _wrap_next(row: np.ndarray, lift: float) -> np.ndarray:
+    """row[..., i+1] with periodic wraparound along the last axis; the
+    seam entry gains `lift`."""
+    out = np.roll(row, -1, axis=-1)
+    out[..., -1] += lift
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Section:
     """Discrete particle-label field y[i, j] = x_i + d[i, j].
@@ -77,9 +84,7 @@ class Section:
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
         rows = self.rows_y()
-        inc = np.empty_like(rows)
-        inc[:, :-1] = rows[:, 1:] - rows[:, :-1]
-        inc[:, -1] = rows[:, 0] + self.grid.domain_length - rows[:, -1]
+        inc = _wrap_next(rows, self.grid.domain_length) - rows
         if np.any(inc <= self.delta_min):
             j, i = np.unravel_index(np.argmin(inc), inc.shape)
             raise NonMonotone(
@@ -142,14 +147,6 @@ class EvolveResult:
         return self.failure is None
 
 
-def _wrap_next(row: np.ndarray, lift: float) -> np.ndarray:
-    """row[..., i+1] with periodic wraparound along the last axis; the
-    seam entry gains `lift`."""
-    out = np.roll(row, -1, axis=-1)
-    out[..., -1] += lift
-    return out
-
-
 def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec):
     """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`.
 
@@ -160,31 +157,38 @@ def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec):
     return stencil_parts(lo, _wrap_next(lo, lam), _wrap_next(hi, lam), hi, g.h, g.k)
 
 
-def _residual_terms(ym1, y0, yp1, g: GridSpec):
-    """Four per-point term arrays of the interior residual at the row of y0.
+def _level_equation(top, bot):
+    """Residual at a time level, and its scale, from the vertex terms of
+    the rectangle rows above (top) and below (bot), indexed by vertex.
 
-    Terms: dL/dy1 on the rectangle up-right of each point, dL/dy2 up-left,
-    dL/dy3 down-left, dL/dy4 down-right.
+    Each point sums vertex 1 of the rectangle up-right of it, 2 up-left,
+    3 down-left and 4 down-right; the scale is the largest sum of the
+    four terms' magnitudes.  Gradients give the field equations,
+    Hessian-tangent products their linearization.
     """
-    a_t, b_t, c_t = _row_parts(y0, yp1, g)
-    g1, g2, _, _ = grad_from_parts(a_t, b_t, c_t, g.h, g.k)
-    a_b, b_b, c_b = _row_parts(ym1, y0, g)
-    _, _, g3, g4 = grad_from_parts(a_b, b_b, c_b, g.h, g.k)
-    return g1, np.roll(g2, 1), np.roll(g3, 1), g4
+    t1, t2, t3, t4 = top[0], np.roll(top[1], 1), np.roll(bot[2], 1), bot[3]
+    res = (t1 + t2) + (t3 + t4)
+    return res, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)))
+
+
+def _section_equation(s: Section, j: int):
+    """Residual and scale of the field equations at time level j of s."""
+    if not 1 <= j <= s.grid.n_time - 2:
+        raise OutOfRange(f"time level {j} has no two time neighbours")
+    g = s.grid
+    top = grad_from_parts(*_row_parts(s.row_y(j), s.row_y(j + 1), g), g.h, g.k)
+    bot = grad_from_parts(*_row_parts(s.row_y(j - 1), s.row_y(j), g), g.h, g.k)
+    return _level_equation(top, bot)
 
 
 def del_residual_row(s: Section, j: int) -> np.ndarray:
     """Interior residual at every point of time level j (vectorized)."""
-    if not 1 <= j <= s.grid.n_time - 2:
-        raise OutOfRange(f"time level {j} has no two time neighbours")
-    t1, t2, t3, t4 = _residual_terms(s.row_y(j - 1), s.row_y(j), s.row_y(j + 1), s.grid)
-    return t1 + t2 + t3 + t4
+    return _section_equation(s, j)[0]
 
 
 def residual_scale_row(s: Section, j: int) -> float:
     """Natural magnitude of the residual terms on row j (for tolerances)."""
-    t1, t2, t3, t4 = _residual_terms(s.row_y(j - 1), s.row_y(j), s.row_y(j + 1), s.grid)
-    return float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)))
+    return _section_equation(s, j)[1]
 
 
 def row_action(s: Section, j: int) -> float:
@@ -240,29 +244,17 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     """Solve A x = rhs for A cyclic tridiagonal.
 
     A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
-    Sherman-Morrison correction of plain tridiagonal elimination; for
-    n < 8 the corner entries overlap the band, so a dense solve is used.
+    Sherman-Morrison correction of plain tridiagonal elimination: for
+    n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
+    lie outside the band, so the correction is exact for every circle.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = diag.size
-    if n < 8:
-        idx = np.arange(n)
-        dense = np.zeros((n, n))
-        dense[idx, idx] = diag
-        dense[idx, (idx + 1) % n] = upper
-        dense[idx, (idx - 1) % n] = lower
-        if not np.all(np.isfinite(dense)):
-            raise SingularJacobian("non-finite entry in dense Jacobian")
-        try:
-            x = np.linalg.solve(dense, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularJacobian("non-finite solution from dense solve")
-        return x
+    if n < 3:
+        raise ValueError("a cyclic tridiagonal system needs n >= 3")
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
     d[0] -= gamma
@@ -299,21 +291,9 @@ def advance_row(
     """
     h, k, lam = g.h, g.k, g.domain_length
     delta_min = DELTA_MIN_FACTOR * h
-    n = y0.size
-
     # Bottom-rectangle terms are fixed during the solve.
-    a_b, b_b, c_b = _row_parts(ym1, y0, g)
-    _, _, g3, g4 = grad_from_parts(a_b, b_b, c_b, h, k)
-    known = np.roll(g3, 1) + g4
-
+    bot = grad_from_parts(*_row_parts(ym1, y0, g), h, k)
     a_t = (_wrap_next(y0, lam) - y0) / h  # bottom edge of the top rectangles
-
-    def residual(yp1):
-        e = yp1 - y0
-        b_t = e / k
-        c_t = (np.roll(e, -1) - e) / (h * k)
-        g1, g2, _, _ = grad_from_parts(a_t, b_t, c_t, h, k)
-        return g1 + np.roll(g2, 1) + known, (g1, g2)
 
     guess = 2.0 * y0 - ym1
     if not _monotone(guess, lam, delta_min):
@@ -324,20 +304,14 @@ def advance_row(
     prev_norm = np.inf
     floor = 0.0
     for it in range(cfg.max_iters + 1):
-        f, (g1, g2) = residual(yp1)
+        # The iterate's top rectangles give both the residual and the bands.
+        e = yp1 - y0
+        b_t = e / k
+        c_t = (np.roll(e, -1) - e) / (h * k)
+        f, f_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
         norm = float(np.max(np.abs(f)))
         if it == 0:
-            scale = max(
-                1.0,
-                float(
-                    np.max(
-                        np.abs(g1)
-                        + np.abs(np.roll(g2, 1))
-                        + np.abs(np.roll(g3, 1))
-                        + np.abs(g4)
-                    )
-                ),
-            )
+            scale = max(1.0, f_scale)
         if norm <= cfg.tol_residual * scale:
             return yp1, StepStats(0, it, norm, backtracks)
         # Stagnation at the attainable floating-point floor of the
@@ -346,9 +320,6 @@ def advance_row(
             return yp1, StepStats(0, it, norm, backtracks)
         if it == cfg.max_iters:
             break
-        e = yp1 - y0
-        b_t = e / k
-        c_t = (np.roll(e, -1) - e) / (h * k)
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
         jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
         floor = 16.0 * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))

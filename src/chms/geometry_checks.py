@@ -21,12 +21,15 @@ from .grid import GridSpec, Region
 from .del_solver import (
     Section,
     SolverConfig,
+    _level_equation,
     _row_parts,
-    del_residual_row,
-    residual_scale_row,
     solve_cyclic_tridiagonal,
 )
 from .lagrangian import grad_from_parts, hess_full_from_parts, jacobian_bands
+
+#: The tangent march accepts a base level whose residual is within this
+#: multiple of the Newton tolerance of its scale.
+ON_SHELL_FACTOR = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,35 +92,24 @@ def _linear_terms(hess: np.ndarray, vlo: np.ndarray, vhi: np.ndarray) -> np.ndar
     return np.einsum("nkl,kn->ln", hess, _tangent_rects(vlo, vhi))
 
 
-def _point_terms(top: np.ndarray, bot: np.ndarray):
-    """Per-point contributions of the linearized equations at a level from
-    the linear terms of the rectangle rows above (top) and below (bot):
-    vertex 1 up-right, 2 up-left, 3 down-left, 4 down-right; the same
-    assembly as the residual."""
-    return top[0], np.roll(top[1], 1), np.roll(bot[2], 1), bot[3]
-
-
 def first_variation_residual_row(phi: Section, t: TangentSection, j: int) -> np.ndarray:
     """Linearized-equation residual of a tangent field at every point of
     the interior level j."""
     top = _linear_terms(_row_hess(phi, j), t.row(j), t.row(j + 1))
     bot = _linear_terms(_row_hess(phi, j - 1), t.row(j - 1), t.row(j))
-    t1, t2, t3, t4 = _point_terms(top, bot)
-    return t1 + t2 + t3 + t4
+    return _level_equation(top, bot)[0]
 
 
 def solve_first_variation(
-    phi: Section,
-    v0: np.ndarray,
-    cfg: SolverConfig | None = None,
-    on_shell_factor: float = 100.0,
+    phi: Section, v0: np.ndarray, cfg: SolverConfig | None = None
 ) -> TangentSection:
     """March the tangent-linear equations forward along a solution.
 
     v0 holds the two initial tangent rows (shape (2, n_space)).  Each new
     tangent row solves the same cyclic tridiagonal system as the Newton
     step at the converged rows, so constants and any other tangent-linear
-    solution are propagated to linear-solve accuracy.
+    solution are propagated to linear-solve accuracy.  Each level is
+    first checked on shell; the first level that is not raises NotOnShell.
     """
     cfg = cfg or SolverConfig()
     g = phi.grid
@@ -125,36 +117,33 @@ def solve_first_variation(
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (2, n):
         raise ValueError("v0 must hold two tangent rows")
+    vals = np.empty((levels, n))
+    vals[:2] = v0
+    h, k, tol = g.h, g.k, cfg.tol_residual
+    zeros = np.zeros(n)
+    # Rectangle row j is the top row at level j and the bottom row at
+    # level j + 1, so its parts, gradient, Hessian and bands are built once.
+    parts = _rect_row_parts(phi, 0)
+    grad_lo, hess_lo = grad_from_parts(*parts, h, k), hess_full_from_parts(*parts, h, k)
     for j in range(1, levels - 1):
-        norm = float(np.max(np.abs(del_residual_row(phi, j))))
-        bound = on_shell_factor * cfg.tol_residual * max(1.0, residual_scale_row(phi, j))
+        parts = _rect_row_parts(phi, j)
+        grad_hi = grad_from_parts(*parts, h, k)
+        res, scale = _level_equation(grad_hi, grad_lo)
+        norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
         if norm > bound:
             raise NotOnShell(
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
             )
-    vals = np.empty((levels, n))
-    vals[:2] = v0
-    h, k = g.h, g.k
-    zeros = np.zeros(n)
-    # Rectangle row j serves as the top row at level j and as the bottom
-    # row at level j + 1, so its parts and Hessian are built once.
-    hess_lo = _row_hess(phi, 0)
-    for j in range(1, levels - 1):
-        parts = _row_parts(phi.row_y(j), phi.row_y(j + 1), g)
         hess_hi = hess_full_from_parts(*parts, h, k)
-        lower, diag, upper = jacobian_bands(*parts, h, k)
         bot = _linear_terms(hess_lo, vals[j - 1], vals[j])
-        t1, t2, t3, t4 = _point_terms(_linear_terms(hess_hi, vals[j], zeros), bot)
-        vals[j + 1] = solve_cyclic_tridiagonal(lower, diag, upper, -(t1 + t2 + t3 + t4))
-        t1, t2, t3, t4 = _point_terms(_linear_terms(hess_hi, vals[j], vals[j + 1]), bot)
-        res = float(np.max(np.abs(t1 + t2 + t3 + t4)))
-        scale = max(1.0, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4))))
-        if res > cfg.tol_residual * scale:
-            raise SingularJacobian(
-                f"tangent row solve at level {j} left residual {res:g}"
-            )
-        hess_lo = hess_hi
+        rhs, _ = _level_equation(_linear_terms(hess_hi, vals[j], zeros), bot)
+        vals[j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
+        res, scale = _level_equation(_linear_terms(hess_hi, vals[j], vals[j + 1]), bot)
+        norm = float(np.max(np.abs(res)))
+        if norm > tol * max(1.0, scale):
+            raise SingularJacobian(f"tangent row solve at level {j} left residual {norm:g}")
+        grad_lo, hess_lo = grad_hi, hess_hi
     return TangentSection(g, vals)
 
 

@@ -186,6 +186,25 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("case", ["missing_config", "binary_config", "negative_seed", "out_dir_is_file"])
+def test_unusable_inputs_exit_two(tmp_path, capsys, case):
+    args = ["run", "--n-space", "8", "--n-steps", "2", "--out-dir", str(tmp_path / "o")]
+    if case == "missing_config":
+        args += ["--config", str(tmp_path / "absent.cfg")]
+    elif case == "binary_config":
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"n_space = 8\n\xff\xfe\x00\n")
+        args += ["--config", str(cfg)]
+    elif case == "negative_seed":
+        args += ["--seed", "-1"]
+    else:
+        (tmp_path / "file").write_text("")
+        args += ["--out-dir", str(tmp_path / "file")]
+    assert run_cli(*args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_run_diagnostics_failure_exits_three(tmp_path, capsys):
     # The label-form residual at n_space 512 is above the tangent-linear
     # on-shell gate, so the mff diagnostics raise NotOnShell.

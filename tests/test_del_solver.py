@@ -13,6 +13,7 @@ from chms.del_solver import (
     del_residual_row,
     evolve,
     initialize,
+    residual_scale_row,
     row_action,
     solve_cyclic_tridiagonal,
 )
@@ -88,10 +89,11 @@ def test_expanded_form_matches_gradient(rng):
 def test_residual_requires_interior_point():
     g = o1_grid()
     s = Section.identity(g)
-    with pytest.raises(OutOfRange):
-        del_residual_row(s, 0)
-    with pytest.raises(OutOfRange):
-        del_residual_row(s, g.n_time - 1)
+    for row_fn in (del_residual_row, residual_scale_row):
+        with pytest.raises(OutOfRange):
+            row_fn(s, 0)
+        with pytest.raises(OutOfRange):
+            row_fn(s, g.n_time - 1)
 
 
 def test_action_examples():
@@ -243,6 +245,12 @@ def test_cyclic_tridiagonal_solver(rng):
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
+def test_cyclic_tridiagonal_rejects_fewer_than_three_unknowns():
+    # For n < 3 the corner entries fall on the band.
+    with pytest.raises(ValueError):
+        solve_cyclic_tridiagonal(np.ones(2), np.full(2, 4.0), np.ones(2), np.ones(2))
+
+
 def test_cyclic_tridiagonal_singular():
     n = 12
     with pytest.raises(SingularJacobian):
@@ -271,7 +279,7 @@ def test_cyclic_tridiagonal_zero_pivot_after_first_row():
         solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 300])
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 64, 300])
 def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
@@ -286,7 +294,8 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(3, 40), data=st.data())
 def test_cyclic_solve_matches_dense_on_dominant_bands(n, data):
-    # Covers the dense path (n < 8) and the banded path.
+    # Covers the smallest circles (n = 3..7) as well as larger ones: the
+    # corner entries lie outside the band for every n >= 3.
     unit = st.floats(-1.0, 1.0)
     lower = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     upper = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))

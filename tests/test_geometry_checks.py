@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import EPS, TWO_PI, constant_tangent, cosine_trajectory, cosine_u0, random_stencil
 from oracles import first_variation_residual, mff_terms, noether_terms, rect_grad, rect_omega
 
+from chms import del_solver
 from chms.del_solver import Section, evolve, initialize
 from chms.errors import NotOnShell
 from chms.geometry_checks import (
@@ -113,6 +114,29 @@ def test_solve_first_variation_rejects_off_shell(short_cosine, rng):
     )
     with pytest.raises(NotOnShell):
         solve_first_variation(bad, np.zeros((2, short_cosine.grid.n_space)))
+
+
+def test_off_shell_gate_names_first_bad_level():
+    s = cosine_trajectory(n_space=16, n_steps=10, amp=0.1).section
+    d = s.displacement.copy()
+    d[6] += 0.05 * s.grid.h * np.cos(np.arange(16))
+    # Row 6 enters the equations at levels 5, 6 and 7; the gate reports
+    # the first of them.
+    with pytest.raises(NotOnShell, match="at level 5 "):
+        solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
+
+
+def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch):
+    calls = []
+    real = del_solver.stencil_parts
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(del_solver, "stencil_parts", counting)
+    solve_first_variation(short_cosine, np.ones((2, short_cosine.grid.n_space)))
+    assert len(calls) == short_cosine.grid.n_time - 1
 
 
 def test_time_translation_quotient_is_near_tangent():
