@@ -26,20 +26,16 @@ from .del_solver import (
 from .geometry_checks import (
     SymmetryGenerator,
     TangentSection,
-    mff_boundary_sum,
-    noether_boundary_sum,
+    level_series,
     solve_first_variation,
-    total_momentum,
 )
 from .bridges import (
     B0,
     B1,
     Jet3Sample,
     PhasePoint,
-    PresymplecticPair,
     conservation_residual,
     continuous_el_residual,
-    eulerian_velocity,
     hamilton_residuals,
     hamiltonian,
     legendre,

@@ -15,7 +15,7 @@ each operation returns the time levels it covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,25 +71,6 @@ class PhasePoint:
     pt: float
     ptx: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eta, self.eta_x, self.eta_t, self.px, self.pt, self.ptx])
-
-
-@dataclass(frozen=True, eq=False)
-class PresymplecticPair:
-    """The two constant skew-symmetric matrices defining the pairings."""
-
-    b1: np.ndarray = field(default_factory=_b1_matrix)
-    b0: np.ndarray = field(default_factory=_b0_matrix)
-
-    def __post_init__(self):
-        for name, m, nonzeros in (("b1", self.b1, 4), ("b0", self.b0, 2)):
-            if not np.array_equal(m, -m.T):
-                raise ValueError(f"{name} must be skew-symmetric")
-            nz = m[m != 0.0]
-            if nz.size != nonzeros or not np.all(np.abs(nz) == 1.0):
-                raise ValueError(f"{name} must have exactly {nonzeros} entries, all +-1")
-
 
 def _require_positive_slope(eta_x) -> None:
     if np.any(np.asarray(eta_x) <= 0.0):
@@ -131,21 +112,23 @@ def hamiltonian_phase(z: np.ndarray) -> np.ndarray:
     return 0.5 * etax * (etat * etat - ptx * ptx) - px * etax - pt * etat
 
 
-def grad_hamiltonian_phase(z: np.ndarray, step: float = 0.5) -> np.ndarray:
-    """Gradient of the phase-space Hamiltonian by central differences.
-
-    H is at most quadratic along each coordinate, so the central
-    difference is exact for any step; an O(1) step avoids cancellation.
-    """
+def grad_hamiltonian_phase(z: np.ndarray) -> np.ndarray:
+    """Gradient of the phase-space Hamiltonian (last axis holds the 6
+    components), in closed form from the polynomial of hamiltonian_phase."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    for m in range(6):
-        zp = z.copy()
-        zp[..., m] += step
-        zm = z.copy()
-        zm[..., m] -= step
-        out[..., m] = (hamiltonian_phase(zp) - hamiltonian_phase(zm)) / (2.0 * step)
-    return out
+    etax, etat = z[..., 1], z[..., 2]
+    px, pt, ptx = z[..., 3], z[..., 4], z[..., 5]
+    return np.stack(
+        [
+            np.zeros_like(etax),
+            0.5 * (etat * etat - ptx * ptx) - px,
+            etax * etat - pt,
+            -etax,
+            -etat,
+            -etax * ptx,
+        ],
+        axis=-1,
+    )
 
 
 def omega_pair(u, v) -> tuple[float, float]:
@@ -309,13 +292,3 @@ def continuous_el_residual(s: Section):
     momentum = jets["eta_x"] * jets["eta_t"]
     res = _dx(flux, g.h)[1:-1] - _dt(momentum, g.k) + _dt(_dx(ratio, g.h), g.k)
     return res, levels[1:-1]
-
-
-def eulerian_velocity(s: Section, j: int) -> np.ndarray:
-    """(position, velocity) samples at particle positions of level j:
-    velocity is the forward difference to level j+1."""
-    if not 0 <= j <= s.grid.n_time - 2:
-        raise OutOfRange(f"level {j} has no forward neighbour")
-    pos = s.row_y(j)
-    vel = (s.row_y(j + 1) - pos) / s.grid.k
-    return np.column_stack([pos, vel])

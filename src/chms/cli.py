@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bridges, geometry_checks as gc
 from .config import RunConfig, build_run_config, parse_config_file, parse_diagnostics
-from .del_solver import EvolveResult, Section, evolve, initialize, row_action
+from .del_solver import EvolveResult, Section, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError, OutOfRange
 from .grid import classify_region
 from .lagrangian import grad_from_parts, hess_full_from_parts
@@ -114,14 +114,13 @@ def diagnostic_windows(n_rows: int) -> list[tuple[int, int]]:
     return out
 
 
-def _momentum_series(s: Section):
-    values = [gc.total_momentum(s, j) for j in range(s.grid.n_time - 1)]
-    p0 = values[0]
-    drift = max(abs(p - p0) for p in values)
-    return values, p0, drift
+def _drift(momenta: list[float]) -> tuple[float, float]:
+    """Initial total momentum and its largest departure over the levels."""
+    p0 = momenta[0]
+    return p0, max(abs(p - p0) for p in momenta)
 
 
-def _step_records(result: EvolveResult, momenta) -> list[dict]:
+def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
     records = []
     for st in result.steps:
         records.append(
@@ -131,18 +130,15 @@ def _step_records(result: EvolveResult, momenta) -> list[dict]:
                 "residual_inf_norm": st.residual_norm,
                 "backtracks": st.backtracks,
                 "total_momentum": momenta[st.step],
-                "action_increment": row_action(result.section, st.step),
+                "action_increment": actions[st.step],
             }
         )
     return records
 
 
 def _tangent_pair(s: Section, cfg: RunConfig, rng) -> tuple[gc.TangentSection, ...]:
-    """Two tangent-linear solutions from random initial rows."""
-    n = s.grid.n_space
-    return tuple(
-        gc.solve_first_variation(s, rng.standard_normal((2, n)), cfg.solver()) for _ in range(2)
-    )
+    """Two tangent-linear solutions from random initial rows, marched together."""
+    return gc.solve_first_variation(s, rng.standard_normal((2, 2, s.grid.n_space)), cfg.solver())
 
 
 def _window_records(s: Section, noether: bool, tangents) -> list[dict]:
@@ -199,10 +195,11 @@ def run_command(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     result = _execute(cfg)
     s = result.section
-    momenta, p0, drift = _momentum_series(s)
+    momenta, actions = gc.level_series(s)
+    p0, drift = _drift(momenta)
     report: dict = {
         "config": cfg.as_dict(),
-        "steps": _step_records(result, momenta),
+        "steps": _step_records(result, momenta, actions),
         "windows": [],
         "summary": {
             "status": "ok" if result.ok else "aborted",
@@ -233,7 +230,7 @@ def run_command(cfg: RunConfig) -> int:
                 report["windows"] = _window_records(s, "noether" in cfg.diagnostics, tangents)
             if "bridges" in cfg.diagnostics:
                 summary["bridges"] = _bridges_summary(s)
-        except ChmsError as exc:
+        except (ChmsError, FloatingPointError) as exc:
             summary["status"] = "aborted"
             summary["failure"] = {
                 "stage": "diagnostics",
@@ -275,13 +272,15 @@ _EXACT_ERROR = 1e-10  # successive differences below this are roundoff
 def _orders(values, factors) -> list:
     """Order estimates log(v_a / v_b) / log(f_b / f_a) of successive values
     at successive refinement factors: "exact" when both values are below
-    roundoff, None when either is missing."""
+    roundoff, None when either is missing or only one of them is zero."""
     out = []
     for va, vb, fa, fb in zip(values, values[1:], factors, factors[1:]):
         if va is None or vb is None:
             out.append(None)
         elif va < _EXACT_ERROR and vb < _EXACT_ERROR:
             out.append("exact")
+        elif va == 0.0 or vb == 0.0:
+            out.append(None)
         else:
             out.append(math.log(va / vb) / math.log(fb / fa))
     return out
@@ -350,7 +349,7 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
         err = format(errors[idx - 1], ".6e") if 1 <= idx <= len(errors) else "-"
         if 2 <= idx <= len(orders) + 1:
             o = orders[idx - 2]
-            order = o if isinstance(o, str) else format(o, ".3f")
+            order = "-" if o is None else o if isinstance(o, str) else format(o, ".3f")
         else:
             order = "-"
         print(f"{row['factor']:>6} {row['n_space']:>8} {row['n_steps']:>8} {err:>14} {order:>8}")
@@ -455,7 +454,7 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
         worst = max(_boundary_ratio(w[f"{name}_boundary_sum"], w[f"{name}_abs_sum"]) for w in windows)
         checks.append(_check(f"{name}_boundary_sum_on_shell", worst, threshold))
 
-    _, p0, drift = _momentum_series(target)
+    p0, drift = _drift(gc.level_series(target)[0])
     drift_scale = max(abs(p0), gc.total_momentum_scale(target, 0), 1e-300)
     checks.append(_check("total_momentum_drift", drift / drift_scale, 1e-9))
 
@@ -549,15 +548,19 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = _resolve_config(args)
-        if args.command == "run":
-            return run_command(cfg)
-        if args.command == "converge":
-            return converge_command(cfg, parse_levels(args.levels))
-        return check_command(cfg)
+        # A floating-point overflow or invalid operation (inputs at the
+        # edge of the float range) raises instead of warning and leaving
+        # inf or nan in the outputs.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "run":
+                return run_command(cfg)
+            if args.command == "converge":
+                return converge_command(cfg, parse_levels(args.levels))
+            return check_command(cfg)
     except (ConfigError, BadInitialData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ChmsError as exc:
+    except (ChmsError, FloatingPointError) as exc:
         # Anything else the package raises, including a diagnostics
         # failure after a completed march (NotOnShell), is a solver abort.
         print(f"solver abort: {exc}", file=sys.stderr)

@@ -105,9 +105,13 @@ class RunConfig:
                     f"diagnostics: unknown toggle {d!r} (valid: {', '.join(VALID_DIAGNOSTICS)})"
                 )
         try:
-            SolverConfig(self.tol_residual, self.max_iters, self.damping, self.max_backtracks)
+            self.solver()
         except ValueError as exc:
             raise ConfigError(f"solver: {exc}") from exc
+        try:
+            self.grid()
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         parse_initial_condition(self.ic, self.domain_length)
 
     def grid(self, n_time: int = 2) -> GridSpec:

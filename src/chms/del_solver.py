@@ -29,7 +29,6 @@ from .errors import (
 from .grid import GridSpec
 from .lagrangian import (
     DELTA_MIN_FACTOR,
-    eval_from_parts,
     grad_from_parts,
     jacobian_bands,
     stencil_parts,
@@ -110,16 +109,6 @@ class Section:
     def identity(cls, grid: GridSpec) -> "Section":
         return cls(grid, np.zeros((grid.n_time, grid.n_space)))
 
-    @classmethod
-    def uniform_translation(cls, grid: GridSpec, c: float, offset: float = 0.0) -> "Section":
-        t = grid.k * np.arange(grid.n_time)
-        d = offset + c * t[:, None] + np.zeros((1, grid.n_space))
-        return cls(grid, d)
-
-    @classmethod
-    def from_rows(cls, grid: GridSpec, rows_y: np.ndarray) -> "Section":
-        return cls(grid, np.asarray(rows_y, dtype=float) - np.arange(grid.n_space) * grid.h)
-
 
 @dataclass(frozen=True)
 class StepStats:
@@ -164,11 +153,12 @@ def _level_equation(top, bot):
     Each point sums vertex 1 of the rectangle up-right of it, 2 up-left,
     3 down-left and 4 down-right; the scale is the largest sum of the
     four terms' magnitudes.  Gradients give the field equations,
-    Hessian-tangent products their linearization.
+    Hessian-tangent products their linearization.  Stacked rows (space
+    along the last axis) give each row's residual and scale.
     """
-    t1, t2, t3, t4 = top[0], np.roll(top[1], 1), np.roll(bot[2], 1), bot[3]
+    t1, t2, t3, t4 = top[0], np.roll(top[1], 1, axis=-1), np.roll(bot[2], 1, axis=-1), bot[3]
     res = (t1 + t2) + (t3 + t4)
-    return res, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)))
+    return res, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), axis=-1)
 
 
 def _section_equation(s: Section, j: int):
@@ -188,13 +178,7 @@ def del_residual_row(s: Section, j: int) -> np.ndarray:
 
 def residual_scale_row(s: Section, j: int) -> float:
     """Natural magnitude of the residual terms on row j (for tolerances)."""
-    return _section_equation(s, j)[1]
-
-
-def row_action(s: Section, j: int) -> float:
-    """Sum of the rectangle Lagrangian over the rectangle row j."""
-    a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
-    return float(np.sum(eval_from_parts(a, b, c)))
+    return float(_section_equation(s, j)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +295,7 @@ def advance_row(
         f, f_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
         norm = float(np.max(np.abs(f)))
         if it == 0:
-            scale = max(1.0, f_scale)
+            scale = max(1.0, float(f_scale))
         if norm <= cfg.tol_residual * scale:
             return yp1, StepStats(0, it, norm, backtracks)
         # Stagnation at the attainable floating-point floor of the
@@ -349,7 +333,8 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
     """March n_steps levels from the final two rows of s0.
 
     Aborts cleanly on any step error, returning the partial trajectory
-    together with a failure report.
+    together with a failure report; under np.errstate(over="raise") and
+    the like, a floating-point overflow in a step is such an error.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -366,7 +351,7 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
         y0 = xs + disp[rows_done - 1]
         try:
             yp1, st = advance_row(ym1, y0, g, cfg)
-        except (NonMonotone, MaxItersExceeded, SingularJacobian) as exc:
+        except (NonMonotone, MaxItersExceeded, SingularJacobian, FloatingPointError) as exc:
             failure = StepFailure(step=m, error=type(exc).__name__, message=str(exc))
             break
         disp[rows_done] = yp1 - xs
@@ -389,7 +374,8 @@ def initialize(u0, g: GridSpec) -> Section:
     if v.shape != xs.shape:
         raise ValueError("u0 must map the sample positions to one value each")
     d = np.zeros((2, g.n_space))
-    d[1] = g.k * v
+    with np.errstate(over="ignore"):  # an overflowing kick is reported below
+        d[1] = g.k * v
     if not np.all(np.isfinite(d[1])):
         i = int(np.argmin(np.isfinite(d[1])))
         raise BadInitialData(

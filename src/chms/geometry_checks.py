@@ -25,7 +25,7 @@ from .del_solver import (
     _row_parts,
     solve_cyclic_tridiagonal,
 )
-from .lagrangian import grad_from_parts, hess_full_from_parts, jacobian_bands
+from .lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
 
 #: The tangent march accepts a base level whose residual is within this
 #: multiple of the Newton tolerance of its scale.
@@ -62,9 +62,10 @@ class SymmetryGenerator:
 
 
 def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
-    """Tangent rectangles of a rectangle row, shape (4, n_space): vertex
-    l's values in row l - 1 (tangents are periodic, no lift)."""
-    return np.stack([vlo, np.roll(vlo, -1), np.roll(vhi, -1), vhi])
+    """Tangent rectangles of a rectangle row, shape (4,) + vlo.shape:
+    vertex l's values in row l - 1 (tangents are periodic, no lift).
+    Stacked tangent rows carry space along the last axis."""
+    return np.stack([vlo, np.roll(vlo, -1, axis=-1), np.roll(vhi, -1, axis=-1), vhi])
 
 
 def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -87,42 +88,41 @@ def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
 
 
 def _linear_terms(hess: np.ndarray, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
-    """(4, n_space): sum_k d2L/dy_k dy_l * V_k over a rectangle row, for
-    each vertex l, with the tangent rows vlo (bottom) and vhi (top)."""
-    return np.einsum("nkl,kn->ln", hess, _tangent_rects(vlo, vhi))
-
-
-def first_variation_residual_row(phi: Section, t: TangentSection, j: int) -> np.ndarray:
-    """Linearized-equation residual of a tangent field at every point of
-    the interior level j."""
-    top = _linear_terms(_row_hess(phi, j), t.row(j), t.row(j + 1))
-    bot = _linear_terms(_row_hess(phi, j - 1), t.row(j - 1), t.row(j))
-    return _level_equation(top, bot)[0]
+    """(4,) + vlo.shape: sum_k d2L/dy_k dy_l * V_k over a rectangle row,
+    for each vertex l, with the tangent rows vlo (bottom) and vhi (top),
+    one per tangent of a stack."""
+    return np.einsum("nkl,k...n->l...n", hess, _tangent_rects(vlo, vhi))
 
 
 def solve_first_variation(
     phi: Section, v0: np.ndarray, cfg: SolverConfig | None = None
-) -> TangentSection:
+) -> TangentSection | tuple[TangentSection, ...]:
     """March the tangent-linear equations forward along a solution.
 
-    v0 holds the two initial tangent rows (shape (2, n_space)).  Each new
-    tangent row solves the same cyclic tridiagonal system as the Newton
-    step at the converged rows, so constants and any other tangent-linear
-    solution are propagated to linear-solve accuracy.  Each level is
-    first checked on shell; the first level that is not raises NotOnShell.
+    v0 holds the two initial rows of one tangent, shape (2, n_space), and
+    gives a TangentSection; a stack of m tangents, shape (m, 2, n_space),
+    gives a tuple of m.  Each new tangent row solves the same cyclic
+    tridiagonal system as the Newton step at the converged rows, so
+    constants and any other tangent-linear solution are propagated to
+    linear-solve accuracy.  Each level is first checked on shell; the
+    first level that is not raises NotOnShell.  Every tangent of a stack
+    has its own solve and its own residual bound, so it comes out as
+    marching it alone would give it.
     """
     cfg = cfg or SolverConfig()
     g = phi.grid
     n, levels = g.n_space, g.n_time
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (2, n):
-        raise ValueError("v0 must hold two tangent rows")
-    vals = np.empty((levels, n))
-    vals[:2] = v0
+    if v0.ndim not in (2, 3) or v0.shape[-2:] != (2, n):
+        raise ValueError("v0 must hold two tangent rows, or a stack of such pairs")
+    stack = v0.reshape(-1, 2, n)
+    vals = np.empty((levels, len(stack), n))  # level, tangent, space
+    vals[:2] = stack.transpose(1, 0, 2)
     h, k, tol = g.h, g.k, cfg.tol_residual
-    zeros = np.zeros(n)
+    zeros = np.zeros_like(vals[0])
     # Rectangle row j is the top row at level j and the bottom row at
-    # level j + 1, so its parts, gradient, Hessian and bands are built once.
+    # level j + 1, so its parts, gradient, Hessian and bands are built
+    # once, for every tangent.
     parts = _rect_row_parts(phi, 0)
     grad_lo, hess_lo = grad_from_parts(*parts, h, k), hess_full_from_parts(*parts, h, k)
     for j in range(1, levels - 1):
@@ -138,13 +138,18 @@ def solve_first_variation(
         hess_hi = hess_full_from_parts(*parts, h, k)
         bot = _linear_terms(hess_lo, vals[j - 1], vals[j])
         rhs, _ = _level_equation(_linear_terms(hess_hi, vals[j], zeros), bot)
-        vals[j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
+        bands = jacobian_bands(*parts, h, k)
+        vals[j + 1] = [solve_cyclic_tridiagonal(*bands, -r) for r in rhs]
         res, scale = _level_equation(_linear_terms(hess_hi, vals[j], vals[j + 1]), bot)
-        norm = float(np.max(np.abs(res)))
-        if norm > tol * max(1.0, scale):
-            raise SingularJacobian(f"tangent row solve at level {j} left residual {norm:g}")
+        norm = np.max(np.abs(res), axis=-1)
+        bad = norm > tol * np.maximum(1.0, scale)
+        if np.any(bad):
+            raise SingularJacobian(
+                f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
+            )
         grad_lo, hess_lo = grad_hi, hess_hi
-    return TangentSection(g, vals)
+    tangents = tuple(TangentSection(g, vals[:, m]) for m in range(len(stack)))
+    return tangents if v0.ndim == 3 else tangents[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +198,6 @@ def mff_boundary_terms(
     return np.concatenate([lo, hi]).ravel()
 
 
-def mff_boundary_sum(
-    phi: Section, v: TangentSection, w: TangentSection, r: Region
-) -> float:
-    """Two-form boundary sum; vanishes when phi is a solution and v, w
-    are tangent-linear solutions over the region."""
-    return float(np.sum(mff_boundary_terms(phi, v, w, r)))
-
-
 def noether_boundary_terms(
     phi: Section, xi: SymmetryGenerator, r: Region
 ) -> np.ndarray:
@@ -210,22 +207,24 @@ def noether_boundary_terms(
     return xi.xi * np.concatenate([g1, g2, g3, g4])
 
 
-def noether_boundary_sum(phi: Section, xi: SymmetryGenerator, r: Region) -> float:
-    """Momentum-map boundary sum; vanishes on solutions (discrete momentum
-    conservation for fiber translations)."""
-    return float(np.sum(noether_boundary_terms(phi, xi, r)))
+def level_series(phi: Section) -> tuple[list[float], list[float]]:
+    """Per rectangle row j = 0 .. n_time - 2: the total momentum, the sum
+    of (dL/dy3 + dL/dy4) with unit fiber translation, and the action,
+    the sum of L.
 
-
-def total_momentum(phi: Section, j: int) -> float:
-    """Per-level conserved quantity: sum over the rectangle row j of
-    (dL/dy3 + dL/dy4) with unit fiber translation.
-
-    The boundary momentum sum over any window telescopes into differences
-    of this quantity, so its drift across steps is the conservation
-    violation.
+    The momentum boundary sum over any window telescopes into differences
+    of the total momentum, so its drift across levels is the conservation
+    violation.  One rectangle row's parts are built at a time and give
+    both sums.
     """
-    _, _, g3, g4 = _row_grad(phi, j)
-    return float(np.sum(g3 + g4))
+    g = phi.grid
+    momenta, actions = [], []
+    for j in range(g.n_time - 1):
+        parts = _rect_row_parts(phi, j)
+        _, _, g3, g4 = grad_from_parts(*parts, g.h, g.k)
+        momenta.append(float(np.sum(g3 + g4)))
+        actions.append(float(np.sum(eval_from_parts(*parts))))
+    return momenta, actions
 
 
 def total_momentum_scale(phi: Section, j: int) -> float:

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import EmptyRegion, OutOfRange
+from .lagrangian import DELTA_MIN_FACTOR
 
 _EPS = sys.float_info.epsilon
 
@@ -38,6 +39,21 @@ class GridSpec:
             raise ValueError("n_time must be at least 2")
         if not all(math.isfinite(v) and v > 0.0 for v in (self.h, self.k, self.domain_length)):
             raise ValueError("h, k and domain_length must be positive and finite")
+        # The row kernels divide by h*k, and the Jacobian's corner entry
+        # 1/(a h^2 k^2) must be finite and nonzero from the nominal slope
+        # a = 1 down to the smallest slope the kernels accept.
+        hk, hhkk = self.h * self.k, self.h * self.h * self.k * self.k
+        smallest = DELTA_MIN_FACTOR * hhkk
+        if not (
+            sys.float_info.min <= hk <= sys.float_info.max
+            and hhkk < math.inf
+            and smallest > 0.0
+            and 1.0 / smallest < math.inf
+        ):
+            raise ValueError(
+                f"h = {self.h!r} and k = {self.k!r} are out of range: h*k must be a "
+                "normal float and 1/(a h^2 k^2) finite and nonzero"
+            )
         if abs(self.n_space * self.h - self.domain_length) > 4.0 * _EPS * self.domain_length:
             raise ValueError(
                 f"n_space * h = {self.n_space * self.h!r} does not match "

@@ -2,18 +2,22 @@
 
 They keep their own per-point bookkeeping on the periodic lattice: the
 rectangles touching a point, a window's interior and boundary points,
-the pointwise residuals (among them the ten-term expanded form) and the
-boundary-sum terms, point by point.  None of it shares assembly code
+the pointwise residuals (among them the ten-term expanded form), the
+boundary-sum terms point by point, and the per-row momentum and action.  None of it shares assembly code
 with the row kernels of ``chms``; the value on one rectangle comes from
-a one-element call of the batch kernels in ``chms.lagrangian``.  The
+a one-element call of the batch kernels in ``chms.lagrangian``.  The one
+exception is ``first_variation_residual_row``: it applies the tangent
+march's own row assembly to a given tangent field, so that the tests can
+hold that assembly against the pointwise form.  The
 two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit.
 """
 
 import numpy as np
 
+from chms.del_solver import Section, _level_equation
 from chms.errors import OutOfRange, SingularJacobian
-from chms.geometry_checks import omega_from_hess
+from chms.geometry_checks import _linear_terms, _row_hess, omega_from_hess
 from chms.lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, stencil_parts
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,30 @@ def corners(s, rect) -> np.ndarray:
     return np.array([label(s, *vertex(rect, l)) for l in (1, 2, 3, 4)])
 
 
+def uniform_translation(g, c: float, offset: float = 0.0):
+    """The exact solution y = x + offset + c*t."""
+    t = g.k * np.arange(g.n_time)
+    return Section(g, offset + c * t[:, None] + np.zeros((1, g.n_space)))
+
+
+def _row_kernel_parts(s, j: int):
+    """(a, b, c) over the rectangle row j, from corner rows built label by label."""
+    n = s.grid.n_space
+    rows = [np.array([label(s, *vertex((i, j), l)) for i in range(n)]) for l in (1, 2, 3, 4)]
+    return stencil_parts(*rows, s.grid.h, s.grid.k)
+
+
+def row_momentum(s, j: int) -> float:
+    """Sum of dL/dy3 + dL/dy4 over the rectangle row j."""
+    _, _, g3, g4 = grad_from_parts(*_row_kernel_parts(s, j), s.grid.h, s.grid.k)
+    return float(np.sum(g3 + g4))
+
+
+def row_action(s, j: int) -> float:
+    """Sum of the rectangle Lagrangian over the rectangle row j."""
+    return float(np.sum(eval_from_parts(*_row_kernel_parts(s, j))))
+
+
 def tangent_corners(t, rect) -> np.ndarray:
     """Tangent values at the four vertices (tangents are periodic, no lift)."""
     n = t.grid.n_space
@@ -164,6 +192,14 @@ def first_variation_residual(phi, t, p) -> float:
         tv = tangent_corners(t, rect)
         total += float(sum(m[kk, l - 1] * tv[kk] for kk in range(4)))
     return total
+
+
+def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
+    """The tangent march's row assembly applied to a given tangent field:
+    the linearized-equation residual at every point of the level j."""
+    top = _linear_terms(_row_hess(phi, j), t.row(j), t.row(j + 1))
+    bot = _linear_terms(_row_hess(phi, j - 1), t.row(j - 1), t.row(j))
+    return _level_equation(top, bot)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import EPS, TWO_PI, cosine_trajectory, smooth_eta_derivs
+from oracles import uniform_translation
 
 from chms.bridges import (
     B0,
     B1,
     Jet3Sample,
-    PresymplecticPair,
     conservation_residual,
     continuous_el_residual,
-    eulerian_velocity,
     grad_hamiltonian_phase,
     hamilton_residuals,
     hamiltonian,
@@ -23,7 +23,7 @@ from chms.bridges import (
     rank_by_elimination,
     section_to_jets,
 )
-from chms.del_solver import Section, initialize
+from chms.del_solver import Section
 from chms.errors import NonMonotone, OutOfRange
 from chms.grid import GridSpec
 from chms.lagrangian import continuous_density
@@ -40,7 +40,7 @@ def o1_grid(n_space=16, n_time=12):
 
 def test_legendre_examples():
     rest = legendre(Jet3Sample(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    assert rest.as_array() == pytest.approx([2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    assert dataclasses.astuple(rest) == pytest.approx((2.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     c = 0.4
     uni = legendre(Jet3Sample(1.0, 1.0, c, 0.0, 0.0, 0.0, 0.0))
     assert (uni.px, uni.pt, uni.ptx) == pytest.approx((c * c / 2.0, c, 0.0))
@@ -68,7 +68,7 @@ def test_hamiltonian_examples(rng):
 def test_hamiltonian_phase_consistent_with_jet_form(rng):
     for _ in range(300):
         j = random_jet(rng)
-        z = legendre(j).as_array()
+        z = np.array(dataclasses.astuple(legendre(j)))
         assert hamiltonian_phase(z) == pytest.approx(hamiltonian(j), rel=1e-12, abs=1e-13)
 
 
@@ -141,17 +141,16 @@ def test_omega_pair_matrix_entries_and_skew(rng):
 
 
 def test_presymplectic_pair_structure():
-    pair = PresymplecticPair()
-    assert np.array_equal(pair.b1, B1) and np.array_equal(pair.b0, B0)
-    assert rank_by_elimination(B1) == 4
-    assert rank_by_elimination(B0) == 2
-    with pytest.raises(ValueError):
-        PresymplecticPair(b1=np.eye(6))
+    for m, nonzeros, rank in ((B1, 4, 4), (B0, 2, 2)):
+        assert np.array_equal(m, -m.T)
+        assert np.array_equal(np.sort(np.abs(m[m != 0.0])), np.ones(nonzeros))
+        assert rank_by_elimination(m) == rank
+        assert not m.flags.writeable
 
 
 def test_residual_fields_vanish_on_exact_solutions():
     g = o1_grid()
-    for s in (Section.identity(g), Section.uniform_translation(g, 0.3)):
+    for s in (Section.identity(g), uniform_translation(g, 0.3)):
         z, levels = phase_field(s)
         ham, _ = hamilton_residuals(z, g, levels)
         cons, _ = conservation_residual(z, g, levels)
@@ -228,26 +227,3 @@ def test_hamilton_residual_levels_and_errors():
         hamilton_residuals(z[:2], g)
     with pytest.raises(OutOfRange):
         conservation_residual(z, g, levels)  # needs 5 levels of Z
-
-
-def test_eulerian_velocity_examples():
-    g = o1_grid(n_time=4)
-    rest = Section.identity(g)
-    out = eulerian_velocity(rest, 1)
-    assert np.allclose(out[:, 1], 0.0)
-    uni = Section.uniform_translation(g, 0.3)
-    out = eulerian_velocity(uni, 2)
-    assert np.allclose(out[:, 1], 0.3)
-    assert np.allclose(out[:, 0], uni.row_y(2))
-    with pytest.raises(OutOfRange):
-        eulerian_velocity(rest, g.n_time - 1)
-
-
-def test_eulerian_velocity_reproduces_initial_condition():
-    n = 32
-    g = GridSpec.from_circle(n, 2, TWO_PI, 0.25)
-    u0 = lambda x: 0.1 * np.cos(x)
-    s = initialize(u0, g)
-    out = eulerian_velocity(s, 0)
-    # exact up to reconstructing x + d from the stored displacement
-    assert np.max(np.abs(out[:, 1] - u0(np.arange(n) * g.h))) <= 1e-13

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chms
 from chms.cli import (
@@ -255,6 +260,18 @@ def test_converge_uniform_reports_exact(tmp_path, capsys):
     assert "exact" in capsys.readouterr().out
 
 
+def test_converge_order_from_an_exactly_zero_level(tmp_path):
+    # The three coarse points miss the narrow bump, so the coarsest level
+    # is at rest and its residuals are exactly zero: no order from it.
+    out = tmp_path / "conv0"
+    code = run_cli("converge", "--ic", "gaussian_bump:0.25,0.0625", "--n-space", "3",
+                   "--n-steps", "5", "--out-dir", str(out))
+    assert code == EXIT_OK
+    report = json.loads((out / "convergence.json").read_text())
+    assert report["levels"][0]["bridges"]["conservation_residual_max"] == 0.0
+    assert report["bridges_orders"]["conservation_residual_max"][0] is None
+
+
 def test_converge_cosine_first_order(tmp_path):
     out = tmp_path / "conv2"
     code = run_cli(
@@ -331,6 +348,75 @@ def test_json_floats_parse_back(tmp_path):
     text = (out / "diagnostics.json").read_text()
     report = json.loads(text)
     assert isinstance(report["summary"]["momentum_drift_max"], float)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--domain-length", "1e-300"),
+        ("--cfl", "1e-300", "--diagnostics", "all"),
+        ("--ic", "rest", "--cfl", "1e300", "--diagnostics", "all"),
+    ],
+)
+def test_extreme_finite_grids_exit_two(tmp_path, capsys, args):
+    # h*k or the Jacobian corner entry 1/(a h^2 k^2) leaves the floats:
+    # rejected up front instead of a warning and a "zero pivot" abort.
+    out = tmp_path / "o"
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "4", *args,
+                   "--out-dir", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid:") and err.count("\n") == 1
+    assert not (out / "diagnostics.json").exists()
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def _float_text(*ranges):
+    """Any float (nan, inf, subnormal, huge) or one from the given ranges."""
+    return st.one_of(st.floats(), *(st.floats(lo, hi) for lo, hi in ranges)).map(repr)
+
+
+_IC = st.one_of(
+    st.just("rest"),
+    _float_text((-1.0, 1.0)).map("uniform:{}".format),
+    _float_text((-1.0, 1.0)).map("cosine:{}".format),
+    st.tuples(_float_text((-1.0, 1.0)), _float_text((0.01, 3.0))).map(
+        lambda aw: f"gaussian_bump:{aw[0]},{aw[1]}"
+    ),
+)
+
+_FLAGS = {
+    "--n-space": st.integers(-1, 16).map(str),
+    "--n-steps": st.integers(-1, 8).map(str),
+    "--cfl": _maybe(_float_text((0.01, 4.0))),
+    "--domain-length": _maybe(_float_text((0.1, 100.0))),
+    "--ic": _maybe(_IC),
+    "--diagnostics": _maybe(st.sampled_from(["none", "all", "noether", "mff", "bridges"])),
+    "--tol-residual": _maybe(_float_text((1e-16, 1e-6))),
+    "--max-iters": _maybe(st.integers(-1, 60).map(str)),
+    "--save-every": _maybe(st.integers(0, 10).map(str)),
+    "--seed": _maybe(st.integers(-1, 2**32).map(str)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["run", "check", "converge"]), flags=st.fixed_dictionaries(_FLAGS))
+def test_main_exit_codes_on_fuzzed_flags(command, flags):
+    """Every flag combination ends in a documented exit code with at most
+    one stderr line, and no RuntimeWarning."""
+    # flag=value keeps argparse from reading a value such as -1e+16 as a flag.
+    args = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args + ["--out-dir", out])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK), args
+    assert err.getvalue().count("\n") <= 1, (args, err.getvalue())
 
 
 @pytest.mark.filterwarnings("error")

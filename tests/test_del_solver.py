@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section
-from oracles import cyclic_solve, del_residual, del_residual_expanded, label
+from oracles import cyclic_solve, del_residual, del_residual_expanded, label, uniform_translation
 
 from chms.del_solver import (
     Section,
@@ -14,10 +14,10 @@ from chms.del_solver import (
     evolve,
     initialize,
     residual_scale_row,
-    row_action,
     solve_cyclic_tridiagonal,
 )
 from chms.errors import BadInitialData, NonMonotone, OutOfRange, SingularJacobian
+from chms.geometry_checks import level_series
 from chms.grid import GridSpec
 from chms.lagrangian import jacobian_bands
 
@@ -33,19 +33,19 @@ def max_residual(s):
 
 def action_sum(s, j_lo, j_hi):
     """Discrete action over the rectangle rows j_lo .. j_hi - 1."""
-    return sum(row_action(s, j) for j in range(j_lo, j_hi))
+    return sum(level_series(s)[1][j_lo:j_hi])
 
 
 def test_rest_and_uniform_residuals_vanish():
     g = o1_grid()
-    for s in (Section.identity(g), Section.uniform_translation(g, 0.3)):
+    for s in (Section.identity(g), uniform_translation(g, 0.3)):
         assert max_residual(s) <= 1e-13
 
 
 def test_affine_sections_are_exact():
     g = o1_grid()
     for c, b in [(0.4, 0.0), (-0.2, 1.5), (0.0, -0.7)]:
-        assert max_residual(Section.uniform_translation(g, c, offset=b)) <= 1e-12
+        assert max_residual(uniform_translation(g, c, offset=b)) <= 1e-12
 
 
 def test_row_residual_matches_pointwise(rng):
@@ -100,7 +100,7 @@ def test_action_examples():
     g = o1_grid(n_space=10, n_time=4)
     assert action_sum(Section.identity(g), 0, 3) == 0.0
     c = 0.4
-    s = Section.uniform_translation(g, c)
+    s = uniform_translation(g, c)
     n_rects = 3 * g.n_space
     # every stencil has slope 1, velocity c, zero mixed difference
     assert action_sum(s, 0, 3) == pytest.approx(n_rects * c * c / 2.0, rel=1e-12)
@@ -109,7 +109,7 @@ def test_action_examples():
 def test_action_uniform_unit_spacings():
     g = GridSpec(10, 4, 1.0, 1.0, 10.0)
     c = 0.4
-    s = Section.uniform_translation(g, c)
+    s = uniform_translation(g, c)
     assert action_sum(s, 0, 3) == pytest.approx(3 * g.n_space * c * c / 2.0, rel=1e-12)
 
 
@@ -124,6 +124,16 @@ def test_initialize_examples():
     cos = initialize(cosine_u0(0.1, TWO_PI), g)
     inc = np.diff(np.append(cos.row_y(1), cos.row_y(1)[0] + TWO_PI))
     assert inc.min() > g.h - g.k * 0.1 * g.h - 1e-12
+
+
+def test_initial_kick_reproduces_velocity():
+    n = 32
+    g = GridSpec.from_circle(n, 2, TWO_PI, 0.25)
+    u0 = lambda x: 0.1 * np.cos(x)
+    s = initialize(u0, g)
+    # exact up to reconstructing x + d from the stored displacement
+    velocity = (s.row_y(1) - s.row_y(0)) / g.k
+    assert np.max(np.abs(velocity - u0(np.arange(n) * g.h))) <= 1e-13
 
 
 def test_initialize_rejects_violent_kick():
@@ -156,7 +166,7 @@ def test_step_rest_converges_at_initial_guess():
 def test_step_uniform_converges_at_initial_guess():
     g = o1_grid(n_space=12, n_time=2)
     c = 0.3
-    s = Section.uniform_translation(g, c)
+    s = uniform_translation(g, c)
     new_row, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
     assert stats.iterations == 0
     assert np.allclose(new_row, s.xs() + 2 * c * g.k, atol=1e-12)
@@ -164,7 +174,7 @@ def test_step_uniform_converges_at_initial_guess():
 
 def test_evolve_zero_steps_returns_input():
     g = o1_grid(n_space=12, n_time=2)
-    s = Section.uniform_translation(g, 0.2)
+    s = uniform_translation(g, 0.2)
     out = evolve(s, 0)
     assert out.ok and out.section.grid.n_time == 2
     assert np.array_equal(out.section.displacement, s.displacement)
@@ -173,7 +183,7 @@ def test_evolve_zero_steps_returns_input():
 def test_evolve_uniform_exact_over_many_steps():
     g = GridSpec(16, 2, 1.0, 0.5, 16.0)
     c = 0.3
-    res = evolve(Section.uniform_translation(g, c), 50)
+    res = evolve(uniform_translation(g, c), 50)
     assert res.ok
     s = res.section
     t = g.k * np.arange(s.grid.n_time)
@@ -324,7 +334,7 @@ def test_backward_marching_is_first_order_not_exact():
     only up to the forward-difference asymmetry (third order per step
     locally), except on affine solutions where it is exact."""
     g = GridSpec(16, 2, 1.0, 0.5, 16.0)
-    s = Section.uniform_translation(g, 0.3)
+    s = uniform_translation(g, 0.3)
     res = evolve(s, 4)
     tr = res.section
     back, _ = advance_row(tr.row_y(3), tr.row_y(2), g, SolverConfig())
@@ -361,13 +371,6 @@ def test_minimum_circle_runs():
         for i in range(3)
     )
     assert worst <= 1e-9
-
-
-def test_section_from_rows_round_trip(rng):
-    g = GridSpec(8, 3, 1.0, 0.5, 8.0)
-    s = random_section(g, rng)
-    rebuilt = Section.from_rows(g, s.rows_y())
-    assert np.max(np.abs(rebuilt.displacement - s.displacement)) <= 1e-13
 
 
 def test_section_rejects_non_monotone_rows():

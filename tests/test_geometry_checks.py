@@ -3,21 +3,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EPS, TWO_PI, constant_tangent, cosine_trajectory, cosine_u0, random_stencil
-from oracles import first_variation_residual, mff_terms, noether_terms, rect_grad, rect_omega
+from oracles import (
+    first_variation_residual,
+    first_variation_residual_row,
+    mff_terms,
+    noether_terms,
+    rect_grad,
+    rect_omega,
+    row_action,
+    row_momentum,
+    uniform_translation,
+)
 
-from chms import del_solver
-from chms.del_solver import Section, evolve, initialize
+from chms import del_solver, geometry_checks
+from chms.del_solver import Section, _level_equation, evolve, initialize
 from chms.errors import NotOnShell
 from chms.geometry_checks import (
     SymmetryGenerator,
     TangentSection,
-    first_variation_residual_row,
-    mff_boundary_sum,
+    level_series,
     mff_boundary_terms,
-    noether_boundary_sum,
     noether_boundary_terms,
     solve_first_variation,
-    total_momentum,
     total_momentum_scale,
 )
 from chms.grid import GridSpec, classify_region
@@ -126,17 +133,46 @@ def test_off_shell_gate_names_first_bad_level():
         solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
 
 
-def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch):
-    calls = []
-    real = del_solver.stencil_parts
+def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
+    calls = {"stencil_parts": 0, "jacobian_bands": 0}
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(del_solver, "stencil_parts", counting)
-    solve_first_variation(short_cosine, np.ones((2, short_cosine.grid.n_space)))
-    assert len(calls) == short_cosine.grid.n_time - 1
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(del_solver, "stencil_parts")
+    counting(geometry_checks, "jacobian_bands")
+    n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
+    for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
+        calls.update(stencil_parts=0, jacobian_bands=0)
+        solve_first_variation(short_cosine, v0)
+        assert calls == {"stencil_parts": n_time - 1, "jacobian_bands": n_time - 2}
+
+
+def test_stacked_march_matches_each_tangent_alone(rng):
+    s = cosine_trajectory(n_space=32, n_steps=20, amp=0.1).section
+    v0 = rng.standard_normal((3, 2, 32))
+    stacked = solve_first_variation(s, v0)
+    assert isinstance(stacked, tuple) and len(stacked) == 3
+    for t, alone in zip(stacked, (solve_first_variation(s, v) for v in v0)):
+        assert isinstance(alone, TangentSection)
+        assert np.array_equal(t.values, alone.values)
+    with pytest.raises(ValueError):
+        solve_first_variation(s, np.zeros((3, 32)))
+
+
+def test_level_equation_of_stacked_rows_matches_each_row(rng):
+    top, bot = rng.standard_normal((2, 4, 3, 17))
+    res, scale = _level_equation(top, bot)
+    assert res.shape == (3, 17) and scale.shape == (3,)
+    for m in range(3):
+        res_m, scale_m = _level_equation(top[:, m], bot[:, m])
+        assert np.array_equal(res[m], res_m) and scale[m] == scale_m
 
 
 def test_time_translation_quotient_is_near_tangent():
@@ -170,10 +206,10 @@ def test_mff_exact_zero_cases(short_cosine, rng):
     s = short_cosine
     region = classify_region(0, s.grid.n_time - 1, s.grid)
     t = TangentSection(s.grid, rng.standard_normal((s.grid.n_time, s.grid.n_space)))
-    assert mff_boundary_sum(s, t, t, region) == 0.0
+    assert mff_boundary_terms(s, t, t, region).sum() == 0.0
     c1 = constant_tangent(s.grid, 1.0)
     c2 = constant_tangent(s.grid, -2.5)
-    assert mff_boundary_sum(s, c1, c2, region) == 0.0
+    assert mff_boundary_terms(s, c1, c2, region).sum() == 0.0
 
 
 def test_mff_vanishes_on_shell(rng):
@@ -193,11 +229,11 @@ def test_mff_nonzero_off_shell(rng):
     region = classify_region(0, s.grid.n_time - 1, s.grid)
     v = solve_first_variation(s, rng.standard_normal((2, 16)))
     w = solve_first_variation(s, rng.standard_normal((2, 16)))
-    on_shell = abs(mff_boundary_sum(s, v, w, region))
+    on_shell = abs(mff_boundary_terms(s, v, w, region).sum())
     perturbed = Section(
         s.grid, s.displacement + 0.03 * s.grid.h * rng.standard_normal(s.displacement.shape)
     )
-    off_shell = abs(mff_boundary_sum(perturbed, v, w, region))
+    off_shell = abs(mff_boundary_terms(perturbed, v, w, region).sum())
     assert off_shell >= 1e3 * max(on_shell, 1e-300)
 
 
@@ -205,9 +241,9 @@ def test_noether_examples(short_cosine):
     g = GridSpec(12, 6, 1.0, 0.5, 12.0)
     region = classify_region(0, 5, g)
     rest = Section.identity(g)
-    assert noether_boundary_sum(rest, SymmetryGenerator(2.0), region) == 0.0
-    assert noether_boundary_sum(short_cosine, SymmetryGenerator(0.0),
-                                classify_region(0, 5, short_cosine.grid)) == 0.0
+    assert noether_boundary_terms(rest, SymmetryGenerator(2.0), region).sum() == 0.0
+    window = classify_region(0, 5, short_cosine.grid)
+    assert noether_boundary_terms(short_cosine, SymmetryGenerator(0.0), window).sum() == 0.0
     xi = SymmetryGenerator(1.0)
     terms = noether_boundary_terms(
         short_cosine, xi, classify_region(0, short_cosine.grid.n_time - 1, short_cosine.grid)
@@ -259,8 +295,8 @@ def test_row_boundary_sums_match_scalar_oracle(n_space, n_time, cfl, amp, xi, se
 def test_total_momentum_uniform_value_and_conservation():
     g = GridSpec(16, 8, 1.0, 1.0, 16.0)
     c = 0.3
-    s = Section.uniform_translation(g, c)
-    values = [total_momentum(s, j) for j in range(g.n_time - 1)]
+    s = uniform_translation(g, c)
+    values, _ = level_series(s)
     # each rectangle contributes dL/dy3 + dL/dy4 = a*b/k = c
     assert values[0] == pytest.approx(16 * c, rel=1e-13)
     assert max(abs(v - values[0]) for v in values) <= 1e-13
@@ -272,15 +308,25 @@ def test_total_momentum_telescopes_noether(short_cosine):
     of the per-level momenta at the window's rectangle rows."""
     s = short_cosine
     xi = SymmetryGenerator(1.0)
+    momenta, _ = level_series(s)
     for j_lo, j_hi in [(0, 3), (1, 5), (2, 6)]:
         region = classify_region(j_lo, j_hi, s.grid)
-        sum_ = noether_boundary_sum(s, xi, region)
-        tele = total_momentum(s, j_hi - 1) - total_momentum(s, j_lo)
+        sum_ = noether_boundary_terms(s, xi, region).sum()
+        tele = momenta[j_hi - 1] - momenta[j_lo]
         assert sum_ == pytest.approx(tele, rel=1e-9, abs=1e-12)
+
+
+def test_level_series_matches_row_oracle(short_cosine):
+    s = uniform_translation(GridSpec(16, 8, 1.0, 0.5, 16.0), 0.3)
+    for sec in (s, short_cosine):
+        momenta, actions = level_series(sec)
+        rows = range(sec.grid.n_time - 1)
+        assert momenta == [row_momentum(sec, j) for j in rows]
+        assert actions == [row_action(sec, j) for j in rows]
 
 
 def test_total_momentum_drift_small(short_cosine):
     s = short_cosine
-    values = [total_momentum(s, j) for j in range(s.grid.n_time - 1)]
+    values, _ = level_series(s)
     drift = max(abs(v - values[0]) for v in values)
     assert drift <= 1e-9 * max(abs(values[0]), total_momentum_scale(s, 0))

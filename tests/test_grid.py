@@ -29,6 +29,20 @@ def test_gridspec_rejects_non_finite_spacings(h, k, domain_length):
         GridSpec(8, 2, h, k, domain_length)
 
 
+@pytest.mark.parametrize("domain_length, cfl", [(1e-300, 0.25), (2.0, 1e-300), (2.0, 1e300),
+                                                (1e-200, 1e200), (1e-78, 1.0)])
+def test_gridspec_rejects_spacings_outside_the_float_range(domain_length, cfl):
+    # h*k must be a normal float and the Jacobian corner entry
+    # 1/(a h^2 k^2) finite and nonzero for every admissible slope a.
+    with pytest.raises(ValueError, match="out of range"):
+        GridSpec.from_circle(8, 2, domain_length, cfl)
+
+
+def test_gridspec_accepts_small_but_representable_spacings():
+    g = GridSpec.from_circle(8, 2, 1e-60, 1.0)
+    assert g.h * g.k > 0.0
+
+
 def test_touching_interior_point():
     g = grid()
     pairs = rectangles_touching((3, 2), g)
