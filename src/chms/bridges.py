@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonMonotone, OutOfRange
 from .grid import GridSpec
 from .del_solver import Section
-from .lagrangian import continuous_density
+from .lagrangian import _shift, continuous_density
 
 
 def _b1_matrix() -> np.ndarray:
@@ -171,20 +171,12 @@ def rank_by_elimination(m: np.ndarray, tol: float = 1e-12) -> int:
 
 def _dx(f: np.ndarray, h: float, lift: float = 0.0) -> np.ndarray:
     """Central x-derivative with periodic wraparound along the last axis;
-    the seam neighbours gain/lose `lift` (the identity lift of eta)."""
-    fp = np.roll(f, -1, axis=-1)
-    fp[..., -1] += lift
-    fm = np.roll(f, 1, axis=-1)
-    fm[..., 0] -= lift
-    return (fp - fm) / (2.0 * h)
+    `lift` is the identity lift of eta (0 for periodic fields)."""
+    return (_shift(f, 1, lift) - _shift(f, -1, lift)) / (2.0 * h)
 
 
 def _dxx(f: np.ndarray, h: float, lift: float = 0.0) -> np.ndarray:
-    fp = np.roll(f, -1, axis=-1)
-    fp[..., -1] += lift
-    fm = np.roll(f, 1, axis=-1)
-    fm[..., 0] -= lift
-    return (fp - 2.0 * f + fm) / (h * h)
+    return (_shift(f, 1, lift) - 2.0 * f + _shift(f, -1, lift)) / (h * h)
 
 
 def _dt(f: np.ndarray, k: float) -> np.ndarray:
@@ -230,6 +222,20 @@ def phase_field(s: Section):
     return np.stack([p.eta, p.eta_x, p.eta_t, p.px, p.pt, p.ptx], axis=-1), levels
 
 
+def _phase_dx(z: np.ndarray, g: GridSpec, levels, drop: int):
+    """(z, z_x, the levels of z without `drop` at each end) for a Z-field
+    of at least 2 * drop + 1 levels; eta carries the identity lift, the
+    momenta are periodic.  levels defaults to 0, 1, .. ."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[0] < 2 * drop + 1:
+        raise OutOfRange(f"need at least {2 * drop + 1} time levels of Z")
+    zx = np.empty_like(z)
+    for m in range(6):
+        zx[..., m] = _dx(z[..., m], g.h, g.domain_length if m == 0 else 0.0)
+    levels = list(range(z.shape[0]) if levels is None else levels)
+    return z, zx, levels[drop:-drop]
+
+
 def hamilton_residuals(z: np.ndarray, g: GridSpec, levels=None):
     """Componentwise residual of B1 Z_x + B0 Z_t - grad H(Z).
 
@@ -238,57 +244,32 @@ def hamilton_residuals(z: np.ndarray, g: GridSpec, levels=None):
     equation residual.  Returns (res, levels) on the interior levels of
     the supplied Z-field.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] < 3:
-        raise OutOfRange("need at least 3 time levels of Z for time derivatives")
-    zx = np.empty_like(z)
-    for m in range(6):
-        lift = g.domain_length if m == 0 else 0.0
-        zx[..., m] = _dx(z[..., m], g.h, lift)
-    zt = _dt(z, g.k)
-    zin = z[1:-1]
+    z, zx, inner = _phase_dx(z, g, levels, 1)
     res = (
         np.einsum("mn,...n->...m", B1, zx[1:-1])
-        + np.einsum("mn,...n->...m", B0, zt)
-        - grad_hamiltonian_phase(zin)
+        + np.einsum("mn,...n->...m", B0, _dt(z, g.k))
+        - grad_hamiltonian_phase(z[1:-1])
     )
-    if levels is None:
-        levels = list(range(z.shape[0]))
-    return res, list(levels)[1:-1]
+    return res, inner
 
 
 def conservation_residual(z: np.ndarray, g: GridSpec, levels=None):
     """r = d/dx w1(Z_t, Z_x) + d/dt w0(Z_t, Z_x); near zero on resolved
     solutions.  Returns (r, levels) two levels inside the supplied field."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] < 5:
-        raise OutOfRange("need at least 5 time levels of Z")
-    zx = np.empty_like(z)
-    for m in range(6):
-        lift = g.domain_length if m == 0 else 0.0
-        zx[..., m] = _dx(z[..., m], g.h, lift)
-    zt = _dt(z, g.k)
-    s1, s0 = omega_pair(zt, zx[1:-1])
-    r = _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
-    if levels is None:
-        levels = list(range(z.shape[0]))
-    return r, list(levels)[2:-2]
+    z, zx, inner = _phase_dx(z, g, levels, 2)
+    s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
+    return _dx(s1, g.h)[1:-1] + _dt(s0, g.k), inner
 
 
-def continuous_el_residual(s: Section):
+def continuous_el_residual(z: np.ndarray, g: GridSpec, levels=None):
     """Finite-difference residual of the continuous field equation
 
         ((eta_tx/eta_x)**2 - eta_t**2)_x / 2 - (eta_x eta_t)_t
             + (eta_tx/eta_x)_xt
 
-    evaluated with nested central differences.  Returns (res, levels).
+    evaluated with nested central differences on the Z-field, in which
+    ptx = eta_tx/eta_x and the flux term is -px.  Returns (res, levels)
+    on the interior levels of the supplied field.
     """
-    g = s.grid
-    if g.n_time < 5:
-        raise OutOfRange("need at least 5 time levels")
-    jets, levels = section_to_jets(s)
-    ratio = jets["eta_tx"] / jets["eta_x"]
-    flux = 0.5 * (ratio**2 - jets["eta_t"] ** 2)
-    momentum = jets["eta_x"] * jets["eta_t"]
-    res = _dx(flux, g.h)[1:-1] - _dt(momentum, g.k) + _dt(_dx(ratio, g.h), g.k)
-    return res, levels[1:-1]
+    z, zx, inner = _phase_dx(z, g, levels, 1)
+    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k), inner

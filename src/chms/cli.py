@@ -36,7 +36,7 @@ EXIT_CHECK = 4
 
 def format_float(v: float) -> str:
     if math.isnan(v) or math.isinf(v):
-        return json.dumps(repr(v))
+        return json.dumps(repr(float(v)))  # "nan", not "np.float64(nan)"
     return format(float(v), ".17g")
 
 
@@ -80,6 +80,7 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     last = g.n_time - 1
     levels = sorted(set(range(0, g.n_time, save_every)) | {last})
     lines = ["t,i,x,eta,u"]
+    ix = [f",{i},{format_float(i * g.h)}," for i in range(g.n_space)]
     for j in levels:
         eta = s.row_y(j)
         if j < last:
@@ -87,10 +88,8 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
         else:
             u = (eta - s.row_y(j - 1)) / g.k
         t = format_float(j * g.k)
-        for i in range(g.n_space):
-            lines.append(
-                f"{t},{i},{format_float(i * g.h)},{format_float(eta[i])},{format_float(u[i])}"
-            )
+        rows = zip(ix, eta.tolist(), u.tolist())
+        lines += [f"{t}{x}{format_float(e)},{format_float(v)}" for x, e, v in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -166,7 +165,7 @@ def _bridges_summary(s: Section) -> dict | None:
         z, levels = bridges.phase_field(s)
         cons, _ = bridges.conservation_residual(z, s.grid, levels)
         ham, _ = bridges.hamilton_residuals(z, s.grid, levels)
-        el, _ = bridges.continuous_el_residual(s)
+        el, _ = bridges.continuous_el_residual(z, s.grid, levels)
     except OutOfRange:
         return None
     return {
@@ -496,8 +495,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, dest="max_iters")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as a ConfigError (one stderr line in main)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chms",
         description="Variational time integrator and conservation diagnostics "
         "for the shallow-water particle-label field on a circle.",
@@ -541,12 +547,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         # A floating-point overflow or invalid operation (inputs at the
         # edge of the float range) raises instead of warning and leaving
@@ -557,6 +559,8 @@ def main(argv=None) -> int:
             if args.command == "converge":
                 return converge_command(cfg, parse_levels(args.levels))
             return check_command(cfg)
+    except SystemExit as exc:  # --help has printed its text
+        return int(exc.code) if exc.code else EXIT_OK
     except (ConfigError, BadInitialData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,6 +29,7 @@ from .errors import (
 from .grid import GridSpec
 from .lagrangian import (
     DELTA_MIN_FACTOR,
+    _shift,
     grad_from_parts,
     jacobian_bands,
     stencil_parts,
@@ -50,14 +51,6 @@ class SolverConfig:
             raise ValueError("solver controls must be positive")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie in (0, 1)")
-
-
-def _wrap_next(row: np.ndarray, lift: float) -> np.ndarray:
-    """row[..., i+1] with periodic wraparound along the last axis; the
-    seam entry gains `lift`."""
-    out = np.roll(row, -1, axis=-1)
-    out[..., -1] += lift
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +76,7 @@ class Section:
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
         rows = self.rows_y()
-        inc = _wrap_next(rows, self.grid.domain_length) - rows
+        inc = _shift(rows, 1, self.grid.domain_length) - rows
         if np.any(inc <= self.delta_min):
             j, i = np.unravel_index(np.argmin(inc), inc.shape)
             raise NonMonotone(
@@ -143,7 +136,7 @@ def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec):
     parts of every rectangle row at once.
     """
     lam = g.domain_length
-    return stencil_parts(lo, _wrap_next(lo, lam), _wrap_next(hi, lam), hi, g.h, g.k)
+    return stencil_parts(lo, _shift(lo, 1, lam), _shift(hi, 1, lam), hi, g.h, g.k)
 
 
 def _level_equation(top, bot):
@@ -156,7 +149,7 @@ def _level_equation(top, bot):
     Hessian-tangent products their linearization.  Stacked rows (space
     along the last axis) give each row's residual and scale.
     """
-    t1, t2, t3, t4 = top[0], np.roll(top[1], 1, axis=-1), np.roll(bot[2], 1, axis=-1), bot[3]
+    t1, t2, t3, t4 = top[0], _shift(top[1], -1), _shift(bot[2], -1), bot[3]
     res = (t1 + t2) + (t3 + t4)
     return res, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), axis=-1)
 
@@ -259,7 +252,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
 
 
 def _monotone(row: np.ndarray, lam: float, delta_min: float) -> bool:
-    inc = _wrap_next(row, lam) - row
+    inc = _shift(row, 1, lam) - row
     return bool(np.all(inc > delta_min))
 
 
@@ -277,7 +270,7 @@ def advance_row(
     delta_min = DELTA_MIN_FACTOR * h
     # Bottom-rectangle terms are fixed during the solve.
     bot = grad_from_parts(*_row_parts(ym1, y0, g), h, k)
-    a_t = (_wrap_next(y0, lam) - y0) / h  # bottom edge of the top rectangles
+    a_t = (_shift(y0, 1, lam) - y0) / h  # bottom edge of the top rectangles
 
     guess = 2.0 * y0 - ym1
     if not _monotone(guess, lam, delta_min):
@@ -291,7 +284,7 @@ def advance_row(
         # The iterate's top rectangles give both the residual and the bands.
         e = yp1 - y0
         b_t = e / k
-        c_t = (np.roll(e, -1) - e) / (h * k)
+        c_t = (_shift(e, 1) - e) / (h * k)
         f, f_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
         norm = float(np.max(np.abs(f)))
         if it == 0:
@@ -365,7 +358,9 @@ def initialize(u0, g: GridSpec) -> Section:
     """Two starting rows: identity labels, then a first-order velocity kick.
 
     Row 0 is y[i] = x_i; row 1 is x_i + k*u0(x_i).  This startup caps the
-    overall accuracy of the marching scheme at first order.
+    overall accuracy of the marching scheme at first order.  A kick that
+    is not finite, breaks monotonicity, or gives the first rectangle row a
+    non-finite Lagrangian gradient raises BadInitialData.
     """
     xs = np.arange(g.n_space) * g.h
     v = np.asarray(u0(xs), dtype=float)
@@ -382,8 +377,13 @@ def initialize(u0, g: GridSpec) -> Section:
             f"velocity kick k*u0(x) is not finite at x = {xs[i]:g} (u0 = {v[i]:g})"
         )
     try:
-        return Section(g.with_time_levels(2), d)
+        s = Section(g.with_time_levels(2), d)
     except NonMonotone as exc:
         raise BadInitialData(
             f"velocity kick destroys monotonicity of row 1: {exc}"
         ) from exc
+    with np.errstate(all="ignore"):  # an overflowing gradient is reported below
+        grad = np.array(grad_from_parts(*_row_parts(s.row_y(0), s.row_y(1), g), g.h, g.k))
+    if not np.all(np.isfinite(grad)):
+        raise BadInitialData("the first rectangle row's Lagrangian gradient is not finite")
+    return s

@@ -25,7 +25,7 @@ from .del_solver import (
     _row_parts,
     solve_cyclic_tridiagonal,
 )
-from .lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
+from .lagrangian import _shift, eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
 
 #: The tangent march accepts a base level whose residual is within this
 #: multiple of the Newton tolerance of its scale.
@@ -65,7 +65,7 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
     """Tangent rectangles of a rectangle row, shape (4,) + vlo.shape:
     vertex l's values in row l - 1 (tangents are periodic, no lift).
     Stacked tangent rows carry space along the last axis."""
-    return np.stack([vlo, np.roll(vlo, -1, axis=-1), np.roll(vhi, -1, axis=-1), vhi])
+    return np.stack([vlo, _shift(vlo, 1), _shift(vhi, 1), vhi])
 
 
 def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -44,6 +44,20 @@ def continuous_density(etax: float, etat: float, etatx: float) -> float:
 # Vectorized kernels over arrays of rectangles (one entry per rectangle).
 
 
+def _shift(f, step: int, lift: float = 0.0):
+    """f[..., i + step] for step = +1 or -1, periodic along the last axis;
+    the entry that wraps across the seam moves by step * lift, the
+    identity lift of label rows (y[i + n] = y[i] + domain_length), and is
+    copied as it is, signed zeros too, when lift is 0.  Two slices are
+    concatenated: on short rows a general roll costs more in argument
+    handling than in data movement."""
+    if step == 1:
+        seam = f[..., :1]
+        return np.concatenate((f[..., 1:], seam + lift if lift else seam), axis=-1)
+    seam = f[..., -1:]
+    return np.concatenate((seam - lift if lift else seam, f[..., :-1]), axis=-1)
+
+
 def stencil_parts(y1, y2, y3, y4, h: float, k: float):
     """(a, b, c) arrays for a batch of rectangles; rejects non-monotone
     bottom edges.
@@ -98,8 +112,8 @@ def jacobian_bands(a, b, c, h: float, k: float):
     corner = 1.0 / (a * h * h * k * k) + c / (a * a * h * h * k)
     bh = b / (h * k)
     upper = corner
-    lower = np.roll(corner + bh, 1, axis=-1)
-    diag = -a / (k * k) - corner - bh - np.roll(corner, 1, axis=-1)
+    lower = _shift(corner + bh, -1)
+    diag = -a / (k * k) - corner - bh - _shift(corner, -1)
     return lower, diag, upper
 
 

@@ -3,18 +3,20 @@
 They keep their own per-point bookkeeping on the periodic lattice: the
 rectangles touching a point, a window's interior and boundary points,
 the pointwise residuals (among them the ten-term expanded form), the
-boundary-sum terms point by point, and the per-row momentum and action.  None of it shares assembly code
-with the row kernels of ``chms``; the value on one rectangle comes from
-a one-element call of the batch kernels in ``chms.lagrangian``.  The one
-exception is ``first_variation_residual_row``: it applies the tangent
-march's own row assembly to a given tangent field, so that the tests can
-hold that assembly against the pointwise form.  The
-two-sweep cyclic solve is the reference that the package's one-sweep
+boundary-sum terms point by point, the per-row momentum and action, and
+the continuous field-equation residual from a section's jets.  None of
+it shares assembly code with the row kernels of ``chms``; the value on
+one rectangle comes from a one-element call of the batch kernels in
+``chms.lagrangian``.  The one exception is
+``first_variation_residual_row``: it applies the tangent march's own row
+assembly to a given tangent field, so that the tests can hold that
+assembly against the pointwise form.  The two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit.
 """
 
 import numpy as np
 
+from chms.bridges import section_to_jets
 from chms.del_solver import Section, _level_equation
 from chms.errors import OutOfRange, SingularJacobian
 from chms.geometry_checks import _linear_terms, _row_hess, omega_from_hess
@@ -278,3 +280,32 @@ def cyclic_solve(lower, diag, upper, rhs):
         raise SingularJacobian("singular Sherman-Morrison correction")
     factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
     return y - factor * z
+
+
+# ---------------------------------------------------------------------------
+# Continuous field equation from a section's jets.
+
+
+def continuous_el_residual(s):
+    """Nested central differences of the continuous field equation
+
+        ((eta_tx/eta_x)**2 - eta_t**2)_x / 2 - (eta_x eta_t)_t
+            + (eta_tx/eta_x)_xt
+
+    on the jets of the section.  Returns (res, levels)."""
+    if s.grid.n_time < 5:
+        raise OutOfRange("need at least 5 time levels")
+    h, k = s.grid.h, s.grid.k
+    jets, levels = section_to_jets(s)
+
+    def dx(f):
+        return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * h)
+
+    def dt(f):
+        return (f[2:] - f[:-2]) / (2.0 * k)
+
+    ratio = jets["eta_tx"] / jets["eta_x"]
+    flux = 0.5 * (ratio**2 - jets["eta_t"] ** 2)
+    momentum = jets["eta_x"] * jets["eta_t"]
+    res = dx(flux)[1:-1] - dt(momentum) + dt(dx(ratio))
+    return res, levels[1:-1]

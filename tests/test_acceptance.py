@@ -98,7 +98,7 @@ def test_criterion_2_exact_solution_residuals(rng):
         z, levels = bridges.phase_field(sec)
         ham, _ = bridges.hamilton_residuals(z, grid, levels)
         cons, _ = bridges.conservation_residual(z, grid, levels)
-        el, _ = bridges.continuous_el_residual(sec)
+        el, _ = bridges.continuous_el_residual(z, grid, levels)
         worst = max(worst, float(np.max(np.abs(ham))), float(np.max(np.abs(cons))),
                     float(np.max(np.abs(el))))
     elapsed = time.perf_counter() - t0
@@ -212,7 +212,7 @@ def test_criterion_7_convergence(rng):
         sec = runs[factor]
         z, levels = bridges.phase_field(sec)
         cons, _ = bridges.conservation_residual(z, sec.grid, levels)
-        el, _ = bridges.continuous_el_residual(sec)
+        el, _ = bridges.continuous_el_residual(z, sec.grid, levels)
         cons_norms.append(float(np.max(np.abs(cons))))
         el_norms.append(float(np.max(np.abs(el))))
     cons_orders = [math.log2(a / b) for a, b in zip(cons_norms, cons_norms[1:])]

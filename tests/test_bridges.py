@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import EPS, TWO_PI, cosine_trajectory, smooth_eta_derivs
-from oracles import uniform_translation
+from oracles import continuous_el_residual as el_oracle, uniform_translation
 
 from chms.bridges import (
     B0,
@@ -154,7 +154,7 @@ def test_residual_fields_vanish_on_exact_solutions():
         z, levels = phase_field(s)
         ham, _ = hamilton_residuals(z, g, levels)
         cons, _ = conservation_residual(z, g, levels)
-        el, _ = continuous_el_residual(s)
+        el, _ = continuous_el_residual(z, g, levels)
         assert np.max(np.abs(ham)) <= 1e-12
         assert np.max(np.abs(cons)) <= 1e-12
         assert np.max(np.abs(el)) <= 1e-12
@@ -181,7 +181,7 @@ def test_residual_fields_shrink_on_numerical_solutions():
         z, levels = phase_field(s)
         ham, _ = hamilton_residuals(z, s.grid, levels)
         cons, _ = conservation_residual(z, s.grid, levels)
-        el, _ = continuous_el_residual(s)
+        el, _ = continuous_el_residual(z, s.grid, levels)
         norms[n] = (
             np.max(np.abs(ham)),
             np.max(np.abs(cons)),
@@ -204,7 +204,7 @@ def test_hamilton_residual_component_structure():
         s = Section(g, eta - x[None, :])
         z, levels = phase_field(s)
         ham, ham_levels = hamilton_residuals(z, g, levels)
-        el, el_levels = continuous_el_residual(s)
+        el, el_levels = continuous_el_residual(z, g, levels)
         assert ham_levels == el_levels
         measured[n] = (
             float(np.max(np.abs(ham[..., 0] + el))),
@@ -216,6 +216,21 @@ def test_hamilton_residual_component_structure():
     assert agree <= 1e-3 and ident <= 1e-3
     assert measured[64][0] / agree >= 3.0  # second-order shrinkage
     assert measured[64][1] / ident >= 3.0
+
+
+def test_continuous_el_residual_of_the_phase_field_matches_the_jet_oracle():
+    g = GridSpec.from_circle(32, 9, TWO_PI, 0.25)
+    x = np.arange(32) * g.h
+    t = np.arange(9) * g.k
+    wave = Section(g, 0.3 * np.sin(x[None, :] - t[:, None]))
+    for s in (wave, cosine_trajectory(n_space=16, n_steps=8, amp=0.1).section):
+        z, levels = phase_field(s)
+        el, el_levels = continuous_el_residual(z, s.grid, levels)
+        ref, ref_levels = el_oracle(s)
+        assert np.array_equal(el, ref) and el_levels == ref_levels
+        assert np.array_equal(continuous_el_residual(z, s.grid)[0], el)
+    with pytest.raises(OutOfRange):
+        continuous_el_residual(z[:2], s.grid)
 
 
 def test_hamilton_residual_levels_and_errors():

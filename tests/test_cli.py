@@ -13,17 +13,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cosine_trajectory
+
 import chms
+from chms import bridges
 from chms.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
+    _bridges_summary,
     diagnostic_windows,
     format_float,
     main,
+    write_trajectory_csv,
 )
 from chms.config import RunConfig, parse_initial_condition
+from chms.del_solver import Section
 from chms.errors import ConfigError
 
 
@@ -62,6 +68,8 @@ def test_run_config_validation():
 def test_format_float_round_trips():
     for v in (0.1, 1.0 / 3.0, 6.283185307179586, 1e-300, -2.5e17):
         assert float(format_float(v)) == v
+    for v, text in ((np.float64("nan"), '"nan"'), (-np.inf, '"-inf"'), (float("inf"), '"inf"')):
+        assert format_float(v) == text
 
 
 def test_diagnostic_windows():
@@ -87,6 +95,23 @@ def test_run_rest_writes_exact_diagnostics(tmp_path):
     assert lines[0] == "t,i,x,eta,u"
     first = lines[1].split(",")
     assert first[2] == first[3]  # eta == x at rest
+
+
+def test_trajectory_csv_matches_the_per_value_format(tmp_path):
+    s = cosine_trajectory(n_space=8, n_steps=7).section  # levels 0 .. 8
+    d = s.displacement.copy()
+    d[3, 5] = np.nan  # quoted in eta and u of level 3
+    s = Section(s.grid, d)
+    y, h, k = s.rows_y(), s.grid.h, s.grid.k
+    write_trajectory_csv(tmp_path / "t.csv", s, 3)
+    expected = ["t,i,x,eta,u"]
+    for j in (0, 3, 6, 8):
+        u = (y[j + 1] - y[j]) / k if j < 8 else (y[8] - y[7]) / k
+        for i in range(8):
+            t, x, eta = format_float(j * k), format_float(i * h), format_float(y[j, i])
+            expected.append(f"{t},{i},{x},{eta},{format_float(u[i])}")
+    text = (tmp_path / "t.csv").read_text()
+    assert text == "\n".join(expected) + "\n" and text.count('"nan"') == 2
 
 
 def test_run_uniform_momentum_constant(tmp_path):
@@ -189,6 +214,27 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys, flag, value):
                    "--out-dir", str(tmp_path / "nf"))
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--tol-residual", "-1e+16"), ("--cfl", "-inf"), ("--bogus",), ("--n-space",)],
+)
+def test_parse_errors_print_one_line(tmp_path, capsys, args):
+    code = run_cli("run", *args, "--out-dir", str(tmp_path / "pe"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_overflowing_initial_velocity_exits_two(tmp_path, capsys):
+    # b*b of the first rectangle row overflows: rejected before the march.
+    out = tmp_path / "o"
+    code = run_cli("run", "--n-space", "8", "--n-steps", "2", "--cfl", "1e-140",
+                   "--ic", "uniform:1e155", "--out-dir", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gradient" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["missing_config", "binary_config", "negative_seed", "out_dir_is_file"])
@@ -404,12 +450,20 @@ _FLAGS = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(command=st.sampled_from(["run", "check", "converge"]), flags=st.fixed_dictionaries(_FLAGS))
-def test_main_exit_codes_on_fuzzed_flags(command, flags):
-    """Every flag combination ends in a documented exit code with at most
-    one stderr line, and no RuntimeWarning."""
-    # flag=value keeps argparse from reading a value such as -1e+16 as a flag.
-    args = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+@given(
+    command=st.sampled_from(["run", "check", "converge"]),
+    flags=st.fixed_dictionaries(_FLAGS),
+    joined=st.booleans(),
+)
+def test_main_exit_codes_on_fuzzed_flags(command, flags, joined):
+    """Every flag combination, with values given as --flag=value or as a
+    separate token (which argparse may read as a flag, as for -1e+16),
+    ends in a documented exit code with at most one stderr line, and no
+    RuntimeWarning."""
+    args = [command]
+    for flag, value in flags.items():
+        if value is not None:
+            args += [f"{flag}={value}"] if joined else [flag, value]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -417,6 +471,19 @@ def test_main_exit_codes_on_fuzzed_flags(command, flags):
             code = main(args + ["--out-dir", out])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK), args
     assert err.getvalue().count("\n") <= 1, (args, err.getvalue())
+
+
+def test_bridges_summary_builds_the_jets_once(monkeypatch):
+    calls = []
+    real = bridges.section_to_jets
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(bridges, "section_to_jets", counting)
+    assert _bridges_summary(cosine_trajectory(n_space=16, n_steps=8).section) is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,7 @@ from conftest import EPS, fd_gradient, fd_hessian, random_stencil, smooth_eta_de
 from oracles import rect_grad, rect_hess, rect_value
 
 from chms.errors import NonMonotone
-from chms.lagrangian import continuous_density, jacobian_bands
+from chms.lagrangian import _shift, continuous_density, jacobian_bands
 
 
 def test_eval_examples():
@@ -104,3 +104,17 @@ def test_jacobian_bands_of_stacked_rows_match_each_row(rng):
     for m in range(3):
         for band, row in zip(stacked, jacobian_bands(a[m], b[m], c[m], 0.7, 0.4)):
             assert np.array_equal(band[m], row)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 7), (3, 2, 7)])
+def test_shift_is_a_roll_with_the_seam_lift(rng, shape):
+    f = rng.standard_normal(shape)
+    f[..., 0] = f[..., -1] = -0.0  # without a lift the seam keeps its sign
+    for step in (1, -1):
+        for lift in (0.0, 2.0 * math.pi):
+            expected = np.roll(f, -step, axis=-1)
+            if lift:
+                expected[..., -1 if step == 1 else 0] += step * lift
+            out = _shift(f, step, lift)
+            assert np.array_equal(out, expected)
+            assert np.array_equal(np.signbit(out), np.signbit(expected))
