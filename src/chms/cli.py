@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bridges, geometry_checks as gc
 from .config import RunConfig, build_run_config, parse_config_file, parse_diagnostics
-from .del_solver import EvolveResult, Section, evolve, initialize
+from .del_solver import STOP_REASONS, EvolveResult, Section, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError, OutOfRange
 from .grid import classify_region
 from .lagrangian import grad_from_parts, hess_full_from_parts
@@ -128,6 +128,7 @@ def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
                 "newton_iterations": st.iterations,
                 "residual_inf_norm": st.residual_norm,
                 "backtracks": st.backtracks,
+                "stop_reason": st.stop_reason,
                 "total_momentum": momenta[st.step],
                 "action_increment": actions[st.step],
             }
@@ -208,6 +209,10 @@ def run_command(cfg: RunConfig) -> int:
             "momentum_drift_max": drift,
             "max_newton_iterations": max((st.iterations for st in result.steps), default=0),
             "max_residual_inf_norm": max((st.residual_norm for st in result.steps), default=0.0),
+            "stop_reasons": {
+                reason: sum(st.stop_reason == reason for st in result.steps)
+                for reason in STOP_REASONS
+            },
             "failure": None,
         },
     }
@@ -495,11 +500,35 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, dest="max_iters")
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises a parse error as a ConfigError (one stderr line in main)."""
+    """Raises a parse error as a ConfigError (one stderr line in main).
+
+    argparse reads a token such as -inf or -1e+16 as an option, so a
+    float flag followed by a token that parses as a float is joined to it
+    (--cfl -inf becomes --cfl=-inf) and the value reaches validation.
+    """
 
     def error(self, message):
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        float_flags = {o for a in self._actions if a.type is float for o in a.option_strings}
+        joined = []
+        for tok in args:
+            if joined and joined[-1] in float_flags and tok.startswith("-") and _is_float(tok):
+                joined[-1] = f"{joined[-1]}={tok}"
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

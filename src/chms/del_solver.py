@@ -103,12 +103,18 @@ class Section:
         return cls(grid, np.zeros((grid.n_time, grid.n_space)))
 
 
+#: Why Newton accepted a row: the residual met the tolerance, or it
+#: stagnated at the floating-point floor of its own evaluation.
+STOP_REASONS = ("tolerance", "fp_floor")
+
+
 @dataclass(frozen=True)
 class StepStats:
     step: int
     iterations: int
     residual_norm: float
     backtracks: int
+    stop_reason: str  # one of STOP_REASONS
 
 
 @dataclass(frozen=True)
@@ -217,21 +223,9 @@ def _thomas(lower, diag, upper, rhs, u):
     return np.array(xr[::-1]), np.array(xu[::-1])
 
 
-def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
-    """Solve A x = rhs for A cyclic tridiagonal.
-
-    A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
-    Sherman-Morrison correction of plain tridiagonal elimination: for
-    n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
-    lie outside the band, so the correction is exact for every circle.
-    """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+def _solve_cyclic_scalar(lower, diag, upper, rhs):
+    """Sherman-Morrison corrected scalar elimination (float arrays, n >= 3)."""
     n = diag.size
-    if n < 3:
-        raise ValueError("a cyclic tridiagonal system needs n >= 3")
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
     d[0] -= gamma
@@ -245,6 +239,132 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
         raise SingularJacobian("singular Sherman-Morrison correction")
     factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
     return y - factor * z
+
+
+# Rows of at least this many unknowns take the partitioned solve.  Shorter
+# rows keep the scalar sweep, whose result is bit-identical to textbook
+# elimination, where the partitioned solve gains least (CHANGES.md has
+# the timings that set this size and the block length).
+_PARTITION_MIN_N = 512
+
+
+def _blocks(v, p: int, b: int, n_long: int, pad: float) -> np.ndarray:
+    """v laid out as (p, b): row m holds block m, its separator first.
+
+    The first n_long blocks hold b points and the rest b - 1, so the
+    short blocks end in one pad entry (a decoupled identity row when
+    pad is 1 on the diagonal and 0 elsewhere)."""
+    if n_long == p:
+        return v.reshape(p, b)
+    out = np.empty((p, b))
+    out[:n_long] = v[: n_long * b].reshape(n_long, b)
+    out[n_long:, :-1] = v[n_long * b :].reshape(p - n_long, b - 1)
+    out[n_long:, -1] = pad
+    return out
+
+
+def _solve_partitioned(lower, diag, upper, rhs):
+    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows.
+
+    One separator opens every block of about sqrt(n)/4 points.  The
+    segments between separators are eliminated all at once, one NumPy
+    step per column across every segment, in the order of Gaussian
+    elimination within each segment, with three right-hand sides: rhs
+    and the couplings to the left and right separators.  The separators
+    then solve a cyclic tridiagonal Schur-complement system of about
+    4*sqrt(n) unknowns on the scalar path, and the segments
+    back-substitute.  Runs with floating-point errors ignored: a zero
+    or non-finite pivot raises SingularJacobian.
+    """
+    n = diag.size
+    p = n // (math.isqrt(n) // 4)
+    q, r = divmod(n, p)
+    b = q + (r > 0)  # block length, separator included
+    n_long = r or p
+    w = b - 1  # segment columns
+    lo, di, up, rr = (
+        _blocks(v, p, b, n_long, pad)
+        for v, pad in ((lower, 0.0), (diag, 1.0), (upper, 0.0), (rhs, 0.0))
+    )
+    piv = np.empty((w, p))
+    c = np.empty((w, p))
+    # x[j] holds column j of every segment's solution for the right-hand
+    # sides rhs, left coupling and right coupling, in that order.
+    x = np.zeros((w, 3, p))
+    x[:, 0] = rr[:, 1:].T
+    x[0, 1] = lo[:, 1]
+    tmp, tmp2, tmp3 = np.empty(p), np.empty((2, p)), np.empty((3, p))
+    with np.errstate(all="ignore"):
+        piv[0] = di[:, 1]
+        np.divide(up[:, 1], piv[0], out=c[0])
+        np.divide(x[0, :2], piv[0], out=x[0, :2])
+        for j in range(1, w):
+            lj, pj, xj = lo[:, j + 1], piv[j], x[j, :2]
+            np.multiply(lj, c[j - 1], out=tmp)
+            np.subtract(di[:, j + 1], tmp, out=pj)
+            np.divide(up[:, j + 1], pj, out=c[j])
+            np.multiply(lj, x[j - 1, :2], out=tmp2)
+            np.subtract(xj, tmp2, out=xj)
+            np.divide(xj, pj, out=xj)
+        bad = ~np.isfinite(piv) | (piv == 0.0)
+        if bad.any():
+            # A pad row's pivot fails only after a non-finite multiplier
+            # in the row before it; it then names the next separator.
+            j, m = np.unravel_index(np.argmax(bad), bad.shape)
+            row = (m * b - max(0, m - n_long) + j + 1) % n
+            raise SingularJacobian(f"zero pivot at row {row}")
+        # The right coupling enters at each segment's last real row, where
+        # its eliminated value is that row's multiplier; a pad row after
+        # it keeps the value 0 and decouples.
+        x[w - 1, 2, :n_long] = c[w - 1, :n_long]
+        x[w - 2, 2, n_long:] = c[w - 2, n_long:]
+        for j in range(w - 2, -1, -1):
+            np.multiply(c[j], x[j + 1], out=tmp3)
+            np.subtract(x[j], tmp3, out=x[j])
+        first = x[0]
+        last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
+        sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[:, 0]
+        try:
+            xs = _solve_cyclic_scalar(
+                -sl * last[1],
+                sd - sl * last[2] - su * first[1],
+                -su * first[2],
+                sr - sl * last[0] - su * first[0],
+            )
+        except SingularJacobian as exc:
+            raise SingularJacobian(f"separator system: {exc}") from exc
+        xi = x[:, 0] - x[:, 1] * xs - x[:, 2] * _shift(xs, 1)
+    out = np.empty(n)
+    head = out[: n_long * b].reshape(n_long, b)
+    tail = out[n_long * b :].reshape(p - n_long, w)
+    head[:, 0] = xs[:n_long]
+    head[:, 1:] = xi[:, :n_long].T
+    tail[:, 0] = xs[n_long:]
+    tail[:, 1:] = xi[: w - 1, n_long:].T
+    return out
+
+
+def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
+    """Solve A x = rhs for A cyclic tridiagonal.
+
+    A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
+    Sherman-Morrison correction of plain tridiagonal elimination: for
+    n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
+    lie outside the band, so the correction is exact for every circle.
+    From n = 512 on, the partition method eliminates the segments between
+    separators in vectorized steps and corrects only the separators' small
+    system this way.  A zero or non-finite pivot raises SingularJacobian.
+    """
+    lower = np.asarray(lower, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    n = diag.size
+    if n < 3:
+        raise ValueError("a cyclic tridiagonal system needs n >= 3")
+    if n >= _PARTITION_MIN_N:
+        return _solve_partitioned(lower, diag, upper, rhs)
+    return _solve_cyclic_scalar(lower, diag, upper, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +410,11 @@ def advance_row(
         if it == 0:
             scale = max(1.0, float(f_scale))
         if norm <= cfg.tol_residual * scale:
-            return yp1, StepStats(0, it, norm, backtracks)
+            return yp1, StepStats(0, it, norm, backtracks, "tolerance")
         # Stagnation at the attainable floating-point floor of the
         # residual evaluation also counts as converged.
         if it > 0 and norm <= floor and norm >= 0.25 * prev_norm:
-            return yp1, StepStats(0, it, norm, backtracks)
+            return yp1, StepStats(0, it, norm, backtracks, "fp_floor")
         if it == cfg.max_iters:
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
@@ -349,7 +469,7 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
             break
         disp[rows_done] = yp1 - xs
         rows_done += 1
-        stats.append(StepStats(m, st.iterations, st.residual_norm, st.backtracks))
+        stats.append(StepStats(m, st.iterations, st.residual_norm, st.backtracks, st.stop_reason))
     out = Section(g.with_time_levels(rows_done), disp[:rows_done])
     return EvolveResult(out, stats, failure)
 

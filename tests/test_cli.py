@@ -97,6 +97,23 @@ def test_run_rest_writes_exact_diagnostics(tmp_path):
     assert first[2] == first[3]  # eta == x at rest
 
 
+@pytest.mark.parametrize("n_space, expected", [(16, {"tolerance"}), (64, {"tolerance", "fp_floor"})])
+def test_run_reports_newton_stop_reasons(tmp_path, n_space, expected):
+    # Order-one rows meet the tolerance; at n = 64 the residual mostly
+    # stagnates at its floating-point floor first.
+    out = tmp_path / "stop"
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", str(n_space), "--n-steps", "10",
+                   "--out-dir", str(out))
+    assert code == EXIT_OK
+    report = json.loads((out / "diagnostics.json").read_text())
+    reasons = [rec["stop_reason"] for rec in report["steps"]]
+    assert set(reasons) == expected
+    assert report["summary"]["stop_reasons"] == {
+        "tolerance": reasons.count("tolerance"),
+        "fp_floor": reasons.count("fp_floor"),
+    }
+
+
 def test_trajectory_csv_matches_the_per_value_format(tmp_path):
     s = cosine_trajectory(n_space=8, n_steps=7).section  # levels 0 .. 8
     d = s.displacement.copy()
@@ -216,15 +233,27 @@ def test_non_finite_inputs_exit_two(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+_PARSE_ERRORS = [
+    # A negative or non-finite value given as its own token names the bad
+    # value, exactly as the --flag=value spelling does.
+    (("--tol-residual", "-1e+16"), "solver: tol_residual must be positive and finite"),
+    (("--cfl", "-inf"), "cfl: must be positive and finite"),
+    (("--bogus",), "unrecognized arguments: --bogus"),
+    (("--n-space",), "argument --n-space: expected one argument"),
+    (("--cfl", "-1e-3"), "cfl: must be positive and finite"),
+    (("--domain-length", "-nan"), "domain_length: must be positive and finite"),
+    (("--cfl", "--n-space", "8"), "argument --cfl: expected one argument"),
+]
+
+
 @pytest.mark.parametrize(
-    "args",
-    [("--tol-residual", "-1e+16"), ("--cfl", "-inf"), ("--bogus",), ("--n-space",)],
+    "args, message", _PARSE_ERRORS, ids=[f"args{i}" for i in range(len(_PARSE_ERRORS))]
 )
-def test_parse_errors_print_one_line(tmp_path, capsys, args):
+def test_parse_errors_print_one_line(tmp_path, capsys, args, message):
     code = run_cli("run", *args, "--out-dir", str(tmp_path / "pe"))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert err == f"config error: {message}\n", err
 
 
 def test_overflowing_initial_velocity_exits_two(tmp_path, capsys):
@@ -457,20 +486,28 @@ _FLAGS = {
 )
 def test_main_exit_codes_on_fuzzed_flags(command, flags, joined):
     """Every flag combination, with values given as --flag=value or as a
-    separate token (which argparse may read as a flag, as for -1e+16),
-    ends in a documented exit code with at most one stderr line, and no
-    RuntimeWarning."""
-    args = [command]
-    for flag, value in flags.items():
-        if value is not None:
-            args += [f"{flag}={value}"] if joined else [flag, value]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(args + ["--out-dir", out])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK), args
-    assert err.getvalue().count("\n") <= 1, (args, err.getvalue())
+    separate token (which argparse would read as a flag, as for -1e+16 or
+    -inf), ends in a documented exit code with at most one stderr line,
+    and no RuntimeWarning.  A config error from separate tokens is the one
+    the --flag=value spelling gives."""
+
+    def run(join):
+        args = [command]
+        for flag, value in flags.items():
+            if value is not None:
+                args += [f"{flag}={value}"] if join else [flag, value]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args + ["--out-dir", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK), args
+        assert err.getvalue().count("\n") <= 1, (args, err.getvalue())
+        return code, err.getvalue()
+
+    outcome = run(joined)
+    if not joined and outcome[0] == EXIT_CONFIG:
+        assert outcome == run(True), flags
 
 
 def test_bridges_summary_builds_the_jets_once(monkeypatch):

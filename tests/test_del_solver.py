@@ -9,6 +9,7 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     _row_parts,
+    _solve_cyclic_scalar,
     advance_row,
     del_residual_row,
     evolve,
@@ -159,7 +160,7 @@ def test_step_rest_converges_at_initial_guess():
     g = o1_grid(n_space=12, n_time=2)
     s = Section.identity(g)
     new_row, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
-    assert stats.iterations == 0
+    assert stats.iterations == 0 and stats.stop_reason == "tolerance"
     assert np.allclose(new_row, s.row_y(1), atol=1e-14)
 
 
@@ -268,13 +269,14 @@ def test_cyclic_tridiagonal_singular():
 
 
 @pytest.mark.parametrize(
-    "n, bad", [(5, np.nan), (5, np.inf), (5, -np.inf), (12, np.nan), (12, np.inf), (12, -np.inf)]
+    "n, bad",
+    [(n, bad) for n in (5, 12, 1000, 1031) for bad in (np.nan, np.inf, -np.inf)],
 )
-@pytest.mark.parametrize("row", [0, 3])
+@pytest.mark.parametrize("row", [0, 3])  # from n = 512 on: a separator, a segment row
 def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
     diag = np.full(n, 4.0)
     diag[row] = bad
-    with pytest.raises(SingularJacobian):
+    with np.errstate(all="raise"), pytest.raises(SingularJacobian):
         solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
 
 
@@ -301,9 +303,32 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
             assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
+EPS = np.finfo(float).eps
+
+#: Near-singular draws: each row's diagonal exceeds the sum of its
+#: off-diagonals by a margin down to 1e-6 of them, so the condition number
+#: reaches about 1e7 and only the backward error stays at rounding level.
+TIGHT = st.one_of(st.just(1.0), st.floats(1e-6, 1e-1))
+
+
+def backward_error(lower, diag, upper, x, rhs):
+    """Normwise ||A x - rhs|| / (||A|| ||x||) in the max norm."""
+    ax = diag * x + lower * np.roll(x, 1) + upper * np.roll(x, -1)
+    norm_a = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
+    return np.max(np.abs(ax - rhs)) / (norm_a * np.max(np.abs(x)))
+
+
+def dominant_bands(rng, n, tight=1.0):
+    lower = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(-1.0, 1.0, n)
+    margin = tight * rng.uniform(0.5, 4.0, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    return lower, sign * (np.abs(lower) + np.abs(upper) + margin), upper
+
+
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(3, 40), data=st.data())
-def test_cyclic_solve_matches_dense_on_dominant_bands(n, data):
+@given(n=st.integers(3, 40), tight=TIGHT, data=st.data())
+def test_cyclic_solve_matches_dense_on_dominant_bands(n, tight, data):
     # Covers the smallest circles (n = 3..7) as well as larger ones: the
     # corner entries lie outside the band for every n >= 3.
     unit = st.floats(-1.0, 1.0)
@@ -312,12 +337,93 @@ def test_cyclic_solve_matches_dense_on_dominant_bands(n, data):
     margin = np.array(data.draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n)))
     sign = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
     rhs = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-    diag = sign * (np.abs(lower) + np.abs(upper) + margin)
+    diag = sign * (np.abs(lower) + np.abs(upper) + tight * margin)
     x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    if np.any(rhs):
+        assert backward_error(lower, diag, upper, x, rhs) <= 8 * EPS
+    if tight == 1.0:
+        dense = dense_cyclic(lower, diag, upper)
+        reference = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+        assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+def long_row_bands(kind, n):
+    """Newton bands of a cosine trajectory's row, or random dominant bands."""
+    if kind == "dominant":
+        return dominant_bands(np.random.default_rng(n), n)
+    s = cosine_trajectory(n_space=n, n_steps=2).section
+    a, b, c = _row_parts(s.row_y(2), s.row_y(3), s.grid)
+    return jacobian_bands(a, b, c, s.grid.h, s.grid.k)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "dominant"])
+@pytest.mark.parametrize("n", [300, 511, 512, 1000, 1024, 1031])
+def test_long_row_solve_matches_dense(kind, n):
+    # Both sides of the switch to the partitioned solve at n = 512; 1000
+    # and the prime 1031 leave some blocks one point short.
+    lower, diag, upper = long_row_bands(kind, n)
     dense = dense_cyclic(lower, diag, upper)
-    reference = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
-    assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+    for rhs in np.random.default_rng(n + 1).standard_normal((2, n)):
+        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        reference = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+        scalar = _solve_cyclic_scalar(lower, diag, upper, rhs)
+        # Backward errors below one rounding are noise: the ratio of two
+        # of them has read 3.75 at 5e-18.
+        floor = max(backward_error(lower, diag, upper, scalar, rhs), EPS)
+        assert backward_error(lower, diag, upper, x, rhs) <= 4 * floor
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(512, 1100), tight=TIGHT, seed=st.integers(0, 2**32 - 1))
+def test_long_row_solve_backward_error_on_dominant_bands(n, tight, seed):
+    rng = np.random.default_rng(seed)
+    lower, diag, upper = dominant_bands(rng, n, tight)
+    rhs = rng.uniform(-10.0, 10.0, n)
+    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    scalar = _solve_cyclic_scalar(lower, diag, upper, rhs)
+    error = backward_error(lower, diag, upper, x, rhs)
+    assert error <= 4 * max(backward_error(lower, diag, upper, scalar, rhs), EPS)
+    assert error <= 8 * EPS
+    if tight == 1.0:
+        assert np.max(np.abs(x - scalar)) <= 1e-12 * np.max(np.abs(scalar))
+
+
+def test_long_row_non_finite_multiplier_before_a_pad_row():
+    # n = 1031 leaves the last block one point short; an infinite upper
+    # entry on its last row fails the pad row's pivot, which is reported
+    # as row 0, the separator after it, as the scalar sweep would.
+    n = 1031
+    upper = np.ones(n)
+    upper[-1] = np.inf
+    with np.errstate(all="raise"), pytest.raises(SingularJacobian, match="zero pivot at row 0$"):
+        solve_cyclic_tridiagonal(np.ones(n), np.full(n, 4.0), upper, np.ones(n))
+
+
+@pytest.mark.parametrize("n", [1000, 1031])
+def test_long_row_zero_pivot_at_any_row(n):
+    # A diagonal matrix with one zero entry: wherever it falls, on a
+    # separator or inside a segment, the solve reports it.
+    on_separator = set()
+    for row in range(40):
+        diag = np.ones(n)
+        diag[row] = 0.0
+        with np.errstate(all="raise"), pytest.raises(SingularJacobian) as info:
+            solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), np.ones(n))
+        on_separator.add(str(info.value).startswith("separator system"))
+    assert on_separator == {True, False}
+
+
+def test_long_row_zero_pivot_after_first_segment_row():
+    # Row 1 opens the first segment with pivot 2, so row 2 eliminates to
+    # 0.5 - 1 * (1 / 2) = 0 exactly.
+    n = 1031
+    diag = np.full(n, 4.0)
+    diag[1] = 2.0
+    diag[2] = 0.5
+    with np.errstate(all="raise"), pytest.raises(SingularJacobian, match="zero pivot at row 2$"):
+        solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
 
 
 def test_wave_breaking_reported():
