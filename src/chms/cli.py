@@ -12,12 +12,13 @@ import json
 import math
 import numbers
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bridges, geometry_checks as gc
-from .config import RunConfig, build_run_config, parse_config_file, parse_diagnostics
+from .config import DEFAULTS, RunConfig, _coerce, build_run_config, parse_config_file
 from .del_solver import STOP_REASONS, EvolveResult, Section, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError, OutOfRange
 from .grid import classify_region
@@ -66,8 +67,15 @@ def _json_value(v, indent: int) -> str:
     return json.dumps(str(v))
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot write {str(path)!r}: {exc}") from exc
+
+
 def dump_json(obj, path: Path) -> None:
-    path.write_text(_json_value(obj, 0) + "\n", encoding="utf-8")
+    _write_text(path, _json_value(obj, 0) + "\n")
 
 
 def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
@@ -90,7 +98,7 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
         t = format_float(j * g.k)
         rows = zip(ix, eta.tolist(), u.tolist())
         lines += [f"{t}{x}{format_float(e)},{format_float(v)}" for x, e, v in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +306,11 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
     sections = []
     status = "ok"
     failure = None
-    for f in levels:
-        level_cfg = dataclasses.replace(cfg, n_space=cfg.n_space * f, n_steps=cfg.n_steps * f)
+    # Every refined level is validated before the first one runs.
+    level_cfgs = [
+        dataclasses.replace(cfg, n_space=cfg.n_space * f, n_steps=cfg.n_steps * f) for f in levels
+    ]
+    for f, level_cfg in zip(levels, level_cfgs):
         result = _execute(level_cfg)
         if not result.ok:
             status = "aborted"
@@ -381,7 +392,24 @@ def _boundary_ratio(total: float, scale: float) -> float:
     return 0.0 if total == 0.0 else math.inf
 
 
-def _check(name: str, value: float, threshold: float) -> dict:
+#: The pass bound of each check: the identities hold to rounding or
+#: exactly, the theorem checks to the Newton tolerance's precision.
+CHECK_BOUNDS = {
+    "omega_closure_identity": 1e-12,
+    "momentum_closure_identity": 1e-12,
+    "hessian_row_sum_zero": 1e-12,
+    "legendre_hamiltonian_identity": 8.0 * sys.float_info.epsilon,
+    "omega_pair_skew_exact": 0.0,
+    "presymplectic_matrix_entries": 0.0,
+    "presymplectic_rank_degeneracy": 0.0,
+    "noether_boundary_sum_on_shell": 1e-9,
+    "mff_boundary_sum_on_shell": 1e-8,
+    "total_momentum_drift": 1e-9,
+}
+
+
+def _check(name: str, value: float) -> dict:
+    threshold = CHECK_BOUNDS[name]
     status = "PASS" if value <= threshold else "FAIL"
     return {"name": name, "status": status, "value": value, "threshold": threshold}
 
@@ -414,13 +442,13 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     hess = hess_full_from_parts(a, b, c, h, k)
     batch = (4,) + a.shape
     omega = gc.omega_from_hess(hess, rng.standard_normal(batch), rng.standard_normal(batch))
-    checks.append(_check("omega_closure_identity", _closure_ratio(omega), 1e-12))
+    checks.append(_check("omega_closure_identity", _closure_ratio(omega)))
     momentum = rng.uniform(-2.0, 2.0, a.shape) * np.stack(grad_from_parts(a, b, c, h, k))
-    checks.append(_check("momentum_closure_identity", _closure_ratio(momentum), 1e-12))
+    checks.append(_check("momentum_closure_identity", _closure_ratio(momentum)))
     row_sums = np.max(np.abs(hess.sum(axis=-1)), axis=-1) / np.maximum(
         np.max(np.abs(hess), axis=(-2, -1)), 1e-300
     )
-    checks.append(_check("hessian_row_sum_zero", float(np.max(row_sums)), 1e-12))
+    checks.append(_check("hessian_row_sum_zero", float(np.max(row_sums))))
 
     vals = rng.uniform(-2.0, 2.0, size=(6, 1000))
     jet = bridges.Jet3Sample(
@@ -437,30 +465,30 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     lhs = bridges.hamiltonian(jet) + z.px * jet.eta_x + z.pt * jet.eta_t + z.ptx * jet.eta_tx
     scale = np.maximum(np.max(np.abs([dens, z.px * jet.eta_x, z.pt * jet.eta_t]), axis=0), 1.0)
     worst_ham = float(np.max(np.abs(lhs - dens) / scale))
-    checks.append(_check("legendre_hamiltonian_identity", worst_ham, 8.0 * sys.float_info.epsilon))
+    checks.append(_check("legendre_hamiltonian_identity", worst_ham))
 
     u, v = np.moveaxis(rng.standard_normal((200, 2, 6)), 1, 0)
     (w1, w0), (s1, s0) = bridges.omega_pair(u, v), bridges.omega_pair(v, u)
     worst_skew = float(max(np.max(np.abs(w1 + s1)), np.max(np.abs(w0 + s0))))
-    checks.append(_check("omega_pair_skew_exact", worst_skew, 0.0))
+    checks.append(_check("omega_pair_skew_exact", worst_skew))
     entry_err = max(
         abs(bridges.omega_pair([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0])[0] + 1.0),
         abs(bridges.omega_pair([1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0])[1] + 1.0),
     )
-    checks.append(_check("presymplectic_matrix_entries", entry_err, 0.0))
+    checks.append(_check("presymplectic_matrix_entries", entry_err))
     rank_err = abs(bridges.rank_by_elimination(bridges.B1) - 4) + abs(
         bridges.rank_by_elimination(bridges.B0) - 2
     )
-    checks.append(_check("presymplectic_rank_degeneracy", float(rank_err), 0.0))
+    checks.append(_check("presymplectic_rank_degeneracy", float(rank_err)))
 
     windows = _window_records(target, noether=True, tangents=tangents)
-    for name, threshold in (("noether", 1e-9), ("mff", 1e-8)):
+    for name in ("noether", "mff"):
         worst = max(_boundary_ratio(w[f"{name}_boundary_sum"], w[f"{name}_abs_sum"]) for w in windows)
-        checks.append(_check(f"{name}_boundary_sum_on_shell", worst, threshold))
+        checks.append(_check(f"{name}_boundary_sum_on_shell", worst))
 
     p0, drift = _drift(gc.level_series(target)[0])
     drift_scale = max(abs(p0), gc.total_momentum_scale(target, 0), 1e-300)
-    checks.append(_check("total_momentum_drift", drift / drift_scale, 1e-9))
+    checks.append(_check("total_momentum_drift", drift / drift_scale))
 
     info = _bridges_summary(target)
     if info is not None:
@@ -485,19 +513,21 @@ def check_command(cfg: RunConfig) -> int:
 # Argument parsing.
 
 
+_FLAG_HELP = {
+    "ic": "rest | uniform:c | cosine:a | gaussian_bump:a,w",
+    "diagnostics": "comma list of noether,mff,bridges (or all/none)",
+}
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """--config, and a flag for each run setting (--n-space sets n_space)
+    whose value parses as the setting's config-file value does;
+    inject_off_shell is the check command's switch."""
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--n-space", type=int, dest="n_space")
-    p.add_argument("--n-steps", type=int, dest="n_steps")
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--domain-length", type=float, dest="domain_length")
-    p.add_argument("--ic", help="rest | uniform:c | cosine:a | gaussian_bump:a,w")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--save-every", type=int, dest="save_every")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--diagnostics", help="comma list of noether,mff,bridges (or all/none)")
-    p.add_argument("--tol-residual", type=float, dest="tol_residual")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
+    for name in DEFAULTS:
+        if name != "inject_off_shell":
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=partial(_coerce, name), help=_FLAG_HELP.get(name))
 
 
 def _is_float(text: str) -> bool:
@@ -514,14 +544,23 @@ class _Parser(argparse.ArgumentParser):
     argparse reads a token such as -inf or -1e+16 as an option, so a
     float flag followed by a token that parses as a float is joined to it
     (--cfl -inf becomes --cfl=-inf) and the value reaches validation.
+    argparse also drops the value of --ic=--, leaving [] in its place; it
+    is kept, as a config file keeps "ic = --".
     """
 
     def error(self, message):
         raise ConfigError(message)
 
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        float_flags = {o for a in self._actions if a.type is float for o in a.option_strings}
+        float_flags = {
+            o for a in self._actions if isinstance(DEFAULTS.get(a.dest), float) for o in a.option_strings
+        }
         joined = []
         for tok in args:
             if joined and joined[-1] in float_flags and tok.startswith("-") and _is_float(tok):
@@ -548,6 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument(
         "--inject-off-shell",
         action="store_true",
+        default=None,  # absent: a config file's value stands
         dest="inject_off_shell",
         help="perturb the trajectory so the theorem checks must fail",
     )
@@ -556,23 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {
-        "n_space": args.n_space,
-        "n_steps": args.n_steps,
-        "cfl": args.cfl,
-        "domain_length": args.domain_length,
-        "ic": args.ic,
-        "out_dir": args.out_dir,
-        "save_every": args.save_every,
-        "seed": args.seed,
-        "tol_residual": args.tol_residual,
-        "max_iters": args.max_iters,
-    }
-    if args.diagnostics is not None:
-        overrides["diagnostics"] = parse_diagnostics(args.diagnostics)
-    if getattr(args, "inject_off_shell", False):
-        overrides["inject_off_shell"] = True
-    return build_run_config(file_values, overrides)
+    return build_run_config(file_values, {name: getattr(args, name, None) for name in DEFAULTS})
 
 
 def main(argv=None) -> int:
@@ -592,6 +616,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     except (ConfigError, BadInitialData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # A run larger than the memory at hand is a configuration error.
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except (ChmsError, FloatingPointError) as exc:
         # Anything else the package raises, including a diagnostics

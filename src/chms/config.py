@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,10 +81,8 @@ class RunConfig:
     save_every: int = 1
     seed: int = 20240
     diagnostics: tuple[str, ...] = ("noether",)
-    tol_residual: float = 1e-12
-    max_iters: int = 50
-    damping: float = 0.5
-    max_backtracks: int = 30
+    tol_residual: float = SolverConfig.tol_residual
+    max_iters: int = SolverConfig.max_iters
     inject_off_shell: bool = False
 
     def __post_init__(self):
@@ -91,6 +90,12 @@ class RunConfig:
             raise ConfigError("n_space: must be at least 3")
         if self.n_steps < 0:
             raise ConfigError("n_steps: must be nonnegative")
+        # The march holds n_steps + 2 rows of n_space floats at once.
+        if (self.n_steps + 2) * self.n_space * 8 > sys.maxsize:
+            raise ConfigError(
+                f"n_space, n_steps: a trajectory of ({self.n_steps} + 2) x {self.n_space} "
+                "floats is too large to address"
+            )
         if not (math.isfinite(self.domain_length) and self.domain_length > 0.0):
             raise ConfigError("domain_length: must be positive and finite")
         if not (math.isfinite(self.cfl) and self.cfl > 0.0):
@@ -120,7 +125,7 @@ class RunConfig:
         return GridSpec.from_circle(self.n_space, n_time, self.domain_length, self.cfl)
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(self.tol_residual, self.max_iters, self.damping, self.max_backtracks)
+        return SolverConfig(self.tol_residual, self.max_iters)
 
     def u0(self):
         return parse_initial_condition(self.ic, self.domain_length)
@@ -139,25 +144,17 @@ class RunConfig:
             "save_every": self.save_every,
             "seed": self.seed,
             "diagnostics": list(self.diagnostics),
-            "solver": {
-                "tol_residual": self.tol_residual,
-                "max_iters": self.max_iters,
-                "damping": self.damping,
-                "max_backtracks": self.max_backtracks,
-            },
+            "solver": {"tol_residual": self.tol_residual, "max_iters": self.max_iters},
         }
 
 
-_INT_KEYS = {"n_space", "n_steps", "save_every", "seed", "max_iters", "max_backtracks"}
-_FLOAT_KEYS = {"domain_length", "cfl", "tol_residual", "damping"}
-_STR_KEYS = {"ic", "out_dir"}
-_BOOL_KEYS = {"inject_off_shell"}
+#: Each setting's default; its type is the type of the setting's value.
+DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys rejected."""
     values: dict = {}
-    known = {f.name for f in fields(RunConfig)}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -172,29 +169,10 @@ def parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, val)
     return values
-
-
-def _coerce(key: str, val: str):
-    try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key in _BOOL_KEYS:
-            if val.lower() in ("1", "true", "yes"):
-                return True
-            if val.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError("expected a boolean")
-        if key == "diagnostics":
-            return parse_diagnostics(val)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {val!r}: {exc}") from exc
-    return val
 
 
 def parse_diagnostics(val: str) -> tuple[str, ...]:
@@ -204,6 +182,26 @@ def parse_diagnostics(val: str) -> tuple[str, ...]:
     if val in ("none", ""):
         return ()
     return tuple(part.strip() for part in val.split(",") if part.strip())
+
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() in ("1", "true", "yes"):
+        return True
+    if val.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple: parse_diagnostics, str: str}
+
+
+def _coerce(key: str, val: str):
+    """The value of setting `key` from its text (in a file or a flag),
+    parsed by the type of the setting's default."""
+    try:
+        return _PARSERS[type(DEFAULTS[key])](val)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {val!r}: {exc}") from exc
 
 
 def build_run_config(file_values: dict | None, overrides: dict) -> RunConfig:

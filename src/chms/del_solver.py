@@ -41,16 +41,29 @@ class SolverConfig:
 
     tol_residual: float = 1e-12
     max_iters: int = 50
-    damping: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if not (math.isfinite(self.tol_residual) and self.tol_residual > 0.0):
             raise ValueError("tol_residual must be positive and finite")
-        if self.max_iters <= 0 or self.max_backtracks <= 0:
-            raise ValueError("solver controls must be positive")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
+
+
+# The solver's fixed tolerances, all relative to the Newton tolerance or
+# to the floating-point floor of the residual evaluation.
+#: The tangent march accepts a base level whose residual is within this
+#: multiple of the Newton tolerance of its scale.
+ON_SHELL_FACTOR = 100.0
+#: The attainable floor of a row residual, in ulps of the row values
+#: times the Jacobian norm.
+FP_FLOOR_ULPS = 16.0
+#: Newton has stagnated at that floor when an update shrinks the
+#: residual by less than this ratio.
+STAGNATION_RATIO = 0.25
+# A Newton step that leaves the row non-monotone is halved up to this
+# many times; then the row counts as wave breaking.
+_DAMPING = 0.5
+_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +239,9 @@ def _thomas(lower, diag, upper, rhs, u):
 def _solve_cyclic_scalar(lower, diag, upper, rhs):
     """Sherman-Morrison corrected scalar elimination (float arrays, n >= 3)."""
     n = diag.size
+    # Checked here: against a zero corner, 0 * inf below would be nan.
+    if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
+        raise SingularJacobian("non-finite corner entry")
     gamma = -diag[0] if diag[0] != 0.0 else 1.0
     d = diag.copy()
     d[0] -= gamma
@@ -353,7 +369,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     lie outside the band, so the correction is exact for every circle.
     From n = 512 on, the partition method eliminates the segments between
     separators in vectorized steps and corrects only the separators' small
-    system this way.  A zero or non-finite pivot raises SingularJacobian.
+    system this way.  A zero or non-finite pivot, or a non-finite corner
+    entry, raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -413,13 +430,13 @@ def advance_row(
             return yp1, StepStats(0, it, norm, backtracks, "tolerance")
         # Stagnation at the attainable floating-point floor of the
         # residual evaluation also counts as converged.
-        if it > 0 and norm <= floor and norm >= 0.25 * prev_norm:
+        if it > 0 and norm <= floor and norm >= STAGNATION_RATIO * prev_norm:
             return yp1, StepStats(0, it, norm, backtracks, "fp_floor")
         if it == cfg.max_iters:
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
         jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-        floor = 16.0 * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))
+        floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))
         prev_norm = norm
         delta = solve_cyclic_tridiagonal(lower, diag, upper, -f)
         alpha = 1.0
@@ -427,12 +444,12 @@ def advance_row(
         tries = 0
         while not _monotone(cand, lam, delta_min):
             tries += 1
-            if tries > cfg.max_backtracks:
+            if tries > _MAX_BACKTRACKS:
                 raise NonMonotone(
                     "no damped Newton step keeps the row monotone "
                     "(numerical wave breaking)"
                 )
-            alpha *= cfg.damping
+            alpha *= _DAMPING
             cand = yp1 + alpha * delta
         backtracks += tries
         yp1 = cand

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NotOnShell, OutOfRange, SingularJacobian
 from .grid import GridSpec, Region
 from .del_solver import (
+    ON_SHELL_FACTOR,
     Section,
     SolverConfig,
     _level_equation,
@@ -26,10 +27,6 @@ from .del_solver import (
     solve_cyclic_tridiagonal,
 )
 from .lagrangian import _shift, eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
-
-#: The tangent march accepts a base level whose residual is within this
-#: multiple of the Newton tolerance of its scale.
-ON_SHELL_FACTOR = 100.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import cosine_trajectory
 
 import chms
-from chms import bridges
+from chms import bridges, cli
 from chms.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -28,7 +28,7 @@ from chms.cli import (
     main,
     write_trajectory_csv,
 )
-from chms.config import RunConfig, parse_initial_condition
+from chms.config import DEFAULTS, RunConfig, parse_initial_condition
 from chms.del_solver import Section
 from chms.errors import ConfigError
 
@@ -243,6 +243,8 @@ _PARSE_ERRORS = [
     (("--cfl", "-1e-3"), "cfl: must be positive and finite"),
     (("--domain-length", "-nan"), "domain_length: must be positive and finite"),
     (("--cfl", "--n-space", "8"), "argument --cfl: expected one argument"),
+    # argparse drops a value that is exactly "--"; it reaches the parser.
+    (("--max-iters=--",), "max_iters: cannot parse '--': invalid literal for int() with base 10: '--'"),
 ]
 
 
@@ -285,6 +287,57 @@ def test_unusable_inputs_exit_two(tmp_path, capsys, case):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "--n-space", _HUGE, "--n-steps", "1"),
+        ("run", "--n-space", "8", "--n-steps", _HUGE),
+        ("check", "--n-space", _HUGE, "--n-steps", "1"),
+        # The refined levels are validated before the first one runs.
+        ("converge", "--n-space", "8", "--n-steps", "2", "--levels", f"1,2,{10**18}"),
+    ],
+)
+def test_unaddressable_sizes_exit_two(tmp_path, capsys, args):
+    # (n_steps + 2) * n_space floats of 8 bytes exceed sys.maxsize.
+    assert run_cli(*args, "--out-dir", str(tmp_path / "o")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_space, n_steps:") and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "convergence.json").exists()
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def no_memory(u0, g):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000000,)")
+
+    monkeypatch.setattr(cli, "initialize", no_memory)
+    code = run_cli("run", "--n-space", "8", "--n-steps", "1", "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: out of memory: Unable to allocate 22.4 GiB for an array "
+        "with shape (3000000000,)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("run", "trajectory.csv"), ("run", "diagnostics.json"), ("check", "check.json"),
+     ("converge", "convergence.json")],
+)
+def test_unwritable_output_file_exits_two(tmp_path, capsys, command, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    code = run_cli(command, "--ic", "cosine:0.1", "--n-space", "8", "--n-steps", "2",
+                   "--out-dir", str(out))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: out_dir: cannot write {str(out / name)!r}:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_run_diagnostics_failure_exits_three(tmp_path, capsys):
     # The label-form residual at n_space 512 is above the tangent-linear
     # on-shell gate, so the mff diagnostics raise NotOnShell.
@@ -301,6 +354,16 @@ def test_run_diagnostics_failure_exits_three(tmp_path, capsys):
     assert summary["failure"]["stage"] == "diagnostics"
     assert summary["failure"]["error"] == "NotOnShell"
     assert "does not solve the field equations" in summary["failure"]["message"]
+
+
+def test_config_file_inject_off_shell_without_the_flag(tmp_path):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("inject_off_shell = true\nic = cosine:0.1\nn_space = 16\nn_steps = 8\n")
+    code = run_cli("check", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_CHECK
+    report = json.loads((tmp_path / "o" / "check.json").read_text())
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses["noether_boundary_sum_on_shell"] == "FAIL"
 
 
 def test_config_file_rejects_malformed_lines(tmp_path):
@@ -508,6 +571,87 @@ def test_main_exit_codes_on_fuzzed_flags(command, flags, joined):
     outcome = run(joined)
     if not joined and outcome[0] == EXIT_CONFIG:
         assert outcome == run(True), flags
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Text a config value can hold: one line, no comment, no edge whitespace.
+_GARBAGE = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r#"), max_size=12
+).map(str.strip)
+
+# A value for every setting but out_dir, mostly in range ...
+_IN_RANGE = {
+    "n_space": st.integers(3, 16).map(str),
+    "n_steps": st.integers(0, 8).map(str),
+    "domain_length": st.floats(0.1, 100.0).map(repr),
+    "cfl": st.floats(0.01, 4.0).map(repr),
+    "ic": _IC,
+    "save_every": st.integers(1, 10).map(str),
+    "seed": st.integers(0, 2**32).map(str),
+    "diagnostics": st.sampled_from(["none", "all", "noether", "mff", "bridges"]),
+    "tol_residual": st.floats(1e-16, 1e-6).map(repr),
+    "max_iters": st.integers(1, 60).map(str),
+    "inject_off_shell": st.sampled_from(["true", "false", "1", "0", "yes", "no"]),
+}
+# ... and values that may be out of range, or garbage text.  Those of an
+# int setting are at most 0 or do not parse as an int, so n_space stays
+# <= 16 and n_steps <= 8.
+_OUT_OF_RANGE = {
+    key: st.one_of(
+        _GARBAGE.filter(lambda t: not _is_int(t)),
+        st.integers(max_value=0).map(str),
+    )
+    if type(DEFAULTS[key]) is int
+    else st.one_of(_GARBAGE, st.floats().map(repr))
+    for key in _IN_RANGE
+}
+_OUT_OF_RANGE_ITEM = st.sampled_from(list(_IN_RANGE)).flatmap(
+    lambda key: st.tuples(st.just(key), _OUT_OF_RANGE[key])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["run", "check", "converge"]),
+    values=st.fixed_dictionaries(_IN_RANGE),
+    bad=st.lists(_OUT_OF_RANGE_ITEM, max_size=3),
+)
+def test_main_exit_codes_on_fuzzed_config_files(command, values, bad):
+    """A --config file with every setting, up to three of them out of
+    range or garbage, ends in a documented exit code with at most one
+    stderr line and no RuntimeWarning.  A config error from the file is
+    the one the same values give as --flag=value flags."""
+    values = {**values, **dict(bad)}
+    # The file lists the settings in RunConfig's order, so inject_off_shell,
+    # which has no value flag, is parsed last either way.
+    keys = [key for key in DEFAULTS if key in values]
+
+    def run(out, flags):
+        lines = [f"out_dir = {out}"] + [f"{key} = {values[key]}" for key in keys if key not in flags]
+        cfg = Path(out) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = [command, "--config", str(cfg)]
+        args += [f"--{key.replace('_', '-')}={values[key]}" for key in keys if key in flags]
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_CHECK), args
+        assert err.getvalue().count("\n") <= 1, (args, err.getvalue())
+        return code, err.getvalue()
+
+    with tempfile.TemporaryDirectory() as out:
+        outcome = run(out, ())
+        if outcome[0] == EXIT_CONFIG:
+            assert outcome == run(out, set(values) - {"inject_off_shell"}), values
 
 
 def test_bridges_summary_builds_the_jets_once(monkeypatch):

@@ -272,12 +272,18 @@ def test_cyclic_tridiagonal_singular():
     "n, bad",
     [(n, bad) for n in (5, 12, 1000, 1031) for bad in (np.nan, np.inf, -np.inf)],
 )
-@pytest.mark.parametrize("row", [0, 3])  # from n = 512 on: a separator, a segment row
+# From n = 512 on, rows 0 and 3 are a separator and a segment row.  "corner"
+# puts the bad value in upper[-1] against lower[0] = 0, so the scalar
+# Sherman-Morrison shift computes 0 * inf.
+@pytest.mark.parametrize("row", [0, 3, "corner"])
 def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
-    diag = np.full(n, 4.0)
-    diag[row] = bad
+    lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
+    if row == "corner":
+        lower[0], upper[-1] = 0.0, bad
+    else:
+        diag[row] = bad
     with np.errstate(all="raise"), pytest.raises(SingularJacobian):
-        solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
+        solve_cyclic_tridiagonal(lower, diag, upper, np.ones(n))
 
 
 def test_cyclic_tridiagonal_zero_pivot_after_first_row():
@@ -491,4 +497,4 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_residual=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(damping=1.5)
+        SolverConfig(max_iters=0)
