@@ -13,7 +13,6 @@ from .errors import (
     SingularJacobian,
 )
 from .grid import GridSpec, Region, classify_region
-from .lagrangian import continuous_density
 from .del_solver import (
     EvolveResult,
     Section,
@@ -25,7 +24,6 @@ from .del_solver import (
 )
 from .geometry_checks import (
     SymmetryGenerator,
-    TangentSection,
     level_series,
     solve_first_variation,
 )
@@ -33,11 +31,10 @@ from .bridges import (
     B0,
     B1,
     Jet3Sample,
-    PhasePoint,
     conservation_residual,
     continuous_el_residual,
     hamilton_residuals,
-    hamiltonian,
+    hamiltonian_phase,
     legendre,
     omega_pair,
     phase_field,

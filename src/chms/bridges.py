@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonMonotone, OutOfRange
 from .grid import GridSpec
 from .del_solver import Section
-from .lagrangian import _shift, continuous_density
+from .lagrangian import _shift
 
 
 def _b1_matrix() -> np.ndarray:
@@ -60,51 +60,36 @@ class Jet3Sample:
     eta_txx: float
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Phase-space vector Z = (eta, eta_x, eta_t, px, pt, ptx)."""
-
-    eta: float
-    eta_x: float
-    eta_t: float
-    px: float
-    pt: float
-    ptx: float
-
-
 def _require_positive_slope(eta_x) -> None:
-    if np.any(np.asarray(eta_x) <= 0.0):
+    if not np.all(np.asarray(eta_x) > 0.0):  # NaN fails too
         raise NonMonotone("eta_x must be positive")
 
 
-def legendre(j: Jet3Sample) -> PhasePoint:
-    """Momenta conjugate to (eta, eta_x, eta_t):
+def legendre(j: Jet3Sample) -> np.ndarray:
+    """The phase point Z = (eta, eta_x, eta_t, px, pt, ptx) of a jet, with
+    the momenta conjugate to (eta, eta_x, eta_t):
 
         px  = (eta_t**2 - (eta_tx/eta_x)**2) / 2
         pt  = eta_x*eta_t - (eta_txx*eta_x - eta_tx*eta_xx) / eta_x**2
         ptx = eta_tx / eta_x
 
-    The pt formula carries the spatial total derivative of ptx.
+    The pt formula carries the spatial total derivative of ptx.  Jets of
+    equal-shape arrays give shape + (6,).
     """
     _require_positive_slope(j.eta_x)
     ptx = j.eta_tx / j.eta_x
     px = 0.5 * (j.eta_t * j.eta_t - ptx * ptx)
     pt = j.eta_x * j.eta_t - (j.eta_txx * j.eta_x - j.eta_tx * j.eta_xx) / (j.eta_x * j.eta_x)
-    return PhasePoint(j.eta, j.eta_x, j.eta_t, px, pt, ptx)
-
-
-def hamiltonian(j: Jet3Sample) -> float:
-    """H = L - px*eta_x - pt*eta_t - ptx*eta_tx with L the density."""
-    z = legendre(j)
-    dens = continuous_density(j.eta_x, j.eta_t, j.eta_tx)
-    return dens - z.px * j.eta_x - z.pt * j.eta_t - z.ptx * j.eta_tx
+    return np.stack([j.eta, j.eta_x, j.eta_t, px, pt, ptx], axis=-1)
 
 
 def hamiltonian_phase(z: np.ndarray) -> np.ndarray:
     """H as a function on phase space (last axis holds the 6 components).
 
-    Eliminating eta_tx = eta_x * ptx from the defining identity gives the
-    polynomial H = eta_x*(eta_t**2 - ptx**2)/2 - px*eta_x - pt*eta_t.
+    H is defined as L - px*eta_x - pt*eta_t - ptx*eta_tx with L the
+    density (lagrangian.eval_from_parts on eta_x, eta_t, eta_tx).
+    Eliminating eta_tx = eta_x * ptx gives the polynomial
+    H = eta_x*(eta_t**2 - ptx**2)/2 - px*eta_x - pt*eta_t.
     """
     z = np.asarray(z, dtype=float)
     etax, etat = z[..., 1], z[..., 2]
@@ -131,7 +116,7 @@ def grad_hamiltonian_phase(z: np.ndarray) -> np.ndarray:
     )
 
 
-def omega_pair(u, v) -> tuple[float, float]:
+def omega_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     """(w1(u, v), w0(u, v)) for 6-vectors, w_nu(u, v) = v^T B_nu u.
 
     Written as paired products so skew-symmetry is exact in floating
@@ -143,26 +128,7 @@ def omega_pair(u, v) -> tuple[float, float]:
         v[..., 2] * u[..., 5] - v[..., 5] * u[..., 2]
     )
     w0 = v[..., 0] * u[..., 4] - v[..., 4] * u[..., 0]
-    if w1.ndim == 0:
-        return float(w1), float(w0)
     return w1, w0
-
-
-def rank_by_elimination(m: np.ndarray, tol: float = 1e-12) -> int:
-    """Rank by Gaussian elimination with partial pivoting."""
-    a = np.array(m, dtype=float)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if np.abs(a[piv, col]) <= tol:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank + 1 :] -= np.outer(a[rank + 1 :, col] / a[rank, col], a[rank])
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +184,7 @@ def phase_field(s: Section):
     jets; no interpolation.
     """
     jets, levels = section_to_jets(s)
-    p = legendre(Jet3Sample(**jets))
-    return np.stack([p.eta, p.eta_x, p.eta_t, p.px, p.pt, p.ptx], axis=-1), levels
+    return legendre(Jet3Sample(**jets)), levels
 
 
 def _phase_dx(z: np.ndarray, g: GridSpec, levels, drop: int):

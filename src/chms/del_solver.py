@@ -72,7 +72,8 @@ class Section:
 
     The displacement d is periodic in i; the stored field is the
     identity lift, so y wraps as y[i + n, j] = y[i, j] + domain_length.
-    Rows must be strictly monotone: y[i+1, j] - y[i, j] > delta_min.
+    d must be finite, and rows strictly monotone:
+    y[i+1, j] - y[i, j] > delta_min.
     Immutable after construction.
     """
 
@@ -86,11 +87,13 @@ class Section:
                 f"displacement shape {d.shape} does not match grid "
                 f"({self.grid.n_time}, {self.grid.n_space})"
             )
+        if not np.all(np.isfinite(d)):
+            raise ValueError("displacement must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
         rows = self.rows_y()
         inc = _shift(rows, 1, self.grid.domain_length) - rows
-        if np.any(inc <= self.delta_min):
+        if not np.all(inc > self.delta_min):
             j, i = np.unravel_index(np.argmin(inc), inc.shape)
             raise NonMonotone(
                 f"row {j} is not strictly monotone at i={i} "

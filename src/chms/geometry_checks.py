@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnShell, OutOfRange, SingularJacobian
-from .grid import GridSpec, Region
+from .grid import Region
 from .del_solver import (
     ON_SHELL_FACTOR,
     Section,
@@ -27,28 +27,6 @@ from .del_solver import (
     solve_cyclic_tridiagonal,
 )
 from .lagrangian import _shift, eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
-
-
-@dataclass(frozen=True, eq=False)
-class TangentSection:
-    """Tangent field V[i, j] along a section: genuinely periodic in i
-    (no identity lift), one value per lattice point of the base grid."""
-
-    grid: GridSpec
-    values: np.ndarray  # shape (n_time, n_space)
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (self.grid.n_time, self.grid.n_space):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid "
-                f"({self.grid.n_time}, {self.grid.n_space})"
-            )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def row(self, j: int) -> np.ndarray:
-        return self.values[j]
 
 
 @dataclass(frozen=True)
@@ -93,18 +71,19 @@ def _linear_terms(hess: np.ndarray, vlo: np.ndarray, vhi: np.ndarray) -> np.ndar
 
 def solve_first_variation(
     phi: Section, v0: np.ndarray, cfg: SolverConfig | None = None
-) -> TangentSection | tuple[TangentSection, ...]:
+) -> np.ndarray:
     """March the tangent-linear equations forward along a solution.
 
     v0 holds the two initial rows of one tangent, shape (2, n_space), and
-    gives a TangentSection; a stack of m tangents, shape (m, 2, n_space),
-    gives a tuple of m.  Each new tangent row solves the same cyclic
-    tridiagonal system as the Newton step at the converged rows, so
-    constants and any other tangent-linear solution are propagated to
-    linear-solve accuracy.  Each level is first checked on shell; the
-    first level that is not raises NotOnShell.  Every tangent of a stack
-    has its own solve and its own residual bound, so it comes out as
-    marching it alone would give it.
+    gives its field V[j, i], shape (n_time, n_space); a stack of m
+    tangents, shape (m, 2, n_space), gives shape (m, n_time, n_space).
+    Tangents are periodic in i (no identity lift).  Each new tangent row
+    solves the same cyclic tridiagonal system as the Newton step at the
+    converged rows, so constants and any other tangent-linear solution
+    are propagated to linear-solve accuracy.  Each level is first checked
+    on shell; the first level that is not raises NotOnShell.  Every
+    tangent of a stack has its own solve and its own residual bound, so
+    it comes out as marching it alone would give it.
     """
     cfg = cfg or SolverConfig()
     g = phi.grid
@@ -113,10 +92,10 @@ def solve_first_variation(
     if v0.ndim not in (2, 3) or v0.shape[-2:] != (2, n):
         raise ValueError("v0 must hold two tangent rows, or a stack of such pairs")
     stack = v0.reshape(-1, 2, n)
-    vals = np.empty((levels, len(stack), n))  # level, tangent, space
-    vals[:2] = stack.transpose(1, 0, 2)
+    vals = np.empty((len(stack), levels, n))  # tangent, level, space
+    vals[:, :2] = stack
     h, k, tol = g.h, g.k, cfg.tol_residual
-    zeros = np.zeros_like(vals[0])
+    zeros = np.zeros_like(vals[:, 0])
     # Rectangle row j is the top row at level j and the bottom row at
     # level j + 1, so its parts, gradient, Hessian and bands are built
     # once, for every tangent.
@@ -133,11 +112,11 @@ def solve_first_variation(
                 "the base section does not solve the field equations"
             )
         hess_hi = hess_full_from_parts(*parts, h, k)
-        bot = _linear_terms(hess_lo, vals[j - 1], vals[j])
-        rhs, _ = _level_equation(_linear_terms(hess_hi, vals[j], zeros), bot)
+        bot = _linear_terms(hess_lo, vals[:, j - 1], vals[:, j])
+        rhs, _ = _level_equation(_linear_terms(hess_hi, vals[:, j], zeros), bot)
         bands = jacobian_bands(*parts, h, k)
-        vals[j + 1] = [solve_cyclic_tridiagonal(*bands, -r) for r in rhs]
-        res, scale = _level_equation(_linear_terms(hess_hi, vals[j], vals[j + 1]), bot)
+        vals[:, j + 1] = [solve_cyclic_tridiagonal(*bands, -r) for r in rhs]
+        res, scale = _level_equation(_linear_terms(hess_hi, vals[:, j], vals[:, j + 1]), bot)
         norm = np.max(np.abs(res), axis=-1)
         bad = norm > tol * np.maximum(1.0, scale)
         if np.any(bad):
@@ -145,8 +124,7 @@ def solve_first_variation(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
             )
         grad_lo, hess_lo = grad_hi, hess_hi
-    tangents = tuple(TangentSection(g, vals[:, m]) for m in range(len(stack)))
-    return tangents if v0.ndim == 3 else tangents[0]
+    return vals.reshape(v0.shape[:-2] + (levels, n))
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +155,16 @@ def _row_hess(phi: Section, j: int) -> np.ndarray:
     return hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
 
 
-def _row_omega(phi: Section, v: TangentSection, w: TangentSection, j: int) -> np.ndarray:
+def _row_omega(phi: Section, v: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
     """(4, n_space) two-forms omega_l over the rectangle row j."""
     return omega_from_hess(
-        _row_hess(phi, j),
-        _tangent_rects(v.row(j), v.row(j + 1)),
-        _tangent_rects(w.row(j), w.row(j + 1)),
+        _row_hess(phi, j), _tangent_rects(v[j], v[j + 1]), _tangent_rects(w[j], w[j + 1])
     )
 
 
-def mff_boundary_terms(
-    phi: Section, v: TangentSection, w: TangentSection, r: Region
-) -> np.ndarray:
-    """Individual summands of the two-form boundary sum over the region."""
+def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, r: Region) -> np.ndarray:
+    """Individual summands of the two-form boundary sum over the region,
+    for two tangent fields of shape (n_time, n_space)."""
     lo = _row_omega(phi, v, w, r.j_lo)[:2]
     hi = _row_omega(phi, v, w, r.j_hi - 1)[2:]
     return np.concatenate([lo, hi]).ravel()

@@ -29,17 +29,6 @@ from .errors import NonMonotone
 DELTA_MIN_FACTOR = 1e-8
 
 
-def continuous_density(etax: float, etat: float, etatx: float) -> float:
-    """Continuous Lagrangian density (etax*etat**2 + etatx**2/etax) / 2.
-
-    Only the three derivatives the density actually depends on appear.
-    Scalars or arrays of samples.
-    """
-    if np.any(etax <= 0.0):
-        raise NonMonotone(f"etax must be positive (min found {np.min(etax):g})")
-    return 0.5 * (etax * etat * etat + etatx * etatx / etax)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized kernels over arrays of rectangles (one entry per rectangle).
 
@@ -69,7 +58,7 @@ def stencil_parts(y1, y2, y3, y4, h: float, k: float):
     """
     y1, y2, y3, y4 = (np.asarray(y, dtype=float) for y in (y1, y2, y3, y4))
     dy = y2 - y1
-    if np.any(dy <= DELTA_MIN_FACTOR * h):
+    if not np.all(dy > DELTA_MIN_FACTOR * h):  # NaN fails too
         raise NonMonotone(
             f"y2 - y1 must exceed {DELTA_MIN_FACTOR * h:g} (min found {np.min(dy):g})"
         )
@@ -93,7 +82,8 @@ def grad_from_parts(a, b, c, h: float, k: float):
 
 
 def eval_from_parts(a, b, c):
-    """Rectangle Lagrangian for a batch of rectangles."""
+    """Rectangle Lagrangian for a batch of rectangles; on (eta_x, eta_t,
+    eta_tx) samples it is the continuous density."""
     return 0.5 * (a * b * b + c * c / a)
 
 

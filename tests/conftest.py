@@ -9,7 +9,6 @@ import pytest
 from oracles import rect_value
 
 from chms.del_solver import Section, SolverConfig, evolve, initialize
-from chms.geometry_checks import TangentSection
 from chms.grid import GridSpec
 
 TWO_PI = 2.0 * math.pi
@@ -37,8 +36,8 @@ def random_section(grid: GridSpec, rng, amp=0.15) -> Section:
     return Section(grid, d)
 
 
-def constant_tangent(grid: GridSpec, c: float) -> TangentSection:
-    return TangentSection(grid, np.full((grid.n_time, grid.n_space), float(c)))
+def constant_tangent(grid: GridSpec, c: float) -> np.ndarray:
+    return np.full((grid.n_time, grid.n_space), float(c))
 
 
 def cosine_u0(amp: float, lam: float):

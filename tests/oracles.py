@@ -139,8 +139,8 @@ def row_action(s, j: int) -> float:
 
 def tangent_corners(t, rect) -> np.ndarray:
     """Tangent values at the four vertices (tangents are periodic, no lift)."""
-    n = t.grid.n_space
-    return np.array([t.values[jj, ii % n] for ii, jj in (vertex(rect, l) for l in (1, 2, 3, 4))])
+    n = t.shape[-1]
+    return np.array([t[jj, ii % n] for ii, jj in (vertex(rect, l) for l in (1, 2, 3, 4))])
 
 
 def _require_interior(g, p):
@@ -199,8 +199,8 @@ def first_variation_residual(phi, t, p) -> float:
 def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
     """The tangent march's row assembly applied to a given tangent field:
     the linearized-equation residual at every point of the level j."""
-    top = _linear_terms(_row_hess(phi, j), t.row(j), t.row(j + 1))
-    bot = _linear_terms(_row_hess(phi, j - 1), t.row(j - 1), t.row(j))
+    top = _linear_terms(_row_hess(phi, j), t[j], t[j + 1])
+    bot = _linear_terms(_row_hess(phi, j - 1), t[j - 1], t[j])
     return _level_equation(top, bot)[0]
 
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from chms.cli import (
     write_trajectory_csv,
 )
 from chms.config import DEFAULTS, RunConfig, parse_initial_condition
-from chms.del_solver import Section
 from chms.errors import ConfigError
 
 
@@ -116,11 +116,12 @@ def test_run_reports_newton_stop_reasons(tmp_path, n_space, expected):
 
 def test_trajectory_csv_matches_the_per_value_format(tmp_path):
     s = cosine_trajectory(n_space=8, n_steps=7).section  # levels 0 .. 8
-    d = s.displacement.copy()
-    d[3, 5] = np.nan  # quoted in eta and u of level 3
-    s = Section(s.grid, d)
     y, h, k = s.rows_y(), s.grid.h, s.grid.k
-    write_trajectory_csv(tmp_path / "t.csv", s, 3)
+    y[3, 5] = np.nan  # quoted in eta and u of level 3
+    # A Section rejects a non-finite value, so a stand-in with the
+    # writer's two attributes carries the NaN.
+    field = SimpleNamespace(grid=s.grid, row_y=lambda j: y[j])
+    write_trajectory_csv(tmp_path / "t.csv", field, 3)
     expected = ["t,i,x,eta,u"]
     for j in (0, 3, 6, 8):
         u = (y[j + 1] - y[j]) / k if j < 8 else (y[8] - y[7]) / k
@@ -450,6 +451,29 @@ def test_check_fails_off_shell_but_identities_pass(tmp_path):
     assert statuses["omega_closure_identity"] == "PASS"
     assert statuses["momentum_closure_identity"] == "PASS"
     assert statuses["legendre_hamiltonian_identity"] == "PASS"
+
+
+def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch):
+    """The Legendre line compares two independent forms of H, so a wrong
+    ptx momentum makes it fail; every other check still passes."""
+    real = bridges.legendre
+
+    def wrong_ptx(jet):
+        z = real(jet)
+        z[..., 5] *= 1.01
+        return z
+
+    monkeypatch.setattr(bridges, "legendre", wrong_ptx)
+    out = tmp_path / "chk-legendre"
+    code = run_cli(
+        "check", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "10",
+        "--out-dir", str(out),
+    )
+    assert code == EXIT_CHECK
+    assert "FAIL: legendre_hamiltonian_identity" in capsys.readouterr().out
+    report = json.loads((out / "check.json").read_text())
+    failed = [c["name"] for c in report["checks"] if c["status"] == "FAIL"]
+    assert failed == ["legendre_hamiltonian_identity"]
 
 
 def test_rest_check_all_pass(tmp_path):

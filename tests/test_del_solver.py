@@ -491,6 +491,11 @@ def test_section_rejects_non_monotone_rows():
     d[1, 3] = -1.5  # pulls y below its left neighbour
     with pytest.raises(NonMonotone):
         Section(g, d)
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.zeros((2, 8))
+        d[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Section(g, d)
 
 
 def test_solver_config_validation():

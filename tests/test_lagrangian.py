@@ -7,7 +7,7 @@ from conftest import EPS, fd_gradient, fd_hessian, random_stencil, smooth_eta_de
 from oracles import rect_grad, rect_hess, rect_value
 
 from chms.errors import NonMonotone
-from chms.lagrangian import _shift, continuous_density, jacobian_bands
+from chms.lagrangian import _shift, eval_from_parts, jacobian_bands
 
 
 def test_eval_examples():
@@ -21,6 +21,12 @@ def test_eval_rejects_flat_bottom_edge():
         rect_value((0.0, 0.0, 1.0, 0.5), 1, 1)
     with pytest.raises(NonMonotone):
         rect_value((0.0, 5e-9, 1.0, 0.5), 1, 1)  # below the 1e-8*h cutoff
+    # A non-finite bottom edge is rejected too: a NaN difference fails
+    # every comparison, so the cutoff test must not be a negated <=.
+    inf, nan = math.inf, math.nan
+    for y1, y2 in ((nan, 1.0), (0.0, nan), (inf, inf), (-inf, -inf), (inf, 1.0), (0.0, -inf)):
+        with pytest.raises(NonMonotone), np.errstate(invalid="ignore"):
+            rect_value((y1, y2, 1.0, 0.5), 1, 1)
 
 
 def test_grad_example():
@@ -70,20 +76,17 @@ def test_translation_invariance(rng):
 
 
 def test_density_examples():
-    assert continuous_density(1.0, 0.0, 0.0) == 0.0
-    assert continuous_density(1.0, 0.7, 0.0) == pytest.approx(0.245, abs=1e-15)
-    assert continuous_density(2.0, 1.0, 1.0) == pytest.approx(1.25, abs=1e-15)
-    with pytest.raises(NonMonotone):
-        continuous_density(0.0, 1.0, 1.0)
-    with pytest.raises(NonMonotone):
-        continuous_density(-1.0, 1.0, 1.0)
+    """The density is the rectangle Lagrangian on (eta_x, eta_t, eta_tx)."""
+    assert eval_from_parts(1.0, 0.0, 0.0) == 0.0
+    assert eval_from_parts(1.0, 0.7, 0.0) == pytest.approx(0.245, abs=1e-15)
+    assert eval_from_parts(2.0, 1.0, 1.0) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_discrete_lagrangian_consistent_with_density():
     """Forward-difference sampling converges to the density at first order."""
     alpha, x, t = 0.3, 1.3, 0.7
     d = smooth_eta_derivs(x, t, alpha)
-    target = continuous_density(d["eta_x"], d["eta_t"], d["eta_tx"])
+    target = eval_from_parts(d["eta_x"], d["eta_t"], d["eta_tx"])
 
     def sampled_error(h, k):
         def eta(xx, tt):
