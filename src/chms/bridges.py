@@ -173,7 +173,6 @@ def section_to_jets(s: Section):
         "eta_tt": eta_tt,
         "eta_txx": _dt(eta_xx_all, k),
     }
-    _require_positive_slope(jets["eta_x"])
     return jets, list(range(1, g.n_time - 1))
 
 

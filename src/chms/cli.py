@@ -500,6 +500,10 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
 
 
 def check_command(cfg: RunConfig) -> int:
+    # Two levels have no interior level, so the theorem checks would pass
+    # on closure identities alone.
+    if cfg.n_steps < 1:
+        raise ConfigError("n_steps: check needs at least 1 step (an interior level)")
     out_dir = _out_dir(cfg)
     checks, code = check_suite(cfg)
     dump_json({"config": cfg.as_dict(), "checks": checks}, out_dir / "check.json")

@@ -7,9 +7,9 @@ to vanish on a whole row at once, which couples the unknowns cyclically;
 the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
 row j+1.  The solve uses the analytic Jacobian with Sherman-Morrison
-corrected tridiagonal elimination and backtracking that rejects
-candidate rows violating monotonicity, so a breakdown of the particle
-map is reported as wave breaking instead of being silently regularized.
+corrected tridiagonal elimination.  A Newton update that leaves the row
+non-monotone is reported at once as wave breaking, naming the point;
+it is never shortened or silently regularized.
 """
 
 from __future__ import annotations
@@ -60,10 +60,26 @@ FP_FLOOR_ULPS = 16.0
 #: Newton has stagnated at that floor when an update shrinks the
 #: residual by less than this ratio.
 STAGNATION_RATIO = 0.25
-# A Newton step that leaves the row non-monotone is halved up to this
-# many times; then the row counts as wave breaking.
-_DAMPING = 0.5
-_MAX_BACKTRACKS = 30
+
+
+def _increments(rows: np.ndarray, g: GridSpec, what: str) -> np.ndarray:
+    """Label increments y[..., i+1] - y[..., i] of one row or stacked rows.
+
+    The one monotonicity rule for label rows: every increment must
+    exceed DELTA_MIN_FACTOR * h, and a NaN fails.  Otherwise NonMonotone
+    names the row (`what`, then the row index for stacked rows), the
+    point, the increment and the bound.
+    """
+    inc = _shift(rows, 1, g.domain_length) - rows
+    bound = DELTA_MIN_FACTOR * g.h
+    if not np.all(inc > bound):
+        at = np.unravel_index(np.argmin(inc), inc.shape)
+        name = f"{what} {at[0]}" if inc.ndim == 2 else what
+        raise NonMonotone(
+            f"{name} is not strictly monotone at i={at[-1]} "
+            f"(increment {inc[at]:g} <= {bound:g})"
+        )
+    return inc
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +89,7 @@ class Section:
     The displacement d is periodic in i; the stored field is the
     identity lift, so y wraps as y[i + n, j] = y[i, j] + domain_length.
     d must be finite, and rows strictly monotone:
-    y[i+1, j] - y[i, j] > delta_min.
+    y[i+1, j] - y[i, j] > DELTA_MIN_FACTOR * h.
     Immutable after construction.
     """
 
@@ -91,18 +107,7 @@ class Section:
             raise ValueError("displacement must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
-        rows = self.rows_y()
-        inc = _shift(rows, 1, self.grid.domain_length) - rows
-        if not np.all(inc > self.delta_min):
-            j, i = np.unravel_index(np.argmin(inc), inc.shape)
-            raise NonMonotone(
-                f"row {j} is not strictly monotone at i={i} "
-                f"(increment {inc[j, i]:g} <= {self.delta_min:g})"
-            )
-
-    @property
-    def delta_min(self) -> float:
-        return DELTA_MIN_FACTOR * self.grid.h
+        _increments(self.rows_y(), self.grid, "row")
 
     def xs(self) -> np.ndarray:
         return np.arange(self.grid.n_space) * self.grid.h
@@ -129,6 +134,8 @@ class StepStats:
     step: int
     iterations: int
     residual_norm: float
+    #: Always 0: a Newton update is never shortened.  Kept while the
+    #: benchmark harness sums it and diagnostics.json writes it per step.
     backtracks: int
     stop_reason: str  # one of STOP_REASONS
 
@@ -372,13 +379,19 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     lie outside the band, so the correction is exact for every circle.
     From n = 512 on, the partition method eliminates the segments between
     separators in vectorized steps and corrects only the separators' small
-    system this way.  A zero or non-finite pivot, or a non-finite corner
-    entry, raises SingularJacobian.
+    system this way.  Bands and rhs that are not 1-D arrays of one length
+    n >= 3 raise ValueError; a zero or non-finite pivot, or a non-finite
+    corner entry, raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
+    if not (diag.ndim == 1 and lower.shape == diag.shape == upper.shape == rhs.shape):
+        raise ValueError(
+            "lower, diag, upper and rhs must be 1-D of one length; got shapes "
+            f"{lower.shape}, {diag.shape}, {upper.shape}, {rhs.shape}"
+        )
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
@@ -391,32 +404,26 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
 # Newton row solve and marching.
 
 
-def _monotone(row: np.ndarray, lam: float, delta_min: float) -> bool:
-    inc = _shift(row, 1, lam) - row
-    return bool(np.all(inc > delta_min))
-
-
 def advance_row(
     ym1: np.ndarray, y0: np.ndarray, g: GridSpec, cfg: SolverConfig
 ) -> tuple[np.ndarray, StepStats]:
     """Solve the interior equations on the row of y0 for the next row.
 
-    ym1 and y0 are the two known rows (absolute label values).  The
-    initial guess is the linear extrapolation 2*y0 - ym1; candidate
-    iterates that violate monotonicity are damped, and exhausting the
-    backtracks is reported as wave breaking.
+    ym1 and y0 are the two known rows (absolute label values); a
+    non-monotone one raises NonMonotone.  The initial guess is the linear
+    extrapolation 2*y0 - ym1, or y0 where that is not monotone.  A Newton
+    update that is not monotone raises NonMonotone at once: wave breaking.
     """
-    h, k, lam = g.h, g.k, g.domain_length
-    delta_min = DELTA_MIN_FACTOR * h
+    h, k = g.h, g.k
+    a_t = _increments(y0, g, "the current row y0") / h  # bottom edge of the top rectangles
     # Bottom-rectangle terms are fixed during the solve.
     bot = grad_from_parts(*_row_parts(ym1, y0, g), h, k)
-    a_t = (_shift(y0, 1, lam) - y0) / h  # bottom edge of the top rectangles
 
-    guess = 2.0 * y0 - ym1
-    if not _monotone(guess, lam, delta_min):
-        guess = y0.copy()
-    yp1 = guess
-    backtracks = 0
+    yp1 = 2.0 * y0 - ym1
+    try:
+        _increments(yp1, g, "the extrapolated guess")
+    except NonMonotone:
+        yp1 = y0.copy()
     scale = 1.0
     prev_norm = np.inf
     floor = 0.0
@@ -430,32 +437,19 @@ def advance_row(
         if it == 0:
             scale = max(1.0, float(f_scale))
         if norm <= cfg.tol_residual * scale:
-            return yp1, StepStats(0, it, norm, backtracks, "tolerance")
+            return yp1, StepStats(0, it, norm, 0, "tolerance")
         # Stagnation at the attainable floating-point floor of the
         # residual evaluation also counts as converged.
         if it > 0 and norm <= floor and norm >= STAGNATION_RATIO * prev_norm:
-            return yp1, StepStats(0, it, norm, backtracks, "fp_floor")
+            return yp1, StepStats(0, it, norm, 0, "fp_floor")
         if it == cfg.max_iters:
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
         jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
         floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))
         prev_norm = norm
-        delta = solve_cyclic_tridiagonal(lower, diag, upper, -f)
-        alpha = 1.0
-        cand = yp1 + delta
-        tries = 0
-        while not _monotone(cand, lam, delta_min):
-            tries += 1
-            if tries > _MAX_BACKTRACKS:
-                raise NonMonotone(
-                    "no damped Newton step keeps the row monotone "
-                    "(numerical wave breaking)"
-                )
-            alpha *= _DAMPING
-            cand = yp1 + alpha * delta
-        backtracks += tries
-        yp1 = cand
+        yp1 = yp1 + solve_cyclic_tridiagonal(lower, diag, upper, -f)
+        _increments(yp1, g, "wave breaking: the Newton update of the next row")
     raise MaxItersExceeded(
         f"residual {norm:g} above tolerance {cfg.tol_residual * scale:g} "
         f"after {cfg.max_iters} Newton iterations"
@@ -497,10 +491,12 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
 def initialize(u0, g: GridSpec) -> Section:
     """Two starting rows: identity labels, then a first-order velocity kick.
 
-    Row 0 is y[i] = x_i; row 1 is x_i + k*u0(x_i).  This startup caps the
-    overall accuracy of the marching scheme at first order.  A kick that
-    is not finite, breaks monotonicity, or gives the first rectangle row a
-    non-finite Lagrangian gradient raises BadInitialData.
+    Row 0 is y[i] = x_i; row 1 is x_i + k*u0(x_i).  The scheme is first
+    order with any startup: its corner-anchored rectangle Lagrangian is a
+    first-order quadrature of the action, and a second-order spectral
+    startup gave the same self-convergence orders (0.92-0.98).  A kick
+    that is not finite, breaks monotonicity, or gives the first rectangle
+    row a non-finite Lagrangian gradient raises BadInitialData.
     """
     xs = np.arange(g.n_space) * g.h
     v = np.asarray(u0(xs), dtype=float)

@@ -178,7 +178,8 @@ def test_run_solver_abort_exit_code(tmp_path):
     report = json.loads((out / "diagnostics.json").read_text())
     assert report["summary"]["status"] == "aborted"
     failure = report["summary"]["failure"]
-    assert failure["error"] in ("NonMonotone", "MaxItersExceeded")
+    assert failure["error"] == "NonMonotone"
+    assert "wave breaking" in failure["message"] and "at i=" in failure["message"]
     assert failure["step"] >= 1
     assert (out / "trajectory.csv").exists()  # partial trajectory saved
 
@@ -451,6 +452,20 @@ def test_check_fails_off_shell_but_identities_pass(tmp_path):
     assert statuses["omega_closure_identity"] == "PASS"
     assert statuses["momentum_closure_identity"] == "PASS"
     assert statuses["legendre_hamiltonian_identity"] == "PASS"
+
+
+def test_check_without_an_interior_level_exits_two(tmp_path, capsys):
+    # Two levels leave the theorem lines nothing to test but closure
+    # identities, so even an off-shell trajectory would pass.
+    out = tmp_path / "chk0"
+    code = run_cli(
+        "check", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "0",
+        "--out-dir", str(out), "--inject-off-shell",
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_steps:") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from chms.del_solver import (
 from chms.errors import BadInitialData, NonMonotone, OutOfRange, SingularJacobian
 from chms.geometry_checks import level_series
 from chms.grid import GridSpec
-from chms.lagrangian import jacobian_bands
+from chms.lagrangian import DELTA_MIN_FACTOR, jacobian_bands
 
 
 def o1_grid(n_space=16, n_time=6):
@@ -432,13 +432,47 @@ def test_long_row_zero_pivot_after_first_segment_row():
         solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
 
 
+@pytest.mark.parametrize("n", [8, 600])
+@pytest.mark.parametrize(
+    "bad",
+    ["short_rhs", "short_lower", "long_upper", "rhs_2d", "diag_2d"],
+)
+def test_cyclic_tridiagonal_rejects_mismatched_bands(n, bad):
+    # Both paths, scalar (n = 8) and partitioned (n = 600), check the
+    # shapes before any elimination.
+    bands = {"lower": np.ones(n), "diag": np.full(n, 4.0), "upper": np.ones(n), "rhs": np.ones(n)}
+    name, value = {
+        "short_rhs": ("rhs", np.ones(5)),
+        "short_lower": ("lower", np.ones(n - 2)),
+        "long_upper": ("upper", np.ones(n + 4)),
+        "rhs_2d": ("rhs", np.ones((2, n))),
+        "diag_2d": ("diag", np.full((1, n), 4.0)),
+    }[bad]
+    bands[name] = value
+    with pytest.raises(ValueError, match="1-D of one length; got shapes"):
+        solve_cyclic_tridiagonal(**bands)
+
+
 def test_wave_breaking_reported():
     g = GridSpec.from_circle(32, 2, TWO_PI, 0.25)
     res = evolve(initialize(cosine_u0(3.0, TWO_PI), g), 100)
     assert not res.ok
-    assert res.failure.error in ("NonMonotone", "MaxItersExceeded")
+    assert res.failure.error == "NonMonotone"
+    # The first Newton update that folds the row names the point and the
+    # bound at once, without shortening the step.
+    assert res.failure.message.startswith("wave breaking: the Newton update")
+    assert f"<= {DELTA_MIN_FACTOR * g.h:g})" in res.failure.message
     assert res.section.grid.n_time < 102  # partial trajectory returned
     assert len(res.steps) == res.section.grid.n_time - 2
+
+
+def test_advance_row_rejects_a_non_monotone_current_row():
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+    s = initialize(cosine_u0(0.1, TWO_PI), g)
+    y0 = s.row_y(1)
+    y0[[5, 6]] = y0[[6, 5]]
+    with pytest.raises(NonMonotone, match=r"current row y0 is not strictly monotone at i=5 "):
+        advance_row(s.row_y(0), y0, g, SolverConfig())
 
 
 def test_backward_marching_is_first_order_not_exact():
