@@ -12,7 +12,7 @@ from .errors import (
     OutOfRange,
     SingularJacobian,
 )
-from .grid import GridSpec, Region, classify_region
+from .grid import GridSpec, classify_region
 from .del_solver import (
     EvolveResult,
     Section,

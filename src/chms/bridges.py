@@ -56,7 +56,6 @@ class Jet3Sample:
     eta_t: float
     eta_xx: float
     eta_tx: float
-    eta_tt: float
     eta_txx: float
 
 
@@ -153,8 +152,8 @@ def _dt(f: np.ndarray, k: float) -> np.ndarray:
 def section_to_jets(s: Section):
     """Central-difference jet fields on the interior time levels.
 
-    Returns (jets, levels) where jets maps component names to arrays of
-    shape (len(levels), n_space) and levels = [1, .., n_time - 2].
+    Returns (jets, levels): a Jet3Sample of arrays of shape
+    (len(levels), n_space), and levels = [1, .., n_time - 2].
     """
     g = s.grid
     if g.n_time < 3:
@@ -162,17 +161,15 @@ def section_to_jets(s: Section):
     y = s.rows_y()
     h, k, lam = g.h, g.k, g.domain_length
     eta_t = _dt(y, k)
-    eta_tt = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (k * k)
     eta_xx_all = _dxx(y, h, lam)
-    jets = {
-        "eta": y[1:-1].copy(),
-        "eta_x": _dx(y, h, lam)[1:-1],
-        "eta_t": eta_t,
-        "eta_xx": eta_xx_all[1:-1],
-        "eta_tx": _dx(eta_t, h),
-        "eta_tt": eta_tt,
-        "eta_txx": _dt(eta_xx_all, k),
-    }
+    jets = Jet3Sample(
+        eta=y[1:-1].copy(),
+        eta_x=_dx(y, h, lam)[1:-1],
+        eta_t=eta_t,
+        eta_xx=eta_xx_all[1:-1],
+        eta_tx=_dx(eta_t, h),
+        eta_txx=_dt(eta_xx_all, k),
+    )
     return jets, list(range(1, g.n_time - 1))
 
 
@@ -183,7 +180,7 @@ def phase_field(s: Section):
     jets; no interpolation.
     """
     jets, levels = section_to_jets(s)
-    return legendre(Jet3Sample(**jets)), levels
+    return legendre(jets), levels
 
 
 def _phase_dx(z: np.ndarray, g: GridSpec, levels, drop: int):

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .grid import GridSpec
 from .lagrangian import (
-    DELTA_MIN_FACTOR,
+    _require_increments,
     _shift,
     grad_from_parts,
     jacobian_bands,
@@ -63,23 +63,10 @@ STAGNATION_RATIO = 0.25
 
 
 def _increments(rows: np.ndarray, g: GridSpec, what: str) -> np.ndarray:
-    """Label increments y[..., i+1] - y[..., i] of one row or stacked rows.
-
-    The one monotonicity rule for label rows: every increment must
-    exceed DELTA_MIN_FACTOR * h, and a NaN fails.  Otherwise NonMonotone
-    names the row (`what`, then the row index for stacked rows), the
-    point, the increment and the bound.
-    """
-    inc = _shift(rows, 1, g.domain_length) - rows
-    bound = DELTA_MIN_FACTOR * g.h
-    if not np.all(inc > bound):
-        at = np.unravel_index(np.argmin(inc), inc.shape)
-        name = f"{what} {at[0]}" if inc.ndim == 2 else what
-        raise NonMonotone(
-            f"{name} is not strictly monotone at i={at[-1]} "
-            f"(increment {inc[at]:g} <= {bound:g})"
-        )
-    return inc
+    """Label increments y[..., i+1] - y[..., i] of one row or stacked rows,
+    held to the one monotonicity rule (lagrangian._require_increments):
+    a row that breaks it raises NonMonotone naming `what`."""
+    return _require_increments(_shift(rows, 1, g.domain_length) - rows, g.h, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +145,22 @@ class EvolveResult:
         return self.failure is None
 
 
-def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec):
-    """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`.
+def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec, what: str = "the bottom row"):
+    """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`;
+    a non-monotone `lo` raises NonMonotone naming it `what`.
 
     Stacked rows (any leading shape, space along the last axis) give the
     parts of every rectangle row at once.
     """
     lam = g.domain_length
-    return stencil_parts(lo, _shift(lo, 1, lam), _shift(hi, 1, lam), hi, g.h, g.k)
+    return stencil_parts(lo, _shift(lo, 1, lam), _shift(hi, 1, lam), hi, g.h, g.k, what)
+
+
+def _rect_row_parts(s: Section, j: int):
+    """(a, b, c) over rectangle row j of s; the one section-to-parts path."""
+    if not 0 <= j <= s.grid.n_time - 2:
+        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
+    return _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
 
 
 def _level_equation(top, bot):
@@ -187,9 +182,8 @@ def _section_equation(s: Section, j: int):
     """Residual and scale of the field equations at time level j of s."""
     if not 1 <= j <= s.grid.n_time - 2:
         raise OutOfRange(f"time level {j} has no two time neighbours")
-    g = s.grid
-    top = grad_from_parts(*_row_parts(s.row_y(j), s.row_y(j + 1), g), g.h, g.k)
-    bot = grad_from_parts(*_row_parts(s.row_y(j - 1), s.row_y(j), g), g.h, g.k)
+    top = grad_from_parts(*_rect_row_parts(s, j), s.grid.h, s.grid.k)
+    bot = grad_from_parts(*_rect_row_parts(s, j - 1), s.grid.h, s.grid.k)
     return _level_equation(top, bot)
 
 
@@ -410,14 +404,15 @@ def advance_row(
     """Solve the interior equations on the row of y0 for the next row.
 
     ym1 and y0 are the two known rows (absolute label values); a
-    non-monotone one raises NonMonotone.  The initial guess is the linear
+    non-monotone one raises NonMonotone naming it, the point, the
+    increment and the bound.  The initial guess is the linear
     extrapolation 2*y0 - ym1, or y0 where that is not monotone.  A Newton
     update that is not monotone raises NonMonotone at once: wave breaking.
     """
     h, k = g.h, g.k
     a_t = _increments(y0, g, "the current row y0") / h  # bottom edge of the top rectangles
     # Bottom-rectangle terms are fixed during the solve.
-    bot = grad_from_parts(*_row_parts(ym1, y0, g), h, k)
+    bot = grad_from_parts(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
 
     yp1 = 2.0 * y0 - ym1
     try:
@@ -519,7 +514,7 @@ def initialize(u0, g: GridSpec) -> Section:
             f"velocity kick destroys monotonicity of row 1: {exc}"
         ) from exc
     with np.errstate(all="ignore"):  # an overflowing gradient is reported below
-        grad = np.array(grad_from_parts(*_row_parts(s.row_y(0), s.row_y(1), g), g.h, g.k))
+        grad = np.array(grad_from_parts(*_rect_row_parts(s, 0), g.h, g.k))
     if not np.all(np.isfinite(grad)):
         raise BadInitialData("the first rectangle row's Lagrangian gradient is not finite")
     return s

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOnShell, OutOfRange, SingularJacobian
-from .grid import Region
+from .errors import NotOnShell, SingularJacobian
+from .grid import classify_region
 from .del_solver import (
     ON_SHELL_FACTOR,
     Section,
     SolverConfig,
     _level_equation,
+    _rect_row_parts,
     _row_parts,
     solve_cyclic_tridiagonal,
 )
@@ -96,11 +97,12 @@ def solve_first_variation(
     vals[:, :2] = stack
     h, k, tol = g.h, g.k, cfg.tol_residual
     zeros = np.zeros_like(vals[:, 0])
-    # Rectangle row j is the top row at level j and the bottom row at
-    # level j + 1, so its parts, gradient, Hessian and bands are built
-    # once, for every tangent.
+    # Rectangle row j is the top row at level j and the bottom row at level
+    # j + 1, so its parts, gradient, Hessian, bands and linear terms (level
+    # j's check, level j + 1's bottom) are built once, for every tangent.
     parts = _rect_row_parts(phi, 0)
-    grad_lo, hess_lo = grad_from_parts(*parts, h, k), hess_full_from_parts(*parts, h, k)
+    grad_lo = grad_from_parts(*parts, h, k)
+    bot = _linear_terms(hess_full_from_parts(*parts, h, k), vals[:, 0], vals[:, 1])
     for j in range(1, levels - 1):
         parts = _rect_row_parts(phi, j)
         grad_hi = grad_from_parts(*parts, h, k)
@@ -111,26 +113,26 @@ def solve_first_variation(
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
             )
-        hess_hi = hess_full_from_parts(*parts, h, k)
-        bot = _linear_terms(hess_lo, vals[:, j - 1], vals[:, j])
-        rhs, _ = _level_equation(_linear_terms(hess_hi, vals[:, j], zeros), bot)
+        hess = hess_full_from_parts(*parts, h, k)
+        rhs, _ = _level_equation(_linear_terms(hess, vals[:, j], zeros), bot)
         bands = jacobian_bands(*parts, h, k)
         vals[:, j + 1] = [solve_cyclic_tridiagonal(*bands, -r) for r in rhs]
-        res, scale = _level_equation(_linear_terms(hess_hi, vals[:, j], vals[:, j + 1]), bot)
+        top = _linear_terms(hess, vals[:, j], vals[:, j + 1])
+        res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
         bad = norm > tol * np.maximum(1.0, scale)
         if np.any(bad):
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
             )
-        grad_lo, hess_lo = grad_hi, hess_hi
+        grad_lo, bot = grad_hi, top
     return vals.reshape(v0.shape[:-2] + (levels, n))
 
 
 # ---------------------------------------------------------------------------
-# Boundary sums.  A full-circle window's boundary is its first and last
-# rows, so the sums take vertices 1, 2 of rectangle row j_lo and vertices
-# 3, 4 of rectangle row j_hi - 1: 4 * n_space terms per window.
+# Boundary sums over a window (j_lo, j_hi), checked by grid.classify_region.
+# Its boundary is rows j_lo and j_hi, so the sums take vertices 1, 2 of
+# rectangle row j_lo and 3, 4 of rectangle row j_hi - 1: 4 * n_space terms.
 
 
 def section_parts(phi: Section):
@@ -139,43 +141,24 @@ def section_parts(phi: Section):
     return _row_parts(y[:-1], y[1:], phi.grid)
 
 
-def _rect_row_parts(phi: Section, j: int):
-    if not 0 <= j <= phi.grid.n_time - 2:
-        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
-    return _row_parts(phi.row_y(j), phi.row_y(j + 1), phi.grid)
+def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, window) -> np.ndarray:
+    """Individual summands of the two-form boundary sum over the window
+    (j_lo, j_hi), for two tangent fields of shape (n_time, n_space)."""
+    j_lo, j_hi = classify_region(*window, phi.grid)
+    terms = []
+    for j, vertices in ((j_lo, slice(0, 2)), (j_hi - 1, slice(2, 4))):
+        hess = hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
+        vr, wr = _tangent_rects(v[j], v[j + 1]), _tangent_rects(w[j], w[j + 1])
+        terms.append(omega_from_hess(hess, vr, wr)[vertices])
+    return np.concatenate(terms).ravel()
 
 
-def _row_grad(phi: Section, j: int):
-    """(g1, g2, g3, g4) over the rectangle row j."""
-    return grad_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
-
-
-def _row_hess(phi: Section, j: int) -> np.ndarray:
-    """(n_space, 4, 4) Hessians over the rectangle row j."""
-    return hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
-
-
-def _row_omega(phi: Section, v: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
-    """(4, n_space) two-forms omega_l over the rectangle row j."""
-    return omega_from_hess(
-        _row_hess(phi, j), _tangent_rects(v[j], v[j + 1]), _tangent_rects(w[j], w[j + 1])
-    )
-
-
-def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, r: Region) -> np.ndarray:
-    """Individual summands of the two-form boundary sum over the region,
-    for two tangent fields of shape (n_time, n_space)."""
-    lo = _row_omega(phi, v, w, r.j_lo)[:2]
-    hi = _row_omega(phi, v, w, r.j_hi - 1)[2:]
-    return np.concatenate([lo, hi]).ravel()
-
-
-def noether_boundary_terms(
-    phi: Section, xi: SymmetryGenerator, r: Region
-) -> np.ndarray:
-    """Individual summands of the momentum-map boundary sum."""
-    g1, g2, _, _ = _row_grad(phi, r.j_lo)
-    _, _, g3, g4 = _row_grad(phi, r.j_hi - 1)
+def noether_boundary_terms(phi: Section, xi: SymmetryGenerator, window) -> np.ndarray:
+    """Individual summands of the momentum-map boundary sum over the
+    window (j_lo, j_hi)."""
+    j_lo, j_hi = classify_region(*window, phi.grid)
+    g1, g2, _, _ = grad_from_parts(*_rect_row_parts(phi, j_lo), phi.grid.h, phi.grid.k)
+    _, _, g3, g4 = grad_from_parts(*_rect_row_parts(phi, j_hi - 1), phi.grid.h, phi.grid.k)
     return xi.xi * np.concatenate([g1, g2, g3, g4])
 
 
@@ -202,5 +185,5 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
 def total_momentum_scale(phi: Section, j: int) -> float:
     """Sum of |dL/dy3| + |dL/dy4| over the rectangle row j: the natural
     magnitude against which momentum drift is measured."""
-    _, _, g3, g4 = _row_grad(phi, j)
+    _, _, g3, g4 = grad_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
     return float(np.sum(np.abs(g3) + np.abs(g4)))

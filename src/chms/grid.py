@@ -70,27 +70,15 @@ class GridSpec:
         return replace(self, n_time=n_time)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Full spatial circle crossed with the time window [j_lo, j_hi].
-
-    Interior points are the rows strictly between j_lo and j_hi; the
-    boundary is the pair of extreme rows; the member rectangles are the
-    rows j_lo .. j_hi-1 of rectangles.  Such a window is always regular
-    (it equals interior plus boundary).  The rectangle with first vertex
-    (i, j) has vertices 1 -> (i, j), 2 -> (i+1, j), 3 -> (i+1, j+1),
-    4 -> (i, j+1).
+def classify_region(j_lo: int, j_hi: int, g: GridSpec) -> tuple[int, int]:
+    """The time window [j_lo, j_hi] over the full circle as the pair
+    (j_lo, j_hi); EmptyRegion unless j_lo < j_hi, OutOfRange unless both
+    rows exist.  Its member rectangles are the rectangle rows j_lo ..
+    j_hi - 1; the rectangle with first vertex (i, j) has vertices
+    1 -> (i, j), 2 -> (i+1, j), 3 -> (i+1, j+1), 4 -> (i, j+1).
     """
-
-    grid: GridSpec
-    j_lo: int
-    j_hi: int
-
-
-def classify_region(j_lo: int, j_hi: int, g: GridSpec) -> Region:
-    """Region for the time window [j_lo, j_hi] over the full circle."""
     if j_hi <= j_lo:
         raise EmptyRegion(f"time window [{j_lo}, {j_hi}] is empty")
     if j_lo < 0 or j_hi > g.n_time - 1:
         raise OutOfRange(f"time window [{j_lo}, {j_hi}] outside [0, {g.n_time - 1}]")
-    return Region(g, j_lo, j_hi)
+    return j_lo, j_hi

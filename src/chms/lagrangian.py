@@ -47,9 +47,27 @@ def _shift(f, step: int, lift: float = 0.0):
     return np.concatenate((seam - lift if lift else seam, f[..., :-1]), axis=-1)
 
 
-def stencil_parts(y1, y2, y3, y4, h: float, k: float):
-    """(a, b, c) arrays for a batch of rectangles; rejects non-monotone
-    bottom edges.
+def _require_increments(inc, h: float, what: str):
+    """The one monotonicity rule: every label increment in `inc` must
+    exceed DELTA_MIN_FACTOR * h, and a NaN fails.  Otherwise NonMonotone
+    names the row (`what`, then the row index for stacked rows, space
+    along the last axis), the point, the increment and the bound."""
+    bound = DELTA_MIN_FACTOR * h
+    if not np.all(inc > bound):
+        inc = np.atleast_1d(inc)
+        at = np.unravel_index(np.argmin(inc), inc.shape)
+        name = f"{what} {at[0]}" if inc.ndim == 2 else what
+        raise NonMonotone(
+            f"{name} is not strictly monotone at i={at[-1]} "
+            f"(increment {inc[at]:g} <= {bound:g})"
+        )
+    return inc
+
+
+def stencil_parts(y1, y2, y3, y4, h: float, k: float, what: str = "the bottom row"):
+    """(a, b, c) arrays for a batch of rectangles; non-monotone bottom
+    edges y2 - y1 raise NonMonotone through _require_increments, which
+    names the row `what`.
 
     c is grouped as the difference of the two vertical edges so that the
     large label values cancel pairwise before the small mixed difference
@@ -57,11 +75,7 @@ def stencil_parts(y1, y2, y3, y4, h: float, k: float):
     exact in floating point).
     """
     y1, y2, y3, y4 = (np.asarray(y, dtype=float) for y in (y1, y2, y3, y4))
-    dy = y2 - y1
-    if not np.all(dy > DELTA_MIN_FACTOR * h):  # NaN fails too
-        raise NonMonotone(
-            f"y2 - y1 must exceed {DELTA_MIN_FACTOR * h:g} (min found {np.min(dy):g})"
-        )
+    dy = _require_increments(y2 - y1, h, what)
     return dy / h, (y4 - y1) / k, ((y3 - y2) - (y4 - y1)) / (h * k)
 
 

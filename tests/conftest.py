@@ -142,6 +142,5 @@ def smooth_eta_derivs(x, t, alpha=0.3):
         "eta_t": -alpha * c,
         "eta_xx": -alpha * s,
         "eta_tx": alpha * s,
-        "eta_tt": -alpha * s,
         "eta_txx": alpha * c,
     }

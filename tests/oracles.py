@@ -17,9 +17,9 @@ solver must reproduce bit for bit.
 import numpy as np
 
 from chms.bridges import section_to_jets
-from chms.del_solver import Section, _level_equation
+from chms.del_solver import Section, _level_equation, _rect_row_parts
 from chms.errors import OutOfRange, SingularJacobian
-from chms.geometry_checks import _linear_terms, _row_hess, omega_from_hess
+from chms.geometry_checks import _linear_terms, omega_from_hess
 from chms.lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, stencil_parts
 
 # ---------------------------------------------------------------------------
@@ -87,16 +87,18 @@ def rectangles_touching(p, g):
     return [((ri % g.n_space, rj), l) for (ri, rj), l in candidates if 0 <= rj <= g.n_time - 2]
 
 
-def interior_points(r):
-    return [(i, j) for j in range(r.j_lo + 1, r.j_hi) for i in range(r.grid.n_space)]
+def interior_points(window, g):
+    j_lo, j_hi = window
+    return [(i, j) for j in range(j_lo + 1, j_hi) for i in range(g.n_space)]
 
 
-def boundary_points(r):
-    return [(i, j) for j in (r.j_lo, r.j_hi) for i in range(r.grid.n_space)]
+def boundary_points(window, g):
+    return [(i, j) for j in window for i in range(g.n_space)]
 
 
-def contains_rect(r, rect) -> bool:
-    return r.j_lo <= rect[1] <= r.j_hi - 1
+def contains_rect(window, rect) -> bool:
+    j_lo, j_hi = window
+    return j_lo <= rect[1] <= j_hi - 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +201,9 @@ def first_variation_residual(phi, t, p) -> float:
 def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
     """The tangent march's row assembly applied to a given tangent field:
     the linearized-equation residual at every point of the level j."""
-    top = _linear_terms(_row_hess(phi, j), t[j], t[j + 1])
-    bot = _linear_terms(_row_hess(phi, j - 1), t[j - 1], t[j])
+    h, k = phi.grid.h, phi.grid.k
+    top = _linear_terms(hess_full_from_parts(*_rect_row_parts(phi, j), h, k), t[j], t[j + 1])
+    bot = _linear_terms(hess_full_from_parts(*_rect_row_parts(phi, j - 1), h, k), t[j - 1], t[j])
     return _level_equation(top, bot)[0]
 
 
@@ -208,24 +211,24 @@ def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
 # Boundary sums: one term per boundary point and touching member rectangle.
 
 
-def boundary_terms(phi, region, term):
+def boundary_terms(phi, window, term):
     out = []
-    for p in boundary_points(region):
+    for p in boundary_points(window, phi.grid):
         for rect, l in rectangles_touching(p, phi.grid):
-            if contains_rect(region, rect):
+            if contains_rect(window, rect):
                 out.append(term(rect, l))
     return np.array(out)
 
 
-def noether_terms(phi, xi, region):
+def noether_terms(phi, xi, window):
     """Momentum maps dL/dy_l * xi."""
     h, k = phi.grid.h, phi.grid.k
     return boundary_terms(
-        phi, region, lambda rect, l: rect_grad(corners(phi, rect), h, k)[l - 1] * xi.xi
+        phi, window, lambda rect, l: rect_grad(corners(phi, rect), h, k)[l - 1] * xi.xi
     )
 
 
-def mff_terms(phi, v, w, region):
+def mff_terms(phi, v, w, window):
     h, k = phi.grid.h, phi.grid.k
 
     def term(rect, l):
@@ -233,7 +236,7 @@ def mff_terms(phi, v, w, region):
             corners(phi, rect), h, k, tangent_corners(v, rect), tangent_corners(w, rect), l
         )
 
-    return boundary_terms(phi, region, term)
+    return boundary_terms(phi, window, term)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,8 @@ def continuous_el_residual(s):
     def dt(f):
         return (f[2:] - f[:-2]) / (2.0 * k)
 
-    ratio = jets["eta_tx"] / jets["eta_x"]
-    flux = 0.5 * (ratio**2 - jets["eta_t"] ** 2)
-    momentum = jets["eta_x"] * jets["eta_t"]
+    ratio = jets.eta_tx / jets.eta_x
+    flux = 0.5 * (ratio**2 - jets.eta_t**2)
+    momentum = jets.eta_x * jets.eta_t
     res = dx(flux)[1:-1] - dt(momentum) + dt(dx(ratio))
     return res, levels[1:-1]

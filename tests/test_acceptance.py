@@ -238,7 +238,7 @@ def test_criterion_8_legendre_hamiltonian_identities(rng):
     for _ in range(1000):
         vals = rng.uniform(-2.0, 2.0, size=6)
         j = bridges.Jet3Sample(vals[0], rng.uniform(0.3, 3.0), vals[1], vals[2],
-                               vals[3], vals[4], vals[5])
+                               vals[3], vals[5])
         z = bridges.legendre(j)
         # The phase-space polynomial against H = L - px*eta_x - pt*eta_t
         # - ptx*eta_tx, with L the density written out.

@@ -28,7 +28,7 @@ from chms.lagrangian import eval_from_parts
 
 def random_jet(rng) -> Jet3Sample:
     v = rng.uniform(-2.0, 2.0, size=6)
-    return Jet3Sample(v[0], rng.uniform(0.3, 3.0), v[1], v[2], v[3], v[4], v[5])
+    return Jet3Sample(v[0], rng.uniform(0.3, 3.0), v[1], v[2], v[3], v[5])
 
 
 def o1_grid(n_space=16, n_time=12):
@@ -36,17 +36,17 @@ def o1_grid(n_space=16, n_time=12):
 
 
 def test_legendre_examples():
-    rest = legendre(Jet3Sample(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    rest = legendre(Jet3Sample(2.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert rest.shape == (6,)
     assert list(rest) == pytest.approx([2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     c = 0.4
-    uni = legendre(Jet3Sample(1.0, 1.0, c, 0.0, 0.0, 0.0, 0.0))
+    uni = legendre(Jet3Sample(1.0, 1.0, c, 0.0, 0.0, 0.0))
     assert list(uni[3:]) == pytest.approx([c * c / 2.0, c, 0.0])
-    mixed = legendre(Jet3Sample(0.0, 2.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+    mixed = legendre(Jet3Sample(0.0, 2.0, 0.0, 0.0, 1.0, 0.0))
     assert list(mixed[3:]) == pytest.approx([-0.125, 0.0, 0.5])
     for bad in (-1.0, math.nan):
         with pytest.raises(NonMonotone):
-            legendre(Jet3Sample(0.0, bad, 0.0, 0.0, 0.0, 0.0, 0.0))
+            legendre(Jet3Sample(0.0, bad, 0.0, 0.0, 0.0, 0.0))
 
 
 def jet_form(j: Jet3Sample):
@@ -60,10 +60,10 @@ def jet_form(j: Jet3Sample):
 
 
 def test_hamiltonian_examples(rng):
-    rest = Jet3Sample(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    rest = Jet3Sample(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     assert hamiltonian_phase(legendre(rest)) == 0.0
     c = 0.4
-    uniform = Jet3Sample(0.0, 1.0, c, 0.0, 0.0, 0.0, 0.0)
+    uniform = Jet3Sample(0.0, 1.0, c, 0.0, 0.0, 0.0)
     assert hamiltonian_phase(legendre(uniform)) == pytest.approx(-c * c)
     for _ in range(1000):
         j = random_jet(rng)
@@ -75,11 +75,12 @@ def test_hamiltonian_phase_consistent_with_jet_form(rng):
     """On a batch of jets, legendre gives one Z row per jet, each the
     scalar jet's Z, and the polynomial matches the jet form."""
     v = rng.uniform(-2.0, 2.0, size=(6, 300))
-    batch = Jet3Sample(v[0], rng.uniform(0.3, 3.0, size=300), *v[1:])
+    batch = Jet3Sample(v[0], rng.uniform(0.3, 3.0, size=300), *v[[1, 2, 3, 5]])
     z = legendre(batch)
     assert z.shape == (300, 6)
     for m in range(0, 300, 37):
-        assert np.array_equal(z[m], legendre(Jet3Sample(v[0, m], batch.eta_x[m], *v[1:, m])))
+        jet = Jet3Sample(v[0, m], batch.eta_x[m], *v[[1, 2, 3, 5], m])
+        assert np.array_equal(z[m], legendre(jet))
     ham, _ = jet_form(batch)
     assert hamiltonian_phase(z) == pytest.approx(ham, rel=1e-12, abs=1e-13)
 
@@ -184,7 +185,7 @@ def test_jet_fields_match_analytic_derivatives():
     mid = len(levels) // 2
     d = smooth_eta_derivs(x, t[levels[mid]])
     for name, tol in [("eta_x", 1e-3), ("eta_t", 1e-3), ("eta_tx", 1e-3), ("eta_txx", 5e-3)]:
-        assert np.max(np.abs(jets[name][mid] - d[name])) <= tol
+        assert np.max(np.abs(getattr(jets, name)[mid] - d[name])) <= tol
 
 
 def test_residual_fields_shrink_on_numerical_solutions():

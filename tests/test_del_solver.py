@@ -475,6 +475,19 @@ def test_advance_row_rejects_a_non_monotone_current_row():
         advance_row(s.row_y(0), y0, g, SolverConfig())
 
 
+def test_advance_row_names_a_non_monotone_previous_row():
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+    s = initialize(cosine_u0(0.1, TWO_PI), g)
+    ym1 = s.row_y(0)
+    ym1[[4, 5]] = ym1[[5, 4]]
+    message = (
+        r"^the previous row ym1 is not strictly monotone at i=4 "
+        rf"\(increment -0.392699 <= {DELTA_MIN_FACTOR * g.h:g}\)$"
+    )
+    with pytest.raises(NonMonotone, match=message):
+        advance_row(ym1, s.row_y(1), g, SolverConfig())
+
+
 def test_backward_marching_is_first_order_not_exact():
     """Marching the reflected rows backwards reproduces the earlier row
     only up to the forward-difference asymmetry (third order per step

@@ -17,7 +17,7 @@ from oracles import (
 
 from chms import del_solver, geometry_checks
 from chms.del_solver import Section, _level_equation, evolve, initialize
-from chms.errors import NotOnShell
+from chms.errors import EmptyRegion, NotOnShell, OutOfRange
 from chms.geometry_checks import (
     SymmetryGenerator,
     level_series,
@@ -133,7 +133,7 @@ def test_off_shell_gate_names_first_bad_level():
 
 
 def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
-    calls = {"stencil_parts": 0, "jacobian_bands": 0}
+    calls = {"stencil_parts": 0, "jacobian_bands": 0, "_linear_terms": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -146,11 +146,18 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
 
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
+    counting(geometry_checks, "_linear_terms")
     n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
     for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
-        calls.update(stencil_parts=0, jacobian_bands=0)
+        calls.update(stencil_parts=0, jacobian_bands=0, _linear_terms=0)
         solve_first_variation(short_cosine, v0)
-        assert calls == {"stencil_parts": n_time - 1, "jacobian_bands": n_time - 2}
+        # Each level's right-hand side and check; rectangle row j's checked
+        # linear terms are level j + 1's bottom terms.
+        assert calls == {
+            "stencil_parts": n_time - 1,
+            "jacobian_bands": n_time - 2,
+            "_linear_terms": 2 * (n_time - 2) + 1,
+        }
 
 
 def test_stacked_march_matches_each_tangent_alone(rng):
@@ -250,6 +257,17 @@ def test_noether_examples(short_cosine):
     assert abs(terms.sum()) <= 1e-9 * np.abs(terms).sum()
 
 
+@pytest.mark.parametrize(
+    "window, error", [((3, 3), EmptyRegion), ((0, 99), OutOfRange)], ids=["empty", "out_of_range"]
+)
+def test_boundary_sums_reject_bad_windows(short_cosine, window, error):
+    v = np.zeros((short_cosine.grid.n_time, short_cosine.grid.n_space))
+    with pytest.raises(error):
+        noether_boundary_terms(short_cosine, SymmetryGenerator(1.0), window)
+    with pytest.raises(error):
+        mff_boundary_terms(short_cosine, v, v, window)
+
+
 def test_noether_nonzero_off_shell(short_cosine, rng):
     s = short_cosine
     region = classify_region(0, s.grid.n_time - 1, s.grid)
@@ -279,11 +297,11 @@ def test_row_boundary_sums_match_scalar_oracle(n_space, n_time, cfl, amp, xi, se
     v = rng.standard_normal((n_time, n_space))
     w = rng.standard_normal((n_time, n_space))
     j_lo = data.draw(st.integers(0, n_time - 2))
-    region = classify_region(j_lo, data.draw(st.integers(j_lo + 1, n_time - 1)), g)
+    window = (j_lo, data.draw(st.integers(j_lo + 1, n_time - 1)))
     gen = SymmetryGenerator(xi)
     for new, old in (
-        (noether_boundary_terms(s, gen, region), noether_terms(s, gen, region)),
-        (mff_boundary_terms(s, v, w, region), mff_terms(s, v, w, region)),
+        (noether_boundary_terms(s, gen, window), noether_terms(s, gen, window)),
+        (mff_boundary_terms(s, v, w, window), mff_terms(s, v, w, window)),
     ):
         assert new.size == old.size == 4 * n_space
         scale = np.sum(np.abs(old))

@@ -83,32 +83,35 @@ def test_touching_periodic_index_arithmetic():
 def test_classify_region_counts():
     g = GridSpec(4, 5, 1.0, 0.5, 4.0)
     r = classify_region(0, 2, g)
-    assert (r.j_lo, r.j_hi) == (0, 2)
-    assert len(interior_points(r)) == 4  # row 1
-    assert len(boundary_points(r)) == 8  # rows 0 and 2
+    assert r == (0, 2)
+    assert len(interior_points(r, g)) == 4  # row 1
+    assert len(boundary_points(r, g)) == 8  # rows 0 and 2
 
 
 def test_classify_region_empty_interior():
     g = grid()
     r = classify_region(0, 1, g)
-    assert interior_points(r) == []
-    assert {j for _, j in boundary_points(r)} == {0, 1}
+    assert r == (0, 1)
+    assert interior_points(r, g) == []
+    assert {j for _, j in boundary_points(r, g)} == {0, 1}
 
 
 def test_classify_region_errors():
     g = grid()
-    with pytest.raises(EmptyRegion):
+    with pytest.raises(EmptyRegion, match=r"time window \[2, 2\] is empty"):
         classify_region(2, 2, g)
     with pytest.raises(EmptyRegion):
         classify_region(3, 1, g)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match=r"time window \[0, 5\] outside \[0, 4\]"):
         classify_region(0, g.n_time, g)
+    with pytest.raises(OutOfRange):
+        classify_region(-1, 2, g)
 
 
 def test_interior_points_touched_only_by_members():
     g = grid()
     r = classify_region(1, 4, g)
-    for p in interior_points(r):
+    for p in interior_points(r, g):
         pairs = rectangles_touching(p, g)
         assert len(pairs) == 4
         assert all(contains_rect(r, rect) for rect, _ in pairs)

@@ -19,8 +19,9 @@ def test_eval_examples():
 def test_eval_rejects_flat_bottom_edge():
     with pytest.raises(NonMonotone):
         rect_value((0.0, 0.0, 1.0, 0.5), 1, 1)
-    with pytest.raises(NonMonotone):
-        rect_value((0.0, 5e-9, 1.0, 0.5), 1, 1)  # below the 1e-8*h cutoff
+    # Below the 1e-8*h cutoff; the message names the point and the bound.
+    with pytest.raises(NonMonotone, match=r"at i=0 \(increment 5e-09 <= 1e-08\)"):
+        rect_value((0.0, 5e-9, 1.0, 0.5), 1, 1)
     # A non-finite bottom edge is rejected too: a NaN difference fails
     # every comparison, so the cutoff test must not be a negated <=.
     inf, nan = math.inf, math.nan
