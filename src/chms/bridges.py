@@ -10,7 +10,7 @@ resolved numerical trajectories its residual shrinks under refinement.
 
 All finite differences are second-order central with periodic spatial
 wraparound; fields derived in time exist only on interior levels, so
-each operation returns the time levels it covers.
+each operation's docstring states the time levels it covers.
 """
 
 from __future__ import annotations
@@ -25,26 +25,17 @@ from .del_solver import Section
 from .lagrangian import _shift
 
 
-def _b1_matrix() -> np.ndarray:
-    m = np.zeros((6, 6))
-    m[0, 3] = 1.0
-    m[2, 5] = 1.0
-    m[3, 0] = -1.0
-    m[5, 2] = -1.0
-    m.flags.writeable = False
-    return m
+def _skew(*pairs) -> np.ndarray:
+    """Read-only 6x6 matrix with 1 at each (m, n) of pairs and -1 at (n, m)."""
+    b = np.zeros((6, 6))
+    for m, n in pairs:
+        b[m, n], b[n, m] = 1.0, -1.0
+    b.flags.writeable = False
+    return b
 
 
-def _b0_matrix() -> np.ndarray:
-    m = np.zeros((6, 6))
-    m[0, 4] = 1.0
-    m[4, 0] = -1.0
-    m.flags.writeable = False
-    return m
-
-
-B1 = _b1_matrix()
-B0 = _b0_matrix()
+B1 = _skew((0, 3), (2, 5))
+B0 = _skew((0, 4))
 
 
 @dataclass(frozen=True)
@@ -149,12 +140,10 @@ def _dt(f: np.ndarray, k: float) -> np.ndarray:
     return (f[2:] - f[:-2]) / (2.0 * k)
 
 
-def section_to_jets(s: Section):
-    """Central-difference jet fields on the interior time levels.
-
-    Returns (jets, levels): a Jet3Sample of arrays of shape
-    (len(levels), n_space), and levels = [1, .., n_time - 2].
-    """
+def section_to_jets(s: Section) -> Jet3Sample:
+    """Central-difference jet fields on the interior time levels: a
+    Jet3Sample of arrays of shape (n_time - 2, n_space), whose first
+    axis covers levels 1 .. n_time - 2."""
     g = s.grid
     if g.n_time < 3:
         raise OutOfRange("need at least 3 time levels for jet fields")
@@ -162,7 +151,7 @@ def section_to_jets(s: Section):
     h, k, lam = g.h, g.k, g.domain_length
     eta_t = _dt(y, k)
     eta_xx_all = _dxx(y, h, lam)
-    jets = Jet3Sample(
+    return Jet3Sample(
         eta=y[1:-1].copy(),
         eta_x=_dx(y, h, lam)[1:-1],
         eta_t=eta_t,
@@ -170,67 +159,60 @@ def section_to_jets(s: Section):
         eta_tx=_dx(eta_t, h),
         eta_txx=_dt(eta_xx_all, k),
     )
-    return jets, list(range(1, g.n_time - 1))
 
 
-def phase_field(s: Section):
-    """Z-field sampled from the trajectory: shape (levels, n_space, 6).
-
-    Momenta come from the closed forms applied to the finite-difference
-    jets; no interpolation.
-    """
-    jets, levels = section_to_jets(s)
-    return legendre(jets), levels
+def phase_field(s: Section) -> np.ndarray:
+    """Z-field over levels 1 .. n_time - 2, shape (n_time - 2, n_space, 6):
+    the closed-form momenta of the finite-difference jets, no interpolation."""
+    return legendre(section_to_jets(s))
 
 
-def _phase_dx(z: np.ndarray, g: GridSpec, levels, drop: int):
-    """(z, z_x, the levels of z without `drop` at each end) for a Z-field
-    of at least 2 * drop + 1 levels; eta carries the identity lift, the
-    momenta are periodic.  levels defaults to 0, 1, .. ."""
+def _phase_dx(z: np.ndarray, g: GridSpec, drop: int):
+    """(z, z_x) for a Z-field of at least 2 * drop + 1 levels; eta
+    carries the identity lift, the momenta are periodic."""
     z = np.asarray(z, dtype=float)
     if z.shape[0] < 2 * drop + 1:
         raise OutOfRange(f"need at least {2 * drop + 1} time levels of Z")
     zx = np.empty_like(z)
     for m in range(6):
         zx[..., m] = _dx(z[..., m], g.h, g.domain_length if m == 0 else 0.0)
-    levels = list(range(z.shape[0]) if levels is None else levels)
-    return z, zx, levels[drop:-drop]
+    return z, zx
 
 
-def hamilton_residuals(z: np.ndarray, g: GridSpec, levels=None):
+def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """Componentwise residual of B1 Z_x + B0 Z_t - grad H(Z).
 
     Four components are pointwise identities of the momenta (they vanish
     to discretization order); the first component reproduces the field
-    equation residual.  Returns (res, levels) on the interior levels of
-    the supplied Z-field.
+    equation residual.  It covers the levels of z without the first and
+    the last: shape (len(z) - 2, n_space, 6).
     """
-    z, zx, inner = _phase_dx(z, g, levels, 1)
-    res = (
+    z, zx = _phase_dx(z, g, 1)
+    return (
         np.einsum("mn,...n->...m", B1, zx[1:-1])
         + np.einsum("mn,...n->...m", B0, _dt(z, g.k))
         - grad_hamiltonian_phase(z[1:-1])
     )
-    return res, inner
 
 
-def conservation_residual(z: np.ndarray, g: GridSpec, levels=None):
+def conservation_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """r = d/dx w1(Z_t, Z_x) + d/dt w0(Z_t, Z_x); near zero on resolved
-    solutions.  Returns (r, levels) two levels inside the supplied field."""
-    z, zx, inner = _phase_dx(z, g, levels, 2)
+    solutions.  It covers the levels of z without two at each end: shape
+    (len(z) - 4, n_space)."""
+    z, zx = _phase_dx(z, g, 2)
     s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
-    return _dx(s1, g.h)[1:-1] + _dt(s0, g.k), inner
+    return _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
 
 
-def continuous_el_residual(z: np.ndarray, g: GridSpec, levels=None):
+def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """Finite-difference residual of the continuous field equation
 
         ((eta_tx/eta_x)**2 - eta_t**2)_x / 2 - (eta_x eta_t)_t
             + (eta_tx/eta_x)_xt
 
     evaluated with nested central differences on the Z-field, in which
-    ptx = eta_tx/eta_x and the flux term is -px.  Returns (res, levels)
-    on the interior levels of the supplied field.
+    ptx = eta_tx/eta_x and the flux term is -px.  It covers the levels
+    of z without the first and the last: shape (len(z) - 2, n_space).
     """
-    z, zx, inner = _phase_dx(z, g, levels, 1)
-    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k), inner
+    z, zx = _phase_dx(z, g, 1)
+    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)

@@ -106,10 +106,8 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
 
 def diagnostic_windows(n_rows: int) -> list[tuple[int, int]]:
     """Whole run, then its first and second half when it spans at least
-    two rectangle rows; no window below two levels."""
+    two rectangle rows; n_rows >= 2 (GridSpec's minimum)."""
     j_hi = n_rows - 1
-    if j_hi < 1:
-        return []
     mid = j_hi // 2
     windows = [(0, j_hi)]
     if mid > 0:
@@ -167,10 +165,10 @@ def _window_records(s: Section, noether: bool, tangents) -> list[dict]:
 
 def _bridges_summary(s: Section) -> dict | None:
     try:
-        z, levels = bridges.phase_field(s)
-        cons, _ = bridges.conservation_residual(z, s.grid, levels)
-        ham, _ = bridges.hamilton_residuals(z, s.grid, levels)
-        el, _ = bridges.continuous_el_residual(z, s.grid, levels)
+        z = bridges.phase_field(s)
+        cons = bridges.conservation_residual(z, s.grid)
+        ham = bridges.hamilton_residuals(z, s.grid)
+        el = bridges.continuous_el_residual(z, s.grid)
     except OutOfRange:
         return None
     return {
@@ -223,11 +221,7 @@ def run_command(cfg: RunConfig) -> int:
     summary = report["summary"]
     abort = None
     if not result.ok:
-        summary["failure"] = {
-            "step": result.failure.step,
-            "error": result.failure.error,
-            "message": result.failure.message,
-        }
+        summary["failure"] = dataclasses.asdict(result.failure)
         abort = f"solver abort at step {result.failure.step}: {result.failure.message}"
     else:
         # A failing structure check leaves a completed march: the trajectory
@@ -310,12 +304,7 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
         result = _execute(level_cfg)
         if not result.ok:
             status = "aborted"
-            failure = {
-                "factor": f,
-                "step": result.failure.step,
-                "error": result.failure.error,
-                "message": result.failure.message,
-            }
+            failure = {"factor": f, **dataclasses.asdict(result.failure)}
             break
         s = result.section
         sections.append((f, s))

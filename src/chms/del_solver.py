@@ -15,7 +15,7 @@ it is never shortened or silently regularized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -405,9 +405,10 @@ def advance_row(
 
     ym1 and y0 are the two known rows (absolute label values); a
     non-monotone one raises NonMonotone naming it, the point, the
-    increment and the bound.  The initial guess is the linear
-    extrapolation 2*y0 - ym1, or y0 where that is not monotone.  A Newton
-    update that is not monotone raises NonMonotone at once: wave breaking.
+    increment and the bound.  Newton starts from 2*y0 - ym1, unchecked:
+    the top rectangles take their bottom edge a from y0, so no guess
+    makes the residual singular.  A non-monotone Newton update raises
+    NonMonotone at once: wave breaking.
     """
     h, k = g.h, g.k
     a_t = _increments(y0, g, "the current row y0") / h  # bottom edge of the top rectangles
@@ -415,10 +416,6 @@ def advance_row(
     bot = grad_from_parts(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
 
     yp1 = 2.0 * y0 - ym1
-    try:
-        _increments(yp1, g, "the extrapolated guess")
-    except NonMonotone:
-        yp1 = y0.copy()
     scale = 1.0
     prev_norm = np.inf
     floor = 0.0
@@ -478,8 +475,8 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
             break
         disp[rows_done] = yp1 - xs
         rows_done += 1
-        stats.append(StepStats(m, st.iterations, st.residual_norm, st.backtracks, st.stop_reason))
-    out = Section(g.with_time_levels(rows_done), disp[:rows_done])
+        stats.append(replace(st, step=m))
+    out = Section(replace(g, n_time=rows_done), disp[:rows_done])
     return EvolveResult(out, stats, failure)
 
 
@@ -495,8 +492,6 @@ def initialize(u0, g: GridSpec) -> Section:
     """
     xs = np.arange(g.n_space) * g.h
     v = np.asarray(u0(xs), dtype=float)
-    if v.ndim == 0:
-        v = np.full(g.n_space, float(v))
     if v.shape != xs.shape:
         raise ValueError("u0 must map the sample positions to one value each")
     d = np.zeros((2, g.n_space))
@@ -508,7 +503,7 @@ def initialize(u0, g: GridSpec) -> Section:
             f"velocity kick k*u0(x) is not finite at x = {xs[i]:g} (u0 = {v[i]:g})"
         )
     try:
-        s = Section(g.with_time_levels(2), d)
+        s = Section(replace(g, n_time=2), d)
     except NonMonotone as exc:
         raise BadInitialData(
             f"velocity kick destroys monotonicity of row 1: {exc}"

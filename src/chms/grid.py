@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EmptyRegion, OutOfRange
 from .lagrangian import DELTA_MIN_FACTOR
@@ -65,9 +65,6 @@ class GridSpec:
         """Build a grid with h = domain_length / n_space and k = cfl * h."""
         h = domain_length / n_space
         return cls(n_space, n_time, h, cfl * h, domain_length)
-
-    def with_time_levels(self, n_time: int) -> "GridSpec":
-        return replace(self, n_time=n_time)
 
 
 def classify_region(j_lo: int, j_hi: int, g: GridSpec) -> tuple[int, int]:

@@ -295,11 +295,11 @@ def continuous_el_residual(s):
         ((eta_tx/eta_x)**2 - eta_t**2)_x / 2 - (eta_x eta_t)_t
             + (eta_tx/eta_x)_xt
 
-    on the jets of the section.  Returns (res, levels)."""
+    on the jets of the section, over levels 2 .. n_time - 3."""
     if s.grid.n_time < 5:
         raise OutOfRange("need at least 5 time levels")
     h, k = s.grid.h, s.grid.k
-    jets, levels = section_to_jets(s)
+    jets = section_to_jets(s)
 
     def dx(f):
         return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * h)
@@ -311,4 +311,4 @@ def continuous_el_residual(s):
     flux = 0.5 * (ratio**2 - jets.eta_t**2)
     momentum = jets.eta_x * jets.eta_t
     res = dx(flux)[1:-1] - dt(momentum) + dt(dx(ratio))
-    return res, levels[1:-1]
+    return res

@@ -95,10 +95,10 @@ def test_criterion_2_exact_solution_residuals(rng):
         worst = max(worst, abs(gc.mff_boundary_terms(sec, v, w, region).sum()))
         xi = gc.SymmetryGenerator(1.0)
         worst = max(worst, abs(gc.noether_boundary_terms(sec, xi, region).sum()))
-        z, levels = bridges.phase_field(sec)
-        ham, _ = bridges.hamilton_residuals(z, grid, levels)
-        cons, _ = bridges.conservation_residual(z, grid, levels)
-        el, _ = bridges.continuous_el_residual(z, grid, levels)
+        z = bridges.phase_field(sec)
+        ham = bridges.hamilton_residuals(z, grid)
+        cons = bridges.conservation_residual(z, grid)
+        el = bridges.continuous_el_residual(z, grid)
         worst = max(worst, float(np.max(np.abs(ham))), float(np.max(np.abs(cons))),
                     float(np.max(np.abs(el))))
     elapsed = time.perf_counter() - t0
@@ -210,9 +210,9 @@ def test_criterion_7_convergence(rng):
     cons_norms, el_norms = [], []
     for factor in (1, 2, 4):
         sec = runs[factor]
-        z, levels = bridges.phase_field(sec)
-        cons, _ = bridges.conservation_residual(z, sec.grid, levels)
-        el, _ = bridges.continuous_el_residual(z, sec.grid, levels)
+        z = bridges.phase_field(sec)
+        cons = bridges.conservation_residual(z, sec.grid)
+        el = bridges.continuous_el_residual(z, sec.grid)
         cons_norms.append(float(np.max(np.abs(cons))))
         el_norms.append(float(np.max(np.abs(el))))
     cons_orders = [math.log2(a / b) for a, b in zip(cons_norms, cons_norms[1:])]

@@ -165,10 +165,10 @@ def test_presymplectic_pair_structure():
 def test_residual_fields_vanish_on_exact_solutions():
     g = o1_grid()
     for s in (Section.identity(g), uniform_translation(g, 0.3)):
-        z, levels = phase_field(s)
-        ham, _ = hamilton_residuals(z, g, levels)
-        cons, _ = conservation_residual(z, g, levels)
-        el, _ = continuous_el_residual(z, g, levels)
+        z = phase_field(s)
+        ham = hamilton_residuals(z, g)
+        cons = conservation_residual(z, g)
+        el = continuous_el_residual(z, g)
         assert np.max(np.abs(ham)) <= 1e-12
         assert np.max(np.abs(cons)) <= 1e-12
         assert np.max(np.abs(el)) <= 1e-12
@@ -181,9 +181,9 @@ def test_jet_fields_match_analytic_derivatives():
     t = np.arange(rows) * g.k
     eta = x[None, :] + 0.3 * np.sin(x[None, :] - t[:, None])
     s = Section(g, eta - x[None, :])
-    jets, levels = section_to_jets(s)
-    mid = len(levels) // 2
-    d = smooth_eta_derivs(x, t[levels[mid]])
+    jets = section_to_jets(s)
+    mid = (rows - 2) // 2
+    d = smooth_eta_derivs(x, t[1 + mid])  # the jets start at level 1
     for name, tol in [("eta_x", 1e-3), ("eta_t", 1e-3), ("eta_tx", 1e-3), ("eta_txx", 5e-3)]:
         assert np.max(np.abs(getattr(jets, name)[mid] - d[name])) <= tol
 
@@ -192,10 +192,10 @@ def test_residual_fields_shrink_on_numerical_solutions():
     norms = {}
     for n, steps in [(16, 8), (32, 16)]:
         s = cosine_trajectory(n_space=n, n_steps=steps, amp=0.1).section
-        z, levels = phase_field(s)
-        ham, _ = hamilton_residuals(z, s.grid, levels)
-        cons, _ = conservation_residual(z, s.grid, levels)
-        el, _ = continuous_el_residual(z, s.grid, levels)
+        z = phase_field(s)
+        ham = hamilton_residuals(z, s.grid)
+        cons = conservation_residual(z, s.grid)
+        el = continuous_el_residual(z, s.grid)
         norms[n] = (
             np.max(np.abs(ham)),
             np.max(np.abs(cons)),
@@ -216,10 +216,10 @@ def test_hamilton_residual_component_structure():
         t = np.arange(rows) * g.k
         eta = x[None, :] + 0.3 * np.sin(x[None, :] - t[:, None])
         s = Section(g, eta - x[None, :])
-        z, levels = phase_field(s)
-        ham, ham_levels = hamilton_residuals(z, g, levels)
-        el, el_levels = continuous_el_residual(z, g, levels)
-        assert ham_levels == el_levels
+        z = phase_field(s)
+        ham = hamilton_residuals(z, g)
+        el = continuous_el_residual(z, g)
+        assert ham.shape[:-1] == el.shape
         measured[n] = (
             float(np.max(np.abs(ham[..., 0] + el))),
             float(np.max(np.abs(ham[..., 1:]))),
@@ -238,21 +238,27 @@ def test_continuous_el_residual_of_the_phase_field_matches_the_jet_oracle():
     t = np.arange(9) * g.k
     wave = Section(g, 0.3 * np.sin(x[None, :] - t[:, None]))
     for s in (wave, cosine_trajectory(n_space=16, n_steps=8, amp=0.1).section):
-        z, levels = phase_field(s)
-        el, el_levels = continuous_el_residual(z, s.grid, levels)
-        ref, ref_levels = el_oracle(s)
-        assert np.array_equal(el, ref) and el_levels == ref_levels
-        assert np.array_equal(continuous_el_residual(z, s.grid)[0], el)
+        z = phase_field(s)
+        el = continuous_el_residual(z, s.grid)
+        assert np.array_equal(el, el_oracle(s))
     with pytest.raises(OutOfRange):
         continuous_el_residual(z[:2], s.grid)
 
 
 def test_hamilton_residual_levels_and_errors():
+    # The phase field covers levels 1 .. n_time - 2; the Hamilton and
+    # field-equation residuals drop one level of it at each end, the
+    # conservation residual two.
+    n, n_time = 16, 9
+    s = Section.identity(o1_grid(n_space=n, n_time=n_time))
+    z = phase_field(s)
+    assert z.shape == (n_time - 2, n, 6)
+    assert hamilton_residuals(z, s.grid).shape == (n_time - 4, n, 6)
+    assert continuous_el_residual(z, s.grid).shape == (n_time - 4, n)
+    assert conservation_residual(z, s.grid).shape == (n_time - 6, n)
     g = o1_grid(n_time=4)
-    s = Section.identity(g)
-    z, levels = phase_field(s)
-    assert levels == [1, 2]
+    z = phase_field(Section.identity(g))
     with pytest.raises(OutOfRange):
         hamilton_residuals(z[:2], g)
     with pytest.raises(OutOfRange):
-        conservation_residual(z, g, levels)  # needs 5 levels of Z
+        conservation_residual(z, g)  # needs 5 levels of Z

@@ -184,6 +184,23 @@ def test_run_solver_abort_exit_code(tmp_path):
     assert (out / "trajectory.csv").exists()  # partial trajectory saved
 
 
+def test_run_newton_iteration_limit_exits_three(tmp_path, capsys):
+    out = tmp_path / "limit"
+    code = run_cli(
+        "run", "--ic", "cosine:0.5", "--n-space", "64", "--n-steps", "50",
+        "--max-iters", "1", "--out-dir", str(out),
+    )
+    assert code == EXIT_SOLVER
+    message = "residual 1.99881e-06 above tolerance 8.31243e-10 after 1 Newton iterations"
+    assert capsys.readouterr().err == f"solver abort at step 1: {message}\n"
+    failure = json.loads((out / "diagnostics.json").read_text())["summary"]["failure"]
+    assert list(failure.items()) == [("step", 1), ("error", "MaxItersExceeded"), ("message", message)]
+    # The trajectory holds the two starting levels 0 and 1.
+    k = RunConfig(n_space=64).grid().k
+    times = [line.split(",")[0] for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert times == [format_float(0.0)] * 64 + [format_float(k)] * 64
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

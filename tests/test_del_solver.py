@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section
 from oracles import cyclic_solve, del_residual, del_residual_expanded, label, uniform_translation
 
+from chms import del_solver
 from chms.del_solver import (
     Section,
     SolverConfig,
@@ -17,7 +18,7 @@ from chms.del_solver import (
     residual_scale_row,
     solve_cyclic_tridiagonal,
 )
-from chms.errors import BadInitialData, NonMonotone, OutOfRange, SingularJacobian
+from chms.errors import BadInitialData, MaxItersExceeded, NonMonotone, OutOfRange, SingularJacobian
 from chms.geometry_checks import level_series
 from chms.grid import GridSpec
 from chms.lagrangian import DELTA_MIN_FACTOR, jacobian_bands
@@ -141,6 +142,13 @@ def test_initialize_rejects_violent_kick():
     g = GridSpec.from_circle(16, 2, TWO_PI, 4.0)  # huge timestep
     with pytest.raises(BadInitialData):
         initialize(cosine_u0(2.0, TWO_PI), g)
+
+
+def test_initialize_rejects_a_scalar_velocity():
+    # Every initial-condition sampler returns one value per position.
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+    with pytest.raises(ValueError, match="one value each"):
+        initialize(lambda x: 0.25, g)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -486,6 +494,36 @@ def test_advance_row_names_a_non_monotone_previous_row():
     )
     with pytest.raises(NonMonotone, match=message):
         advance_row(ym1, s.row_y(1), g, SolverConfig())
+
+
+def test_advance_row_raises_when_newton_runs_out_of_iterations():
+    # The first step of `chms run --ic cosine:0.5 --n-space 64 --max-iters 1`.
+    g = GridSpec.from_circle(64, 2, TWO_PI, 0.25)
+    s = initialize(cosine_u0(0.5, TWO_PI), g)
+    message = r"^residual 1.99881e-06 above tolerance 8.31243e-10 after 1 Newton iterations$"
+    with pytest.raises(MaxItersExceeded, match=message):
+        advance_row(s.row_y(0), s.row_y(1), g, SolverConfig(max_iters=1))
+
+
+def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
+    # The guess 2*y0 - ym1 is not checked: an accepted step with k Newton
+    # updates applies the monotonicity rule to y0 and to each update.
+    calls = []
+    real = del_solver._increments
+
+    def counting(rows, g, what):
+        calls.append(what)
+        return real(rows, g, what)
+
+    monkeypatch.setattr(del_solver, "_increments", counting)
+    for n_space, amp in ((16, 0.1), (64, 0.5)):
+        g = GridSpec.from_circle(n_space, 2, TWO_PI, 0.25)
+        s = initialize(cosine_u0(amp, TWO_PI), g)
+        calls.clear()
+        _, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
+        assert stats.iterations >= 1
+        assert len(calls) == 1 + stats.iterations
+        assert calls[0] == "the current row y0"
 
 
 def test_backward_marching_is_first_order_not_exact():
