@@ -30,7 +30,6 @@ from .geometry_checks import (
 from .bridges import (
     B0,
     B1,
-    Jet3Sample,
     conservation_residual,
     continuous_el_residual,
     hamilton_residuals,

@@ -10,16 +10,15 @@ resolved numerical trajectories its residual shrinks under refinement.
 
 All finite differences are second-order central with periodic spatial
 wraparound; fields derived in time exist only on interior levels, so
-each operation's docstring states the time levels it covers.
+each operation's docstring states the time levels it covers.  A field
+too short to have an interior level has zero levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonMonotone, OutOfRange
+from .errors import NonMonotone
 from .grid import GridSpec
 from .del_solver import Section
 from .lagrangian import _shift
@@ -38,24 +37,7 @@ B1 = _skew((0, 3), (2, 5))
 B0 = _skew((0, 4))
 
 
-@dataclass(frozen=True)
-class Jet3Sample:
-    """Point values of eta and the partial derivatives the momenta need."""
-
-    eta: float
-    eta_x: float
-    eta_t: float
-    eta_xx: float
-    eta_tx: float
-    eta_txx: float
-
-
-def _require_positive_slope(eta_x) -> None:
-    if not np.all(np.asarray(eta_x) > 0.0):  # NaN fails too
-        raise NonMonotone("eta_x must be positive")
-
-
-def legendre(j: Jet3Sample) -> np.ndarray:
+def legendre(eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx) -> np.ndarray:
     """The phase point Z = (eta, eta_x, eta_t, px, pt, ptx) of a jet, with
     the momenta conjugate to (eta, eta_x, eta_t):
 
@@ -64,13 +46,14 @@ def legendre(j: Jet3Sample) -> np.ndarray:
         ptx = eta_tx / eta_x
 
     The pt formula carries the spatial total derivative of ptx.  Jets of
-    equal-shape arrays give shape + (6,).
+    equal-shape arrays give shape + (6,); eta_x must be positive.
     """
-    _require_positive_slope(j.eta_x)
-    ptx = j.eta_tx / j.eta_x
-    px = 0.5 * (j.eta_t * j.eta_t - ptx * ptx)
-    pt = j.eta_x * j.eta_t - (j.eta_txx * j.eta_x - j.eta_tx * j.eta_xx) / (j.eta_x * j.eta_x)
-    return np.stack([j.eta, j.eta_x, j.eta_t, px, pt, ptx], axis=-1)
+    if not np.all(np.asarray(eta_x) > 0.0):  # NaN fails too
+        raise NonMonotone("eta_x must be positive")
+    ptx = eta_tx / eta_x
+    px = 0.5 * (eta_t * eta_t - ptx * ptx)
+    pt = eta_x * eta_t - (eta_txx * eta_x - eta_tx * eta_xx) / (eta_x * eta_x)
+    return np.stack([eta, eta_x, eta_t, px, pt, ptx], axis=-1)
 
 
 def hamiltonian_phase(z: np.ndarray) -> np.ndarray:
@@ -140,39 +123,28 @@ def _dt(f: np.ndarray, k: float) -> np.ndarray:
     return (f[2:] - f[:-2]) / (2.0 * k)
 
 
-def section_to_jets(s: Section) -> Jet3Sample:
-    """Central-difference jet fields on the interior time levels: a
-    Jet3Sample of arrays of shape (n_time - 2, n_space), whose first
-    axis covers levels 1 .. n_time - 2."""
+def section_to_jets(s: Section) -> tuple[np.ndarray, ...]:
+    """Central-difference jet fields (eta, eta_x, eta_t, eta_xx, eta_tx,
+    eta_txx) on the interior time levels 1 .. n_time - 2: six arrays of
+    shape (n_time - 2, n_space)."""
     g = s.grid
-    if g.n_time < 3:
-        raise OutOfRange("need at least 3 time levels for jet fields")
     y = s.rows_y()
     h, k, lam = g.h, g.k, g.domain_length
     eta_t = _dt(y, k)
-    eta_xx_all = _dxx(y, h, lam)
-    return Jet3Sample(
-        eta=y[1:-1].copy(),
-        eta_x=_dx(y, h, lam)[1:-1],
-        eta_t=eta_t,
-        eta_xx=eta_xx_all[1:-1],
-        eta_tx=_dx(eta_t, h),
-        eta_txx=_dt(eta_xx_all, k),
-    )
+    eta_xx = _dxx(y, h, lam)
+    return y[1:-1].copy(), _dx(y, h, lam)[1:-1], eta_t, eta_xx[1:-1], _dx(eta_t, h), _dt(eta_xx, k)
 
 
 def phase_field(s: Section) -> np.ndarray:
     """Z-field over levels 1 .. n_time - 2, shape (n_time - 2, n_space, 6):
     the closed-form momenta of the finite-difference jets, no interpolation."""
-    return legendre(section_to_jets(s))
+    return legendre(*section_to_jets(s))
 
 
-def _phase_dx(z: np.ndarray, g: GridSpec, drop: int):
-    """(z, z_x) for a Z-field of at least 2 * drop + 1 levels; eta
-    carries the identity lift, the momenta are periodic."""
+def _phase_dx(z: np.ndarray, g: GridSpec):
+    """(z, z_x) of a Z-field; eta carries the identity lift, the momenta
+    are periodic."""
     z = np.asarray(z, dtype=float)
-    if z.shape[0] < 2 * drop + 1:
-        raise OutOfRange(f"need at least {2 * drop + 1} time levels of Z")
     zx = np.empty_like(z)
     for m in range(6):
         zx[..., m] = _dx(z[..., m], g.h, g.domain_length if m == 0 else 0.0)
@@ -185,9 +157,9 @@ def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
     Four components are pointwise identities of the momenta (they vanish
     to discretization order); the first component reproduces the field
     equation residual.  It covers the levels of z without the first and
-    the last: shape (len(z) - 2, n_space, 6).
+    the last: shape (max(len(z) - 2, 0), n_space, 6).
     """
-    z, zx = _phase_dx(z, g, 1)
+    z, zx = _phase_dx(z, g)
     return (
         np.einsum("mn,...n->...m", B1, zx[1:-1])
         + np.einsum("mn,...n->...m", B0, _dt(z, g.k))
@@ -198,8 +170,8 @@ def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
 def conservation_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """r = d/dx w1(Z_t, Z_x) + d/dt w0(Z_t, Z_x); near zero on resolved
     solutions.  It covers the levels of z without two at each end: shape
-    (len(z) - 4, n_space)."""
-    z, zx = _phase_dx(z, g, 2)
+    (max(len(z) - 4, 0), n_space)."""
+    z, zx = _phase_dx(z, g)
     s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
     return _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
 
@@ -212,7 +184,8 @@ def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
 
     evaluated with nested central differences on the Z-field, in which
     ptx = eta_tx/eta_x and the flux term is -px.  It covers the levels
-    of z without the first and the last: shape (len(z) - 2, n_space).
+    of z without the first and the last: shape (max(len(z) - 2, 0),
+    n_space).
     """
-    z, zx = _phase_dx(z, g, 1)
+    z, zx = _phase_dx(z, g)
     return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)

@@ -20,7 +20,7 @@ import numpy as np
 from . import bridges, geometry_checks as gc
 from .config import DEFAULTS, RunConfig, _coerce, build_run_config, parse_config_file
 from .del_solver import STOP_REASONS, EvolveResult, Section, evolve, initialize
-from .errors import BadInitialData, ChmsError, ConfigError, OutOfRange
+from .errors import BadInitialData, ChmsError, ConfigError
 from .lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts
 
 EXIT_OK = 0
@@ -43,8 +43,6 @@ def format_float(v: float) -> str:
 def _json_value(v, indent: int) -> str:
     pad = "  " * (indent + 1)
     if isinstance(v, dict):
-        if not v:
-            return "{}"
         items = ",\n".join(
             f"{pad}{json.dumps(str(key))}: {_json_value(val, indent + 1)}"
             for key, val in v.items()
@@ -163,19 +161,16 @@ def _window_records(s: Section, noether: bool, tangents) -> list[dict]:
     return records
 
 
-def _bridges_summary(s: Section) -> dict | None:
-    try:
-        z = bridges.phase_field(s)
-        cons = bridges.conservation_residual(z, s.grid)
-        ham = bridges.hamilton_residuals(z, s.grid)
-        el = bridges.continuous_el_residual(z, s.grid)
-    except OutOfRange:
-        return None
-    return {
-        "conservation_residual_max": float(np.max(np.abs(cons))),
-        "hamilton_residuals_max": float(np.max(np.abs(ham))),
-        "continuous_el_residual_max": float(np.max(np.abs(el))),
+def _bridges_summary(s: Section) -> dict:
+    """Each bridges field's largest magnitude; None for a field that has
+    no level (a run too short for it)."""
+    z = bridges.phase_field(s)
+    fields = {
+        "conservation_residual_max": bridges.conservation_residual(z, s.grid),
+        "hamilton_residuals_max": bridges.hamilton_residuals(z, s.grid),
+        "continuous_el_residual_max": bridges.continuous_el_residual(z, s.grid),
     }
+    return {key: float(np.max(np.abs(f))) if f.size else None for key, f in fields.items()}
 
 
 def _execute(cfg: RunConfig) -> EvolveResult:
@@ -293,7 +288,7 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
     and compare solutions at the shared final physical time."""
     out_dir = _out_dir(cfg)
     rows = []
-    sections = []
+    finals = []  # (factor, row at the shared final time)
     status = "ok"
     failure = None
     # Every refined level is validated before the first one runs.
@@ -307,7 +302,7 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
             failure = {"factor": f, **dataclasses.asdict(result.failure)}
             break
         s = result.section
-        sections.append((f, s))
+        finals.append((f, s.row_y(f * cfg.n_steps)))
         rows.append(
             {
                 "factor": f,
@@ -320,16 +315,14 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
         )
     # Compare restrictions at the shared physical time n_steps * k_base
     # (the final rows of different levels sit at different times).
-    errors = []
-    for (fa, sa), (fb, sb) in zip(sections, sections[1:]):
-        ratio = fb // fa
-        fine = sb.row_y(fb * cfg.n_steps)[::ratio]
-        coarse = sa.row_y(fa * cfg.n_steps)
-        errors.append(float(np.max(np.abs(fine - coarse))))
+    errors = [
+        float(np.max(np.abs(fine[:: fb // fa] - coarse)))
+        for (fa, coarse), (fb, fine) in zip(finals, finals[1:])
+    ]
     orders = _orders(errors, levels)
     factors = [r["factor"] for r in rows]
     bridges_orders = {
-        key: _orders([r["bridges"][key] if r["bridges"] else None for r in rows], factors)
+        key: _orders([r["bridges"][key] for r in rows], factors)
         for key in ("conservation_residual_max", "continuous_el_residual_max")
     }
     report = {
@@ -345,13 +338,9 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
     # Classic layout: each line carries the error against the previous
     # coarser level and the order estimated from successive errors.
     print(f"{'factor':>6} {'n_space':>8} {'n_steps':>8} {'error_vs_prev':>14} {'order':>8}")
-    for idx, row in enumerate(rows):
-        err = format(errors[idx - 1], ".6e") if 1 <= idx <= len(errors) else "-"
-        if 2 <= idx <= len(orders) + 1:
-            o = orders[idx - 2]
-            order = "-" if o is None else o if isinstance(o, str) else format(o, ".3f")
-        else:
-            order = "-"
+    errs = ["-"] + [format(e, ".6e") for e in errors]
+    for row, err, o in zip(rows, errs, ["-", "-"] + orders):
+        order = "-" if o is None else o if isinstance(o, str) else format(o, ".3f")
         print(f"{row['factor']:>6} {row['n_space']:>8} {row['n_steps']:>8} {err:>14} {order:>8}")
     if status != "ok":
         print(f"study aborted at factor {failure['factor']}: {failure['message']}", file=sys.stderr)
@@ -409,7 +398,8 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     rng = np.random.default_rng(cfg.seed)
     result = _execute(cfg)
     if not result.ok:
-        raise ChmsError(f"trajectory aborted: {result.failure.message}")
+        failure = result.failure
+        raise ChmsError(f"trajectory aborted at step {failure.step}: {failure.message}")
     s = result.section
     # Tangent solutions are always computed along the true solution; the
     # checks below run on the optionally perturbed trajectory.
@@ -437,19 +427,12 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
 
     # Row 4 is unused; drawing it keeps the later random draws unchanged.
     vals = rng.uniform(-2.0, 2.0, size=(6, 1000))
-    jet = bridges.Jet3Sample(
-        eta=vals[0],
-        eta_x=rng.uniform(0.3, 3.0, size=1000),
-        eta_t=vals[1],
-        eta_xx=vals[2],
-        eta_tx=vals[3],
-        eta_txx=vals[5],
-    )
+    eta_x, eta_t, eta_tx = rng.uniform(0.3, 3.0, size=1000), vals[1], vals[3]
     # The phase-space polynomial against the defining identity
     # H = L - px*eta_x - pt*eta_t - ptx*eta_tx on the same jets.
-    z = bridges.legendre(jet)
-    dens = eval_from_parts(jet.eta_x, jet.eta_t, jet.eta_tx)
-    pairings = [z[:, 3] * jet.eta_x, z[:, 4] * jet.eta_t, z[:, 5] * jet.eta_tx]
+    z = bridges.legendre(vals[0], eta_x, eta_t, vals[2], eta_tx, vals[5])
+    dens = eval_from_parts(eta_x, eta_t, eta_tx)
+    pairings = [z[:, 3] * eta_x, z[:, 4] * eta_t, z[:, 5] * eta_tx]
     ham = dens - pairings[0] - pairings[1] - pairings[2]
     scale = np.maximum(np.max(np.abs([dens, *pairings]), axis=0), 1.0)
     worst_ham = float(np.max(np.abs(bridges.hamiltonian_phase(z) - ham) / scale))
@@ -477,9 +460,8 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     drift_scale = max(abs(p0), gc.total_momentum_scale(target, 0), 1e-300)
     checks.append(_check("total_momentum_drift", drift / drift_scale))
 
-    info = _bridges_summary(target)
-    if info is not None:
-        for key, val in info.items():
+    for key, val in _bridges_summary(target).items():
+        if val is not None:
             checks.append({"name": key, "status": "INFO", "value": val, "threshold": None})
 
     failed = any(c["status"] == "FAIL" for c in checks)

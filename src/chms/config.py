@@ -145,6 +145,7 @@ class RunConfig:
             "seed": self.seed,
             "diagnostics": list(self.diagnostics),
             "solver": {"tol_residual": self.tol_residual, "max_iters": self.max_iters},
+            "inject_off_shell": self.inject_off_shell,
         }
 
 
@@ -208,7 +209,4 @@ def build_run_config(file_values: dict | None, overrides: dict) -> RunConfig:
     """Merge configuration sources; explicit CLI flags win over the file."""
     merged = dict(file_values or {})
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**merged)

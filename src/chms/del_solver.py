@@ -7,7 +7,8 @@ to vanish on a whole row at once, which couples the unknowns cyclically;
 the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
 row j+1.  The solve uses the analytic Jacobian with Sherman-Morrison
-corrected tridiagonal elimination.  A Newton update that leaves the row
+corrected tridiagonal elimination, refined where the correction has
+lost accuracy.  A Newton update that leaves the row
 non-monotone is reported at once as wave breaking, naming the point;
 it is never shortened or silently regularized.
 """
@@ -364,6 +365,56 @@ def _solve_partitioned(lower, diag, upper, rhs):
     return out
 
 
+#: Refinement stops once the normwise backward error
+#: max|A x - rhs| / (max_i sum_j |A[i, j]| * max|x|) is at most this.
+_REFINE_TOL = 2.0 * np.finfo(float).eps
+_REFINE_STEPS = 3
+
+
+def _residual(lower, diag, upper, rhs, x):
+    """rhs - A x for A cyclic tridiagonal, built in one buffer."""
+    r = diag * x
+    r += lower * np.concatenate((x[-1:], x[:-1]))
+    r += upper * np.concatenate((x[1:], x[:1]))
+    return np.subtract(rhs, r, out=r)
+
+
+def _refine(solve, lower, diag, upper, rhs, x):
+    """Fixed-precision iterative refinement of a solution x of A x = rhs.
+
+    The Sherman-Morrison shift can leave the banded matrix nearly
+    singular where A is not (its last diagonal entry,
+    diag[-1] - lower[0] * upper[-1] / gamma, can cancel), and x then
+    misses rhs by 1e5 roundings and more on diagonally dominant A.  One step x += A^-1 (rhs - A x)
+    with the same solve brings the backward error back to rounding level
+    (Skeel, Math. Comp. 35, 1980).  Steps run while the backward error
+    exceeds _REFINE_TOL, each one kept only if it halves it, at most
+    _REFINE_STEPS; a non-finite x is returned as it is.
+    """
+    r = _residual(lower, diag, upper, rhs, x)
+    norm_r = abs(r).max()
+    # max|rhs| <= ||A|| ||x|| + norm_r, so this settles most solves
+    # without forming ||A|| or ||x||.
+    if norm_r <= _REFINE_TOL * (abs(rhs).max() - norm_r):
+        return x
+    norm_x = abs(x).max()
+    if not math.isfinite(norm_x):
+        return x
+    norm_a = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
+    for _ in range(_REFINE_STEPS):
+        if not norm_r > _REFINE_TOL * norm_a * norm_x:
+            break
+        refined = x + solve(lower, diag, upper, r)
+        r_refined = _residual(lower, diag, upper, rhs, refined)
+        norm_refined_x = abs(refined).max()
+        norm_refined_r = abs(r_refined).max()
+        # Backward errors compared without division: x may be 0.
+        if not norm_refined_r * norm_x <= 0.5 * norm_r * norm_refined_x:
+            break
+        x, r, norm_x, norm_r = refined, r_refined, norm_refined_x, norm_refined_r
+    return x
+
+
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     """Solve A x = rhs for A cyclic tridiagonal.
 
@@ -373,9 +424,11 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     lie outside the band, so the correction is exact for every circle.
     From n = 512 on, the partition method eliminates the segments between
     separators in vectorized steps and corrects only the separators' small
-    system this way.  Bands and rhs that are not 1-D arrays of one length
-    n >= 3 raise ValueError; a zero or non-finite pivot, or a non-finite
-    corner entry, raises SingularJacobian.
+    system this way.  Iterative refinement (_refine) then brings the
+    backward error to rounding level where the shift has spoiled it.
+    Bands and rhs that are not 1-D arrays of one length n >= 3 raise
+    ValueError; a zero or non-finite pivot, or a non-finite corner entry,
+    raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -389,9 +442,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    if n >= _PARTITION_MIN_N:
-        return _solve_partitioned(lower, diag, upper, rhs)
-    return _solve_cyclic_scalar(lower, diag, upper, rhs)
+    solve = _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
+    return _refine(solve, lower, diag, upper, rhs, solve(lower, diag, upper, rhs))
 
 
 # ---------------------------------------------------------------------------

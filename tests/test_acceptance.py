@@ -237,13 +237,12 @@ def test_criterion_8_legendre_hamiltonian_identities(rng):
     worst = 0.0
     for _ in range(1000):
         vals = rng.uniform(-2.0, 2.0, size=6)
-        j = bridges.Jet3Sample(vals[0], rng.uniform(0.3, 3.0), vals[1], vals[2],
-                               vals[3], vals[5])
-        z = bridges.legendre(j)
+        eta_x, eta_t, eta_tx = rng.uniform(0.3, 3.0), vals[1], vals[3]
+        z = bridges.legendre(vals[0], eta_x, eta_t, vals[2], eta_tx, vals[5])
         # The phase-space polynomial against H = L - px*eta_x - pt*eta_t
         # - ptx*eta_tx, with L the density written out.
-        dens = 0.5 * (j.eta_x * j.eta_t**2 + j.eta_tx**2 / j.eta_x)
-        pairings = (z[3] * j.eta_x, z[4] * j.eta_t, z[5] * j.eta_tx)
+        dens = 0.5 * (eta_x * eta_t**2 + eta_tx**2 / eta_x)
+        pairings = (z[3] * eta_x, z[4] * eta_t, z[5] * eta_tx)
         ham = dens - pairings[0] - pairings[1] - pairings[2]
         scale = max(abs(dens), *(abs(p) for p in pairings), 1.0)
         worst = max(worst, abs(bridges.hamiltonian_phase(z) - ham) / scale)

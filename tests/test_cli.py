@@ -264,6 +264,7 @@ _PARSE_ERRORS = [
     (("--cfl", "--n-space", "8"), "argument --cfl: expected one argument"),
     # argparse drops a value that is exactly "--"; it reaches the parser.
     (("--max-iters=--",), "max_iters: cannot parse '--': invalid literal for int() with base 10: '--'"),
+    (("--ic", "rest:1"), "initial_condition: cannot parse 'rest:1': rest takes no parameters"),
 ]
 
 
@@ -396,13 +397,20 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     assert run_cli("run", "--config", str(ok), "--out-dir", str(tmp_path / "o")) == EXIT_OK
 
 
-def test_converge_validation_errors(tmp_path):
+def test_converge_validation_errors(tmp_path, capsys):
     base = ["converge", "--ic", "uniform:0.2", "--n-space", "8", "--n-steps", "4",
             "--out-dir", str(tmp_path / "c")]
     assert run_cli(*base, "--levels", "1") == EXIT_CONFIG
     assert run_cli(*base, "--levels", "1,2") == EXIT_CONFIG
     assert run_cli(*base, "--levels", "1,3,5") == EXIT_CONFIG  # 3 does not divide 5
     assert run_cli(*base, "--levels", "2,2,4") == EXIT_CONFIG
+    capsys.readouterr()
+    for levels, message in [
+        ("1,x,4", "levels: invalid literal for int() with base 10: 'x'"),
+        ("0,1,2", "levels: factors must be positive integers"),
+    ]:
+        assert run_cli(*base, "--levels", levels) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_converge_uniform_reports_exact(tmp_path, capsys):
@@ -448,6 +456,7 @@ def test_check_passes_on_solution(tmp_path):
     )
     assert code == EXIT_OK
     report = json.loads((out / "check.json").read_text())
+    assert report["config"]["inject_off_shell"] is False
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["noether_boundary_sum_on_shell"] == "PASS"
     assert statuses["mff_boundary_sum_on_shell"] == "PASS"
@@ -462,6 +471,8 @@ def test_check_fails_off_shell_but_identities_pass(tmp_path):
     )
     assert code == EXIT_CHECK
     report = json.loads((out / "check.json").read_text())
+    # The config names the perturbation that makes the theorem lines fail.
+    assert report["config"]["inject_off_shell"] is True
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["noether_boundary_sum_on_shell"] == "FAIL"
     assert statuses["mff_boundary_sum_on_shell"] == "FAIL"
@@ -485,13 +496,37 @@ def test_check_without_an_interior_level_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_on_a_breaking_trajectory_names_the_step(tmp_path, capsys):
+    out = tmp_path / "chk-break"
+    code = run_cli("check", "--ic", "cosine:1.5", "--n-space", "64", "--n-steps", "400",
+                   "--out-dir", str(out))
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort: trajectory aborted at step 33: wave breaking:")
+    assert err.count("\n") == 1, err
+    assert not (out / "check.json").exists()
+
+
+def test_check_reports_the_bridges_fields_a_short_run_has(tmp_path, capsys):
+    # Three steps give the phase field three levels: one for the Hamilton
+    # and field-equation residuals, none for the conservation residual.
+    out = tmp_path / "chk3"
+    code = run_cli("check", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "3",
+                   "--out-dir", str(out))
+    assert code == EXIT_OK
+    info = [c["name"] for c in json.loads((out / "check.json").read_text())["checks"]
+            if c["status"] == "INFO"]
+    assert info == ["hamilton_residuals_max", "continuous_el_residual_max"]
+    assert capsys.readouterr().out.count("INFO:") == 2
+
+
 def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch):
     """The Legendre line compares two independent forms of H, so a wrong
     ptx momentum makes it fail; every other check still passes."""
     real = bridges.legendre
 
-    def wrong_ptx(jet):
-        z = real(jet)
+    def wrong_ptx(*jet):
+        z = real(*jet)
         z[..., 5] *= 1.01
         return z
 
@@ -710,6 +745,22 @@ def test_main_exit_codes_on_fuzzed_config_files(command, values, bad):
             assert outcome == run(out, set(values) - {"inject_off_shell"}), values
 
 
+def test_short_run_reports_each_bridges_field_it_has(tmp_path):
+    # Four steps leave the phase field three levels: enough for the
+    # Hamilton and field-equation residuals, too few for the conservation
+    # residual, which alone is null.
+    out = tmp_path / "short"
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "4",
+                   "--diagnostics", "bridges", "--out-dir", str(out))
+    assert code == EXIT_OK
+    summary = json.loads((out / "diagnostics.json").read_text())["summary"]
+    assert list(summary["bridges"].items()) == [
+        ("conservation_residual_max", None),
+        ("hamilton_residuals_max", 0.0038018498544144658),
+        ("continuous_el_residual_max", 0.0023637812193842474),
+    ]
+
+
 def test_bridges_summary_builds_the_jets_once(monkeypatch):
     calls = []
     real = bridges.section_to_jets
@@ -719,7 +770,7 @@ def test_bridges_summary_builds_the_jets_once(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(bridges, "section_to_jets", counting)
-    assert _bridges_summary(cosine_trajectory(n_space=16, n_steps=8).section) is not None
+    assert None not in _bridges_summary(cosine_trajectory(n_space=16, n_steps=8).section).values()
     assert len(calls) == 1
 
 

@@ -187,6 +187,8 @@ def test_evolve_zero_steps_returns_input():
     out = evolve(s, 0)
     assert out.ok and out.section.grid.n_time == 2
     assert np.array_equal(out.section.displacement, s.displacement)
+    with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+        evolve(s, -1)
 
 
 def test_evolve_uniform_exact_over_many_steps():
@@ -360,6 +362,22 @@ def test_cyclic_solve_matches_dense_on_dominant_bands(n, tight, data):
         reference = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
         assert np.max(np.abs(dense @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("t", [0.03125, 1e-3, 1e-6])
+def test_cyclic_solve_refines_a_cancelled_shift(t):
+    # diag[-1] - lower[0] * upper[-1] / gamma = -(1 + t) + 1 / (1 + t)
+    # cancels to about -2t: the shifted band is near singular while A is
+    # dominant, and the bare Sherman-Morrison solve misses rhs by 8 (t =
+    # 1/32) to 1e3 (t = 1e-6) roundings.
+    lower, upper = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0])
+    diag = -np.array([1.0 + t, t, 1.0 + t])
+    rhs = np.array([0.0, 0.0, 1.0])
+    bare = _solve_cyclic_scalar(lower, diag, upper, rhs)
+    assert backward_error(lower, diag, upper, bare, rhs) > 8 * EPS
+    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    assert backward_error(lower, diag, upper, x, rhs) <= 2 * EPS
+    assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
 def long_row_bands(kind, n):
@@ -581,6 +599,8 @@ def test_section_rejects_non_monotone_rows():
         d[1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
             Section(g, d)
+    with pytest.raises(ValueError, match=r"displacement shape \(2, 9\) does not match grid \(2, 8\)"):
+        Section(g, np.zeros((2, 9)))
 
 
 def test_solver_config_validation():

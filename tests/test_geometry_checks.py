@@ -318,6 +318,9 @@ def test_total_momentum_uniform_value_and_conservation():
     assert values[0] == pytest.approx(16 * c, rel=1e-13)
     assert max(abs(v - values[0]) for v in values) <= 1e-13
     assert total_momentum_scale(s, 0) >= abs(values[0])
+    # Rectangle rows run 0 .. n_time - 2.
+    with pytest.raises(OutOfRange, match="rectangle row 7 needs rows 7 and 8"):
+        total_momentum_scale(s, g.n_time - 1)
 
 
 def test_total_momentum_telescopes_noether(short_cosine):
