@@ -79,13 +79,17 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     """Header t,i,x,eta,u; one row per saved (level, spatial index).
 
     u is the forward-difference particle velocity; the final level uses
-    the backward difference since no later row exists.
+    the backward difference since no later row exists.  Each level is
+    formatted by one printf template ("%.17g" writes a finite float as
+    format_float does); a level with a non-finite value takes the
+    per-value path, which quotes it.
     """
     g = s.grid
-    last = g.n_time - 1
+    n, last = g.n_space, g.n_time - 1
     levels = sorted(set(range(0, g.n_time, save_every)) | {last})
     lines = ["t,i,x,eta,u"]
-    ix = [f",{i},{format_float(i * g.h)}," for i in range(g.n_space)]
+    ix = [f",{i},{format_float(i * g.h)}," for i in range(n)]
+    template = "\n".join(f"%s{x}%.17g,%.17g" for x in ix)
     for j in levels:
         eta = s.row_y(j)
         if j < last:
@@ -93,8 +97,13 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
         else:
             u = (eta - s.row_y(j - 1)) / g.k
         t = format_float(j * g.k)
-        rows = zip(ix, eta.tolist(), u.tolist())
-        lines += [f"{t}{x}{format_float(e)},{format_float(v)}" for x, e, v in rows]
+        if np.all(np.isfinite(eta)) and np.all(np.isfinite(u)):
+            vals = [t] * (3 * n)
+            vals[1::3], vals[2::3] = eta.tolist(), u.tolist()
+            lines.append(template % tuple(vals))
+        else:
+            rows = zip(ix, eta.tolist(), u.tolist())
+            lines += [f"{t}{x}{format_float(e)},{format_float(v)}" for x, e, v in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -473,8 +482,9 @@ def check_command(cfg: RunConfig) -> int:
     # on closure identities alone.
     if cfg.n_steps < 1:
         raise ConfigError("n_steps: check needs at least 1 step (an interior level)")
-    out_dir = _out_dir(cfg)
     checks, code = check_suite(cfg)
+    # Created only now, so a trajectory that aborts leaves no directory.
+    out_dir = _out_dir(cfg)
     dump_json({"config": cfg.as_dict(), "checks": checks}, out_dir / "check.json")
     for c in checks:
         thr = "-" if c["threshold"] is None else format(c["threshold"], ".3e")

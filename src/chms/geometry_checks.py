@@ -63,11 +63,32 @@ def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
 # Tangent-linear (first variation) marching.
 
 
-def _linear_terms(hess: np.ndarray, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
-    """(4,) + vlo.shape: sum_k d2L/dy_k dy_l * V_k over a rectangle row,
-    for each vertex l, with the tangent rows vlo (bottom) and vhi (top),
-    one per tangent of a stack."""
-    return np.einsum("nkl,k...n->l...n", hess, _tangent_rects(vlo, vhi))
+def section_parts(phi: Section):
+    """(a, b, c) over every rectangle of the section, shape (n_time - 1, n_space)."""
+    y = phi.rows_y()
+    return _row_parts(y[:-1], y[1:], phi.grid)
+
+
+def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
+    """(4,) + vlo.shape: sum_k d2L/dy_k dy_l * V_k over a rectangle row
+    with parts (a, b, c), for each vertex l, with the tangent rows vlo
+    (bottom) and vhi (top), one per tangent of a stack.
+
+    The Hessian is applied as the linearized gradient: the tangent's
+    difference variables (da, db, dc) give dL_p = sum_q L_pq dq for
+    p, q in (a, b, c), with L_aa = c^2/a^3, L_ab = b, L_ac = -c/a^2,
+    L_bb = a, L_bc = 0 and L_cc = 1/a, and the vertex terms follow the
+    gradient's.  No per-rectangle 4x4 Hessian is formed.
+    """
+    v2, v3 = _shift(vlo, 1), _shift(vhi, 1)
+    da = (v2 - vlo) / h
+    db = (vhi - vlo) / k
+    dc = ((v3 - v2) - (vhi - vlo)) / (h * k)
+    ca2 = c / (a * a)
+    la_h = ((c * ca2 / a) * da + b * db - ca2 * dc) / h
+    lb_k = (b * da + a * db) / k
+    w = (dc / a - ca2 * da) / (h * k)
+    return np.stack([-la_h - lb_k + w, la_h - w, w, lb_k - w])
 
 
 def solve_first_variation(
@@ -97,14 +118,15 @@ def solve_first_variation(
     vals[:, :2] = stack
     h, k, tol = g.h, g.k, cfg.tol_residual
     zeros = np.zeros_like(vals[:, 0])
-    # Rectangle row j is the top row at level j and the bottom row at level
-    # j + 1, so its parts, gradient, Hessian, bands and linear terms (level
-    # j's check, level j + 1's bottom) are built once, for every tangent.
-    parts = _rect_row_parts(phi, 0)
-    grad_lo = grad_from_parts(*parts, h, k)
-    bot = _linear_terms(hess_full_from_parts(*parts, h, k), vals[:, 0], vals[:, 1])
+    # One pass gives every rectangle's parts.  Rectangle row j is the top
+    # row at level j and the bottom row at level j + 1, so its gradient,
+    # bands and linear terms (level j's check, level j + 1's bottom) are
+    # built once, for every tangent.
+    a, b, c = section_parts(phi)
+    grad_lo = grad_from_parts(a[0], b[0], c[0], h, k)
+    bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
     for j in range(1, levels - 1):
-        parts = _rect_row_parts(phi, j)
+        parts = a[j], b[j], c[j]
         grad_hi = grad_from_parts(*parts, h, k)
         res, scale = _level_equation(grad_hi, grad_lo)
         norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
@@ -113,11 +135,10 @@ def solve_first_variation(
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
             )
-        hess = hess_full_from_parts(*parts, h, k)
-        rhs, _ = _level_equation(_linear_terms(hess, vals[:, j], zeros), bot)
+        rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
         bands = jacobian_bands(*parts, h, k)
         vals[:, j + 1] = [solve_cyclic_tridiagonal(*bands, -r) for r in rhs]
-        top = _linear_terms(hess, vals[:, j], vals[:, j + 1])
+        top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
         bad = norm > tol * np.maximum(1.0, scale)
@@ -133,12 +154,6 @@ def solve_first_variation(
 # Boundary sums over a window (j_lo, j_hi), checked by grid.classify_region.
 # Its boundary is rows j_lo and j_hi, so the sums take vertices 1, 2 of
 # rectangle row j_lo and 3, 4 of rectangle row j_hi - 1: 4 * n_space terms.
-
-
-def section_parts(phi: Section):
-    """(a, b, c) over every rectangle of the section, shape (n_time - 1, n_space)."""
-    y = phi.rows_y()
-    return _row_parts(y[:-1], y[1:], phi.grid)
 
 
 def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, window) -> np.ndarray:

@@ -8,9 +8,11 @@ the continuous field-equation residual from a section's jets.  None of
 it shares assembly code with the row kernels of ``chms``; the value on
 one rectangle comes from a one-element call of the batch kernels in
 ``chms.lagrangian``.  The one exception is
-``first_variation_residual_row``: it applies the tangent march's own row
-assembly to a given tangent field, so that the tests can hold that
-assembly against the pointwise form.  The two-sweep cyclic solve is the reference that the package's one-sweep
+``first_variation_residual_row``: it assembles the linearized residual
+row by row, as the tangent march does, but contracts full Hessians with
+the tangent rectangles where the march applies the linearized gradient,
+so that the tests can hold the row assembly against the pointwise form.
+The two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from chms.bridges import section_to_jets
 from chms.del_solver import Section, _level_equation, _rect_row_parts
 from chms.errors import OutOfRange, SingularJacobian
-from chms.geometry_checks import _linear_terms, omega_from_hess
+from chms.geometry_checks import omega_from_hess
 from chms.lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, stencil_parts
 
 # ---------------------------------------------------------------------------
@@ -199,12 +201,16 @@ def first_variation_residual(phi, t, p) -> float:
 
 
 def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
-    """The tangent march's row assembly applied to a given tangent field:
-    the linearized-equation residual at every point of the level j."""
+    """The linearized-equation residual at every point of the level j for
+    a given tangent field, from each rectangle's full Hessian."""
     h, k = phi.grid.h, phi.grid.k
-    top = _linear_terms(hess_full_from_parts(*_rect_row_parts(phi, j), h, k), t[j], t[j + 1])
-    bot = _linear_terms(hess_full_from_parts(*_rect_row_parts(phi, j - 1), h, k), t[j - 1], t[j])
-    return _level_equation(top, bot)[0]
+
+    def terms(r):
+        hess = hess_full_from_parts(*_rect_row_parts(phi, r), h, k)
+        rects = np.stack([t[r], np.roll(t[r], -1), np.roll(t[r + 1], -1), t[r + 1]])
+        return np.einsum("nkl,kn->ln", hess, rects)
+
+    return _level_equation(terms(j), terms(j - 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,18 @@ def test_run_reports_newton_stop_reasons(tmp_path, n_space, expected):
     }
 
 
+def _per_value_csv(y, h, k, levels) -> str:
+    """The trajectory CSV with every value through format_float."""
+    last = len(y) - 1
+    lines = ["t,i,x,eta,u"]
+    for j in levels:
+        u = (y[j + 1] - y[j]) / k if j < last else (y[last] - y[last - 1]) / k
+        for i in range(y.shape[1]):
+            t, x, eta = format_float(j * k), format_float(i * h), format_float(y[j, i])
+            lines.append(f"{t},{i},{x},{eta},{format_float(u[i])}")
+    return "\n".join(lines) + "\n"
+
+
 def test_trajectory_csv_matches_the_per_value_format(tmp_path):
     s = cosine_trajectory(n_space=8, n_steps=7).section  # levels 0 .. 8
     y, h, k = s.rows_y(), s.grid.h, s.grid.k
@@ -122,14 +134,28 @@ def test_trajectory_csv_matches_the_per_value_format(tmp_path):
     # writer's two attributes carries the NaN.
     field = SimpleNamespace(grid=s.grid, row_y=lambda j: y[j])
     write_trajectory_csv(tmp_path / "t.csv", field, 3)
-    expected = ["t,i,x,eta,u"]
-    for j in (0, 3, 6, 8):
-        u = (y[j + 1] - y[j]) / k if j < 8 else (y[8] - y[7]) / k
-        for i in range(8):
-            t, x, eta = format_float(j * k), format_float(i * h), format_float(y[j, i])
-            expected.append(f"{t},{i},{x},{eta},{format_float(u[i])}")
     text = (tmp_path / "t.csv").read_text()
-    assert text == "\n".join(expected) + "\n" and text.count('"nan"') == 2
+    assert text == _per_value_csv(y, h, k, (0, 3, 6, 8)) and text.count('"nan"') == 2
+
+
+def test_trajectory_csv_quotes_a_non_finite_velocity_alone(tmp_path):
+    s = cosine_trajectory(n_space=8, n_steps=7).section
+    y, h, k = s.rows_y(), s.grid.h, s.grid.k
+    y[4, 5] = np.inf  # level 4 is not saved; level 3 keeps a finite eta, u = inf
+    field = SimpleNamespace(grid=s.grid, row_y=lambda j: y[j])
+    write_trajectory_csv(tmp_path / "t.csv", field, 3)
+    text = (tmp_path / "t.csv").read_text()
+    assert text == _per_value_csv(y, h, k, (0, 3, 6, 8)) and text.count('"inf"') == 1
+    row = f"{format_float(3 * k)},5,{format_float(5 * h)},{format_float(y[3, 5])},\"inf\"\n"
+    assert row in text
+
+
+def test_trajectory_csv_of_every_level_matches_the_per_value_format(tmp_path):
+    s = cosine_trajectory(n_space=64, n_steps=12).section
+    y = s.rows_y()
+    write_trajectory_csv(tmp_path / "t.csv", s, 1)
+    expected = _per_value_csv(y, s.grid.h, s.grid.k, range(len(y)))
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
 def test_run_uniform_momentum_constant(tmp_path):
@@ -505,6 +531,24 @@ def test_check_on_a_breaking_trajectory_names_the_step(tmp_path, capsys):
     assert err.startswith("solver abort: trajectory aborted at step 33: wave breaking:")
     assert err.count("\n") == 1, err
     assert not (out / "check.json").exists()
+
+
+def test_check_on_a_breaking_trajectory_creates_no_output_directory(tmp_path):
+    out = tmp_path / "chk-break" / "nested"
+    code = run_cli("check", "--ic", "cosine:1.5", "--n-space", "64", "--n-steps", "400",
+                   "--out-dir", str(out))
+    assert code == EXIT_SOLVER
+    assert not (tmp_path / "chk-break").exists()
+
+
+def test_check_into_an_unusable_directory_exits_two(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code = run_cli("check", "--ic", "cosine:0.1", "--n-space", "8", "--n-steps", "2",
+                   "--out-dir", str(tmp_path / "file" / "o"))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out_dir: cannot create ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_check_reports_the_bridges_fields_a_short_run_has(tmp_path, capsys):

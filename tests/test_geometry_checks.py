@@ -16,10 +16,12 @@ from oracles import (
 )
 
 from chms import del_solver, geometry_checks
-from chms.del_solver import Section, _level_equation, evolve, initialize
+from chms.del_solver import Section, _level_equation, _rect_row_parts, evolve, initialize
 from chms.errors import EmptyRegion, NotOnShell, OutOfRange
 from chms.geometry_checks import (
     SymmetryGenerator,
+    _linear_terms,
+    _tangent_rects,
     level_series,
     mff_boundary_terms,
     noether_boundary_terms,
@@ -27,6 +29,7 @@ from chms.geometry_checks import (
     total_momentum_scale,
 )
 from chms.grid import GridSpec, classify_region
+from chms.lagrangian import hess_full_from_parts
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +136,8 @@ def test_off_shell_gate_names_first_bad_level():
 
 
 def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
-    calls = {"stencil_parts": 0, "jacobian_bands": 0, "_linear_terms": 0}
+    names = ("stencil_parts", "jacobian_bands", "_linear_terms", "hess_full_from_parts")
+    calls = dict.fromkeys(names, 0)
 
     def counting(module, name):
         real = getattr(module, name)
@@ -147,17 +151,35 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
     counting(geometry_checks, "_linear_terms")
+    counting(geometry_checks, "hess_full_from_parts")
     n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
     for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
-        calls.update(stencil_parts=0, jacobian_bands=0, _linear_terms=0)
+        calls.update(dict.fromkeys(names, 0))
         solve_first_variation(short_cosine, v0)
-        # Each level's right-hand side and check; rectangle row j's checked
-        # linear terms are level j + 1's bottom terms.
+        # One parts pass over the section; each level's right-hand side and
+        # check; rectangle row j's checked linear terms are level j + 1's
+        # bottom terms; no Hessian is formed.
         assert calls == {
-            "stencil_parts": n_time - 1,
+            "stencil_parts": 1,
             "jacobian_bands": n_time - 2,
             "_linear_terms": 2 * (n_time - 2) + 1,
+            "hess_full_from_parts": 0,
         }
+
+
+def test_linear_terms_match_the_hessian_contraction(rng):
+    s = cosine_trajectory(n_space=32, n_steps=6, amp=0.1).section
+    h, k = s.grid.h, s.grid.k
+    for j in (0, 3, s.grid.n_time - 2):
+        parts = _rect_row_parts(s, j)
+        hess = hess_full_from_parts(*parts, h, k)
+        vlo, vhi = rng.standard_normal((2, 3, 32))  # three stacked tangents
+        ref = np.einsum("nkl,k...n->l...n", hess, _tangent_rects(vlo, vhi))
+        got = _linear_terms(*parts, h, k, vlo, vhi)
+        assert got.shape == ref.shape == (4, 3, 32)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    const = np.full(32, 0.7)
+    assert np.all(_linear_terms(*parts, h, k, const, const) == 0.0)
 
 
 def test_stacked_march_matches_each_tangent_alone(rng):
