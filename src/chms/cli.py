@@ -64,47 +64,55 @@ def _json_value(v, indent: int) -> str:
     return json.dumps(str(v))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks) -> None:
+    """Write the strings of `chunks` to path in order, each as it comes,
+    so a file built chunk by chunk is never held whole.  An OSError from
+    open, write or close is a ConfigError."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"out_dir: cannot write {str(path)!r}: {exc}") from exc
 
 
 def dump_json(obj, path: Path) -> None:
-    _write_text(path, _json_value(obj, 0) + "\n")
+    _write_text(path, [_json_value(obj, 0), "\n"])
 
 
 def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     """Header t,i,x,eta,u; one row per saved (level, spatial index).
 
     u is the forward-difference particle velocity; the final level uses
-    the backward difference since no later row exists.  Each level is
-    formatted by one printf template ("%.17g" writes a finite float as
-    format_float does); a level with a non-finite value takes the
-    per-value path, which quotes it.
+    the backward difference since no later row exists.  The file is
+    streamed: the header, then each saved level's text, formatted and
+    written one level at a time.  Each level is formatted by one printf
+    template ("%.17g" writes a finite float as format_float does); a
+    level with a non-finite value takes the per-value path, which quotes
+    it.
     """
     g = s.grid
     n, last = g.n_space, g.n_time - 1
-    levels = sorted(set(range(0, g.n_time, save_every)) | {last})
-    lines = ["t,i,x,eta,u"]
     ix = [f",{i},{format_float(i * g.h)}," for i in range(n)]
-    template = "\n".join(f"%s{x}%.17g,%.17g" for x in ix)
-    for j in levels:
-        eta = s.row_y(j)
-        if j < last:
-            u = (s.row_y(j + 1) - eta) / g.k
-        else:
-            u = (eta - s.row_y(j - 1)) / g.k
-        t = format_float(j * g.k)
-        if np.all(np.isfinite(eta)) and np.all(np.isfinite(u)):
-            vals = [t] * (3 * n)
-            vals[1::3], vals[2::3] = eta.tolist(), u.tolist()
-            lines.append(template % tuple(vals))
-        else:
-            rows = zip(ix, eta.tolist(), u.tolist())
-            lines += [f"{t}{x}{format_float(e)},{format_float(v)}" for x, e, v in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    template = "".join(f"%s{x}%.17g,%.17g\n" for x in ix)
+
+    def chunks():
+        yield "t,i,x,eta,u\n"
+        for j in sorted(set(range(0, g.n_time, save_every)) | {last}):
+            eta = s.row_y(j)
+            if j < last:
+                u = (s.row_y(j + 1) - eta) / g.k
+            else:
+                u = (eta - s.row_y(j - 1)) / g.k
+            t = format_float(j * g.k)
+            if np.all(np.isfinite(eta)) and np.all(np.isfinite(u)):
+                vals = [t] * (3 * n)
+                vals[1::3], vals[2::3] = eta.tolist(), u.tolist()
+                yield template % tuple(vals)
+            else:
+                rows = zip(ix, eta.tolist(), u.tolist())
+                yield "".join(f"{t}{x}{format_float(e)},{format_float(v)}\n" for x, e, v in rows)
+
+    _write_text(path, chunks())
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,20 @@ def _increments(rows: np.ndarray, g: GridSpec, what: str) -> np.ndarray:
     return _require_increments(_shift(rows, 1, g.domain_length) - rows, g.h, what)
 
 
+#: Passes over a whole section (the Section check, the level series)
+#: take blocks of rows of about this many values, so their temporaries
+#: stay bounded whatever the section's size.
+_BLOCK_VALUES = 2**15
+
+
+def _row_blocks(n_rows: int, n_space: int) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive blocks of rows lo .. hi - 1 that cover
+    n_rows rows of n_space values, each block _BLOCK_VALUES values or one
+    row; the last block may be shorter."""
+    step = max(1, _BLOCK_VALUES // n_space)
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 @dataclass(frozen=True, eq=False)
 class Section:
     """Discrete particle-label field y[i, j] = x_i + d[i, j].
@@ -77,7 +91,10 @@ class Section:
     The displacement d is periodic in i; the stored field is the
     identity lift, so y wraps as y[i + n, j] = y[i, j] + domain_length.
     d must be finite, and rows strictly monotone:
-    y[i+1, j] - y[i, j] > DELTA_MIN_FACTOR * h.
+    y[i+1, j] - y[i, j] > DELTA_MIN_FACTOR * h.  Both are checked
+    without a temporary of the section's size: the monotonicity rule runs
+    over blocks of rows (_row_blocks), and the first block that breaks it
+    raises NonMonotone naming the row and the point.
     Immutable after construction.
     """
 
@@ -91,11 +108,15 @@ class Section:
                 f"displacement shape {d.shape} does not match grid "
                 f"({self.grid.n_time}, {self.grid.n_space})"
             )
-        if not np.all(np.isfinite(d)):
+        # min and max propagate NaN, so they test finiteness with no mask.
+        if not (np.isfinite(d.min()) and np.isfinite(d.max())):
             raise ValueError("displacement must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
-        _increments(self.rows_y(), self.grid, "row")
+        xs, lam, h = self.xs(), self.grid.domain_length, self.grid.h
+        for lo, hi in _row_blocks(*d.shape):
+            y = xs + d[lo:hi]
+            _require_increments(_shift(y, 1, lam) - y, h, "row", first_row=lo)
 
     def xs(self) -> np.ndarray:
         return np.arange(self.grid.n_space) * self.grid.h

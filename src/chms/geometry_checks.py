@@ -24,6 +24,7 @@ from .del_solver import (
     SolverConfig,
     _level_equation,
     _rect_row_parts,
+    _row_blocks,
     _row_parts,
     solve_cyclic_tridiagonal,
 )
@@ -63,9 +64,11 @@ def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
 # Tangent-linear (first variation) marching.
 
 
-def section_parts(phi: Section):
-    """(a, b, c) over every rectangle of the section, shape (n_time - 1, n_space)."""
-    y = phi.rows_y()
+def section_parts(phi: Section, lo: int = 0, hi: int | None = None):
+    """(a, b, c) over the rectangle rows lo .. hi - 1 of the section, by
+    default all of them, shape (hi - lo, n_space)."""
+    hi = phi.grid.n_time - 1 if hi is None else hi
+    y = phi.xs() + phi.displacement[lo : hi + 1]
     return _row_parts(y[:-1], y[1:], phi.grid)
 
 
@@ -184,16 +187,18 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
 
     The momentum boundary sum over any window telescopes into differences
     of the total momentum, so its drift across levels is the conservation
-    violation.  One rectangle row's parts are built at a time and give
-    both sums.
+    violation.  One blocked pass gives both sums: the parts of a block of
+    rectangle rows (del_solver._row_blocks) are built at once and summed
+    along space, which gives each row's sums bit for bit as that row
+    alone would, and holds no more than one block's temporaries.
     """
     g = phi.grid
     momenta, actions = [], []
-    for j in range(g.n_time - 1):
-        parts = _rect_row_parts(phi, j)
+    for lo, hi in _row_blocks(g.n_time - 1, g.n_space):
+        parts = section_parts(phi, lo, hi)
         _, _, g3, g4 = grad_from_parts(*parts, g.h, g.k)
-        momenta.append(float(np.sum(g3 + g4)))
-        actions.append(float(np.sum(eval_from_parts(*parts))))
+        momenta += np.sum(g3 + g4, axis=-1).tolist()
+        actions += np.sum(eval_from_parts(*parts), axis=-1).tolist()
     return momenta, actions
 
 

@@ -47,16 +47,17 @@ def _shift(f, step: int, lift: float = 0.0):
     return np.concatenate((seam - lift if lift else seam, f[..., :-1]), axis=-1)
 
 
-def _require_increments(inc, h: float, what: str):
+def _require_increments(inc, h: float, what: str, first_row: int = 0):
     """The one monotonicity rule: every label increment in `inc` must
     exceed DELTA_MIN_FACTOR * h, and a NaN fails.  Otherwise NonMonotone
     names the row (`what`, then the row index for stacked rows, space
-    along the last axis), the point, the increment and the bound."""
+    along the last axis, counted from `first_row`), the point, the
+    increment and the bound."""
     bound = DELTA_MIN_FACTOR * h
     if not np.all(inc > bound):
         inc = np.atleast_1d(inc)
         at = np.unravel_index(np.argmin(inc), inc.shape)
-        name = f"{what} {at[0]}" if inc.ndim == 2 else what
+        name = f"{what} {first_row + at[0]}" if inc.ndim == 2 else what
         raise NonMonotone(
             f"{name} is not strictly monotone at i={at[-1]} "
             f"(increment {inc[at]:g} <= {bound:g})"

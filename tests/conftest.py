@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def random_section(grid: GridSpec, rng, amp=0.15) -> Section:
     """Identity plus bounded random displacement; always monotone."""
     d = amp * grid.h * rng.uniform(-1.0, 1.0, size=(grid.n_time, grid.n_space))
     return Section(grid, d)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc traces while fn(*args) runs, above
+    what was traced when it started (NumPy reports its arrays to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def constant_tangent(grid: GridSpec, c: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cosine_trajectory
+from conftest import TWO_PI, cosine_trajectory, random_section, traced_peak
 
 import chms
 from chms import bridges, cli
@@ -31,6 +31,7 @@ from chms.cli import (
 )
 from chms.config import DEFAULTS, RunConfig, parse_initial_condition
 from chms.errors import ConfigError
+from chms.grid import GridSpec
 
 
 def run_cli(*args):
@@ -156,6 +157,28 @@ def test_trajectory_csv_of_every_level_matches_the_per_value_format(tmp_path):
     write_trajectory_csv(tmp_path / "t.csv", s, 1)
     expected = _per_value_csv(y, s.grid.h, s.grid.k, range(len(y)))
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def test_trajectory_csv_is_streamed_level_by_level(tmp_path, rng):
+    # About 10 MB of CSV; the writer holds one level's text at a time.
+    s = random_section(GridSpec.from_circle(64, 2001, TWO_PI, 0.25), rng)
+    path = tmp_path / "t.csv"
+    assert traced_peak(write_trajectory_csv, path, s, 1) < 2 * 2**20
+    assert path.stat().st_size > 8 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_reports_a_write_that_fails_mid_file(tmp_path, capsys):
+    # Opening /dev/full succeeds and every write fails with ENOSPC; the
+    # CSV of 21 levels of 64 points outgrows the file buffer.
+    out = tmp_path / "full"
+    out.mkdir()
+    (out / "trajectory.csv").symlink_to("/dev/full")
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "64", "--n-steps", "20",
+                   "--out-dir", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: out_dir: cannot write"), err
 
 
 def test_run_uniform_momentum_constant(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section
+from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section, traced_peak
 from oracles import cyclic_solve, del_residual, del_residual_expanded, label, uniform_translation
 
 from chms import del_solver
@@ -601,6 +601,25 @@ def test_section_rejects_non_monotone_rows():
             Section(g, d)
     with pytest.raises(ValueError, match=r"displacement shape \(2, 9\) does not match grid \(2, 8\)"):
         Section(g, np.zeros((2, 9)))
+
+
+def test_section_names_a_folded_row_past_the_first_block():
+    # The check runs over blocks of rows; the row it names is counted
+    # from row 0 of the section, not from the start of its block.
+    g = GridSpec.from_circle(4096, 30, TWO_PI, 0.25)
+    assert del_solver._row_blocks(30, 4096)[0][1] <= 20 < 30
+    d = np.zeros((30, 4096))
+    d[20, 100] = -2.0 * g.h  # y[20, 100] = 98 h, below y[20, 99] = 99 h
+    with pytest.raises(NonMonotone, match=r"^row 20 is not strictly monotone at i=99 "):
+        Section(g, d)
+
+
+def test_section_check_holds_no_temporary_of_the_section_size(rng):
+    # The Section keeps one copy of the displacement; its checks add
+    # only a block of rows at a time.
+    g = GridSpec.from_circle(4096, 201, TWO_PI, 0.25)
+    d = 0.15 * g.h * rng.uniform(-1.0, 1.0, size=(201, 4096))
+    assert traced_peak(Section, g, d) < 1.5 * d.nbytes
 
 
 def test_solver_config_validation():

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EPS, TWO_PI, constant_tangent, cosine_trajectory, cosine_u0, random_stencil
+from conftest import (
+    EPS,
+    TWO_PI,
+    constant_tangent,
+    cosine_trajectory,
+    cosine_u0,
+    random_section,
+    random_stencil,
+    traced_peak,
+)
 from oracles import (
     first_variation_residual,
     first_variation_residual_row,
@@ -365,6 +374,23 @@ def test_level_series_matches_row_oracle(short_cosine):
         rows = range(sec.grid.n_time - 1)
         assert momenta == [row_momentum(sec, j) for j in rows]
         assert actions == [row_action(sec, j) for j in rows]
+
+
+@pytest.mark.parametrize("n_space, n_time", [(4096, 21), (3, 25000)])
+def test_level_series_is_exact_across_row_blocks(rng, n_space, n_time):
+    s = random_section(GridSpec.from_circle(n_space, n_time, TWO_PI, 0.25), rng)
+    blocks = del_solver._row_blocks(n_time - 1, n_space)
+    sizes = [hi - lo for lo, hi in blocks]
+    assert len(blocks) > 2 and sizes[-1] < sizes[0]  # several blocks, the last one ragged
+    momenta, actions = level_series(s)
+    rows = range(n_time - 1)
+    assert momenta == [row_momentum(s, j) for j in rows]
+    assert actions == [row_action(s, j) for j in rows]
+
+
+def test_level_series_holds_less_than_one_section_array(rng):
+    s = random_section(GridSpec.from_circle(4096, 201, TWO_PI, 0.25), rng)
+    assert traced_peak(level_series, s) < s.displacement.nbytes
 
 
 def test_total_momentum_drift_small(short_cosine):
