@@ -21,7 +21,7 @@ from . import bridges, geometry_checks as gc
 from .config import DEFAULTS, RunConfig, _coerce, build_run_config, parse_config_file
 from .del_solver import STOP_REASONS, EvolveResult, Section, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError
-from .lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts
+from .lagrangian import eval_from_parts, grad_from_parts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -369,12 +369,13 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
 # Check suite.
 
 
-def _closure_ratio(terms: np.ndarray) -> float:
-    """Worst |sum_l t_l| / sum_l |t_l| over a batch (vertex index first);
-    a rectangle whose terms are all zero passes."""
+def _worst_ratio(dev: np.ndarray, terms: np.ndarray) -> float:
+    """Worst |dev| / sum_l |t_l| over a batch of rectangles, the terms t
+    with the vertex index first; a rectangle whose terms are all zero
+    passes."""
     scale = np.sum(np.abs(terms), axis=0)
-    total = np.abs(np.sum(terms, axis=0))
-    return float(np.max(np.divide(total, scale, out=np.zeros_like(total), where=scale > 0.0)))
+    dev = np.abs(dev)
+    return float(np.max(np.divide(dev, scale, out=np.zeros_like(dev), where=scale > 0.0)))
 
 
 def _boundary_ratio(total: float, scale: float) -> float:
@@ -388,11 +389,8 @@ def _boundary_ratio(total: float, scale: float) -> float:
 CHECK_BOUNDS = {
     "omega_closure_identity": 1e-12,
     "momentum_closure_identity": 1e-12,
-    "hessian_row_sum_zero": 1e-12,
+    "linearized_gradient_identity": 1e-12,
     "legendre_hamiltonian_identity": 8.0 * sys.float_info.epsilon,
-    "omega_pair_skew_exact": 0.0,
-    "presymplectic_matrix_entries": 0.0,
-    "presymplectic_rank_degeneracy": 0.0,
     "noether_boundary_sum_on_shell": 1e-9,
     "mff_boundary_sum_on_shell": 1e-8,
     "total_momentum_drift": 1e-9,
@@ -428,45 +426,37 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     checks: list[dict] = []
 
     # Identities on every rectangle of the trajectory, with random
-    # tangent rectangles and symmetry generators.
+    # tangent rows and symmetry generators.
     h, k = target.grid.h, target.grid.k
     a, b, c = gc.section_parts(target)
-    hess = hess_full_from_parts(a, b, c, h, k)
-    batch = (4,) + a.shape
-    omega = gc.omega_from_hess(hess, rng.standard_normal(batch), rng.standard_normal(batch))
-    checks.append(_check("omega_closure_identity", _closure_ratio(omega)))
+    v, w = rng.standard_normal((2, 2) + a.shape)  # (bottom, top) row pairs
+    omega = gc.two_forms(a, b, c, h, k, v, w)
+    checks.append(_check("omega_closure_identity", _worst_ratio(omega.sum(axis=0), omega)))
     momentum = rng.uniform(-2.0, 2.0, a.shape) * np.stack(grad_from_parts(a, b, c, h, k))
-    checks.append(_check("momentum_closure_identity", _closure_ratio(momentum)))
-    row_sums = np.max(np.abs(hess.sum(axis=-1)), axis=-1) / np.maximum(
-        np.max(np.abs(hess), axis=(-2, -1)), 1e-300
-    )
-    checks.append(_check("hessian_row_sum_zero", float(np.max(row_sums))))
+    checks.append(_check("momentum_closure_identity", _worst_ratio(momentum.sum(axis=0), momentum)))
+    # The linearized gradient against the complex-step derivative of the
+    # gradient along the same tangent rows, Im grad(a + i tau da, ...) / tau
+    # with the tangent's parts (da, db, dc): exact to rounding, with no
+    # step-size trade-off.
+    v1, v2, v3, v4 = gc._tangent_rects(*v)
+    tau = 1e-100
+    dparts = (v2 - v1) / h, (v4 - v1) / k, ((v3 - v2) - (v4 - v1)) / (h * k)
+    shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
+    ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
+    err = np.max(np.abs(gc._linear_terms(a, b, c, h, k, *v) - ref), axis=0)
+    checks.append(_check("linearized_gradient_identity", _worst_ratio(err, ref)))
 
-    # Row 4 is unused; drawing it keeps the later random draws unchanged.
-    vals = rng.uniform(-2.0, 2.0, size=(6, 1000))
+    vals = rng.uniform(-2.0, 2.0, size=(5, 1000))
     eta_x, eta_t, eta_tx = rng.uniform(0.3, 3.0, size=1000), vals[1], vals[3]
     # The phase-space polynomial against the defining identity
     # H = L - px*eta_x - pt*eta_t - ptx*eta_tx on the same jets.
-    z = bridges.legendre(vals[0], eta_x, eta_t, vals[2], eta_tx, vals[5])
+    z = bridges.legendre(vals[0], eta_x, eta_t, vals[2], eta_tx, vals[4])
     dens = eval_from_parts(eta_x, eta_t, eta_tx)
     pairings = [z[:, 3] * eta_x, z[:, 4] * eta_t, z[:, 5] * eta_tx]
     ham = dens - pairings[0] - pairings[1] - pairings[2]
     scale = np.maximum(np.max(np.abs([dens, *pairings]), axis=0), 1.0)
     worst_ham = float(np.max(np.abs(bridges.hamiltonian_phase(z) - ham) / scale))
     checks.append(_check("legendre_hamiltonian_identity", worst_ham))
-
-    u, v = np.moveaxis(rng.standard_normal((200, 2, 6)), 1, 0)
-    (w1, w0), (s1, s0) = bridges.omega_pair(u, v), bridges.omega_pair(v, u)
-    worst_skew = float(max(np.max(np.abs(w1 + s1)), np.max(np.abs(w0 + s0))))
-    checks.append(_check("omega_pair_skew_exact", worst_skew))
-    entry_err = max(
-        abs(bridges.omega_pair([1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0])[0] + 1.0),
-        abs(bridges.omega_pair([1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0])[1] + 1.0),
-    )
-    checks.append(_check("presymplectic_matrix_entries", entry_err))
-    ranks = np.linalg.matrix_rank(bridges.B1), np.linalg.matrix_rank(bridges.B0)
-    rank_err = abs(ranks[0] - 4) + abs(ranks[1] - 2)
-    checks.append(_check("presymplectic_rank_degeneracy", float(rank_err)))
 
     windows = _window_records(target, noether=True, tangents=tangents)
     for name in ("noether", "mff"):

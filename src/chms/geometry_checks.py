@@ -28,7 +28,7 @@ from .del_solver import (
     _row_parts,
     solve_cyclic_tridiagonal,
 )
-from .lagrangian import _shift, eval_from_parts, grad_from_parts, hess_full_from_parts, jacobian_bands
+from .lagrangian import _shift, eval_from_parts, grad_from_parts, jacobian_bands
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,6 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
     vertex l's values in row l - 1 (tangents are periodic, no lift).
     Stacked tangent rows carry space along the last axis."""
     return np.stack([vlo, _shift(vlo, 1), _shift(vhi, 1), vhi])
-
-
-def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rectangle two-forms for a batch of rectangles:
-
-        omega_l(v, w) = sum_k d2L/dy_k dy_l * (v_k w_l - v_l w_k),
-
-    antisymmetric in (v, w); the four forms sum to zero over l.  hess has
-    shape batch + (4, 4); the tangent rectangles v, w carry the vertex
-    index first, shape (4,) + batch; the result is (4,) + batch.  The
-    antisymmetric products are formed first, so omega(v, v) and constant
-    pairs are exactly 0.0.
-    """
-    anti = v[:, None] * w[None, :] - v[None, :] * w[:, None]  # [k, l] = v_k w_l - v_l w_k
-    return np.einsum("...kl,kl...->l...", hess, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +77,21 @@ def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray)
     lb_k = (b * da + a * db) / k
     w = (dc / a - ca2 * da) / (h * k)
     return np.stack([-la_h - lb_k + w, la_h - w, w, lb_k - w])
+
+
+def two_forms(a, b, c, h: float, k: float, v, w) -> np.ndarray:
+    """Rectangle two-forms over a rectangle row with parts (a, b, c), for
+    the tangents v and w, each a (bottom, top) pair of rows:
+
+        omega_l(v, w) = sum_k d2L/dy_k dy_l * (v_k w_l - v_l w_k)
+                      = w_l (Hv)_l - v_l (Hw)_l,
+
+    since the Hessian H is symmetric; Hv and Hw come from _linear_terms.
+    Shape (4,) + the rows' shape.  omega(v, v) and constant pairs are
+    exactly 0.0, and omega(v, w) = -omega(w, v) bit for bit.
+    """
+    hv, hw = _linear_terms(a, b, c, h, k, *v), _linear_terms(a, b, c, h, k, *w)
+    return _tangent_rects(*w) * hv - _tangent_rects(*v) * hw
 
 
 def solve_first_variation(
@@ -163,11 +163,11 @@ def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, window) -> np
     """Individual summands of the two-form boundary sum over the window
     (j_lo, j_hi), for two tangent fields of shape (n_time, n_space)."""
     j_lo, j_hi = classify_region(*window, phi.grid)
+    h, k = phi.grid.h, phi.grid.k
     terms = []
     for j, vertices in ((j_lo, slice(0, 2)), (j_hi - 1, slice(2, 4))):
-        hess = hess_full_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
-        vr, wr = _tangent_rects(v[j], v[j + 1]), _tangent_rects(w[j], w[j + 1])
-        terms.append(omega_from_hess(hess, vr, wr)[vertices])
+        omega = two_forms(*_rect_row_parts(phi, j), h, k, v[j : j + 2], w[j : j + 2])
+        terms.append(omega[vertices])
     return np.concatenate(terms).ravel()
 
 

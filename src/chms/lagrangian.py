@@ -9,8 +9,11 @@ corner values (y1, y2, y3, y4) and spacings (h, k):
 
 in which the rectangle Lagrangian is L = (a*b**2 + c**2/a) / 2, the same
 expression as the continuous density evaluated on (a, b, c).  The closed
-form first and second partials below were derived by hand once and are
-pinned against finite differences in the test suite.
+form first partials and the second partials in the Newton Jacobian
+bands below were derived by hand once and are pinned against finite
+differences in the test suite.  The structure checks apply the second
+partials as the linearized gradient (geometry_checks._linear_terms), so
+no 4x4 Hessian is formed.
 
 The kernels take arrays with one entry per rectangle (any shape; the
 row solver passes rectangle rows), so each quantity has one vectorized
@@ -120,30 +123,3 @@ def jacobian_bands(a, b, c, h: float, k: float):
     lower = _shift(corner + bh, -1)
     diag = -a / (k * k) - corner - bh - _shift(corner, -1)
     return lower, diag, upper
-
-
-def hess_full_from_parts(a, b, c, h: float, k: float) -> np.ndarray:
-    """Full Hessian batch d2L/dy_k dy_l, shape a.shape + (4, 4).
-
-    Exactly symmetric; each row sums to zero up to roundoff (the
-    differentiated translation invariance).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    laa = c * c / a**3
-    lac = -c / (a * a)
-    lbb = a
-    lcc = 1.0 / a
-    da = np.array([-1.0 / h, 1.0 / h, 0.0, 0.0])
-    db = np.array([-1.0 / k, 0.0, 0.0, 1.0 / k])
-    q = 1.0 / (h * k)
-    dc = np.array([q, -q, q, -q])
-    out = (
-        laa[..., None, None] * np.outer(da, da)
-        + lbb[..., None, None] * np.outer(db, db)
-        + lcc[..., None, None] * np.outer(dc, dc)
-        + b[..., None, None] * (np.outer(da, db) + np.outer(db, da))
-        + lac[..., None, None] * (np.outer(da, dc) + np.outer(dc, da))
-    )
-    return out

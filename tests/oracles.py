@@ -5,14 +5,17 @@ rectangles touching a point, a window's interior and boundary points,
 the pointwise residuals (among them the ten-term expanded form), the
 boundary-sum terms point by point, the per-row momentum and action, and
 the continuous field-equation residual from a section's jets.  None of
-it shares assembly code with the row kernels of ``chms``; the value on
-one rectangle comes from a one-element call of the batch kernels in
-``chms.lagrangian``.  The one exception is
-``first_variation_residual_row``: it assembles the linearized residual
-row by row, as the tangent march does, but contracts full Hessians with
-the tangent rectangles where the march applies the linearized gradient,
-so that the tests can hold the row assembly against the pointwise form.
-The two-sweep cyclic solve is the reference that the package's one-sweep
+it shares assembly code with the row kernels of ``chms``; the value and
+gradient on one rectangle come from a one-element call of the batch
+kernels in ``chms.lagrangian``.  The second partials are the oracle's
+own: ``hess_full_from_parts`` assembles the full 4x4 Hessian from the
+partials L_pq of (a, b, c), and ``omega_from_hess`` contracts it into
+the rectangle two-forms, where the package applies the linearized
+gradient (``geometry_checks._linear_terms``) and never forms a Hessian.
+``first_variation_residual_row`` assembles the linearized residual row
+by row, as the tangent march does, but with those full Hessians, so that
+the tests can hold the row assembly against the pointwise form.  The
+two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit.
 """
 
@@ -21,8 +24,49 @@ import numpy as np
 from chms.bridges import section_to_jets
 from chms.del_solver import Section, _level_equation, _rect_row_parts
 from chms.errors import OutOfRange, SingularJacobian
-from chms.geometry_checks import omega_from_hess
-from chms.lagrangian import eval_from_parts, grad_from_parts, hess_full_from_parts, stencil_parts
+from chms.lagrangian import eval_from_parts, grad_from_parts, stencil_parts
+
+# ---------------------------------------------------------------------------
+# Second partials: the full Hessian and its two-form contraction.
+
+
+def hess_full_from_parts(a, b, c, h: float, k: float) -> np.ndarray:
+    """Full Hessian batch d2L/dy_k dy_l, shape a.shape + (4, 4).
+
+    Exactly symmetric; each row sums to zero up to roundoff (the
+    differentiated translation invariance).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    laa = c * c / a**3
+    lac = -c / (a * a)
+    lbb = a
+    lcc = 1.0 / a
+    da = np.array([-1.0 / h, 1.0 / h, 0.0, 0.0])
+    db = np.array([-1.0 / k, 0.0, 0.0, 1.0 / k])
+    q = 1.0 / (h * k)
+    dc = np.array([q, -q, q, -q])
+    return (
+        laa[..., None, None] * np.outer(da, da)
+        + lbb[..., None, None] * np.outer(db, db)
+        + lcc[..., None, None] * np.outer(dc, dc)
+        + b[..., None, None] * (np.outer(da, db) + np.outer(db, da))
+        + lac[..., None, None] * (np.outer(da, dc) + np.outer(dc, da))
+    )
+
+
+def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rectangle two-forms for a batch of rectangles:
+
+        omega_l(v, w) = sum_k d2L/dy_k dy_l * (v_k w_l - v_l w_k).
+
+    hess has shape batch + (4, 4); the tangent rectangles v, w carry the
+    vertex index first, shape (4,) + batch; the result is (4,) + batch.
+    """
+    anti = v[:, None] * w[None, :] - v[None, :] * w[:, None]  # [k, l] = v_k w_l - v_l w_k
+    return np.einsum("...kl,kl...->l...", hess, anti)
+
 
 # ---------------------------------------------------------------------------
 # One rectangle: corner values y = (y1, y2, y3, y4) and spacings (h, k).

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import TWO_PI, cosine_trajectory, random_section, traced_peak
 
 import chms
-from chms import bridges, cli
+from chms import bridges, cli, geometry_checks
 from chms.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -497,6 +497,18 @@ def test_converge_cosine_first_order(tmp_path):
     assert all(o == "exact" or o >= 0.8 for o in report["orders"])
 
 
+#: The check lines in report order: four identities, then three theorems.
+CHECK_LINES = (
+    "omega_closure_identity",
+    "momentum_closure_identity",
+    "linearized_gradient_identity",
+    "legendre_hamiltonian_identity",
+    "noether_boundary_sum_on_shell",
+    "mff_boundary_sum_on_shell",
+    "total_momentum_drift",
+)
+
+
 def test_check_passes_on_solution(tmp_path):
     out = tmp_path / "chk"
     code = run_cli(
@@ -506,10 +518,8 @@ def test_check_passes_on_solution(tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "check.json").read_text())
     assert report["config"]["inject_off_shell"] is False
-    statuses = {c["name"]: c["status"] for c in report["checks"]}
-    assert statuses["noether_boundary_sum_on_shell"] == "PASS"
-    assert statuses["mff_boundary_sum_on_shell"] == "PASS"
-    assert statuses["omega_closure_identity"] == "PASS"
+    lines = [(c["name"], c["status"]) for c in report["checks"] if c["status"] != "INFO"]
+    assert lines == [(name, "PASS") for name in CHECK_LINES]
 
 
 def test_check_fails_off_shell_but_identities_pass(tmp_path):
@@ -528,6 +538,7 @@ def test_check_fails_off_shell_but_identities_pass(tmp_path):
     assert statuses["total_momentum_drift"] == "FAIL"
     assert statuses["omega_closure_identity"] == "PASS"
     assert statuses["momentum_closure_identity"] == "PASS"
+    assert statuses["linearized_gradient_identity"] == "PASS"
     assert statuses["legendre_hamiltonian_identity"] == "PASS"
 
 
@@ -608,6 +619,48 @@ def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch)
     report = json.loads((out / "check.json").read_text())
     failed = [c["name"] for c in report["checks"] if c["status"] == "FAIL"]
     assert failed == ["legendre_hamiltonian_identity"]
+
+
+@pytest.mark.parametrize(
+    "partial, vertex, failed",
+    [
+        # L_aa enters the bottom-edge terms only: the bands and the
+        # closure miss it, the complex-step line does not.
+        ("aa", 1, ["linearized_gradient_identity"]),
+        # L_ba alone makes the Hessian asymmetric, and the two-form sums
+        # of the theorem line no longer telescope either.
+        ("ba", 3, ["omega_closure_identity", "linearized_gradient_identity",
+                   "mff_boundary_sum_on_shell"]),
+    ],
+    ids=["L_aa", "L_ba"],
+)
+def test_check_identity_lines_fail_on_a_wrong_second_partial(
+    tmp_path, capsys, monkeypatch, partial, vertex, failed
+):
+    """One second partial off by 1 % in the linearized gradient: the term
+    that L_aa adds to the gradient of vertex 2 (through dL/da / h), or L_ba
+    to vertex 4 (through dL/db / k), is scaled by 1.01, and vertex 1
+    balances it."""
+    real = geometry_checks._linear_terms
+
+    def wrong(a, b, c, h, k, vlo, vhi):
+        terms = real(a, b, c, h, k, vlo, vhi)
+        da = (np.roll(vlo, -1, axis=-1) - vlo) / h
+        extra = 0.01 * da * (c * c / a**3 / h if partial == "aa" else b / k)
+        terms[0] -= extra
+        terms[vertex] += extra
+        return terms
+
+    monkeypatch.setattr(geometry_checks, "_linear_terms", wrong)
+    out = tmp_path / f"chk-{partial}"
+    code = run_cli(
+        "check", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "10",
+        "--out-dir", str(out),
+    )
+    assert code == EXIT_CHECK
+    report = json.loads((out / "check.json").read_text())
+    assert [c["name"] for c in report["checks"] if c["status"] == "FAIL"] == failed
+    assert f"FAIL: {failed[0]}" in capsys.readouterr().out
 
 
 def test_rest_check_all_pass(tmp_path):

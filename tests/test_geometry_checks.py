@@ -15,8 +15,10 @@ from conftest import (
 from oracles import (
     first_variation_residual,
     first_variation_residual_row,
+    hess_full_from_parts,
     mff_terms,
     noether_terms,
+    omega_from_hess,
     rect_grad,
     rect_omega,
     row_action,
@@ -36,9 +38,9 @@ from chms.geometry_checks import (
     noether_boundary_terms,
     solve_first_variation,
     total_momentum_scale,
+    two_forms,
 )
 from chms.grid import GridSpec, classify_region
-from chms.lagrangian import hess_full_from_parts
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +147,7 @@ def test_off_shell_gate_names_first_bad_level():
 
 
 def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
-    names = ("stencil_parts", "jacobian_bands", "_linear_terms", "hess_full_from_parts")
+    names = ("stencil_parts", "jacobian_bands", "_linear_terms")
     calls = dict.fromkeys(names, 0)
 
     def counting(module, name):
@@ -160,19 +162,17 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
     counting(geometry_checks, "_linear_terms")
-    counting(geometry_checks, "hess_full_from_parts")
     n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
     for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
         calls.update(dict.fromkeys(names, 0))
         solve_first_variation(short_cosine, v0)
         # One parts pass over the section; each level's right-hand side and
         # check; rectangle row j's checked linear terms are level j + 1's
-        # bottom terms; no Hessian is formed.
+        # bottom terms.
         assert calls == {
             "stencil_parts": 1,
             "jacobian_bands": n_time - 2,
             "_linear_terms": 2 * (n_time - 2) + 1,
-            "hess_full_from_parts": 0,
         }
 
 
@@ -189,6 +189,29 @@ def test_linear_terms_match_the_hessian_contraction(rng):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     const = np.full(32, 0.7)
     assert np.all(_linear_terms(*parts, h, k, const, const) == 0.0)
+
+
+def test_two_forms_match_the_hessian_contraction(rng):
+    s = cosine_trajectory(n_space=32, n_steps=6, amp=0.1).section
+    h, k = s.grid.h, s.grid.k
+    a, b, c = geometry_checks.section_parts(s)  # every rectangle row, stacked
+    v, w = rng.standard_normal((2, 2) + a.shape)  # (bottom, top) row pairs
+    ref = omega_from_hess(
+        hess_full_from_parts(a, b, c, h, k), _tangent_rects(*v), _tangent_rects(*w)
+    )
+    got = two_forms(a, b, c, h, k, v, w)
+    assert got.shape == ref.shape == (4,) + a.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_two_forms_exact_antisymmetry_and_zeros(short_cosine, rng):
+    h, k = short_cosine.grid.h, short_cosine.grid.k
+    parts = geometry_checks.section_parts(short_cosine)
+    v, w = rng.standard_normal((2, 2) + parts[0].shape)
+    assert np.array_equal(two_forms(*parts, h, k, v, w), -two_forms(*parts, h, k, w, v))
+    assert np.all(two_forms(*parts, h, k, v, v) == 0.0)
+    c1, c2 = np.full_like(v, 1.3), np.full_like(v, -0.4)
+    assert np.all(two_forms(*parts, h, k, c1, c2) == 0.0)
 
 
 def test_stacked_march_matches_each_tangent_alone(rng):
