@@ -6,9 +6,9 @@ touching rectangle.  Advancing one time level means forcing the residual
 to vanish on a whole row at once, which couples the unknowns cyclically;
 the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
-row j+1.  The solve uses the analytic Jacobian with Sherman-Morrison
-corrected tridiagonal elimination, refined where the correction has
-lost accuracy.  A Newton update that leaves the row
+row j+1.  The solve uses the analytic Jacobian with bordered
+elimination: the leading tridiagonal block, then a 1x1 Schur complement
+for the last unknown.  A Newton update that leaves the row
 non-monotone is reported at once as wave breaking, naming the point;
 it is never shortened or silently regularized.
 """
@@ -226,12 +226,12 @@ def residual_scale_row(s: Section, j: int) -> float:
 def _thomas(lower, diag, upper, rhs, u):
     """Tridiagonal elimination of two right-hand sides with shared pivots.
 
-    One forward and one back sweep over Python floats (scalar arithmetic
-    on floats is several times cheaper than indexing numpy arrays); the
-    operation order is that of textbook elimination applied to each
-    right-hand side on its own, so each solution is bit-identical to it.
+    One forward and one back sweep over lists of Python floats (scalar
+    arithmetic on floats is several times cheaper than indexing numpy
+    arrays); the operation order is that of textbook elimination applied
+    to each right-hand side on its own, so each solution is bit-identical
+    to it.  lower[0] and upper[-1] lie outside the band and do not enter it.
     """
-    lower, diag, upper, rhs, u = (v.tolist() for v in (lower, diag, upper, rhs, u))
     isfinite = math.isfinite
     piv = diag[0]
     if piv == 0.0 or not isfinite(piv):
@@ -259,28 +259,30 @@ def _thomas(lower, diag, upper, rhs, u):
         pu = qu - c * pu
         xr.append(pr)
         xu.append(pu)
-    return np.array(xr[::-1]), np.array(xu[::-1])
+    return xr[::-1], xu[::-1]
 
 
 def _solve_cyclic_scalar(lower, diag, upper, rhs):
-    """Sherman-Morrison corrected scalar elimination (float arrays, n >= 3)."""
-    n = diag.size
-    # Checked here: against a zero corner, 0 * inf below would be nan.
+    """Bordered elimination of a cyclic tridiagonal system (n >= 3).
+
+    _thomas eliminates rows 0 .. n-2 in natural order, unshifted, for rhs
+    and for the border column A[:n-1, n-1]; x[n-1] then takes the 1x1
+    Schur complement diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1] as
+    its pivot, which stays dominant where A is diagonally dominant.
+    """
+    # Named here, before it would surface as a non-finite Schur pivot.
     if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
         raise SingularJacobian("non-finite corner entry")
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= lower[0] * upper[-1] / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = upper[-1]
-    y, z = _thomas(lower, d, upper, rhs, u)
-    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularJacobian("singular Sherman-Morrison correction")
-    factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
-    return y - factor * z
+    lower, diag, upper, rhs = (v.tolist() for v in (lower, diag, upper, rhs))
+    border = [lower[0]] + [0.0] * (len(diag) - 3) + [upper[-2]]
+    y, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rhs[:-1], border)
+    schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
+    if schur == 0.0 or not math.isfinite(schur):
+        raise SingularJacobian(f"zero pivot at row {len(diag) - 1}")
+    last = (rhs[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
+    x = np.array(y + [last])
+    x[:-1] -= np.array(z) * last
+    return x
 
 
 # Rows of at least this many unknowns take the partitioned solve.  Shorter
@@ -314,9 +316,9 @@ def _solve_partitioned(lower, diag, upper, rhs):
     elimination within each segment, with three right-hand sides: rhs
     and the couplings to the left and right separators.  The separators
     then solve a cyclic tridiagonal Schur-complement system of about
-    4*sqrt(n) unknowns on the scalar path, and the segments
-    back-substitute.  Runs with floating-point errors ignored: a zero
-    or non-finite pivot raises SingularJacobian.
+    4*sqrt(n) unknowns by the scalar bordered elimination, and the
+    segments back-substitute.  Runs with floating-point errors ignored:
+    a zero or non-finite pivot raises SingularJacobian.
     """
     n = diag.size
     p = n // (math.isqrt(n) // 4)
@@ -386,67 +388,18 @@ def _solve_partitioned(lower, diag, upper, rhs):
     return out
 
 
-#: Refinement stops once the normwise backward error
-#: max|A x - rhs| / (max_i sum_j |A[i, j]| * max|x|) is at most this.
-_REFINE_TOL = 2.0 * np.finfo(float).eps
-_REFINE_STEPS = 3
-
-
-def _residual(lower, diag, upper, rhs, x):
-    """rhs - A x for A cyclic tridiagonal, built in one buffer."""
-    r = diag * x
-    r += lower * np.concatenate((x[-1:], x[:-1]))
-    r += upper * np.concatenate((x[1:], x[:1]))
-    return np.subtract(rhs, r, out=r)
-
-
-def _refine(solve, lower, diag, upper, rhs, x):
-    """Fixed-precision iterative refinement of a solution x of A x = rhs.
-
-    The Sherman-Morrison shift can leave the banded matrix nearly
-    singular where A is not (its last diagonal entry,
-    diag[-1] - lower[0] * upper[-1] / gamma, can cancel), and x then
-    misses rhs by 1e5 roundings and more on diagonally dominant A.  One step x += A^-1 (rhs - A x)
-    with the same solve brings the backward error back to rounding level
-    (Skeel, Math. Comp. 35, 1980).  Steps run while the backward error
-    exceeds _REFINE_TOL, each one kept only if it halves it, at most
-    _REFINE_STEPS; a non-finite x is returned as it is.
-    """
-    r = _residual(lower, diag, upper, rhs, x)
-    norm_r = abs(r).max()
-    # max|rhs| <= ||A|| ||x|| + norm_r, so this settles most solves
-    # without forming ||A|| or ||x||.
-    if norm_r <= _REFINE_TOL * (abs(rhs).max() - norm_r):
-        return x
-    norm_x = abs(x).max()
-    if not math.isfinite(norm_x):
-        return x
-    norm_a = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
-    for _ in range(_REFINE_STEPS):
-        if not norm_r > _REFINE_TOL * norm_a * norm_x:
-            break
-        refined = x + solve(lower, diag, upper, r)
-        r_refined = _residual(lower, diag, upper, rhs, refined)
-        norm_refined_x = abs(refined).max()
-        norm_refined_r = abs(r_refined).max()
-        # Backward errors compared without division: x may be 0.
-        if not norm_refined_r * norm_x <= 0.5 * norm_r * norm_refined_x:
-            break
-        x, r, norm_x, norm_r = refined, r_refined, norm_refined_x, norm_refined_r
-    return x
-
-
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     """Solve A x = rhs for A cyclic tridiagonal.
 
     A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
-    Sherman-Morrison correction of plain tridiagonal elimination: for
+    Bordered elimination in natural order (_solve_cyclic_scalar): for
     n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
-    lie outside the band, so the correction is exact for every circle.
-    From n = 512 on, the partition method eliminates the segments between
-    separators in vectorized steps and corrects only the separators' small
-    system this way.  Iterative refinement (_refine) then brings the
-    backward error to rounding level where the shift has spoiled it.
+    lie outside the band, and enter only the border column and row.  From
+    n = 512 on, the partition method eliminates the segments between
+    separators in vectorized steps and solves only the separators' small
+    cyclic system this way.  Nothing is shifted, so nothing is refined: on
+    a diagonally dominant A every pivot stays dominant and one solve
+    leaves a backward error at rounding level.
     Bands and rhs that are not 1-D arrays of one length n >= 3 raise
     ValueError; a zero or non-finite pivot, or a non-finite corner entry,
     raises SingularJacobian.
@@ -464,7 +417,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
     solve = _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
-    return _refine(solve, lower, diag, upper, rhs, solve(lower, diag, upper, rhs))
+    return solve(lower, diag, upper, rhs)
 
 
 # ---------------------------------------------------------------------------

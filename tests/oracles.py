@@ -290,9 +290,8 @@ def mff_terms(phi, v, w, window):
 
 
 # ---------------------------------------------------------------------------
-# Cyclic tridiagonal solve: Sherman-Morrison around two separate
-# elimination sweeps on numpy scalars, one per right-hand side, then
-# iterative refinement.
+# Cyclic tridiagonal solve: bordered elimination, with two separate
+# elimination sweeps on numpy scalars, one per right-hand side.
 
 
 def thomas(lower, diag, upper, rhs):
@@ -317,53 +316,21 @@ def thomas(lower, diag, upper, rhs):
     return x
 
 
-def sherman_morrison_solve(lower, diag, upper, rhs):
-    """Scalar path without refinement, same conventions as the package solver."""
-    n = diag.size
-    gamma = -diag[0] if diag[0] != 0.0 else 1.0
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= lower[0] * upper[-1] / gamma
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = upper[-1]
-    y = thomas(lower, d, upper, rhs)
-    z = thomas(lower, d, upper, u)
-    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularJacobian("singular Sherman-Morrison correction")
-    factor = (y[0] + (lower[0] / gamma) * y[-1]) / denom
-    return y - factor * z
-
-
 def cyclic_solve(lower, diag, upper, rhs):
-    """Scalar path (n < 512) of the package solver: Sherman-Morrison, then
-    up to 3 refinement steps while max|A x - rhs| exceeds 2 eps ||A|| ||x||
-    in the max norm, each kept only if it halves that backward error."""
-    tol = 2.0 * np.finfo(float).eps
-
-    def residual(v):
-        return rhs - (diag * v + lower * np.roll(v, 1) + upper * np.roll(v, -1))
-
-    x = sherman_morrison_solve(lower, diag, upper, rhs)
-    r = residual(x)
-    norm_r = np.max(np.abs(r))
-    if norm_r <= tol * (np.max(np.abs(rhs)) - norm_r):
-        return x
-    norm_x = np.max(np.abs(x))
-    if not np.isfinite(norm_x):
-        return x
-    norm_a = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
-    for _ in range(3):
-        if not norm_r > tol * norm_a * norm_x:
-            break
-        refined = x + sherman_morrison_solve(lower, diag, upper, r)
-        r_refined = residual(refined)
-        norm_refined_x, norm_refined_r = np.max(np.abs(refined)), np.max(np.abs(r_refined))
-        if not norm_refined_r * norm_x <= 0.5 * norm_r * norm_refined_x:
-            break
-        x, r, norm_x, norm_r = refined, r_refined, norm_refined_x, norm_refined_r
-    return x
+    """Scalar path (n < 512) of the package solver: eliminate rows and
+    columns 0 .. n-2 for rhs and for the border column A[:n-1, n-1],
+    then solve for x[n-1] with the 1x1 Schur complement."""
+    n = diag.size
+    border = np.zeros(n - 1)
+    border[0] = lower[0]
+    border[-1] = upper[n - 2]
+    y = thomas(lower[:-1], diag[:-1], upper[:-1], rhs[:-1])
+    z = thomas(lower[:-1], diag[:-1], upper[:-1], border)
+    schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
+    if schur == 0.0 or not np.isfinite(schur):
+        raise SingularJacobian(f"zero pivot at row {n - 1}")
+    last = (rhs[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
+    return np.append(y - z * last, last)
 
 
 # ---------------------------------------------------------------------------

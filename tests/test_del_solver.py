@@ -283,8 +283,8 @@ def test_cyclic_tridiagonal_singular():
     [(n, bad) for n in (5, 12, 1000, 1031) for bad in (np.nan, np.inf, -np.inf)],
 )
 # From n = 512 on, rows 0 and 3 are a separator and a segment row.  "corner"
-# puts the bad value in upper[-1] against lower[0] = 0, so the scalar
-# Sherman-Morrison shift computes 0 * inf.
+# puts the bad value in upper[-1], the border row's first entry, against
+# lower[0] = 0, the border column's first entry.
 @pytest.mark.parametrize("row", [0, 3, "corner"])
 def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
     lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
@@ -297,14 +297,22 @@ def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
 
 
 def test_cyclic_tridiagonal_zero_pivot_after_first_row():
-    # Row 0 of the Sherman-Morrison-shifted band has pivot 2 * 2 = 4, so
-    # row 1 eliminates to 0.25 - 1 * (1 / 4) = 0 exactly.
+    # Row 0 has pivot 4, so row 1 eliminates to 0.25 - 1 * (1 / 4) = 0
+    # exactly.
     n = 12
     diag = np.full(n, 4.0)
-    diag[0] = 2.0
     diag[1] = 0.25
     with pytest.raises(SingularJacobian, match="zero pivot at row 1"):
         solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cyclic_tridiagonal_singular_circulant(n):
+    # The circulant (1, -2, 1) has rows that sum to 0, and its leading
+    # (n-1)x(n-1) block is regular: at these sizes the Schur pivot comes
+    # out exactly 0 (at others rounding leaves it nonzero).
+    with pytest.raises(SingularJacobian, match=f"zero pivot at row {n - 1}$"):
+        solve_cyclic_tridiagonal(np.ones(n), np.full(n, -2.0), np.ones(n), np.arange(n, dtype=float))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 64, 300])
@@ -322,9 +330,9 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
 EPS = np.finfo(float).eps
 
 #: Near-singular draws: each row's diagonal exceeds the sum of its
-#: off-diagonals by a margin down to 1e-6 of them, so the condition number
-#: reaches about 1e7 and only the backward error stays at rounding level.
-TIGHT = st.one_of(st.just(1.0), st.floats(1e-6, 1e-1))
+#: off-diagonals by a margin down to 1e-8 of them, so the condition number
+#: reaches about 1e9 and only the backward error stays at rounding level.
+TIGHT = st.one_of(st.just(1.0), st.floats(1e-8, 1e-1))
 
 
 def backward_error(lower, diag, upper, x, rhs):
@@ -366,18 +374,31 @@ def test_cyclic_solve_matches_dense_on_dominant_bands(n, tight, data):
 
 @pytest.mark.parametrize("t", [0.03125, 1e-3, 1e-6])
 def test_cyclic_solve_refines_a_cancelled_shift(t):
-    # diag[-1] - lower[0] * upper[-1] / gamma = -(1 + t) + 1 / (1 + t)
-    # cancels to about -2t: the shifted band is near singular while A is
-    # dominant, and the bare Sherman-Morrison solve misses rhs by 8 (t =
-    # 1/32) to 1e3 (t = 1e-6) roundings.
+    # A dominant A whose last diagonal entry, shifted by a Sherman-Morrison
+    # correction with gamma = -diag[0], would cancel to about -2t: a band
+    # made near singular by a shift that the bordered solve does not take.
     lower, upper = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0])
     diag = -np.array([1.0 + t, t, 1.0 + t])
     rhs = np.array([0.0, 0.0, 1.0])
-    bare = _solve_cyclic_scalar(lower, diag, upper, rhs)
-    assert backward_error(lower, diag, upper, bare, rhs) > 8 * EPS
     x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
     assert backward_error(lower, diag, upper, x, rhs) <= 2 * EPS
     assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_newton_bands_solve_to_rounding_level(n):
+    # The Newton systems of a cosine:0.1 run, on both sides of the switch
+    # to the partitioned solve, need no refinement: one solve meets two
+    # roundings of backward error, for the level's own residual and for a
+    # random right-hand side.
+    s = cosine_trajectory(n_space=n, n_steps=6).section
+    rng = np.random.default_rng(n)
+    for j in range(1, s.grid.n_time - 1):
+        a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
+        lower, diag, upper = jacobian_bands(a, b, c, s.grid.h, s.grid.k)
+        for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
+            x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            assert backward_error(lower, diag, upper, x, rhs) <= 2 * EPS
 
 
 def long_row_bands(kind, n):
