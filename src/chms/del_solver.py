@@ -6,7 +6,9 @@ touching rectangle.  Advancing one time level means forcing the residual
 to vanish on a whole row at once, which couples the unknowns cyclically;
 the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
-row j+1.  The solve uses the analytic Jacobian with bordered
+row j+1.  Newton iterates on the row increment y[:, j+1] - y[:, j],
+whose updates round to its own magnitude rather than to that of the
+labels.  The solve uses the analytic Jacobian with bordered
 elimination: the leading tridiagonal block, then a 1x1 Schur complement
 for the last unknown.  A Newton update that leaves the row
 non-monotone is reported at once as wave breaking, naming the point;
@@ -84,6 +86,14 @@ def _row_blocks(n_rows: int, n_space: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
+def _frozen(a) -> bool:
+    """True for an ndarray that neither it nor any array it views lets
+    anyone write."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 @dataclass(frozen=True, eq=False)
 class Section:
     """Discrete particle-label field y[i, j] = x_i + d[i, j].
@@ -95,14 +105,17 @@ class Section:
     without a temporary of the section's size: the monotonicity rule runs
     over blocks of rows (_row_blocks), and the first block that breaks it
     raises NonMonotone naming the row and the point.
-    Immutable after construction.
+    Immutable after construction: a read-only float array that views no
+    writeable one (evolve hands over its row buffer so) is kept as it
+    is, and any other displacement is copied.
     """
 
     grid: GridSpec
     displacement: np.ndarray  # shape (n_time, n_space)
 
     def __post_init__(self):
-        d = np.array(self.displacement, dtype=float)
+        d = self.displacement
+        d = np.asarray(d, dtype=float) if _frozen(d) else np.array(d, dtype=float)
         if d.shape != (self.grid.n_time, self.grid.n_space):
             raise ValueError(
                 f"displacement shape {d.shape} does not match grid "
@@ -224,25 +237,33 @@ def residual_scale_row(s: Section, j: int) -> float:
 
 
 def _thomas(lower, diag, upper, rhs, u):
-    """Tridiagonal elimination of two right-hand sides with shared pivots.
+    """Tridiagonal elimination of the right-hand sides rhs (a list of
+    rows) and u with shared pivots; returns the solutions for rhs (a
+    list) and for u.
 
-    One forward and one back sweep over lists of Python floats (scalar
-    arithmetic on floats is several times cheaper than indexing numpy
-    arrays); the operation order is that of textbook elimination applied
-    to each right-hand side on its own, so each solution is bit-identical
-    to it.  lower[0] and upper[-1] lie outside the band and do not enter it.
+    Sweeps over lists of Python floats (scalar arithmetic on floats is
+    several times cheaper than indexing numpy arrays).  The pivot sweep
+    eliminates rhs[0] and u along with the pivots, so one right-hand
+    side costs no more than it did alone; each further rhs reuses the
+    multipliers and forms each pivot again with the same operations.
+    The operation order is that of textbook elimination applied to each
+    right-hand side on its own, so each solution is bit-identical to it.
+    lower[0] and upper[-1] lie outside the band and do not enter it; rows
+    of rhs may run past the band, and only their first len(diag) entries
+    enter.
     """
     isfinite = math.isfinite
     piv = diag[0]
     if piv == 0.0 or not isfinite(piv):
-        raise SingularJacobian("zero pivot in tridiagonal elimination")
+        raise SingularJacobian("zero pivot at row 0")
+    r0 = rhs[0]
     c = upper[0] / piv
-    pr = rhs[0] / piv
+    pr = r0[0] / piv
     pu = u[0] / piv
     cp = [c]
     dr = [pr]
     du = [pu]
-    for lo, di, up, ri, ui in zip(lower[1:], diag[1:], upper[1:], rhs[1:], u[1:]):
+    for lo, di, up, ri, ui in zip(lower[1:], diag[1:], upper[1:], r0[1:], u[1:]):
         piv = di - lo * c
         if piv == 0.0 or not isfinite(piv):
             raise SingularJacobian(f"zero pivot at row {len(cp)}")
@@ -254,34 +275,51 @@ def _thomas(lower, diag, upper, rhs, u):
         du.append(pu)
     xr = [pr]
     xu = [pu]
-    for c, qr, qu in zip(cp[-2::-1], dr[-2::-1], du[-2::-1]):
+    back = cp[-2::-1]
+    for c, qr, qu in zip(back, dr[-2::-1], du[-2::-1]):
         pr = qr - c * pr
         pu = qu - c * pu
         xr.append(pr)
         xu.append(pu)
-    return xr[::-1], xu[::-1]
+    xs = [xr[::-1]]
+    for r in rhs[1:]:
+        p = r[0] / diag[0]
+        d = [p]
+        for lo, di, c, ri in zip(lower[1:], diag[1:], cp, r[1:]):
+            p = (ri - lo * p) / (di - lo * c)
+            d.append(p)
+        x = [p]
+        for c, q in zip(back, d[-2::-1]):
+            p = q - c * p
+            x.append(p)
+        xs.append(x[::-1])
+    return xs, xu[::-1]
 
 
 def _solve_cyclic_scalar(lower, diag, upper, rhs):
-    """Bordered elimination of a cyclic tridiagonal system (n >= 3).
+    """Bordered elimination of a cyclic tridiagonal system (n >= 3) for
+    the right-hand sides rhs, shape (m, n); returns shape (m, n).
 
-    _thomas eliminates rows 0 .. n-2 in natural order, unshifted, for rhs
-    and for the border column A[:n-1, n-1]; x[n-1] then takes the 1x1
-    Schur complement diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1] as
-    its pivot, which stays dominant where A is diagonally dominant.
+    _thomas eliminates rows 0 .. n-2 in natural order, unshifted, for
+    every rhs and for the border column A[:n-1, n-1]; x[n-1] then takes
+    the 1x1 Schur complement diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
+    as its pivot, which stays dominant where A is diagonally dominant.
     """
+    lower, diag, upper, rows = (v.tolist() for v in (lower, diag, upper, rhs))
     # Named here, before it would surface as a non-finite Schur pivot.
     if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
         raise SingularJacobian("non-finite corner entry")
-    lower, diag, upper, rhs = (v.tolist() for v in (lower, diag, upper, rhs))
     border = [lower[0]] + [0.0] * (len(diag) - 3) + [upper[-2]]
-    y, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rhs[:-1], border)
+    ys, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rows, border)
     schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
     if schur == 0.0 or not math.isfinite(schur):
         raise SingularJacobian(f"zero pivot at row {len(diag) - 1}")
-    last = (rhs[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
-    x = np.array(y + [last])
-    x[:-1] -= np.array(z) * last
+    z = np.array(z, dtype=float)
+    x = np.empty((len(rows), len(diag)))
+    for i, (r, y) in enumerate(zip(rows, ys)):
+        last = (r[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
+        x[i] = y + [last]
+        x[i, :-1] -= z * last
     return x
 
 
@@ -293,34 +331,39 @@ _PARTITION_MIN_N = 512
 
 
 def _blocks(v, p: int, b: int, n_long: int, pad: float) -> np.ndarray:
-    """v laid out as (p, b): row m holds block m, its separator first.
+    """v laid out as (p, b) along its last axis: row m holds block m, its
+    separator first.
 
     The first n_long blocks hold b points and the rest b - 1, so the
     short blocks end in one pad entry (a decoupled identity row when
     pad is 1 on the diagonal and 0 elsewhere)."""
+    lead = v.shape[:-1]
     if n_long == p:
-        return v.reshape(p, b)
-    out = np.empty((p, b))
-    out[:n_long] = v[: n_long * b].reshape(n_long, b)
-    out[n_long:, :-1] = v[n_long * b :].reshape(p - n_long, b - 1)
-    out[n_long:, -1] = pad
+        return v.reshape(*lead, p, b)
+    out = np.empty((*lead, p, b))
+    out[..., :n_long, :] = v[..., : n_long * b].reshape(*lead, n_long, b)
+    out[..., n_long:, :-1] = v[..., n_long * b :].reshape(*lead, p - n_long, b - 1)
+    out[..., n_long:, -1] = pad
     return out
 
 
 def _solve_partitioned(lower, diag, upper, rhs):
-    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows.
+    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows, for
+    the right-hand sides rhs, shape (m, n); returns shape (m, n).
 
     One separator opens every block of about sqrt(n)/4 points.  The
     segments between separators are eliminated all at once, one NumPy
     step per column across every segment, in the order of Gaussian
-    elimination within each segment, with three right-hand sides: rhs
-    and the couplings to the left and right separators.  The separators
-    then solve a cyclic tridiagonal Schur-complement system of about
-    4*sqrt(n) unknowns by the scalar bordered elimination, and the
-    segments back-substitute.  Runs with floating-point errors ignored:
-    a zero or non-finite pivot raises SingularJacobian.
+    elimination within each segment, with m + 2 right-hand sides: each
+    rhs and the couplings to the left and right separators.  The
+    separators then solve a cyclic tridiagonal Schur-complement system of
+    about 4*sqrt(n) unknowns by the scalar bordered elimination, and the
+    segments back-substitute.  Every step is elementwise, so each rhs
+    comes out bit for bit as it would alone.  Runs with floating-point
+    errors ignored: a zero or non-finite pivot raises SingularJacobian.
     """
     n = diag.size
+    m = len(rhs)
     p = n // (math.isqrt(n) // 4)
     q, r = divmod(n, p)
     b = q + (r > 0)  # block length, separator included
@@ -333,59 +376,70 @@ def _solve_partitioned(lower, diag, upper, rhs):
     piv = np.empty((w, p))
     c = np.empty((w, p))
     # x[j] holds column j of every segment's solution for the right-hand
-    # sides rhs, left coupling and right coupling, in that order.
-    x = np.zeros((w, 3, p))
-    x[:, 0] = rr[:, 1:].T
-    x[0, 1] = lo[:, 1]
-    tmp, tmp2, tmp3 = np.empty(p), np.empty((2, p)), np.empty((3, p))
+    # sides: the m of rhs, then the left and the right coupling (rows
+    # m and m + 1).
+    x = np.zeros((w, m + 2, p))
+    x[:, :m] = rr[..., 1:].transpose(2, 0, 1)
+    x[0, m] = lo[:, 1]
+    tmp, tmp2, tmp3 = np.empty(p), np.empty((m + 1, p)), np.empty((m + 2, p))
     with np.errstate(all="ignore"):
         piv[0] = di[:, 1]
         np.divide(up[:, 1], piv[0], out=c[0])
-        np.divide(x[0, :2], piv[0], out=x[0, :2])
+        np.divide(x[0, : m + 1], piv[0], out=x[0, : m + 1])
         for j in range(1, w):
-            lj, pj, xj = lo[:, j + 1], piv[j], x[j, :2]
+            lj, pj, xj = lo[:, j + 1], piv[j], x[j, : m + 1]
             np.multiply(lj, c[j - 1], out=tmp)
             np.subtract(di[:, j + 1], tmp, out=pj)
             np.divide(up[:, j + 1], pj, out=c[j])
-            np.multiply(lj, x[j - 1, :2], out=tmp2)
+            np.multiply(lj, x[j - 1, : m + 1], out=tmp2)
             np.subtract(xj, tmp2, out=xj)
             np.divide(xj, pj, out=xj)
         bad = ~np.isfinite(piv) | (piv == 0.0)
         if bad.any():
             # A pad row's pivot fails only after a non-finite multiplier
             # in the row before it; it then names the next separator.
-            j, m = np.unravel_index(np.argmax(bad), bad.shape)
-            row = (m * b - max(0, m - n_long) + j + 1) % n
+            j, blk = np.unravel_index(np.argmax(bad), bad.shape)
+            row = (blk * b - max(0, blk - n_long) + j + 1) % n
             raise SingularJacobian(f"zero pivot at row {row}")
         # The right coupling enters at each segment's last real row, where
         # its eliminated value is that row's multiplier; a pad row after
         # it keeps the value 0 and decouples.
-        x[w - 1, 2, :n_long] = c[w - 1, :n_long]
-        x[w - 2, 2, n_long:] = c[w - 2, n_long:]
+        x[w - 1, m + 1, :n_long] = c[w - 1, :n_long]
+        x[w - 2, m + 1, n_long:] = c[w - 2, n_long:]
         for j in range(w - 2, -1, -1):
             np.multiply(c[j], x[j + 1], out=tmp3)
             np.subtract(x[j], tmp3, out=x[j])
         first = x[0]
         last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
-        sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[:, 0]
+        sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
         try:
             xs = _solve_cyclic_scalar(
-                -sl * last[1],
-                sd - sl * last[2] - su * first[1],
-                -su * first[2],
-                sr - sl * last[0] - su * first[0],
+                -sl * last[m],
+                sd - sl * last[m + 1] - su * first[m],
+                -su * first[m + 1],
+                sr - sl * last[:m] - su * first[:m],
             )
         except SingularJacobian as exc:
             raise SingularJacobian(f"separator system: {exc}") from exc
-        xi = x[:, 0] - x[:, 1] * xs - x[:, 2] * _shift(xs, 1)
-    out = np.empty(n)
-    head = out[: n_long * b].reshape(n_long, b)
-    tail = out[n_long * b :].reshape(p - n_long, w)
-    head[:, 0] = xs[:n_long]
-    head[:, 1:] = xi[:, :n_long].T
-    tail[:, 0] = xs[n_long:]
-    tail[:, 1:] = xi[: w - 1, n_long:].T
+        xi = x[:, :m] - x[:, m : m + 1] * xs - x[:, m + 1 : m + 2] * _shift(xs, 1)
+    out = np.empty((m, n))
+    head = out[:, : n_long * b].reshape(m, n_long, b)
+    tail = out[:, n_long * b :].reshape(m, p - n_long, w)
+    head[..., 0] = xs[:, :n_long]
+    head[..., 1:] = xi[..., :n_long].transpose(1, 2, 0)
+    tail[..., 0] = xs[:, n_long:]
+    tail[..., 1:] = xi[: w - 1, :, n_long:].transpose(1, 2, 0)
     return out
+
+
+def _solve_cyclic(lower, diag, upper, rhs):
+    """Solve A x = rhs[i] for each row of rhs, shape (m, n), with A
+    eliminated once: the scalar bordered elimination below
+    _PARTITION_MIN_N unknowns, the partition method from there on.  Each
+    row's solution is bit-identical to solving it alone.  Takes float
+    arrays of checked shapes (solve_cyclic_tridiagonal checks them)."""
+    solve = _solve_partitioned if diag.size >= _PARTITION_MIN_N else _solve_cyclic_scalar
+    return solve(lower, diag, upper, rhs)
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
@@ -416,8 +470,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    solve = _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
-    return solve(lower, diag, upper, rhs)
+    return _solve_cyclic(lower, diag, upper, rhs[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +484,15 @@ def advance_row(
 
     ym1 and y0 are the two known rows (absolute label values); a
     non-monotone one raises NonMonotone naming it, the point, the
-    increment and the bound.  Newton starts from 2*y0 - ym1, unchecked:
+    increment and the bound.  The Newton unknown is the row increment
+    e = y^{j+1} - y^j, not the row: the top rectangles' b and c are
+    differences of e, and an update to e is rounded to e's magnitude
+    rather than to that of the labels (about 2*pi), so the residual
+    meets the tolerance where an iterate on labels stalls above it.
+    Newton starts from e = y0 - ym1 (the guess 2*y0 - ym1), unchecked:
     the top rectangles take their bottom edge a from y0, so no guess
-    makes the residual singular.  A non-monotone Newton update raises
+    makes the residual singular.  The next row y0 + e is held to the
+    monotonicity rule after every update, and a non-monotone one raises
     NonMonotone at once: wave breaking.
     """
     h, k = g.h, g.k
@@ -441,13 +500,13 @@ def advance_row(
     # Bottom-rectangle terms are fixed during the solve.
     bot = grad_from_parts(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
 
-    yp1 = 2.0 * y0 - ym1
+    e = y0 - ym1
+    yp1 = y0 + e
     scale = 1.0
     prev_norm = np.inf
     floor = 0.0
     for it in range(cfg.max_iters + 1):
         # The iterate's top rectangles give both the residual and the bands.
-        e = yp1 - y0
         b_t = e / k
         c_t = (_shift(e, 1) - e) / (h * k)
         f, f_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
@@ -466,7 +525,8 @@ def advance_row(
         jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
         floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))
         prev_norm = norm
-        yp1 = yp1 + solve_cyclic_tridiagonal(lower, diag, upper, -f)
+        e = e + solve_cyclic_tridiagonal(lower, diag, upper, -f)
+        yp1 = y0 + e
         _increments(yp1, g, "wave breaking: the Newton update of the next row")
     raise MaxItersExceeded(
         f"residual {norm:g} above tolerance {cfg.tol_residual * scale:g} "
@@ -502,7 +562,10 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
         disp[rows_done] = yp1 - xs
         rows_done += 1
         stats.append(replace(st, step=m))
-    out = Section(replace(g, n_time=rows_done), disp[:rows_done])
+    if rows_done < len(disp):  # a failed run keeps only the rows it reached
+        disp = disp[:rows_done].copy()
+    disp.flags.writeable = False  # handed over to the Section without a copy
+    out = Section(replace(g, n_time=rows_done), disp)
     return EvolveResult(out, stats, failure)
 
 

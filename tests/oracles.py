@@ -300,7 +300,7 @@ def thomas(lower, diag, upper, rhs):
     dp = np.empty(n)
     piv = diag[0]
     if piv == 0.0 or not np.isfinite(piv):
-        raise SingularJacobian("zero pivot in tridiagonal elimination")
+        raise SingularJacobian("zero pivot at row 0")
     cp[0] = upper[0] / piv
     dp[0] = rhs[0] / piv
     for i in range(1, n):

@@ -98,21 +98,33 @@ def test_run_rest_writes_exact_diagnostics(tmp_path):
     assert first[2] == first[3]  # eta == x at rest
 
 
-@pytest.mark.parametrize("n_space, expected", [(16, {"tolerance"}), (64, {"tolerance", "fp_floor"})])
-def test_run_reports_newton_stop_reasons(tmp_path, n_space, expected):
-    # Order-one rows meet the tolerance; at n = 64 the residual mostly
-    # stagnates at its floating-point floor first.
+def _stop_reasons(tmp_path, *args) -> list[str]:
+    """Each step's Newton stop reason of a cosine:0.1 run over 10 steps,
+    checked against the summary's counts."""
     out = tmp_path / "stop"
-    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", str(n_space), "--n-steps", "10",
-                   "--out-dir", str(out))
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-steps", "10", "--out-dir", str(out), *args)
     assert code == EXIT_OK
     report = json.loads((out / "diagnostics.json").read_text())
     reasons = [rec["stop_reason"] for rec in report["steps"]]
-    assert set(reasons) == expected
     assert report["summary"]["stop_reasons"] == {
         "tolerance": reasons.count("tolerance"),
         "fp_floor": reasons.count("fp_floor"),
     }
+    return reasons
+
+
+@pytest.mark.parametrize("n_space, expected", [(16, {"tolerance"}), (64, {"tolerance"})])
+def test_run_reports_newton_stop_reasons(tmp_path, n_space, expected):
+    # Newton iterates on the row increment, so the residual meets the
+    # default tolerance on order-one rows and on finer ones alike.
+    assert set(_stop_reasons(tmp_path, "--n-space", str(n_space))) == expected
+
+
+def test_run_reports_fp_floor_below_the_attainable_residual(tmp_path):
+    # A tolerance below the residual's floating-point floor ends every
+    # step at that floor instead of running out of iterations.
+    reasons = _stop_reasons(tmp_path, "--n-space", "64", "--tol-residual", "1e-16")
+    assert set(reasons) == {"fp_floor"}
 
 
 def _per_value_csv(y, h, k, levels) -> str:
@@ -240,7 +252,7 @@ def test_run_newton_iteration_limit_exits_three(tmp_path, capsys):
         "--max-iters", "1", "--out-dir", str(out),
     )
     assert code == EXIT_SOLVER
-    message = "residual 1.99881e-06 above tolerance 8.31243e-10 after 1 Newton iterations"
+    message = "residual 1.99878e-06 above tolerance 8.31243e-10 after 1 Newton iterations"
     assert capsys.readouterr().err == f"solver abort at step 1: {message}\n"
     failure = json.loads((out / "diagnostics.json").read_text())["summary"]["failure"]
     assert list(failure.items()) == [("step", 1), ("error", "MaxItersExceeded"), ("message", message)]

@@ -10,6 +10,7 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     _row_parts,
+    _solve_cyclic,
     _solve_cyclic_scalar,
     advance_row,
     del_residual_row,
@@ -306,6 +307,13 @@ def test_cyclic_tridiagonal_zero_pivot_after_first_row():
         solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
 
 
+def test_cyclic_tridiagonal_zero_pivot_at_row_0():
+    # Row 0 names itself like every other row.
+    n = 12
+    with pytest.raises(SingularJacobian, match="zero pivot at row 0$"):
+        solve_cyclic_tridiagonal(np.ones(n), np.zeros(n), np.ones(n), np.ones(n))
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_cyclic_tridiagonal_singular_circulant(n):
     # The circulant (1, -2, 1) has rows that sum to 0, and its leading
@@ -325,6 +333,21 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
         for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
             x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
             assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_stacked_solve_matches_each_rhs_bitwise(n):
+    # One elimination of the bands for a stack of right-hand sides, as the
+    # tangent march takes it, on the scalar (n = 256) and the partitioned
+    # (n = 1024) path: each row comes out as its own solve gives it.
+    s = cosine_trajectory(n_space=n, n_steps=2).section
+    lower, diag, upper = jacobian_bands(*_row_parts(s.row_y(2), s.row_y(3), s.grid), s.grid.h, s.grid.k)
+    for m in (1, 2, 3):
+        rhs = np.random.default_rng(n + m).standard_normal((m, n))
+        x = _solve_cyclic(lower, diag, upper, rhs)
+        assert x.shape == (m, n)
+        for xi, r in zip(x, rhs):
+            assert np.array_equal(xi, solve_cyclic_tridiagonal(lower, diag, upper, r))
 
 
 EPS = np.finfo(float).eps
@@ -421,7 +444,7 @@ def test_long_row_solve_matches_dense(kind, n):
         x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
         reference = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
-        scalar = _solve_cyclic_scalar(lower, diag, upper, rhs)
+        scalar = _solve_cyclic_scalar(lower, diag, upper, rhs[None])[0]
         # Backward errors below one rounding are noise: the ratio of two
         # of them has read 3.75 at 5e-18.
         floor = max(backward_error(lower, diag, upper, scalar, rhs), EPS)
@@ -435,7 +458,7 @@ def test_long_row_solve_backward_error_on_dominant_bands(n, tight, seed):
     lower, diag, upper = dominant_bands(rng, n, tight)
     rhs = rng.uniform(-10.0, 10.0, n)
     x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    scalar = _solve_cyclic_scalar(lower, diag, upper, rhs)
+    scalar = _solve_cyclic_scalar(lower, diag, upper, rhs[None])[0]
     error = backward_error(lower, diag, upper, x, rhs)
     assert error <= 4 * max(backward_error(lower, diag, upper, scalar, rhs), EPS)
     assert error <= 8 * EPS
@@ -539,9 +562,19 @@ def test_advance_row_raises_when_newton_runs_out_of_iterations():
     # The first step of `chms run --ic cosine:0.5 --n-space 64 --max-iters 1`.
     g = GridSpec.from_circle(64, 2, TWO_PI, 0.25)
     s = initialize(cosine_u0(0.5, TWO_PI), g)
-    message = r"^residual 1.99881e-06 above tolerance 8.31243e-10 after 1 Newton iterations$"
+    message = r"^residual 1.99878e-06 above tolerance 8.31243e-10 after 1 Newton iterations$"
     with pytest.raises(MaxItersExceeded, match=message):
         advance_row(s.row_y(0), s.row_y(1), g, SolverConfig(max_iters=1))
+
+
+def test_evolve_takes_one_newton_update_per_step():
+    # Newton iterates on the row increment: one update meets the
+    # tolerance, where an iterate on labels stalled at the rounding of
+    # its updates and spent a second solve to detect it.
+    g = GridSpec.from_circle(256, 2, TWO_PI, 0.25)
+    res = evolve(initialize(cosine_u0(0.1, TWO_PI), g), 20)
+    assert res.ok
+    assert [(st.iterations, st.stop_reason) for st in res.steps] == [(1, "tolerance")] * 20
 
 
 def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
@@ -641,6 +674,32 @@ def test_section_check_holds_no_temporary_of_the_section_size(rng):
     g = GridSpec.from_circle(4096, 201, TWO_PI, 0.25)
     d = 0.15 * g.h * rng.uniform(-1.0, 1.0, size=(201, 4096))
     assert traced_peak(Section, g, d) < 1.5 * d.nbytes
+
+
+def test_evolve_hands_its_row_buffer_to_the_section():
+    # The trajectory is held once: the Section keeps evolve's row buffer
+    # instead of a copy of it.
+    g = GridSpec.from_circle(4096, 2, TWO_PI, 0.25)
+    s0 = initialize(cosine_u0(0.1, TWO_PI), g)
+    res = []
+    peak = traced_peak(lambda: res.append(evolve(s0, 200)))
+    assert res[0].ok
+    assert peak < 1.5 * res[0].section.displacement.nbytes
+
+
+def test_section_copies_a_displacement_the_caller_can_write():
+    g = o1_grid(n_space=8, n_time=2)
+    d = np.zeros((2, 8))
+    view = d[:]
+    view.flags.writeable = False  # read-only, but d still writes it
+    for arr in (d, view):
+        s = Section(g, arr)
+        assert not np.shares_memory(s.displacement, d)
+    d[1, 3] = 0.1
+    assert s.displacement[1, 3] == 0.0
+    frozen = np.zeros((2, 8))
+    frozen.flags.writeable = False
+    assert Section(g, frozen).displacement is frozen
 
 
 def test_solver_config_validation():
