@@ -144,6 +144,7 @@ def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
                 "step": st.step,
                 "newton_iterations": st.iterations,
                 "residual_inf_norm": st.residual_norm,
+                "relative_residual": st.relative_residual,
                 "backtracks": st.backtracks,
                 "stop_reason": st.stop_reason,
                 "total_momentum": momenta[st.step],
@@ -223,6 +224,9 @@ def run_command(cfg: RunConfig) -> int:
             "momentum_drift_max": drift,
             "max_newton_iterations": max((st.iterations for st in result.steps), default=0),
             "max_residual_inf_norm": max((st.residual_norm for st in result.steps), default=0.0),
+            "max_relative_residual": max(
+                (st.relative_residual for st in result.steps), default=0.0
+            ),
             "stop_reasons": {
                 reason: sum(st.stop_reason == reason for st in result.steps)
                 for reason in STOP_REASONS

@@ -8,9 +8,10 @@ the Newton Jacobian of the row map is cyclic tridiagonal because the
 residual at (i, j) involves only y[i-1], y[i], y[i+1] of the unknown
 row j+1.  Newton iterates on the row increment y[:, j+1] - y[:, j],
 whose updates round to its own magnitude rather than to that of the
-labels.  The solve uses the analytic Jacobian with bordered
-elimination: the leading tridiagonal block, then a 1x1 Schur complement
-for the last unknown.  A Newton update that leaves the row
+labels, and starts from the quadratic extrapolation of the last three
+rows.  The solve uses the analytic Jacobian with bordered elimination:
+the leading tridiagonal block, then a 1x1 Schur complement for the last
+unknown.  A Newton update that leaves the row
 non-monotone is reported at once as wave breaking, naming the point;
 it is never shortened or silently regularized.
 """
@@ -160,6 +161,9 @@ class StepStats:
     #: benchmark harness sums it and diagnostics.json writes it per step.
     backtracks: int
     stop_reason: str  # one of STOP_REASONS
+    #: residual_norm over the step's scale, max(1, row scale): the
+    #: quantity the Newton tolerance bounds.
+    relative_residual: float
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,8 @@ def _level_equation(top, bot):
     3 down-left and 4 down-right; the scale is the largest sum of the
     four terms' magnitudes.  Gradients give the field equations,
     Hessian-tangent products their linearization.  Stacked rows (space
-    along the last axis) give each row's residual and scale.
+    along the last axis) give each row's residual and scale.  advance_row
+    forms the same sum with the bottom terms t3 + t4 held over its solve.
     """
     t1, t2, t3, t4 = top[0], _shift(top[1], -1), _shift(bot[2], -1), bot[3]
     res = (t1 + t2) + (t3 + t4)
@@ -478,53 +483,70 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
 
 
 def advance_row(
-    ym1: np.ndarray, y0: np.ndarray, g: GridSpec, cfg: SolverConfig
+    prev: np.ndarray, y0: np.ndarray, g: GridSpec, cfg: SolverConfig
 ) -> tuple[np.ndarray, StepStats]:
     """Solve the interior equations on the row of y0 for the next row.
 
-    ym1 and y0 are the two known rows (absolute label values); a
-    non-monotone one raises NonMonotone naming it, the point, the
-    increment and the bound.  The Newton unknown is the row increment
-    e = y^{j+1} - y^j, not the row: the top rectangles' b and c are
-    differences of e, and an update to e is rounded to e's magnitude
-    rather than to that of the labels (about 2*pi), so the residual
-    meets the tolerance where an iterate on labels stalls above it.
-    Newton starts from e = y0 - ym1 (the guess 2*y0 - ym1), unchecked:
-    the top rectangles take their bottom edge a from y0, so no guess
-    makes the residual singular.  The next row y0 + e is held to the
-    monotonicity rule after every update, and a non-monotone one raises
-    NonMonotone at once: wave breaking.
+    y0 is the current row and prev the row ym1 before it, or the stack
+    (ym2, ym1) of the two rows before it (absolute label values); the
+    third row travels in that stack, so the signature, and any wrapper
+    of it, stays that of the two-row solve.  A non-monotone ym1 or y0
+    raises NonMonotone naming it, the point, the increment and the
+    bound.  The Newton unknown is the row increment e = y^{j+1} - y^j,
+    not the row: the top rectangles' b and c are differences of e, and
+    an update to e is rounded to e's magnitude rather than to that of
+    the labels (about 2*pi), so the residual meets the tolerance where
+    an iterate on labels stalls above it.  Newton starts from the
+    extrapolated increment: given ym2 the quadratic
+    e = (y0 - ym1) + ((y0 - ym1) - (ym1 - ym2)), which misses the
+    solution by O(k^3), and given ym1 alone the linear e = y0 - ym1 (the
+    guess 2*y0 - ym1), which misses by O(k^2).  The start is unchecked,
+    and ym2 enters nothing else: the top rectangles take their bottom
+    edge a from y0, so no guess makes the residual singular.  The next
+    row y0 + e is held to the monotonicity rule after every update, and
+    a non-monotone one raises NonMonotone at once: wave breaking.
     """
+    ym2, ym1 = prev if np.ndim(prev) == 2 else (None, prev)
     h, k = g.h, g.k
     a_t = _increments(y0, g, "the current row y0") / h  # bottom edge of the top rectangles
-    # Bottom-rectangle terms are fixed during the solve.
+    # The bottom rectangles' vertex terms (3 of the rectangle down-left
+    # of each point, 4 of the one down-right) are fixed during the solve;
+    # each residual is _level_equation's, (t1 + t2) + (t3 + t4), bit for bit.
     bot = grad_from_parts(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
+    t3, t4 = _shift(bot[2], -1), bot[3]
+    t34 = t3 + t4
 
     e = y0 - ym1
+    if ym2 is not None:
+        e = e + (e - (ym1 - ym2))
     yp1 = y0 + e
     scale = 1.0
-    prev_norm = np.inf
-    floor = 0.0
     for it in range(cfg.max_iters + 1):
         # The iterate's top rectangles give both the residual and the bands.
         b_t = e / k
         c_t = (_shift(e, 1) - e) / (h * k)
-        f, f_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
+        top = grad_from_parts(a_t, b_t, c_t, h, k)
+        t1, t2 = top[0], _shift(top[1], -1)
+        f = (t1 + t2) + t34
         norm = float(np.max(np.abs(f)))
         if it == 0:
-            scale = max(1.0, float(f_scale))
+            scale = max(1.0, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4))))
         if norm <= cfg.tol_residual * scale:
-            return yp1, StepStats(0, it, norm, 0, "tolerance")
+            return yp1, StepStats(0, it, norm, 0, "tolerance", norm / scale)
         # Stagnation at the attainable floating-point floor of the
-        # residual evaluation also counts as converged.
-        if it > 0 and norm <= floor and norm >= STAGNATION_RATIO * prev_norm:
-            return yp1, StepStats(0, it, norm, 0, "fp_floor")
+        # residual evaluation also counts as converged.  The floor is that
+        # of the previous iterate: its Jacobian norm times ulps of its row.
+        if it > 0 and norm >= STAGNATION_RATIO * prev_norm:
+            jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
+            floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(
+                1.0, float(np.max(np.abs(y_prev)))
+            )
+            if norm <= floor:
+                return yp1, StepStats(0, it, norm, 0, "fp_floor", norm / scale)
         if it == cfg.max_iters:
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
-        jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-        floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(yp1))))
-        prev_norm = norm
+        prev_norm, y_prev = norm, yp1
         e = e + solve_cyclic_tridiagonal(lower, diag, upper, -f)
         yp1 = y0 + e
         _increments(yp1, g, "wave breaking: the Newton update of the next row")
@@ -535,8 +557,14 @@ def advance_row(
 
 
 def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> EvolveResult:
-    """March n_steps levels from the final two rows of s0.
+    """March n_steps levels from the final rows of s0.
 
+    Each step solves for the next row from the section's last two rows,
+    and Newton starts from the quadratic extrapolation of its last three
+    wherever the section has them (advance_row); only the first step from
+    a two-row section starts from the linear one.  The start is read from
+    the rows themselves, so a run resumed from a section of three rows or
+    more gives the same rows, bit for bit, as the unbroken run.
     Aborts cleanly on any step error, returning the partial trajectory
     together with a failure report; under np.errstate(over="raise") and
     the like, a floating-point overflow in a step is such an error.
@@ -552,10 +580,11 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
     stats: list[StepStats] = []
     failure = None
     for m in range(1, n_steps + 1):
-        ym1 = xs + disp[rows_done - 2]
+        # The two rows before y0 where the section has them, else one.
+        prev = disp[rows_done - 3 : rows_done - 1] if rows_done >= 3 else disp[rows_done - 2]
         y0 = xs + disp[rows_done - 1]
         try:
-            yp1, st = advance_row(ym1, y0, g, cfg)
+            yp1, st = advance_row(xs + prev, y0, g, cfg)
         except (NonMonotone, MaxItersExceeded, SingularJacobian, FloatingPointError) as exc:
             failure = StepFailure(step=m, error=type(exc).__name__, message=str(exc))
             break

@@ -127,6 +127,25 @@ def test_run_reports_fp_floor_below_the_attainable_residual(tmp_path):
     assert set(reasons) == {"fp_floor"}
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-16])
+def test_run_reports_each_steps_relative_residual(tmp_path, tol):
+    # The relative residual is what the Newton tolerance bounds: every
+    # step that stopped on it meets it, and an fp_floor step lies above it.
+    out = tmp_path / "rel"
+    code = run_cli(
+        "run", "--ic", "cosine:0.1", "--n-space", "64", "--n-steps", "10",
+        "--tol-residual", str(tol), "--out-dir", str(out),
+    )
+    assert code == EXIT_OK
+    report = json.loads((out / "diagnostics.json").read_text())
+    steps = report["steps"]
+    for rec in steps:
+        rel = rec["relative_residual"]
+        assert 0.0 <= rel <= rec["residual_inf_norm"]
+        assert (rel <= tol) == (rec["stop_reason"] == "tolerance")
+    assert report["summary"]["max_relative_residual"] == max(rec["relative_residual"] for rec in steps)
+
+
 def _per_value_csv(y, h, k, levels) -> str:
     """The trajectory CSV with every value through format_float."""
     last = len(y) - 1

@@ -6,6 +6,7 @@ from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section, trace
 from oracles import cyclic_solve, del_residual, del_residual_expanded, label, uniform_translation
 
 from chms import del_solver
+from chms.config import RunConfig
 from chms.del_solver import (
     Section,
     SolverConfig,
@@ -578,8 +579,9 @@ def test_evolve_takes_one_newton_update_per_step():
 
 
 def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
-    # The guess 2*y0 - ym1 is not checked: an accepted step with k Newton
-    # updates applies the monotonicity rule to y0 and to each update.
+    # Neither start, the linear guess 2*y0 - ym1 nor the quadratic one
+    # from ym2 too, is checked: an accepted step with k Newton updates
+    # applies the monotonicity rule to y0 and to each update.
     calls = []
     real = del_solver._increments
 
@@ -590,12 +592,25 @@ def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
     monkeypatch.setattr(del_solver, "_increments", counting)
     for n_space, amp in ((16, 0.1), (64, 0.5)):
         g = GridSpec.from_circle(n_space, 2, TWO_PI, 0.25)
-        s = initialize(cosine_u0(amp, TWO_PI), g)
-        calls.clear()
-        _, stats = advance_row(s.row_y(0), s.row_y(1), g, SolverConfig())
-        assert stats.iterations >= 1
-        assert len(calls) == 1 + stats.iterations
-        assert calls[0] == "the current row y0"
+        s = evolve(initialize(cosine_u0(amp, TWO_PI), g), 1).section
+        for prev, y0 in ((s.row_y(0), s.row_y(1)), (s.rows_y()[:2], s.row_y(2))):
+            calls.clear()
+            _, stats = advance_row(prev, y0, s.grid, SolverConfig())
+            assert stats.iterations >= 1
+            assert len(calls) == 1 + stats.iterations
+            assert calls[0] == "the current row y0"
+
+
+def test_evolve_starts_newton_from_the_last_three_rows():
+    # The README run example.  Step 1 has only the two initial rows, and
+    # Newton's linear start (off by O(k^2)) takes two updates; every
+    # later step starts from the quadratic extrapolation of the section's
+    # last three rows (off by O(k^3)) and takes one.
+    cfg = RunConfig(n_space=64, n_steps=100, ic="cosine:0.1")
+    res = evolve(initialize(cfg.u0(), cfg.grid()), cfg.n_steps, cfg.solver())
+    assert res.ok
+    assert [st.iterations for st in res.steps] == [2] + [1] * 99
+    assert {st.stop_reason for st in res.steps} == {"tolerance"}
 
 
 def test_backward_marching_is_first_order_not_exact():
@@ -627,7 +642,9 @@ def test_evolve_continuation_matches_single_run():
     first = evolve(s0, 5).section
     resumed = evolve(first, 7).section
     assert resumed.grid.n_time == whole.grid.n_time
-    assert np.max(np.abs(resumed.displacement - whole.displacement)) <= 1e-12
+    # The Newton start is read from the section's last rows, so resuming
+    # changes no bit.
+    assert np.array_equal(resumed.displacement, whole.displacement)
 
 
 def test_minimum_circle_runs():

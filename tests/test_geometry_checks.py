@@ -421,3 +421,64 @@ def test_total_momentum_drift_small(short_cosine):
     values, _ = level_series(s)
     drift = max(abs(v - values[0]) for v in values)
     assert drift <= 1e-9 * max(abs(values[0]), total_momentum_scale(s, 0))
+
+
+def _dispersion_symbol(n: int, cfl: float, speed: float, mode: int):
+    """Coefficients (alpha, beta, gamma) of the three-level symbol
+    alpha z**2 + beta z + gamma of the tangent-linear equations about
+    uniform translation (a = 1, b = speed, c = 0), for the Fourier row
+    phi = exp(i * mode * x); then the largest of their scales (the sum
+    of the vertex terms' magnitudes, as _level_equation gives it) and
+    the time step k.
+
+    The tangent V_j = z**j phi makes level j's residual z**(j-1) times
+    the symbol times phi: _linear_terms and _level_equation take complex
+    rows, and each coefficient is the level equation of one of the three
+    rows alone, projected on phi.
+    """
+    g = GridSpec.from_circle(n, 2, TWO_PI, cfl)
+    phi = np.exp(1j * mode * g.h * np.arange(n))
+    zero, none = np.zeros(n, complex), np.zeros((4, n), complex)
+
+    def lin(vlo, vhi):
+        return _linear_terms(1.0, speed, 0.0, g.h, g.k, vlo, vhi)
+
+    coeffs, scales = [], []
+    for top, bot in (
+        (lin(zero, phi), none),  # alpha: the row above the level
+        (lin(phi, zero), lin(zero, phi)),  # beta: the level's own row
+        (none, lin(phi, zero)),  # gamma: the row below it
+    ):
+        res, scale = _level_equation(top, bot)
+        coeffs.append(np.vdot(phi, res) / n)
+        scales.append(scale)
+    return (*coeffs, max(scales), g.k)
+
+
+def test_linear_dispersion_about_uniform_translation():
+    # Linearized about uniform translation the scheme is a three-level
+    # recurrence with constant coefficients, and its symbol is an exact
+    # oracle for every Fourier mode: the relabeling mode z = 1, and one
+    # neutral root whose phase is the continuous CH dispersion in label
+    # coordinates, omega = 2 U kappa / (1 + kappa**2), at second order.
+    for n in (8, 32):
+        for cfl in (0.1, 0.25, 1.0, 4.0, 20.0):
+            for speed in (0.1, 0.5, 1.0, 5.0):
+                for mode in range(1, n // 2 + 1):
+                    alpha, beta, gamma, scale, _ = _dispersion_symbol(n, cfl, speed, mode)
+                    assert abs(alpha + beta + gamma) <= 8 * EPS * scale
+                    # With the root z = 1 the other is gamma / alpha (the
+                    # product of the roots): no difference of nearly equal
+                    # numbers, where the discriminant cancels at the double
+                    # root and leaves only half the digits.
+                    assert abs(abs(gamma / alpha) - 1.0) <= 16 * EPS
+    for speed in (0.3, 1.0, 3.0):
+        for cfl in (0.25, 1.0):
+            for mode in (1, 2):
+                omega = 2.0 * speed * mode / (1.0 + mode * mode)
+                errors = []
+                for n in (64, 128, 256):
+                    alpha, _, gamma, _, k = _dispersion_symbol(n, cfl, speed, mode)
+                    errors.append(abs(-np.angle(gamma / alpha) / k - omega) / omega)
+                orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+                assert np.all(orders >= 1.9), (speed, cfl, mode, errors)
