@@ -442,9 +442,8 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     # gradient along the same tangent rows, Im grad(a + i tau da, ...) / tau
     # with the tangent's parts (da, db, dc): exact to rounding, with no
     # step-size trade-off.
-    v1, v2, v3, v4 = gc._tangent_rects(*v)
     tau = 1e-100
-    dparts = (v2 - v1) / h, (v4 - v1) / k, ((v3 - v2) - (v4 - v1)) / (h * k)
+    dparts = gc._tangent_parts(*v, h, k)
     shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
     ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
     err = np.max(np.abs(gc._linear_terms(a, b, c, h, k, *v) - ref), axis=0)

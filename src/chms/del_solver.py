@@ -66,11 +66,12 @@ FP_FLOOR_ULPS = 16.0
 STAGNATION_RATIO = 0.25
 
 
-def _increments(rows: np.ndarray, g: GridSpec, what: str) -> np.ndarray:
+def _increments(rows: np.ndarray, g: GridSpec, what: str, first_row: int = 0) -> np.ndarray:
     """Label increments y[..., i+1] - y[..., i] of one row or stacked rows,
     held to the one monotonicity rule (lagrangian._require_increments):
-    a row that breaks it raises NonMonotone naming `what`."""
-    return _require_increments(_shift(rows, 1, g.domain_length) - rows, g.h, what)
+    a row that breaks it raises NonMonotone naming `what` (and the row of
+    a stack, counted from `first_row`)."""
+    return _require_increments(_shift(rows, 1, g.domain_length) - rows, g.h, what, first_row)
 
 
 #: Passes over a whole section (the Section check, the level series)
@@ -127,10 +128,9 @@ class Section:
             raise ValueError("displacement must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
-        xs, lam, h = self.xs(), self.grid.domain_length, self.grid.h
+        xs = self.xs()
         for lo, hi in _row_blocks(*d.shape):
-            y = xs + d[lo:hi]
-            _require_increments(_shift(y, 1, lam) - y, h, "row", first_row=lo)
+            _increments(xs + d[lo:hi], self.grid, "row", lo)
 
     def xs(self) -> np.ndarray:
         return np.arange(self.grid.n_space) * self.grid.h
@@ -195,11 +195,18 @@ def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec, what: str = "the bot
     return stencil_parts(lo, _shift(lo, 1, lam), _shift(hi, 1, lam), hi, g.h, g.k, what)
 
 
-def _rect_row_parts(s: Section, j: int):
-    """(a, b, c) over rectangle row j of s; the one section-to-parts path."""
-    if not 0 <= j <= s.grid.n_time - 2:
-        raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
-    return _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
+def section_parts(s: Section, lo: int = 0, hi: int | None = None):
+    """(a, b, c) over the rectangle rows lo .. hi - 1 of s (row j spans
+    rows j and j + 1), by default all of them, shape (hi - lo, n_space):
+    the one section-to-parts accessor.  A first or last rectangle row
+    outside 0 .. n_time - 2 raises OutOfRange naming it."""
+    n_rows = s.grid.n_time - 1
+    hi = n_rows if hi is None else hi
+    for j in (lo, hi - 1):
+        if not 0 <= j < n_rows:
+            raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
+    y = s.xs() + s.displacement[lo : hi + 1]
+    return _row_parts(y[:-1], y[1:], s.grid)
 
 
 def _level_equation(top, bot):
@@ -222,8 +229,7 @@ def _section_equation(s: Section, j: int):
     """Residual and scale of the field equations at time level j of s."""
     if not 1 <= j <= s.grid.n_time - 2:
         raise OutOfRange(f"time level {j} has no two time neighbours")
-    top = grad_from_parts(*_rect_row_parts(s, j), s.grid.h, s.grid.k)
-    bot = grad_from_parts(*_rect_row_parts(s, j - 1), s.grid.h, s.grid.k)
+    bot, top = np.stack(grad_from_parts(*section_parts(s, j - 1, j + 1), s.grid.h, s.grid.k), 1)
     return _level_equation(top, bot)
 
 
@@ -437,45 +443,39 @@ def _solve_partitioned(lower, diag, upper, rhs):
     return out
 
 
-def _solve_cyclic(lower, diag, upper, rhs):
-    """Solve A x = rhs[i] for each row of rhs, shape (m, n), with A
-    eliminated once: the scalar bordered elimination below
-    _PARTITION_MIN_N unknowns, the partition method from there on.  Each
-    row's solution is bit-identical to solving it alone.  Takes float
-    arrays of checked shapes (solve_cyclic_tridiagonal checks them)."""
-    solve = _solve_partitioned if diag.size >= _PARTITION_MIN_N else _solve_cyclic_scalar
-    return solve(lower, diag, upper, rhs)
-
-
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
-    """Solve A x = rhs for A cyclic tridiagonal.
+    """Solve A x = rhs for A cyclic tridiagonal, one right-hand side of
+    shape (n,) or a stack of shape (m, n) with A eliminated once.
 
     A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
     Bordered elimination in natural order (_solve_cyclic_scalar): for
     n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
     lie outside the band, and enter only the border column and row.  From
-    n = 512 on, the partition method eliminates the segments between
-    separators in vectorized steps and solves only the separators' small
-    cyclic system this way.  Nothing is shifted, so nothing is refined: on
-    a diagonally dominant A every pivot stays dominant and one solve
-    leaves a backward error at rounding level.
-    Bands and rhs that are not 1-D arrays of one length n >= 3 raise
-    ValueError; a zero or non-finite pivot, or a non-finite corner entry,
-    raises SingularJacobian.
+    n = _PARTITION_MIN_N on, the partition method eliminates the segments
+    between separators in vectorized steps and solves only the
+    separators' small cyclic system this way.  Nothing is shifted, so
+    nothing is refined: on a diagonally dominant A every pivot stays
+    dominant and one solve leaves a backward error at rounding level.
+    Each rhs of a stack (the tangent march's) comes out bit for bit as
+    its own solve gives it.  Bands that are not 1-D of one length n >= 3,
+    or an rhs not (n,) or (m, n) with m >= 1, raise ValueError; a zero or
+    non-finite pivot, or a non-finite corner entry, raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if not (diag.ndim == 1 and lower.shape == diag.shape == upper.shape == rhs.shape):
+    bands_ok = diag.ndim == 1 and lower.shape == diag.shape == upper.shape
+    if not (bands_ok and rhs.shape[-1:] == diag.shape and rhs.ndim <= 2 and rhs.size):
         raise ValueError(
-            "lower, diag, upper and rhs must be 1-D of one length; got shapes "
-            f"{lower.shape}, {diag.shape}, {upper.shape}, {rhs.shape}"
+            "rhs must be (n,) or (m, n), and lower, diag and upper 1-D of one length; "
+            f"got shapes {lower.shape}, {diag.shape}, {upper.shape}, {rhs.shape}"
         )
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    return _solve_cyclic(lower, diag, upper, rhs[None])[0]
+    solve = _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
+    return solve(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +627,7 @@ def initialize(u0, g: GridSpec) -> Section:
             f"velocity kick destroys monotonicity of row 1: {exc}"
         ) from exc
     with np.errstate(all="ignore"):  # an overflowing gradient is reported below
-        grad = np.array(grad_from_parts(*_rect_row_parts(s, 0), g.h, g.k))
+        grad = np.array(grad_from_parts(*section_parts(s), g.h, g.k))
     if not np.all(np.isfinite(grad)):
         raise BadInitialData("the first rectangle row's Lagrangian gradient is not finite")
     return s

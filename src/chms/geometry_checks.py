@@ -23,13 +23,9 @@ from .del_solver import (
     Section,
     SolverConfig,
     _level_equation,
-    _rect_row_parts,
     _row_blocks,
-    _row_parts,
-    _solve_cyclic,
-    # Unused here since the tangents share one elimination; the binding
-    # stays because perfbench's tests patch it through this module.
-    solve_cyclic_tridiagonal,  # noqa: F401
+    section_parts,
+    solve_cyclic_tridiagonal,
 )
 from .lagrangian import _shift, eval_from_parts, grad_from_parts, jacobian_bands
 
@@ -52,12 +48,12 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
 # Tangent-linear (first variation) marching.
 
 
-def section_parts(phi: Section, lo: int = 0, hi: int | None = None):
-    """(a, b, c) over the rectangle rows lo .. hi - 1 of the section, by
-    default all of them, shape (hi - lo, n_space)."""
-    hi = phi.grid.n_time - 1 if hi is None else hi
-    y = phi.xs() + phi.displacement[lo : hi + 1]
-    return _row_parts(y[:-1], y[1:], phi.grid)
+def _tangent_parts(vlo: np.ndarray, vhi: np.ndarray, h: float, k: float):
+    """(da, db, dc): a tangent's difference variables over a rectangle
+    row, from its rows vlo (bottom) and vhi (top), grouped as
+    stencil_parts groups (a, b, c) (tangents are periodic, no lift)."""
+    v2, v3 = _shift(vlo, 1), _shift(vhi, 1)
+    return (v2 - vlo) / h, (vhi - vlo) / k, ((v3 - v2) - (vhi - vlo)) / (h * k)
 
 
 def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
@@ -71,10 +67,7 @@ def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray)
     L_bb = a, L_bc = 0 and L_cc = 1/a, and the vertex terms follow the
     gradient's.  No per-rectangle 4x4 Hessian is formed.
     """
-    v2, v3 = _shift(vlo, 1), _shift(vhi, 1)
-    da = (v2 - vlo) / h
-    db = (vhi - vlo) / k
-    dc = ((v3 - v2) - (vhi - vlo)) / (h * k)
+    da, db, dc = _tangent_parts(vlo, vhi, h, k)
     ca2 = c / (a * a)
     la_h = ((c * ca2 / a) * da + b * db - ca2 * dc) / h
     lb_k = (b * da + a * db) / k
@@ -110,10 +103,10 @@ def solve_first_variation(
     converged rows, so constants and any other tangent-linear solution
     are propagated to linear-solve accuracy.  Each level is first checked
     on shell; the first level that is not raises NotOnShell.  The tangents
-    of a stack share one elimination of each level's bands
-    (del_solver._solve_cyclic), and each has its own residual bound; every
-    step is that of its own solve, so each tangent comes out bit for bit
-    as marching it alone would give it.
+    of a stack share one elimination per level (solve_cyclic_tridiagonal
+    on the stack of their right-hand sides), and each has its own residual
+    bound; every step is that of its own solve, so each tangent comes out
+    bit for bit as marching it alone would give it.
     """
     cfg = cfg or SolverConfig()
     g = phi.grid
@@ -144,7 +137,7 @@ def solve_first_variation(
                 "the base section does not solve the field equations"
             )
         rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
-        vals[:, j + 1] = _solve_cyclic(*jacobian_bands(*parts, h, k), -rhs)
+        vals[:, j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
@@ -158,30 +151,37 @@ def solve_first_variation(
 
 
 # ---------------------------------------------------------------------------
-# Boundary sums over a window (j_lo, j_hi), checked by grid.classify_region.
-# Its boundary is rows j_lo and j_hi, so the sums take vertices 1, 2 of
-# rectangle row j_lo and 3, 4 of rectangle row j_hi - 1: 4 * n_space terms.
+# Boundary sums over a full-circle window (j_lo, j_hi), checked by
+# grid.classify_region.  Its sides cancel by periodicity, so its boundary
+# is rows j_lo and j_hi.
+
+
+def _window_terms(phi: Section, window, vertex_terms) -> np.ndarray:
+    """The 4 * n_space summands of a boundary sum over the window
+    (j_lo, j_hi), flat: vertices 1, 2 of rectangle row j_lo, then 3, 4 of
+    rectangle row j_hi - 1, from vertex_terms(parts, j), the four vertex
+    terms of rectangle row j with parts (a, b, c), each (1, n_space)."""
+    j_lo, j_hi = classify_region(*window, phi.grid)
+    lo = vertex_terms(section_parts(phi, j_lo, j_lo + 1), j_lo)
+    hi = vertex_terms(section_parts(phi, j_hi - 1, j_hi), j_hi - 1)
+    return np.concatenate([*lo[:2], *hi[2:]]).ravel()
 
 
 def mff_boundary_terms(phi: Section, v: np.ndarray, w: np.ndarray, window) -> np.ndarray:
     """Individual summands of the two-form boundary sum over the window
     (j_lo, j_hi), for two tangent fields of shape (n_time, n_space)."""
-    j_lo, j_hi = classify_region(*window, phi.grid)
     h, k = phi.grid.h, phi.grid.k
-    terms = []
-    for j, vertices in ((j_lo, slice(0, 2)), (j_hi - 1, slice(2, 4))):
-        omega = two_forms(*_rect_row_parts(phi, j), h, k, v[j : j + 2], w[j : j + 2])
-        terms.append(omega[vertices])
-    return np.concatenate(terms).ravel()
+    # Each tangent's rows j and j + 1 enter stacked as one rectangle row.
+    return _window_terms(
+        phi, window, lambda p, j: two_forms(*p, h, k, v[j : j + 2, None], w[j : j + 2, None])
+    )
 
 
 def noether_boundary_terms(phi: Section, xi: SymmetryGenerator, window) -> np.ndarray:
     """Individual summands of the momentum-map boundary sum over the
     window (j_lo, j_hi)."""
-    j_lo, j_hi = classify_region(*window, phi.grid)
-    g1, g2, _, _ = grad_from_parts(*_rect_row_parts(phi, j_lo), phi.grid.h, phi.grid.k)
-    _, _, g3, g4 = grad_from_parts(*_rect_row_parts(phi, j_hi - 1), phi.grid.h, phi.grid.k)
-    return xi.xi * np.concatenate([g1, g2, g3, g4])
+    h, k = phi.grid.h, phi.grid.k
+    return xi.xi * _window_terms(phi, window, lambda p, _: grad_from_parts(*p, h, k))
 
 
 def level_series(phi: Section) -> tuple[list[float], list[float]]:
@@ -209,5 +209,5 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
 def total_momentum_scale(phi: Section, j: int) -> float:
     """Sum of |dL/dy3| + |dL/dy4| over the rectangle row j: the natural
     magnitude against which momentum drift is measured."""
-    _, _, g3, g4 = grad_from_parts(*_rect_row_parts(phi, j), phi.grid.h, phi.grid.k)
+    _, _, g3, g4 = grad_from_parts(*section_parts(phi, j, j + 1), phi.grid.h, phi.grid.k)
     return float(np.sum(np.abs(g3) + np.abs(g4)))

@@ -22,7 +22,7 @@ solver must reproduce bit for bit.
 import numpy as np
 
 from chms.bridges import section_to_jets
-from chms.del_solver import Section, _level_equation, _rect_row_parts
+from chms.del_solver import Section, _level_equation, section_parts
 from chms.errors import OutOfRange, SingularJacobian
 from chms.lagrangian import eval_from_parts, grad_from_parts, stencil_parts
 
@@ -248,9 +248,10 @@ def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
     """The linearized-equation residual at every point of the level j for
     a given tangent field, from each rectangle's full Hessian."""
     h, k = phi.grid.h, phi.grid.k
+    a, b, c = section_parts(phi)
 
     def terms(r):
-        hess = hess_full_from_parts(*_rect_row_parts(phi, r), h, k)
+        hess = hess_full_from_parts(a[r], b[r], c[r], h, k)
         rects = np.stack([t[r], np.roll(t[r], -1), np.roll(t[r + 1], -1), t[r + 1]])
         return np.einsum("nkl,kn->ln", hess, rects)
 

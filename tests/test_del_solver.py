@@ -11,13 +11,13 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     _row_parts,
-    _solve_cyclic,
     _solve_cyclic_scalar,
     advance_row,
     del_residual_row,
     evolve,
     initialize,
     residual_scale_row,
+    section_parts,
     solve_cyclic_tridiagonal,
 )
 from chms.errors import BadInitialData, MaxItersExceeded, NonMonotone, OutOfRange, SingularJacobian
@@ -88,6 +88,18 @@ def test_expanded_form_matches_gradient(rng):
             raw = del_residual_row(s, j)[i]
             expanded = del_residual_expanded(s, (i, j))
             assert expanded == pytest.approx(raw, rel=1e-10, abs=1e-12)
+
+
+def test_section_parts_takes_rectangle_row_ranges_and_names_the_first_outside():
+    s = cosine_trajectory(n_space=16, n_steps=4).section  # rectangle rows 0 .. 4
+    whole = section_parts(s)
+    assert [p.shape for p in whole] == [(5, 16)] * 3
+    for lo, hi in ((0, 5), (2, 4), (4, 5)):
+        for part, ref in zip(section_parts(s, lo, hi), whole):
+            assert np.array_equal(part, ref[lo:hi])
+    for (lo, hi), bad in (((-1, 2), -1), ((3, 6), 5), ((5, 6), 5), ((6, 9), 6)):
+        with pytest.raises(OutOfRange, match=rf"^rectangle row {bad} needs rows {bad} and {bad + 1}$"):
+            section_parts(s, lo, hi)
 
 
 def test_residual_requires_interior_point():
@@ -345,7 +357,7 @@ def test_stacked_solve_matches_each_rhs_bitwise(n):
     lower, diag, upper = jacobian_bands(*_row_parts(s.row_y(2), s.row_y(3), s.grid), s.grid.h, s.grid.k)
     for m in (1, 2, 3):
         rhs = np.random.default_rng(n + m).standard_normal((m, n))
-        x = _solve_cyclic(lower, diag, upper, rhs)
+        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
         assert x.shape == (m, n)
         for xi, r in zip(x, rhs):
             assert np.array_equal(xi, solve_cyclic_tridiagonal(lower, diag, upper, r))
@@ -506,17 +518,20 @@ def test_long_row_zero_pivot_after_first_segment_row():
 @pytest.mark.parametrize("n", [8, 600])
 @pytest.mark.parametrize(
     "bad",
-    ["short_rhs", "short_lower", "long_upper", "rhs_2d", "diag_2d"],
+    ["short_rhs", "short_lower", "long_upper", "rhs_2d", "rhs_3d", "rhs_empty", "diag_2d"],
 )
 def test_cyclic_tridiagonal_rejects_mismatched_bands(n, bad):
     # Both paths, scalar (n = 8) and partitioned (n = 600), check the
-    # shapes before any elimination.
+    # shapes before any elimination.  An rhs is one row (n,) or a stack
+    # (m, n) of m >= 1 rows.
     bands = {"lower": np.ones(n), "diag": np.full(n, 4.0), "upper": np.ones(n), "rhs": np.ones(n)}
     name, value = {
         "short_rhs": ("rhs", np.ones(5)),
         "short_lower": ("lower", np.ones(n - 2)),
         "long_upper": ("upper", np.ones(n + 4)),
-        "rhs_2d": ("rhs", np.ones((2, n))),
+        "rhs_2d": ("rhs", np.ones((2, n - 1))),
+        "rhs_3d": ("rhs", np.ones((2, 1, n))),
+        "rhs_empty": ("rhs", np.ones((0, n))),
         "diag_2d": ("diag", np.full((1, n), 4.0)),
     }[bad]
     bands[name] = value
@@ -585,9 +600,9 @@ def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
     calls = []
     real = del_solver._increments
 
-    def counting(rows, g, what):
-        calls.append(what)
-        return real(rows, g, what)
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
 
     monkeypatch.setattr(del_solver, "_increments", counting)
     for n_space, amp in ((16, 0.1), (64, 0.5)):

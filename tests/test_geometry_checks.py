@@ -27,7 +27,7 @@ from oracles import (
 )
 
 from chms import del_solver, geometry_checks
-from chms.del_solver import Section, _level_equation, _rect_row_parts, evolve, initialize
+from chms.del_solver import Section, _level_equation, evolve, initialize, section_parts
 from chms.errors import EmptyRegion, NotOnShell, OutOfRange
 from chms.geometry_checks import (
     SymmetryGenerator,
@@ -147,7 +147,7 @@ def test_off_shell_gate_names_first_bad_level():
 
 
 def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
-    names = ("stencil_parts", "jacobian_bands", "_linear_terms")
+    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal", "_linear_terms")
     calls = dict.fromkeys(names, 0)
 
     def counting(module, name):
@@ -161,17 +161,20 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
 
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
+    counting(geometry_checks, "solve_cyclic_tridiagonal")
     counting(geometry_checks, "_linear_terms")
     n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
     for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
         calls.update(dict.fromkeys(names, 0))
         solve_first_variation(short_cosine, v0)
-        # One parts pass over the section; each level's right-hand side and
-        # check; rectangle row j's checked linear terms are level j + 1's
-        # bottom terms.
+        # One parts pass over the section; one solve of each level's bands
+        # through the public entry point, whatever the stack size; each
+        # level's right-hand side and check; rectangle row j's checked
+        # linear terms are level j + 1's bottom terms.
         assert calls == {
             "stencil_parts": 1,
             "jacobian_bands": n_time - 2,
+            "solve_cyclic_tridiagonal": n_time - 2,
             "_linear_terms": 2 * (n_time - 2) + 1,
         }
 
@@ -179,8 +182,9 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
 def test_linear_terms_match_the_hessian_contraction(rng):
     s = cosine_trajectory(n_space=32, n_steps=6, amp=0.1).section
     h, k = s.grid.h, s.grid.k
+    a, b, c = section_parts(s)
     for j in (0, 3, s.grid.n_time - 2):
-        parts = _rect_row_parts(s, j)
+        parts = a[j], b[j], c[j]
         hess = hess_full_from_parts(*parts, h, k)
         vlo, vhi = rng.standard_normal((2, 3, 32))  # three stacked tangents
         ref = np.einsum("nkl,k...n->l...n", hess, _tangent_rects(vlo, vhi))
