@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
-import numbers
 import sys
 from functools import partial
 from pathlib import Path
@@ -30,38 +30,16 @@ EXIT_CHECK = 4
 
 
 # ---------------------------------------------------------------------------
-# Deterministic serialization: floats carry 17 significant digits so the
-# files round-trip bit-exactly and identical configs give identical bytes.
+# Deterministic serialization: the CSV writes floats with 17 significant
+# digits, the JSON reports in the standard library's shortest round-trip
+# form; both read back bit-exactly and identical configs give identical
+# bytes.
 
 
 def format_float(v: float) -> str:
     if math.isnan(v) or math.isinf(v):
         return json.dumps(repr(float(v)))  # "nan", not "np.float64(nan)"
     return format(float(v), ".17g")
-
-
-def _json_value(v, indent: int) -> str:
-    pad = "  " * (indent + 1)
-    if isinstance(v, dict):
-        items = ",\n".join(
-            f"{pad}{json.dumps(str(key))}: {_json_value(val, indent + 1)}"
-            for key, val in v.items()
-        )
-        return "{\n" + items + "\n" + "  " * indent + "}"
-    if isinstance(v, (list, tuple)):
-        if not len(v):
-            return "[]"
-        items = ",\n".join(f"{pad}{_json_value(x, indent + 1)}" for x in v)
-        return "[\n" + items + "\n" + "  " * indent + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, float):
-        return format_float(v)
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    return json.dumps(str(v))
 
 
 def _write_text(path: Path, chunks) -> None:
@@ -76,7 +54,9 @@ def _write_text(path: Path, chunks) -> None:
 
 
 def dump_json(obj, path: Path) -> None:
-    _write_text(path, [_json_value(obj, 0), "\n"])
+    """Write obj as two-space-indented JSON and a final newline, streamed
+    chunk by chunk from the standard library's encoder."""
+    _write_text(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"]))
 
 
 def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
@@ -138,17 +118,17 @@ def _drift(momenta: list[float]) -> tuple[float, float]:
 
 def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
     records = []
-    for st in result.steps:
+    for m, st in enumerate(result.steps, 1):
         records.append(
             {
-                "step": st.step,
+                "step": m,
                 "newton_iterations": st.iterations,
                 "residual_inf_norm": st.residual_norm,
                 "relative_residual": st.relative_residual,
                 "backtracks": st.backtracks,
                 "stop_reason": st.stop_reason,
-                "total_momentum": momenta[st.step],
-                "action_increment": actions[st.step],
+                "total_momentum": momenta[m],
+                "action_increment": actions[m],
             }
         )
     return records

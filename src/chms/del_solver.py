@@ -154,7 +154,9 @@ STOP_REASONS = ("tolerance", "fp_floor")
 
 @dataclass(frozen=True)
 class StepStats:
-    step: int
+    """One accepted Newton row solve.  The step number is the record's
+    1-based position in EvolveResult.steps."""
+
     iterations: int
     residual_norm: float
     #: Always 0: a Newton update is never shortened.  Kept while the
@@ -532,7 +534,7 @@ def advance_row(
         if it == 0:
             scale = max(1.0, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4))))
         if norm <= cfg.tol_residual * scale:
-            return yp1, StepStats(0, it, norm, 0, "tolerance", norm / scale)
+            return yp1, StepStats(it, norm, 0, "tolerance", norm / scale)
         # Stagnation at the attainable floating-point floor of the
         # residual evaluation also counts as converged.  The floor is that
         # of the previous iterate: its Jacobian norm times ulps of its row.
@@ -542,7 +544,7 @@ def advance_row(
                 1.0, float(np.max(np.abs(y_prev)))
             )
             if norm <= floor:
-                return yp1, StepStats(0, it, norm, 0, "fp_floor", norm / scale)
+                return yp1, StepStats(it, norm, 0, "fp_floor", norm / scale)
         if it == cfg.max_iters:
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
@@ -590,7 +592,7 @@ def evolve(s0: Section, n_steps: int, cfg: SolverConfig | None = None) -> Evolve
             break
         disp[rows_done] = yp1 - xs
         rows_done += 1
-        stats.append(replace(st, step=m))
+        stats.append(st)
     if rows_done < len(disp):  # a failed run keeps only the rows it reached
         disp = disp[:rows_done].copy()
     disp.flags.writeable = False  # handed over to the Section without a copy

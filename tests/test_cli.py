@@ -73,6 +73,46 @@ def test_format_float_round_trips():
         assert format_float(v) == text
 
 
+def test_dump_json_layout_and_exact_floats(tmp_path):
+    floats = [0.1, 1.0 / 3.0, 1e-12, -0.0, 5e-324, 1.7976931348623157e308]
+    obj = {
+        "levels": [{"label": "η₀", "done": True, "failure": None}],
+        "pair": (2**60, []),
+        "floats": floats,
+    }
+    path = tmp_path / "report.json"
+    cli.dump_json(obj, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == (
+        "{\n"
+        '  "levels": [\n'
+        "    {\n"
+        '      "label": "\\u03b7\\u2080",\n'
+        '      "done": true,\n'
+        '      "failure": null\n'
+        "    }\n"
+        "  ],\n"
+        '  "pair": [\n'
+        "    1152921504606846976,\n"
+        "    []\n"
+        "  ],\n"
+        '  "floats": [\n'
+        "    0.1,\n"
+        "    0.3333333333333333,\n"
+        "    1e-12,\n"
+        "    -0.0,\n"
+        "    5e-324,\n"
+        "    1.7976931348623157e+308\n"
+        "  ]\n"
+        "}\n"
+    )
+    back = json.loads(text)
+    assert list(back) == ["levels", "pair", "floats"]
+    assert back["levels"][0]["label"] == "η₀" and back["pair"][0] == 2**60
+    got = np.array(back["floats"])
+    assert got.view(np.uint64).tolist() == np.array(floats).view(np.uint64).tolist()
+
+
 def test_diagnostic_windows():
     assert diagnostic_windows(102) == [(0, 101), (0, 50), (50, 101)]
     assert diagnostic_windows(3) == [(0, 2), (0, 1), (1, 2)]
@@ -199,13 +239,15 @@ def test_trajectory_csv_is_streamed_level_by_level(tmp_path, rng):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_run_reports_a_write_that_fails_mid_file(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["trajectory.csv", "diagnostics.json"])
+def test_run_reports_a_write_that_fails_mid_file(tmp_path, capsys, name):
     # Opening /dev/full succeeds and every write fails with ENOSPC; the
-    # CSV of 21 levels of 64 points outgrows the file buffer.
+    # CSV of 41 levels of 64 points, and the streamed report of its 40
+    # steps (about 14 kB), outgrow the file buffer, so each fails part way.
     out = tmp_path / "full"
     out.mkdir()
-    (out / "trajectory.csv").symlink_to("/dev/full")
-    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "64", "--n-steps", "20",
+    (out / name).symlink_to("/dev/full")
+    code = run_cli("run", "--ic", "cosine:0.1", "--n-space", "64", "--n-steps", "40",
                    "--out-dir", str(out))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
