@@ -295,18 +295,47 @@ def _thomas(lower, diag, upper, rhs, u):
         xr.append(pr)
         xu.append(pu)
     xs = [xr[::-1]]
-    for r in rhs[1:]:
-        p = r[0] / diag[0]
-        d = [p]
-        for lo, di, c, ri in zip(lower[1:], diag[1:], cp, r[1:]):
-            p = (ri - lo * p) / (di - lo * c)
-            d.append(p)
-        x = [p]
-        for c, q in zip(back, d[-2::-1]):
-            p = q - c * p
-            x.append(p)
-        xs.append(x[::-1])
+    if len(rhs) > 1:
+        # Each further rhs divides by the pivots the sweep formed.
+        piv = [diag[0]] + [di - lo * c for lo, di, c in zip(lower[1:], diag[1:], cp)]
+        xs += [_substitute(lower, piv, back, r) for r in rhs[1:]]
     return xs, xu[::-1]
+
+
+def _substitute(lower, piv, back, r):
+    """Forward and back substitution of the right-hand side r (a list)
+    through an elimination's pivots piv and multipliers back (in reverse
+    order, the last row's left out), with the sub-diagonal lower; returns
+    the solution as a list.
+
+    Each step is _thomas's for its first right-hand side, with the same
+    float operations in the same order, so the solution is bit-identical
+    to eliminating r along with the pivots.  Only the first len(piv)
+    entries of r and lower enter.
+    """
+    p = r[0] / piv[0]
+    d = [p]
+    for lo, pv, ri in zip(lower[1:], piv[1:], r[1:]):
+        p = (ri - lo * p) / pv
+        d.append(p)
+    x = [p]
+    for c, q in zip(back, d[-2::-1]):
+        p = q - c * p
+        x.append(p)
+    return x[::-1]
+
+
+def _border_solve(rows, ys, z, schur: float, lower_last: float, upper_last: float) -> np.ndarray:
+    """The bordered solutions, shape (m, n), from each right-hand side
+    row r (a list of n) and its leading block's solution y: the last
+    unknown over the 1x1 Schur pivot, then x[:n-1] = y - z * x[n-1],
+    with z the leading block's solution for the border column."""
+    x = np.empty((len(rows), len(z) + 1))
+    for i, (r, y) in enumerate(zip(rows, ys)):
+        last = (r[-1] - upper_last * y[0] - lower_last * y[-1]) / schur
+        x[i] = y + [last]
+        x[i, :-1] -= z * last
+    return x
 
 
 def _solve_cyclic_scalar(lower, diag, upper, rhs):
@@ -327,13 +356,55 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
     schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
     if schur == 0.0 or not math.isfinite(schur):
         raise SingularJacobian(f"zero pivot at row {len(diag) - 1}")
-    z = np.array(z, dtype=float)
-    x = np.empty((len(rows), len(diag)))
-    for i, (r, y) in enumerate(zip(rows, ys)):
-        last = (r[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
-        x[i] = y + [last]
-        x[i, :-1] -= z * last
-    return x
+    return _border_solve(rows, ys, np.array(z, dtype=float), schur, lower[-1], upper[-1])
+
+
+def _factor_cyclic(lower, diag, upper):
+    """Bordered elimination of L cyclic tridiagonal systems at once, bands
+    stacked (L, n), n >= 3, with no right-hand side.
+
+    Returns (piv, cp, z, schur, errors): the pivots of rows 0 .. n-2
+    (L, n-1), the multipliers of rows 0 .. n-3 (L, n-2), the leading
+    block's solution z for the border column (L, n-1), the 1x1 Schur pivot
+    (L,), and per system None or the message _solve_cyclic_scalar raises
+    for it (a non-finite corner entry, else its first zero or non-finite
+    pivot).  One NumPy step per column runs across the L systems, with the
+    float operations of _thomas and _solve_cyclic_scalar in their order,
+    so each entry is bit-identical to eliminating its system alone.
+    Floating-point errors are ignored: a failed system's later entries
+    are garbage, and only its message is read.
+    """
+    n_sys, n = diag.shape
+    piv = np.empty((n_sys, n - 1))
+    cp = np.empty((n_sys, n - 2))
+    z = np.zeros((n_sys, n - 1))  # the border column A[:n-1, n-1], eliminated in place
+    z[:, 0] = lower[:, 0]
+    z[:, -1] = upper[:, -2]
+    tmp = np.empty(n_sys)
+    with np.errstate(all="ignore"):
+        piv[:, 0] = diag[:, 0]
+        np.divide(upper[:, 0], piv[:, 0], out=cp[:, 0])
+        np.divide(z[:, 0], piv[:, 0], out=z[:, 0])
+        for i in range(1, n - 1):
+            li, pi, zi = lower[:, i], piv[:, i], z[:, i]
+            np.multiply(li, cp[:, i - 1], out=tmp)
+            np.subtract(diag[:, i], tmp, out=pi)
+            if i < n - 2:
+                np.divide(upper[:, i], pi, out=cp[:, i])
+            np.multiply(li, z[:, i - 1], out=tmp)
+            np.subtract(zi, tmp, out=zi)
+            np.divide(zi, pi, out=zi)
+        for i in range(n - 3, -1, -1):
+            np.multiply(cp[:, i], z[:, i + 1], out=tmp)
+            np.subtract(z[:, i], tmp, out=z[:, i])
+        schur = diag[:, -1] - upper[:, -1] * z[:, 0] - lower[:, -1] * z[:, -1]
+    pivots = np.column_stack((piv, schur))  # the pivots of rows 0 .. n-1
+    bad = ~np.isfinite(pivots) | (pivots == 0.0)
+    corner_bad = ~(np.isfinite(lower[:, 0]) & np.isfinite(upper[:, -1]))
+    errors = [None] * n_sys
+    for t in np.flatnonzero(corner_bad | bad.any(axis=1)):
+        errors[t] = "non-finite corner entry" if corner_bad[t] else f"zero pivot at row {np.argmax(bad[t])}"
+    return piv, cp, z, schur, errors
 
 
 # Rows of at least this many unknowns take the partitioned solve.  Shorter
@@ -458,8 +529,12 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     separators' small cyclic system this way.  Nothing is shifted, so
     nothing is refined: on a diagonally dominant A every pivot stays
     dominant and one solve leaves a backward error at rounding level.
-    Each rhs of a stack (the tangent march's) comes out bit for bit as
-    its own solve gives it.  Bands that are not 1-D of one length n >= 3,
+    Each rhs of a stack comes out bit for bit as its own solve gives it.
+    Newton solves one rhs per call.  The tangent march solves its stack
+    here, one call per level, only from n = _PARTITION_MIN_N on; on
+    shorter rows it factors a whole block of levels at once and
+    substitutes per level (_level_solver), with the same float operations
+    as this solve.  Bands that are not 1-D of one length n >= 3,
     or an rhs not (n,) or (m, n) with m >= 1, raise ValueError; a zero or
     non-finite pivot, or a non-finite corner entry, raises SingularJacobian.
     """
@@ -476,8 +551,39 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    solve = _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
-    return solve(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
+    return _elimination(n)(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
+
+
+def _elimination(n: int):
+    """The solve of one cyclic system of n unknowns: the partition method
+    from _PARTITION_MIN_N unknowns on, else the scalar bordered sweep."""
+    return _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
+
+
+def _level_solver(lower, diag, upper):
+    """solve(t, rhs): the solution of the t-th of L cyclic tridiagonal
+    systems, bands stacked (L, n), for the right-hand sides rhs (m, n),
+    bit for bit as solve_cyclic_tridiagonal gives it.
+
+    Where that solve takes the scalar sweep (_elimination), the L systems
+    are factored here at once (_factor_cyclic) and each solve only
+    substitutes (_substitute, _border_solve); longer rows call
+    solve_cyclic_tridiagonal at each solve.  A system whose elimination
+    fails raises its SingularJacobian only when it is solved.
+    """
+    if _elimination(diag.shape[-1]) is _solve_partitioned:
+        return lambda t, rhs: solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
+    piv, cp, z, schur, errors = _factor_cyclic(lower, diag, upper)
+
+    def solve(t, rhs):
+        if errors[t] is not None:
+            raise SingularJacobian(errors[t])
+        lo, rows = lower[t].tolist(), rhs.tolist()
+        p, back = piv[t].tolist(), cp[t, ::-1].tolist()
+        ys = [_substitute(lo, p, back, r) for r in rows]
+        return _border_solve(rows, ys, z[t], float(schur[t]), lo[-1], float(upper[t, -1]))
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ from .del_solver import (
     Section,
     SolverConfig,
     _level_equation,
+    _level_solver,
     _row_blocks,
     section_parts,
-    solve_cyclic_tridiagonal,
+    solve_cyclic_tridiagonal,  # noqa: F401  (a binding that perfbench's tracer test checks)
 )
 from .lagrangian import _shift, eval_from_parts, grad_from_parts, jacobian_bands
 
@@ -101,43 +102,64 @@ def solve_first_variation(
     Tangents are periodic in i (no identity lift).  Each new tangent row
     solves the same cyclic tridiagonal system as the Newton step at the
     converged rows, so constants and any other tangent-linear solution
-    are propagated to linear-solve accuracy.  Each level is first checked
-    on shell; the first level that is not raises NotOnShell.  The tangents
-    of a stack share one elimination per level (solve_cyclic_tridiagonal
-    on the stack of their right-hand sides), and each has its own residual
-    bound; every step is that of its own solve, so each tangent comes out
-    bit for bit as marching it alone would give it.
+    are propagated to linear-solve accuracy.
+
+    The levels go in blocks (del_solver._row_blocks), and the march holds
+    one block's arrays at a time: the block's parts, gradients, on-shell
+    residuals and bands come from one stacked pass, and its systems are
+    factored at once (del_solver._level_solver), so each level only
+    substitutes its tangents' right-hand sides (rows of _PARTITION_MIN_N
+    points or more take one partitioned solve per level).  Levels are read
+    in order, each first checked on shell: the first level that is not
+    raises NotOnShell, and a level whose system cannot be eliminated
+    raises SingularJacobian naming it, each only when the march reaches
+    that level.  The tangents of a stack share each level's factor, and
+    each has its own residual bound; each tangent comes out bit for bit
+    as marching it alone, one solve per level, gives it.
     """
     cfg = cfg or SolverConfig()
-    g = phi.grid
-    n, levels = g.n_space, g.n_time
+    n, levels = phi.grid.n_space, phi.grid.n_time
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim not in (2, 3) or v0.shape[-2:] != (2, n):
         raise ValueError("v0 must hold two tangent rows, or a stack of such pairs")
     stack = v0.reshape(-1, 2, n)
     vals = np.empty((len(stack), levels, n))  # tangent, level, space
     vals[:, :2] = stack
-    h, k, tol = g.h, g.k, cfg.tol_residual
+    bot = None
+    for lo, hi in _row_blocks(levels - 2, n):
+        bot = _march_block(phi, vals, lo + 1, hi + 1, bot, cfg.tol_residual)
+    return vals.reshape(v0.shape[:-2] + (levels, n))
+
+
+def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol: float):
+    """March the levels j_lo .. j_hi - 1 into vals, given the bottom
+    linear terms bot of level j_lo (None at level 1); returns those of
+    level j_hi.  The block's arrays are freed on return."""
+    h, k = phi.grid.h, phi.grid.k
+    # Rectangle row j is the top row at level j and the bottom row at
+    # level j + 1, so its linear terms (level j's check, level j + 1's
+    # bottom) are built once, for every tangent.
+    a, b, c = section_parts(phi, j_lo - 1, j_hi)
+    if bot is None:
+        bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
+    grads = np.array(grad_from_parts(a, b, c, h, k))
+    res, scales = _level_equation(grads[:, 1:], grads[:, :-1])
+    norms = np.max(np.abs(res), axis=-1)
+    solve = _level_solver(*jacobian_bands(a[1:], b[1:], c[1:], h, k))
     zeros = np.zeros_like(vals[:, 0])
-    # One pass gives every rectangle's parts.  Rectangle row j is the top
-    # row at level j and the bottom row at level j + 1, so its gradient,
-    # bands and linear terms (level j's check, level j + 1's bottom) are
-    # built once, for every tangent.
-    a, b, c = section_parts(phi)
-    grad_lo = grad_from_parts(a[0], b[0], c[0], h, k)
-    bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
-    for j in range(1, levels - 1):
-        parts = a[j], b[j], c[j]
-        grad_hi = grad_from_parts(*parts, h, k)
-        res, scale = _level_equation(grad_hi, grad_lo)
-        norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
+    for t, j in enumerate(range(j_lo, j_hi)):
+        norm, bound = float(norms[t]), ON_SHELL_FACTOR * tol * max(1.0, scales[t])
         if norm > bound:
             raise NotOnShell(
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
             )
+        parts = a[t + 1], b[t + 1], c[t + 1]
         rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
-        vals[:, j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
+        try:
+            vals[:, j + 1] = solve(t, -rhs)
+        except SingularJacobian as exc:
+            raise SingularJacobian(f"tangent row solve at level {j}: {exc}") from exc
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
@@ -146,8 +168,8 @@ def solve_first_variation(
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
             )
-        grad_lo, bot = grad_hi, top
-    return vals.reshape(v0.shape[:-2] + (levels, n))
+        bot = top
+    return bot
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,25 @@ gradient (``geometry_checks._linear_terms``) and never forms a Hessian.
 by row, as the tangent march does, but with those full Hessians, so that
 the tests can hold the row assembly against the pointwise form.  The
 two-sweep cyclic solve is the reference that the package's one-sweep
-solver must reproduce bit for bit.
+solver must reproduce bit for bit, and ``first_variation_march`` marches
+the tangents level by level, one public cyclic solve per level, as the
+reference that the package's blocked march must reproduce bit for bit.
 """
 
 import numpy as np
 
 from chms.bridges import section_to_jets
-from chms.del_solver import Section, _level_equation, section_parts
-from chms.errors import OutOfRange, SingularJacobian
-from chms.lagrangian import eval_from_parts, grad_from_parts, stencil_parts
+from chms.del_solver import (
+    ON_SHELL_FACTOR,
+    Section,
+    SolverConfig,
+    _level_equation,
+    section_parts,
+    solve_cyclic_tridiagonal,
+)
+from chms.errors import NotOnShell, OutOfRange, SingularJacobian
+from chms.geometry_checks import _linear_terms
+from chms.lagrangian import eval_from_parts, grad_from_parts, jacobian_bands, stencil_parts
 
 # ---------------------------------------------------------------------------
 # Second partials: the full Hessian and its two-form contraction.
@@ -332,6 +342,47 @@ def cyclic_solve(lower, diag, upper, rhs):
         raise SingularJacobian(f"zero pivot at row {n - 1}")
     last = (rhs[-1] - upper[-1] * y[0] - lower[-1] * y[-1]) / schur
     return np.append(y - z * last, last)
+
+
+# ---------------------------------------------------------------------------
+# Tangent march, one level at a time: each level's gradients, on-shell
+# check and bands on their own, and each level's stack of right-hand
+# sides through one call of the public cyclic solve.
+
+
+def first_variation_march(phi, v0, cfg=None):
+    """Tangents of shape (m, n_time, n_space), or (n_time, n_space) for one
+    pair of initial rows v0 (2, n_space), with the package's level
+    equations, gate and residual check; each level eliminates its own
+    bands."""
+    cfg = cfg or SolverConfig()
+    g = phi.grid
+    n, levels = g.n_space, g.n_time
+    v0 = np.asarray(v0, dtype=float)
+    stack = v0.reshape(-1, 2, n)
+    vals = np.empty((len(stack), levels, n))
+    vals[:, :2] = stack
+    h, k, tol = g.h, g.k, cfg.tol_residual
+    zeros = np.zeros_like(vals[:, 0])
+    a, b, c = section_parts(phi)
+    grad_lo = grad_from_parts(a[0], b[0], c[0], h, k)
+    bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
+    for j in range(1, levels - 1):
+        parts = a[j], b[j], c[j]
+        grad_hi = grad_from_parts(*parts, h, k)
+        res, scale = _level_equation(grad_hi, grad_lo)
+        norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
+        if norm > bound:
+            raise NotOnShell(f"residual {norm:g} at level {j} exceeds {bound:g}")
+        rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
+        vals[:, j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
+        top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
+        res, scale = _level_equation(top, bot)
+        norm = np.max(np.abs(res), axis=-1)
+        if np.any(norm > tol * np.maximum(1.0, scale)):
+            raise SingularJacobian(f"tangent row solve at level {j} left residual {norm.max():g}")
+        grad_lo, bot = grad_hi, top
+    return vals.reshape(v0.shape[:-2] + (levels, n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from chms.config import RunConfig
 from chms.del_solver import (
     Section,
     SolverConfig,
+    _level_solver,
     _row_parts,
     _solve_cyclic_scalar,
     advance_row,
@@ -361,6 +362,48 @@ def test_stacked_solve_matches_each_rhs_bitwise(n):
         assert x.shape == (m, n)
         for xi, r in zip(x, rhs):
             assert np.array_equal(xi, solve_cyclic_tridiagonal(lower, diag, upper, r))
+
+
+def _failing_bands(n: int, kind: str):
+    """Bands of one cyclic system whose elimination fails in the way
+    `kind` names."""
+    lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
+    if kind == "row 0":
+        diag[0] = 0.0
+    elif kind == "row 1":
+        diag[1] = 0.25  # eliminates to 0.25 - 1 * (1 / 4) = 0 exactly
+    elif kind == "nan":
+        diag[min(3, n - 1)] = np.nan
+    elif kind == "corner":
+        lower[0], upper[-1] = 0.0, np.inf
+    else:  # "circulant": the Schur pivot comes out exactly 0 at n = 3 and 5
+        diag[:] = -2.0
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 300])
+def test_level_solver_matches_each_solve_and_its_failures(n, rng):
+    # A block's systems factored at once: realistic Newton bands, random
+    # dominant bands and failing ones.  Each system's solve gives, bit for
+    # bit, what solve_cyclic_tridiagonal gives on that system alone, and
+    # a failing one raises its message, only when it is solved.
+    s = cosine_trajectory(n_space=n, n_steps=4).section
+    systems = [jacobian_bands(*section_parts(s, j, j + 1), s.grid.h, s.grid.k) for j in (1, 3)]
+    systems = [tuple(band[0] for band in bands) for bands in systems]
+    systems.append((rng.uniform(-1, 1, n), 4.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n)))
+    kinds = ["row 0", "row 1", "nan", "corner"] + (["circulant"] if n in (3, 5) else [])
+    systems += [_failing_bands(n, kind) for kind in kinds]
+    solve = _level_solver(*(np.array(band) for band in zip(*systems)))
+    for t in reversed(range(len(systems))):  # any order: the factor holds every system
+        for rhs in (rng.standard_normal((1, n)), rng.standard_normal((2, n))):
+            try:
+                want = solve_cyclic_tridiagonal(*systems[t], rhs)
+            except SingularJacobian as exc:
+                with pytest.raises(SingularJacobian, match=f"^{exc}$"):
+                    solve(t, rhs)
+            else:
+                assert t < 3
+                assert np.array_equal(solve(t, rhs), want)
 
 
 EPS = np.finfo(float).eps

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from conftest import (
     traced_peak,
 )
 from oracles import (
+    first_variation_march,
     first_variation_residual,
     first_variation_residual_row,
     hess_full_from_parts,
@@ -27,8 +31,16 @@ from oracles import (
 )
 
 from chms import del_solver, geometry_checks
-from chms.del_solver import Section, _level_equation, evolve, initialize, section_parts
-from chms.errors import EmptyRegion, NotOnShell, OutOfRange
+from chms.del_solver import (
+    Section,
+    SolverConfig,
+    _level_equation,
+    _row_blocks,
+    evolve,
+    initialize,
+    section_parts,
+)
+from chms.errors import EmptyRegion, NotOnShell, OutOfRange, SingularJacobian
 from chms.geometry_checks import (
     SymmetryGenerator,
     _linear_terms,
@@ -43,9 +55,21 @@ from chms.geometry_checks import (
 from chms.grid import GridSpec, classify_region
 
 
+@lru_cache(maxsize=None)
+def cosine_section(n_space: int, n_steps: int) -> Section:
+    return cosine_trajectory(n_space=n_space, n_steps=n_steps, amp=0.1).section
+
+
 @pytest.fixture(scope="module")
 def short_cosine():
-    return cosine_trajectory(n_space=16, n_steps=5, amp=0.1).section
+    return cosine_section(16, 5)
+
+
+#: (n_space, n_steps, tol_residual) of the march's sections: the smallest
+#: circle, a short row, 257 points over three blocks of levels (the block
+#: seams are crossed), and 512 points (the partitioned solve) under a
+#: tolerance whose on-shell gate accepts that section.
+MARCH_CASES = [(3, 10, 1e-12), (16, 40, 1e-12), (257, 300, 1e-12), (512, 12, 1e-10)]
 
 
 def theta(y, v):
@@ -146,7 +170,7 @@ def test_off_shell_gate_names_first_bad_level():
         solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
 
 
-def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch, rng):
+def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
     names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal", "_linear_terms")
     calls = dict.fromkeys(names, 0)
 
@@ -161,22 +185,94 @@ def test_tangent_march_builds_each_rectangle_row_once(short_cosine, monkeypatch,
 
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
-    counting(geometry_checks, "solve_cyclic_tridiagonal")
+    counting(del_solver, "solve_cyclic_tridiagonal")
     counting(geometry_checks, "_linear_terms")
-    n_space, n_time = short_cosine.grid.n_space, short_cosine.grid.n_time
-    for v0 in (np.ones((2, n_space)), rng.standard_normal((2, 2, n_space))):
-        calls.update(dict.fromkeys(names, 0))
-        solve_first_variation(short_cosine, v0)
-        # One parts pass over the section; one solve of each level's bands
-        # through the public entry point, whatever the stack size; each
-        # level's right-hand side and check; rectangle row j's checked
-        # linear terms are level j + 1's bottom terms.
-        assert calls == {
-            "stencil_parts": 1,
-            "jacobian_bands": n_time - 2,
-            "solve_cyclic_tridiagonal": n_time - 2,
-            "_linear_terms": 2 * (n_time - 2) + 1,
-        }
+    # One block of levels, three (the march crosses two block seams), and
+    # a row long enough for the partitioned solve.
+    for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 3, 1)):
+        s = cosine_section(n_space, n_steps)
+        n_time = s.grid.n_time
+        blocks = len(_row_blocks(n_time - 2, n_space))
+        assert blocks == n_blocks
+        for v0 in (rng.standard_normal((2, n_space)), rng.standard_normal((2, 2, n_space))):
+            calls.update(dict.fromkeys(names, 0))
+            solve_first_variation(s, v0, SolverConfig(tol_residual=tol))
+            # One parts pass and one stacked band set per block of levels;
+            # no public solve below 512 points (each level substitutes into
+            # its block's factor), one per level from 512 on, whatever the
+            # stack size; each level's right-hand side and check; rectangle
+            # row j's checked linear terms are level j + 1's bottom terms.
+            assert calls == {
+                "stencil_parts": blocks,
+                "jacobian_bands": blocks,
+                "solve_cyclic_tridiagonal": 0 if n_space < 512 else n_time - 2,
+                "_linear_terms": 2 * (n_time - 2) + 1,
+            }
+
+
+@pytest.mark.parametrize("n_space, n_steps, tol", MARCH_CASES)
+@pytest.mark.parametrize("m", [None, 3])
+def test_march_matches_the_per_level_march_bitwise(n_space, n_steps, tol, m, rng):
+    s = cosine_section(n_space, n_steps)
+    v0 = rng.standard_normal((2, n_space) if m is None else (m, 2, n_space))
+    cfg = SolverConfig(tol_residual=tol)
+    got = solve_first_variation(s, v0, cfg)
+    assert got.shape == v0.shape[:-2] + (s.grid.n_time, n_space)
+    assert np.array_equal(got, first_variation_march(s, v0, cfg))
+
+
+def _zero_pivot(monkeypatch, level: int, row: int):
+    """Make the system of `level` meet a zero pivot at `row`, on a section
+    of one block of levels: its diagonal and sub-diagonal entries there
+    are zeroed in the stacked bands the march builds (levels 1, 2, ...)."""
+    real = geometry_checks.jacobian_bands
+
+    def wrapper(a, b, c, h, k):
+        lower, diag, upper = real(a, b, c, h, k)
+        diag[level - 1, row] = lower[level - 1, row] = 0.0
+        return lower, diag, upper
+
+    monkeypatch.setattr(geometry_checks, "jacobian_bands", wrapper)
+
+
+def test_singular_tangent_level_is_named(monkeypatch):
+    s = cosine_section(16, 10)
+    _zero_pivot(monkeypatch, 4, 7)
+    with pytest.raises(SingularJacobian, match=r"^tangent row solve at level 4: zero pivot at row 7$"):
+        solve_first_variation(s, np.ones((2, 2, 16)))
+
+
+@pytest.mark.parametrize(
+    "singular, moved_row, error, message",
+    [
+        (4, 7, SingularJacobian, "at level 4: zero pivot at row 7"),
+        (7, 6, NotOnShell, "at level 5 "),
+    ],
+)
+def test_tangent_march_fails_at_the_first_failing_level(
+    monkeypatch, singular, moved_row, error, message
+):
+    s = cosine_section(16, 10)
+    d = s.displacement.copy()
+    d[moved_row] += 0.05 * s.grid.h * np.cos(np.arange(16))
+    # Moving row r puts levels r - 1 .. r + 1 off shell; the singular
+    # level is raised where the march reaches it, before or after them.
+    _zero_pivot(monkeypatch, singular, 7)
+    with pytest.raises(error, match=message):
+        solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
+
+
+def test_tangent_march_holds_one_block_of_factors(rng):
+    long = cosine_section(256, 640)
+    n_short = 130  # one whole block of 128 levels
+    assert _row_blocks(n_short - 2, 256) == [(0, 128)]
+    assert len(_row_blocks(long.grid.n_time - 2, 256)) == 5
+    short = Section(replace(long.grid, n_time=n_short), long.displacement[:n_short])
+    v0 = rng.standard_normal((2, 256))
+    grown = (long.grid.n_time - n_short) * 256 * 8  # the returned array's growth
+    factor = 3 * 128 * 255 * 8  # pivots, multipliers, border solution
+    peaks = [traced_peak(solve_first_variation, sec, v0) for sec in (short, long)]
+    assert peaks[1] - peaks[0] <= grown + factor
 
 
 def test_linear_terms_match_the_hessian_contraction(rng):
