@@ -11,7 +11,10 @@ resolved numerical trajectories its residual shrinks under refinement.
 All finite differences are second-order central with periodic spatial
 wraparound; fields derived in time exist only on interior levels, so
 each operation's docstring states the time levels it covers.  A field
-too short to have an interior level has zero levels.
+too short to have an interior level has zero levels.  residual_maxima
+reduces the three residual fields to their largest magnitudes in one
+pass over blocks of rows, so its memory stays bounded whatever the
+section's length.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import NonMonotone
 from .grid import GridSpec
-from .del_solver import Section
+from .del_solver import _BLOCK_VALUES, Section
 from .lagrangian import _shift
 
 
@@ -123,22 +126,30 @@ def _dt(f: np.ndarray, k: float) -> np.ndarray:
     return (f[2:] - f[:-2]) / (2.0 * k)
 
 
-def section_to_jets(s: Section) -> tuple[np.ndarray, ...]:
+def _jets(y: np.ndarray, g: GridSpec) -> tuple[np.ndarray, ...]:
     """Central-difference jet fields (eta, eta_x, eta_t, eta_xx, eta_tx,
-    eta_txx) on the interior time levels 1 .. n_time - 2: six arrays of
-    shape (n_time - 2, n_space)."""
-    g = s.grid
-    y = s.rows_y()
+    eta_txx) of the label rows y, shape (r, n_space), on their interior
+    rows 1 .. r - 2: six arrays of shape (max(r - 2, 0), n_space)."""
     h, k, lam = g.h, g.k, g.domain_length
     eta_t = _dt(y, k)
     eta_xx = _dxx(y, h, lam)
     return y[1:-1].copy(), _dx(y, h, lam)[1:-1], eta_t, eta_xx[1:-1], _dx(eta_t, h), _dt(eta_xx, k)
 
 
-def phase_field(s: Section) -> np.ndarray:
-    """Z-field over levels 1 .. n_time - 2, shape (n_time - 2, n_space, 6):
-    the closed-form momenta of the finite-difference jets, no interpolation."""
-    return legendre(*section_to_jets(s))
+def section_to_jets(s: Section) -> tuple[np.ndarray, ...]:
+    """Central-difference jet fields (eta, eta_x, eta_t, eta_xx, eta_tx,
+    eta_txx) on the interior time levels 1 .. n_time - 2: six arrays of
+    shape (n_time - 2, n_space)."""
+    return _jets(s.rows_y(), s.grid)
+
+
+def phase_field(s: Section, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Z-field of the rows lo .. hi - 1 of s (by default all of them) over
+    their interior levels lo + 1 .. hi - 2, shape (hi - lo - 2, n_space,
+    6): the closed-form momenta of the finite-difference jets, no
+    interpolation.  Any row range is the same slice of the whole
+    section's field, bit for bit."""
+    return legendre(*_jets(s.xs() + s.displacement[lo:hi], s.grid))
 
 
 def _phase_dx(z: np.ndarray, g: GridSpec):
@@ -189,3 +200,53 @@ def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """
     z, zx = _phase_dx(z, g)
     return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)
+
+
+# ---------------------------------------------------------------------------
+# The largest magnitude of each residual field, in one blocked pass.
+
+
+def _blocks(n_time: int, n_space: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the blocks of rows lo .. hi - 1 that residual_maxima
+    walks.  A conservation level reads three rows on each side of it (Z
+    two levels away, each Z level its two neighbouring rows), so
+    consecutive blocks share 6 rows and their conservation levels
+    lo + 3 .. hi - 4 tile 3 .. n_time - 4 exactly.  Each block adds
+    about del_solver._BLOCK_VALUES values of Z (6 per point) to the
+    last, and at least the 6 rows it shares, so no row is built more
+    than twice; a section too short for a conservation level is one
+    block."""
+    step = max(6, _BLOCK_VALUES // (6 * n_space))
+    return [(lo, min(lo + step + 6, n_time)) for lo in range(0, max(n_time - 6, 1), step)]
+
+
+def residual_maxima(s: Section) -> dict:
+    """The largest magnitude of each residual field of the section's
+    Z-field (conservation, Hamilton, field equation, in that order), None
+    for a field that has no level (a run too short for it).
+
+    The rows go in blocks (_blocks): each block's Z-field is built once
+    and all three fields are evaluated on it, so the pass holds one
+    block's arrays whatever the section's length.  Every entry of a
+    field is computed from its own neighbourhood of rows alone (B1 and B0
+    hold at most one nonzero per row), so each block maximum is bit for
+    bit the whole field's maximum over the block's levels.  Hamilton and
+    field-equation levels beside a seam are evaluated twice, which a
+    maximum cannot see; np.maximum folds the blocks' maxima, so a NaN
+    propagates as np.max over the whole field would.
+    """
+    g = s.grid
+    fields = {
+        "conservation_residual_max": conservation_residual,
+        "hamilton_residuals_max": hamilton_residuals,
+        "continuous_el_residual_max": continuous_el_residual,
+    }
+    maxima = dict.fromkeys(fields)
+    for lo, hi in _blocks(g.n_time, g.n_space):
+        z = phase_field(s, lo, hi)
+        for key, field in fields.items():
+            f = field(z, g)
+            if f.size:
+                m = np.max(np.abs(f))
+                maxima[key] = m if maxima[key] is None else np.maximum(maxima[key], m)
+    return {key: None if m is None else float(m) for key, m in maxima.items()}

@@ -159,18 +159,6 @@ def _window_records(s: Section, noether: bool, tangents) -> list[dict]:
     return records
 
 
-def _bridges_summary(s: Section) -> dict:
-    """Each bridges field's largest magnitude; None for a field that has
-    no level (a run too short for it)."""
-    z = bridges.phase_field(s)
-    fields = {
-        "conservation_residual_max": bridges.conservation_residual(z, s.grid),
-        "hamilton_residuals_max": bridges.hamilton_residuals(z, s.grid),
-        "continuous_el_residual_max": bridges.continuous_el_residual(z, s.grid),
-    }
-    return {key: float(np.max(np.abs(f))) if f.size else None for key, f in fields.items()}
-
-
 def _execute(cfg: RunConfig) -> EvolveResult:
     s0 = initialize(cfg.u0(), cfg.grid())
     return evolve(s0, cfg.n_steps, cfg.solver())
@@ -227,7 +215,7 @@ def run_command(cfg: RunConfig) -> int:
                 tangents = _tangent_pair(s, cfg, rng) if "mff" in cfg.diagnostics else None
                 report["windows"] = _window_records(s, "noether" in cfg.diagnostics, tangents)
             if "bridges" in cfg.diagnostics:
-                summary["bridges"] = _bridges_summary(s)
+                summary["bridges"] = bridges.residual_maxima(s)
         except (ChmsError, FloatingPointError) as exc:
             summary["status"] = "aborted"
             summary["failure"] = {
@@ -311,7 +299,7 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
                 "n_steps": level_cfg.n_steps,
                 "h": s.grid.h,
                 "k": s.grid.k,
-                "bridges": _bridges_summary(s),
+                "bridges": bridges.residual_maxima(s),
             }
         )
     # Compare restrictions at the shared physical time n_steps * k_base
@@ -450,7 +438,7 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     drift_scale = max(abs(p0), gc.total_momentum_scale(target, 0), 1e-300)
     checks.append(_check("total_momentum_drift", drift / drift_scale))
 
-    for key, val in _bridges_summary(target).items():
+    for key, val in bridges.residual_maxima(target).items():
         if val is not None:
             checks.append({"name": key, "status": "INFO", "value": val, "threshold": None})
 

@@ -113,9 +113,13 @@ def solve_first_variation(
     in order, each first checked on shell: the first level that is not
     raises NotOnShell, and a level whose system cannot be eliminated
     raises SingularJacobian naming it, each only when the march reaches
-    that level.  The tangents of a stack share each level's factor, and
-    each has its own residual bound; each tangent comes out bit for bit
-    as marching it alone, one solve per level, gives it.
+    that level.  Each solved row is checked: its level residual must stay
+    within tol_residual times the largest of 1, the residual's own scale
+    and the solve's size (the level's largest absolute row sum of the
+    bands times the row's largest magnitude), else SingularJacobian.  The
+    tangents of a stack share each level's factor, and each has its own
+    residual bound; each tangent comes out bit for bit as marching it
+    alone, one solve per level, gives it.
     """
     cfg = cfg or SolverConfig()
     n, levels = phi.grid.n_space, phi.grid.n_time
@@ -145,7 +149,12 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
     grads = np.array(grad_from_parts(a, b, c, h, k))
     res, scales = _level_equation(grads[:, 1:], grads[:, :-1])
     norms = np.max(np.abs(res), axis=-1)
-    solve = _level_solver(*jacobian_bands(a[1:], b[1:], c[1:], h, k))
+    bands = jacobian_bands(a[1:], b[1:], c[1:], h, k)
+    # Each level's largest absolute row sum: a solve's rounding scales with
+    # it times the solution, which the linear terms miss where they cancel
+    # (a constant tangent has none).
+    sizes = np.max(sum(np.abs(band) for band in bands), axis=-1)
+    solve = _level_solver(*bands)
     zeros = np.zeros_like(vals[:, 0])
     for t, j in enumerate(range(j_lo, j_hi)):
         norm, bound = float(norms[t]), ON_SHELL_FACTOR * tol * max(1.0, scales[t])
@@ -163,7 +172,8 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
-        bad = norm > tol * np.maximum(1.0, scale)
+        size = sizes[t] * np.max(np.abs(vals[:, j + 1]), axis=-1)
+        bad = norm > tol * np.maximum(1.0, np.maximum(scale, size))
         if np.any(bad):
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"

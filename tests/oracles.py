@@ -375,11 +375,13 @@ def first_variation_march(phi, v0, cfg=None):
         if norm > bound:
             raise NotOnShell(f"residual {norm:g} at level {j} exceeds {bound:g}")
         rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
-        vals[:, j + 1] = solve_cyclic_tridiagonal(*jacobian_bands(*parts, h, k), -rhs)
+        bands = jacobian_bands(*parts, h, k)
+        vals[:, j + 1] = solve_cyclic_tridiagonal(*bands, -rhs)
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.max(np.abs(res), axis=-1)
-        if np.any(norm > tol * np.maximum(1.0, scale)):
+        size = np.max(sum(np.abs(band) for band in bands)) * np.max(np.abs(vals[:, j + 1]), axis=-1)
+        if np.any(norm > tol * np.maximum(1.0, np.maximum(scale, size))):
             raise SingularJacobian(f"tangent row solve at level {j} left residual {norm.max():g}")
         grad_lo, bot = grad_hi, top
     return vals.reshape(v0.shape[:-2] + (levels, n))

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EPS, TWO_PI, cosine_trajectory, smooth_eta_derivs
+from conftest import EPS, TWO_PI, cosine_trajectory, smooth_eta_derivs, traced_peak
 from oracles import continuous_el_residual as el_oracle, uniform_translation
 
+from chms import bridges
 from chms.bridges import (
     B0,
     B1,
+    _blocks,
     conservation_residual,
     continuous_el_residual,
     grad_hamiltonian_phase,
@@ -17,6 +19,7 @@ from chms.bridges import (
     legendre,
     omega_pair,
     phase_field,
+    residual_maxima,
     section_to_jets,
 )
 from chms.del_solver import Section
@@ -261,3 +264,86 @@ def test_hamilton_residual_levels_and_empty_fields():
     assert z.shape == (4, n, 6)
     assert hamilton_residuals(z[:2], g).shape == (0, n, 6)
     assert conservation_residual(z, g).shape == (0, n)  # 5 levels of Z give one
+
+
+def sine_wave(n_space: int, n_time: int) -> Section:
+    """The analytic (non-solution) wave eta = x + 0.3 sin(x - t) at cfl 0.25."""
+    g = GridSpec.from_circle(n_space, n_time, TWO_PI, 0.25)
+    x = np.arange(n_space) * g.h
+    t = np.arange(n_time) * g.k
+    return Section(g, 0.3 * np.sin(x[None, :] - t[:, None]))
+
+
+def whole_field_maxima(s: Section) -> list:
+    """(key, max |field|) of the three residual fields of the whole-section
+    Z-field, None for a field with no level, in the summary's key order."""
+    z = phase_field(s)
+    fields = {
+        "conservation_residual_max": conservation_residual(z, s.grid),
+        "hamilton_residuals_max": hamilton_residuals(z, s.grid),
+        "continuous_el_residual_max": continuous_el_residual(z, s.grid),
+    }
+    return [(key, float(np.max(np.abs(f))) if f.size else None) for key, f in fields.items()]
+
+
+@pytest.mark.parametrize("n_time", [2, 3, 5, 6, 7, 8, 12, 13, 19, 20, 40, 803])
+@pytest.mark.parametrize("n_space", [3, 16, 256, 6000])
+def test_blocks_tile_the_conservation_levels(n_time, n_space):
+    blocks = _blocks(n_time, n_space)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_time
+    if n_time < 7:
+        assert blocks == [(0, n_time)]
+        return
+    # Each block's conservation levels lo + 3 .. hi - 4 follow the last
+    # block's without a gap or a repeat, and cover 3 .. n_time - 4.
+    levels = [j for lo, hi in blocks for j in range(lo + 3, hi - 3)]
+    assert levels == list(range(3, n_time - 3))
+    for (lo, hi), (nxt, _) in zip(blocks, blocks[1:]):
+        assert hi - nxt == 6 and nxt - lo >= 6  # no row in more than two blocks
+    step = max(6, bridges._BLOCK_VALUES // (6 * n_space))
+    assert all(hi - lo <= step + 6 for lo, hi in blocks)
+
+
+def test_residual_maxima_match_the_whole_fields_bitwise(monkeypatch):
+    marched = cosine_trajectory(n_space=256, n_steps=60).section
+    assert len(_blocks(marched.grid.n_time, 256)) == 3
+    wave = sine_wave(256, 100)
+    assert len(_blocks(100, 256)) == 5
+    short = [cosine_trajectory(n_space=16, n_steps=m).section for m in range(13)]
+    for s in (marched, wave, *short):
+        assert list(residual_maxima(s).items()) == whole_field_maxima(s)
+    # The same sections with the shortest blocks (12 rows, 6 of them shared):
+    # every short run of 13 rows or more crosses seams.
+    monkeypatch.setattr(bridges, "_BLOCK_VALUES", 1)
+    assert len(_blocks(14, 16)) == 2
+    for s in (marched, wave, *short):
+        assert list(residual_maxima(s).items()) == whole_field_maxima(s)
+    fields = residual_maxima(short[4])
+    assert fields["conservation_residual_max"] is None  # 6 rows: no conservation level
+    assert None not in (fields["hamilton_residuals_max"], fields["continuous_el_residual_max"])
+    assert set(residual_maxima(short[1]).values()) == {None}
+
+
+def test_residual_maxima_propagate_nan(monkeypatch):
+    # A NaN in the first block's fields is the summary's maximum, as np.max
+    # over the whole field gives it, though the later blocks are finite.
+    real = bridges.phase_field
+
+    def nan_at_level_5(sec, lo=0, hi=None):
+        z = real(sec, lo, hi)
+        if lo <= 4 < hi - 2:
+            z[4 - lo, 7, 3] = np.nan
+        return z
+
+    monkeypatch.setattr(bridges, "phase_field", nan_at_level_5)
+    maxima = residual_maxima(sine_wave(256, 100))
+    assert all(math.isnan(m) for m in maxima.values())
+
+
+def test_residual_maxima_memory_is_bounded():
+    # The pass holds one block's arrays: its peak does not grow with the
+    # number of levels (the whole-section fields took 11.9 MiB at 200
+    # levels and 120.9 MiB at 2000).
+    peaks = [traced_peak(residual_maxima, sine_wave(256, n_time)) for n_time in (400, 2000)]
+    assert max(peaks) <= 1.1 * min(peaks)
+    assert max(peaks) < 2 * 2**20

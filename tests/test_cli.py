@@ -23,7 +23,6 @@ from chms.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
-    _bridges_summary,
     diagnostic_windows,
     format_float,
     main,
@@ -988,17 +987,23 @@ def test_short_run_reports_each_bridges_field_it_has(tmp_path):
     ]
 
 
-def test_bridges_summary_builds_the_jets_once(monkeypatch):
+def test_bridges_summary_builds_the_jets_once_per_block(monkeypatch):
     calls = []
-    real = bridges.section_to_jets
+    real = bridges._jets
 
-    def counting(s):
-        calls.append(s)
-        return real(s)
+    def counting(y, g):
+        calls.append(len(y))
+        return real(y, g)
 
-    monkeypatch.setattr(bridges, "section_to_jets", counting)
-    assert None not in _bridges_summary(cosine_trajectory(n_space=16, n_steps=8).section).values()
-    assert len(calls) == 1
+    monkeypatch.setattr(bridges, "_jets", counting)
+    one = cosine_trajectory(n_space=16, n_steps=8).section
+    long = random_section(GridSpec.from_circle(16, 720, TWO_PI, 0.25), np.random.default_rng(7))
+    for s, n_blocks in ((one, 1), (long, 3)):
+        blocks = bridges._blocks(s.grid.n_time, s.grid.n_space)
+        assert len(blocks) == n_blocks
+        calls.clear()
+        assert None not in bridges.residual_maxima(s).values()
+        assert calls == [hi - lo for lo, hi in blocks]
 
 
 @pytest.mark.filterwarnings("error")

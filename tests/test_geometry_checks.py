@@ -15,6 +15,7 @@ from conftest import (
     random_stencil,
     traced_peak,
 )
+import oracles
 from oracles import (
     first_variation_march,
     first_variation_residual,
@@ -148,6 +149,38 @@ def test_solve_first_variation_propagates_constants(short_cosine):
     s = short_cosine
     v = solve_first_variation(s, np.full((2, s.grid.n_space), 0.8))
     assert np.max(np.abs(v - 0.8)) <= 1e-10
+
+
+@pytest.mark.parametrize("n_space", [64, 256])
+def test_constant_tangents_pass_the_solve_residual_check(n_space):
+    # A constant tangent's linear terms vanish, so its solve's rounding is
+    # bounded by the size of the solve (the bands' row sums times the
+    # solution), in the march and in its oracle.
+    s = cosine_section(n_space, 20)
+    v0 = np.full((2, n_space), 0.8)
+    v = solve_first_variation(s, v0)
+    assert np.max(np.abs(v - 0.8)) <= 1e-11
+    assert np.array_equal(v, first_variation_march(s, v0))
+
+
+@pytest.mark.parametrize("n_space, constant", [(16, True), (64, True), (64, False), (256, False)])
+def test_a_perturbed_tangent_solve_fails_the_residual_check(monkeypatch, n_space, constant, rng):
+    # Every solve scaled by 1 + 1e-9 is caught by the residual check.
+    real_level, real_solve = geometry_checks._level_solver, oracles.solve_cyclic_tridiagonal
+
+    def level_solver(*bands):
+        solve = real_level(*bands)
+        return lambda t, rhs: solve(t, rhs) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
+    monkeypatch.setattr(
+        oracles, "solve_cyclic_tridiagonal", lambda *args: real_solve(*args) * (1.0 + 1e-9)
+    )
+    s = cosine_section(n_space, 20)
+    v0 = np.full((2, n_space), 0.8) if constant else rng.standard_normal((2, n_space))
+    for march in (solve_first_variation, first_variation_march):
+        with pytest.raises(SingularJacobian, match="^tangent row solve at level 1 left residual"):
+            march(s, v0)
 
 
 def test_solve_first_variation_rejects_off_shell(short_cosine, rng):
