@@ -268,7 +268,7 @@ def _thomas(lower, diag, upper, rhs, u):
     isfinite = math.isfinite
     piv = diag[0]
     if piv == 0.0 or not isfinite(piv):
-        raise SingularJacobian("zero pivot at row 0")
+        raise SingularJacobian("zero pivot at row 0", 0)
     r0 = rhs[0]
     c = upper[0] / piv
     pr = r0[0] / piv
@@ -279,7 +279,7 @@ def _thomas(lower, diag, upper, rhs, u):
     for lo, di, up, ri, ui in zip(lower[1:], diag[1:], upper[1:], r0[1:], u[1:]):
         piv = di - lo * c
         if piv == 0.0 or not isfinite(piv):
-            raise SingularJacobian(f"zero pivot at row {len(cp)}")
+            raise SingularJacobian(f"zero pivot at row {len(cp)}", len(cp))
         c = up / piv
         pr = (ri - lo * pr) / piv
         pu = (ui - lo * pu) / piv
@@ -355,7 +355,7 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
     ys, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rows, border)
     schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
     if schur == 0.0 or not math.isfinite(schur):
-        raise SingularJacobian(f"zero pivot at row {len(diag) - 1}")
+        raise SingularJacobian(f"zero pivot at row {len(diag) - 1}", len(diag) - 1)
     return _border_solve(rows, ys, np.array(z, dtype=float), schur, lower[-1], upper[-1])
 
 
@@ -407,10 +407,10 @@ def _factor_cyclic(lower, diag, upper):
     return piv, cp, z, schur, errors
 
 
-# Rows of at least this many unknowns take the partitioned solve.  Shorter
-# rows keep the scalar sweep, whose result is bit-identical to textbook
-# elimination, where the partitioned solve gains least (CHANGES.md has
-# the timings that set this size and the block length).
+# Rows of at least this many unknowns take the partitioned solve, and so do
+# its separator systems.  Shorter rows keep the scalar sweep, bit-identical
+# to textbook elimination, where the partitioned solve gains least
+# (CHANGES.md has the timings that set this size and the block length).
 _PARTITION_MIN_N = 512
 
 
@@ -435,20 +435,21 @@ def _solve_partitioned(lower, diag, upper, rhs):
     """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows, for
     the right-hand sides rhs, shape (m, n); returns shape (m, n).
 
-    One separator opens every block of about sqrt(n)/4 points.  The
-    segments between separators are eliminated all at once, one NumPy
-    step per column across every segment, in the order of Gaussian
-    elimination within each segment, with m + 2 right-hand sides: each
-    rhs and the couplings to the left and right separators.  The
-    separators then solve a cyclic tridiagonal Schur-complement system of
-    about 4*sqrt(n) unknowns by the scalar bordered elimination, and the
-    segments back-substitute.  Every step is elementwise, so each rhs
-    comes out bit for bit as it would alone.  Runs with floating-point
-    errors ignored: a zero or non-finite pivot raises SingularJacobian.
+    One separator opens every block of 8 points (the first n % 8 blocks
+    take a ninth).  The segments between separators are eliminated all at
+    once, one NumPy step per column across every segment, in Gaussian
+    order within each, with m + 2 right-hand sides: each rhs and the
+    couplings to the left and right separators.  The separators' cyclic
+    Schur-complement system (n // 8 unknowns) takes the same two-path rule
+    (_elimination), and the segments back-substitute.  Every step is
+    elementwise, so each rhs comes out bit for bit as it would alone.
+    Runs with floating-point errors ignored: a zero or non-finite pivot
+    raises SingularJacobian naming its row here, a separator's after one
+    "separator system: " prefix at any depth.
     """
     n = diag.size
     m = len(rhs)
-    p = n // (math.isqrt(n) // 4)
+    p = n // 8
     q, r = divmod(n, p)
     b = q + (r > 0)  # block length, separator included
     n_long = r or p
@@ -483,8 +484,8 @@ def _solve_partitioned(lower, diag, upper, rhs):
             # A pad row's pivot fails only after a non-finite multiplier
             # in the row before it; it then names the next separator.
             j, blk = np.unravel_index(np.argmax(bad), bad.shape)
-            row = (blk * b - max(0, blk - n_long) + j + 1) % n
-            raise SingularJacobian(f"zero pivot at row {row}")
+            row = int(blk * b - max(0, blk - n_long) + j + 1) % n
+            raise SingularJacobian(f"zero pivot at row {row}", row)
         # The right coupling enters at each segment's last real row, where
         # its eliminated value is that row's multiplier; a pad row after
         # it keeps the value 0 and decouples.
@@ -497,14 +498,16 @@ def _solve_partitioned(lower, diag, upper, rhs):
         last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
         sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
         try:
-            xs = _solve_cyclic_scalar(
+            xs = _elimination(p)(
                 -sl * last[m],
                 sd - sl * last[m + 1] - su * first[m],
                 -su * first[m + 1],
                 sr - sl * last[:m] - su * first[:m],
             )
-        except SingularJacobian as exc:
-            raise SingularJacobian(f"separator system: {exc}") from exc
+        except SingularJacobian as exc:  # separator k opens block k
+            row = exc.row if exc.row is None else exc.row * b - max(0, exc.row - n_long)
+            what = str(exc).removeprefix("separator system: ") if row is None else f"zero pivot at row {row}"
+            raise SingularJacobian(f"separator system: {what}", row) from exc
         xi = x[:, :m] - x[:, m : m + 1] * xs - x[:, m + 1 : m + 2] * _shift(xs, 1)
     out = np.empty((m, n))
     head = out[:, : n_long * b].reshape(m, n_long, b)
@@ -525,8 +528,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
     lie outside the band, and enter only the border column and row.  From
     n = _PARTITION_MIN_N on, the partition method eliminates the segments
-    between separators in vectorized steps and solves only the
-    separators' small cyclic system this way.  Nothing is shifted, so
+    between separators (one per 8 points) in vectorized steps, and their
+    cyclic system takes the same rule.  Nothing is shifted, so
     nothing is refined: on a diagonally dominant A every pivot stays
     dominant and one solve leaves a backward error at rounding level.
     Each rhs of a stack comes out bit for bit as its own solve gives it.

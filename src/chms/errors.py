@@ -31,7 +31,14 @@ class MaxItersExceeded(ChmsError):
 
 
 class SingularJacobian(ChmsError):
-    """Row Jacobian could not be factorized or solved accurately."""
+    """Row Jacobian could not be factorized or solved accurately.
+
+    row is the row of the failing pivot, where the error names one.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NotOnShell(ChmsError):

@@ -349,11 +349,12 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
             assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("n", [256, 1024, 4096])
 def test_stacked_solve_matches_each_rhs_bitwise(n):
     # One elimination of the bands for a stack of right-hand sides, as the
-    # tangent march takes it, on the scalar (n = 256) and the partitioned
-    # (n = 1024) path: each row comes out as its own solve gives it.
+    # tangent march takes it, on the scalar (n = 256), the partitioned
+    # (n = 1024) and the twice partitioned (n = 4096) path: each row comes
+    # out as its own solve gives it.
     s = cosine_trajectory(n_space=n, n_steps=2).section
     lower, diag, upper = jacobian_bands(*_row_parts(s.row_y(2), s.row_y(3), s.grid), s.grid.h, s.grid.k)
     for m in (1, 2, 3):
@@ -507,8 +508,45 @@ def test_long_row_solve_matches_dense(kind, n):
         assert backward_error(lower, diag, upper, x, rhs) <= 4 * floor
 
 
+@pytest.mark.parametrize("kind", ["cosine", "dominant"])
+@pytest.mark.parametrize("n", [4096, 4099])
+def test_twice_partitioned_solve_backward_error(kind, n):
+    # From n = 4096 on the separator system (n // 8 unknowns) is partitioned
+    # again.  Its backward error is held, not its agreement with the scalar
+    # sweep: at n = 4096 the cosine bands' conditioning alone parts the two
+    # by about 1e-12.
+    lower, diag, upper = long_row_bands(kind, n)
+    for rhs in np.random.default_rng(n + 1).standard_normal((2, n)):
+        x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        scalar = _solve_cyclic_scalar(lower, diag, upper, rhs[None])[0]
+        error = backward_error(lower, diag, upper, x, rhs)
+        assert error <= 4 * max(backward_error(lower, diag, upper, scalar, rhs), EPS)
+        assert error <= 8 * EPS
+
+
+@pytest.mark.parametrize("n, depth", [(4095, 1), (4096, 2), (4099, 2)])
+def test_separator_system_takes_the_same_two_path_rule(n, depth, monkeypatch):
+    # The separator system of a row of n points has n // 8 unknowns, and is
+    # partitioned again from _PARTITION_MIN_N = 512 of them on.
+    calls = []
+    partitioned = del_solver._solve_partitioned
+
+    def spy(*args):
+        calls.append(args[1].size)
+        return partitioned(*args)
+
+    monkeypatch.setattr(del_solver, "_solve_partitioned", spy)
+    lower, diag, upper = dominant_bands(np.random.default_rng(n), n)
+    solve_cyclic_tridiagonal(lower, diag, upper, np.ones(n))
+    assert calls == [n, n // 8][:depth]
+
+
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(512, 1100), tight=TIGHT, seed=st.integers(0, 2**32 - 1))
+@given(
+    n=st.one_of(st.integers(512, 1100), st.integers(4096, 4700)),
+    tight=TIGHT,
+    seed=st.integers(0, 2**32 - 1),
+)
 def test_long_row_solve_backward_error_on_dominant_bands(n, tight, seed):
     rng = np.random.default_rng(seed)
     lower, diag, upper = dominant_bands(rng, n, tight)
@@ -533,17 +571,34 @@ def test_long_row_non_finite_multiplier_before_a_pad_row():
         solve_cyclic_tridiagonal(np.ones(n), np.full(n, 4.0), upper, np.ones(n))
 
 
-@pytest.mark.parametrize("n", [1000, 1031])
+@pytest.mark.parametrize("n", [1031, 4099])
+def test_long_row_non_finite_corner_names_the_separator_system_once(n):
+    # The corner entry lower[0] enters only the separator system's own
+    # corner, at every depth of partitioning.
+    lower = np.ones(n)
+    lower[0] = np.inf
+    with np.errstate(all="raise"), pytest.raises(SingularJacobian) as info:
+        solve_cyclic_tridiagonal(lower, np.full(n, 4.0), np.ones(n), np.ones(n))
+    assert str(info.value) == "separator system: non-finite corner entry"
+    assert info.value.row is None
+
+
+@pytest.mark.parametrize("n", [1000, 1031, 4099])
 def test_long_row_zero_pivot_at_any_row(n):
     # A diagonal matrix with one zero entry: wherever it falls, on a
-    # separator or inside a segment, the solve reports it.
+    # separator or inside a segment, the solve reports it by its row of
+    # this system, also where the separator system is partitioned again
+    # (n = 4099), with one prefix for a separator.
     on_separator = set()
     for row in range(40):
         diag = np.ones(n)
         diag[row] = 0.0
         with np.errstate(all="raise"), pytest.raises(SingularJacobian) as info:
             solve_cyclic_tridiagonal(np.zeros(n), diag, np.zeros(n), np.ones(n))
-        on_separator.add(str(info.value).startswith("separator system"))
+        message = str(info.value)
+        assert message.endswith(f"at row {row}") and message.count("separator system") <= 1
+        assert info.value.row == row
+        on_separator.add(message.startswith("separator system: "))
     assert on_separator == {True, False}
 
 
