@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bridges, geometry_checks as gc
 from .config import DEFAULTS, RunConfig, _coerce, build_run_config, parse_config_file
-from .del_solver import STOP_REASONS, EvolveResult, Section, evolve, initialize
+from .del_solver import STOP_REASONS, EvolveResult, Section, _row_blocks, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError
 from .lagrangian import eval_from_parts, grad_from_parts
 
@@ -59,38 +59,54 @@ def dump_json(obj, path: Path) -> None:
     _write_text(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"]))
 
 
+#: The writer forms its labels and velocities over blocks of saved levels
+#: this many times smaller than _row_blocks' (about 4096 values): a block
+#: is held as arrays and again as Python floats, which cost about four
+#: times their array.
+_CSV_BLOCK_DIVISOR = 8
+
+
 def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     """Header t,i,x,eta,u; one row per saved (level, spatial index).
 
     u is the forward-difference particle velocity; the final level uses
     the backward difference since no later row exists.  The file is
     streamed: the header, then each saved level's text, formatted and
-    written one level at a time.  Each level is formatted by one printf
-    template ("%.17g" writes a finite float as format_float does); a
-    level with a non-finite value takes the per-value path, which quotes
-    it.
+    written one level at a time.  The labels and velocities of a block
+    of saved levels (_CSV_BLOCK_DIVISOR) are formed at once, one NumPy
+    call per quantity.  Each level is formatted by one printf template
+    ("%.17g" writes a finite float as format_float does); a level with a
+    non-finite value takes the per-value path, which quotes it.
     """
     g = s.grid
     n, last = g.n_space, g.n_time - 1
     ix = [f",{i},{format_float(i * g.h)}," for i in range(n)]
     template = "".join(f"%s{x}%.17g,%.17g\n" for x in ix)
+    levels = np.append(np.arange(0, last, save_every), last)
 
     def chunks():
         yield "t,i,x,eta,u\n"
-        for j in sorted(set(range(0, g.n_time, save_every)) | {last}):
-            eta = s.row_y(j)
-            if j < last:
-                u = (s.row_y(j + 1) - eta) / g.k
-            else:
-                u = (eta - s.row_y(j - 1)) / g.k
-            t = format_float(j * g.k)
-            if np.all(np.isfinite(eta)) and np.all(np.isfinite(u)):
-                vals = [t] * (3 * n)
-                vals[1::3], vals[2::3] = eta.tolist(), u.tolist()
-                yield template % tuple(vals)
-            else:
-                rows = zip(ix, eta.tolist(), u.tolist())
-                yield "".join(f"{t}{x}{format_float(e)},{format_float(v)}\n" for x, e, v in rows)
+        for lo, hi in _row_blocks(len(levels), _CSV_BLOCK_DIVISOR * n):
+            js = levels[lo:hi]
+            eta = s.row_y(js)
+            # The next level of each, the one before of the final level,
+            # whose difference is taken the other way round (negating it
+            # would write an equal pair's +0 as -0).
+            near = s.row_y(np.where(js < last, js + 1, js - 1))
+            u = near - eta
+            if js[-1] == last:
+                u[-1] = eta[-1] - near[-1]
+            u /= g.k
+            finite = np.isfinite(eta).all(axis=1) & np.isfinite(u).all(axis=1)
+            for j, ok, e_j, u_j in zip(js.tolist(), finite.tolist(), eta.tolist(), u.tolist()):
+                t = format_float(j * g.k)
+                if ok:
+                    vals = [t] * (3 * n)
+                    vals[1::3], vals[2::3] = e_j, u_j
+                    yield template % tuple(vals)
+                else:
+                    rows = zip(ix, e_j, u_j)
+                    yield "".join(f"{t}{x}{format_float(e)},{format_float(v)}\n" for x, e, v in rows)
 
     _write_text(path, chunks())
 

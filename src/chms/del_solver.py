@@ -139,7 +139,9 @@ class Section:
         """All rows as absolute label values, shape (n_time, n_space)."""
         return self.xs()[None, :] + self.displacement
 
-    def row_y(self, j: int) -> np.ndarray:
+    def row_y(self, j) -> np.ndarray:
+        """Row j as absolute label values, shape (n_space,); an array of
+        level indices gives those rows at once, shape (len(j), n_space)."""
         return self.xs() + self.displacement[j]
 
     @classmethod
@@ -348,7 +350,8 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
     as its pivot, which stays dominant where A is diagonally dominant.
     """
     lower, diag, upper, rows = (v.tolist() for v in (lower, diag, upper, rhs))
-    # Named here, before it would surface as a non-finite Schur pivot.
+    # Named here, before it would surface as a non-finite Schur pivot: a
+    # separator system's corners are formed by the partitioned solve.
     if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
         raise SingularJacobian("non-finite corner entry")
     border = [lower[0]] + [0.0] * (len(diag) - 3) + [upper[-2]]
@@ -554,6 +557,10 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
+    # Named here for every n: the partitioned solve would carry a corner
+    # into a separator system or a pivot and name that instead.
+    if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
+        raise SingularJacobian("non-finite corner entry")
     return _elimination(n)(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
 
 

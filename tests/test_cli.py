@@ -237,6 +237,58 @@ def test_trajectory_csv_is_streamed_level_by_level(tmp_path, rng):
     assert path.stat().st_size > 8 * 2**20
 
 
+def _recording(field):
+    """A stand-in for field whose row_y records the levels of each call."""
+    calls = []
+
+    def row_y(j):
+        calls.append(np.atleast_1d(j).tolist())
+        return field.row_y(j)
+
+    return SimpleNamespace(grid=field.grid, row_y=row_y), calls
+
+
+@pytest.mark.parametrize("save_every", [1, 3, 7])
+def test_trajectory_csv_across_blocks_matches_the_per_value_format(tmp_path, rng, save_every):
+    # The saved levels fill three of the writer's blocks, and the final
+    # level (off the stride for 3 and 7) lands alone in a fourth, where
+    # its velocity is the backward difference.
+    n = 64
+    per_block = del_solver._BLOCK_VALUES // (cli._CSV_BLOCK_DIVISOR * n)
+    last = save_every * (3 * per_block - 1) + 1
+    s = random_section(GridSpec.from_circle(n, last + 1, TWO_PI, 0.25), rng)
+    field, calls = _recording(s)
+    write_trajectory_csv(tmp_path / "t.csv", field, save_every)
+    levels = [*range(0, last, save_every), last]
+    expected = _per_value_csv(s.rows_y(), s.grid.h, s.grid.k, levels)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+    # Each block asks for its labels, then for its neighbour levels.
+    assert [len(js) for js in calls[::2]] == [per_block] * 3 + [1]
+    assert calls[-2:] == [[last], [last - 1]]
+
+
+def test_trajectory_csv_at_rest_writes_unsigned_zero_velocities(tmp_path):
+    # Equal labels on the final two levels: the backward difference is
+    # +0, where the negated forward difference would be written -0.
+    s = del_solver.Section.identity(GridSpec.from_circle(8, 5, TWO_PI, 0.25))
+    write_trajectory_csv(tmp_path / "t.csv", s, 3)
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 8 and {row.rsplit(",", 1)[1] for row in rows} == {"0"}
+
+
+def test_trajectory_csv_quotes_a_nan_in_a_later_block(tmp_path, rng):
+    n = 16
+    per_block = del_solver._BLOCK_VALUES // (cli._CSV_BLOCK_DIVISOR * n)
+    g = GridSpec.from_circle(n, 2 * per_block + 3, TWO_PI, 0.25)
+    y = random_section(g, rng).rows_y()
+    y[2 * per_block + 1, 5] = np.nan  # third block: eta and u of its level, u of both neighbours
+    field, calls = _recording(SimpleNamespace(grid=g, row_y=lambda j: y[j]))
+    write_trajectory_csv(tmp_path / "t.csv", field, 1)
+    text = (tmp_path / "t.csv").read_text()
+    assert len(calls) == 6
+    assert text == _per_value_csv(y, g.h, g.k, range(g.n_time)) and text.count('"nan"') == 4
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("name", ["trajectory.csv", "diagnostics.json"])
 def test_run_reports_a_write_that_fails_mid_file(tmp_path, capsys, name):
@@ -1034,3 +1086,22 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     proc = _fresh_python("-c", "import sys, chms.cli; assert 'scipy' not in sys.modules",
                          cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_loads_only_the_standard_library_numpy_and_chms(tmp_path):
+    # The benchmark's setup_s and peak_rss_mb count every module a run
+    # imports.  Each module loaded beyond a bare interpreter's, by the
+    # import and by a run with every diagnostic, must come from the
+    # standard library, NumPy or chms; NumPy's Cython extensions register
+    # cython_runtime and a _cython_<version> module of their own.
+    argv = ["run", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "8",
+            "--diagnostics", "all", "--out-dir", str(tmp_path / "o")]
+    code = ("import sys; before = set(sys.modules); from chms.cli import main; "
+            f"code = main({argv!r}); print(code, *sorted(set(sys.modules) - before))")
+    proc = _fresh_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, *loaded = proc.stdout.split()
+    assert exit_code == str(EXIT_OK) and "chms.cli" in loaded and "numpy" in loaded
+    allowed = sys.stdlib_module_names | {"numpy", "chms", "cython_runtime"}
+    foreign = [m for m in loaded if m.split(".")[0] not in allowed and not m.startswith("_cython_")]
+    assert foreign == []

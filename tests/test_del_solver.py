@@ -561,26 +561,31 @@ def test_long_row_solve_backward_error_on_dominant_bands(n, tight, seed):
 
 
 def test_long_row_non_finite_multiplier_before_a_pad_row():
-    # n = 1031 leaves the last block one point short; an infinite upper
-    # entry on its last row fails the pad row's pivot, which is reported
-    # as row 0, the separator after it, as the scalar sweep would.
+    # n = 1031 leaves the blocks from the eighth on one point short; an
+    # infinite upper entry on the last row of the first of them (row 70)
+    # fails the pad row's pivot, which is reported as row 71, the
+    # separator after it, as the scalar sweep would.
     n = 1031
     upper = np.ones(n)
-    upper[-1] = np.inf
-    with np.errstate(all="raise"), pytest.raises(SingularJacobian, match="zero pivot at row 0$"):
+    upper[70] = np.inf
+    with np.errstate(all="raise"), pytest.raises(SingularJacobian, match="zero pivot at row 71$"):
         solve_cyclic_tridiagonal(np.ones(n), np.full(n, 4.0), upper, np.ones(n))
+    with pytest.raises(SingularJacobian, match="zero pivot at row 71$"):
+        _solve_cyclic_scalar(np.ones(n), np.full(n, 4.0), upper, np.ones((1, n)))
 
 
-@pytest.mark.parametrize("n", [1031, 4099])
-def test_long_row_non_finite_corner_names_the_separator_system_once(n):
-    # The corner entry lower[0] enters only the separator system's own
-    # corner, at every depth of partitioning.
-    lower = np.ones(n)
-    lower[0] = np.inf
-    with np.errstate(all="raise"), pytest.raises(SingularJacobian) as info:
-        solve_cyclic_tridiagonal(lower, np.full(n, 4.0), np.ones(n), np.ones(n))
-    assert str(info.value) == "separator system: non-finite corner entry"
-    assert info.value.row is None
+@pytest.mark.parametrize("n", [1000, 1031, 4096, 4099])
+def test_long_row_non_finite_corner_is_named_as_one(n):
+    # Either corner entry, upper[-1] against lower[0] = 0 or lower[0]
+    # against upper[-1] = 0, is named before the partitioned solve would
+    # carry it into a separator system or a pivot.
+    for corner in (0, -1):
+        lower, upper = np.ones(n), np.ones(n)
+        lower[0], upper[-1] = (np.inf, 0.0) if corner == 0 else (0.0, np.inf)
+        with np.errstate(all="raise"), pytest.raises(SingularJacobian) as info:
+            solve_cyclic_tridiagonal(lower, np.full(n, 4.0), upper, np.ones(n))
+        assert str(info.value) == "non-finite corner entry"
+        assert info.value.row is None
 
 
 @pytest.mark.parametrize("n", [1000, 1031, 4099])
