@@ -359,11 +359,33 @@ def converge_command(cfg: RunConfig, levels: list[int]) -> int:
 
 def _worst_ratio(dev: np.ndarray, terms: np.ndarray) -> float:
     """Worst |dev| / sum_l |t_l| over a batch of rectangles, the terms t
-    with the vertex index first; a rectangle whose terms are all zero
-    passes."""
+    (vertex terms or products) indexed first; a rectangle whose terms are
+    all zero passes."""
     scale = np.sum(np.abs(terms), axis=0)
     dev = np.abs(dev)
     return float(np.max(np.divide(dev, scale, out=np.zeros_like(dev), where=scale > 0.0)))
+
+
+def _linearized_gradient_ratio(a, b, c, h: float, k: float, v) -> float:
+    """The linearized gradient (geometry_checks._linear_terms) along the
+    tangent rows v = (bottom, top) against the complex-step derivative of
+    the gradient, Im grad(a + i tau da, ...) / tau with the tangent's parts
+    (da, db, dc): exact to rounding, with no step-size trade-off.
+
+    The worst ratio over the rectangles with parts (a, b, c) of the worst
+    vertex's deviation to the sum of the magnitudes of the products that
+    _linear_terms adds, where its rounding arises: the vertex terms
+    themselves cancel on rough sections.
+    """
+    tau = 1e-100
+    da, db, dc = dparts = gc._tangent_parts(*v, h, k)
+    shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
+    ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
+    err = np.max(np.abs(gc._linear_terms(a, b, c, h, k, *v) - ref), axis=0)
+    ca2 = c / (a * a)
+    products = [(c * ca2 / a) * da / h, b * db / h, ca2 * dc / h, b * da / k, a * db / k]
+    products += [dc / a / (h * k), ca2 * da / (h * k)]
+    return _worst_ratio(err, np.stack(products))
 
 
 def _boundary_ratio(total: float, scale: float) -> float:
@@ -422,16 +444,7 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     checks.append(_check("omega_closure_identity", _worst_ratio(omega.sum(axis=0), omega)))
     momentum = rng.uniform(-2.0, 2.0, a.shape) * np.stack(grad_from_parts(a, b, c, h, k))
     checks.append(_check("momentum_closure_identity", _worst_ratio(momentum.sum(axis=0), momentum)))
-    # The linearized gradient against the complex-step derivative of the
-    # gradient along the same tangent rows, Im grad(a + i tau da, ...) / tau
-    # with the tangent's parts (da, db, dc): exact to rounding, with no
-    # step-size trade-off.
-    tau = 1e-100
-    dparts = gc._tangent_parts(*v, h, k)
-    shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
-    ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
-    err = np.max(np.abs(gc._linear_terms(a, b, c, h, k, *v) - ref), axis=0)
-    checks.append(_check("linearized_gradient_identity", _worst_ratio(err, ref)))
+    checks.append(_check("linearized_gradient_identity", _linearized_gradient_ratio(a, b, c, h, k, v)))
 
     vals = rng.uniform(-2.0, 2.0, size=(5, 1000))
     eta_x, eta_t, eta_tx = rng.uniform(0.3, 3.0, size=1000), vals[1], vals[3]

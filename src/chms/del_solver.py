@@ -362,52 +362,33 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
     return _border_solve(rows, ys, np.array(z, dtype=float), schur, lower[-1], upper[-1])
 
 
-def _factor_cyclic(lower, diag, upper):
-    """Bordered elimination of L cyclic tridiagonal systems at once, bands
-    stacked (L, n), n >= 3, with no right-hand side.
+def _sweep(lo, di, up, x):
+    """Unpivoted elimination of S tridiagonal systems of w rows at once,
+    stacked along the last axis: the bands are (w, S), row j of every
+    system in row j, and the right-hand sides x (w, R, S) are solved in
+    place.  Returns the pivots (w, S) and the multipliers (w - 1, S).
 
-    Returns (piv, cp, z, schur, errors): the pivots of rows 0 .. n-2
-    (L, n-1), the multipliers of rows 0 .. n-3 (L, n-2), the leading
-    block's solution z for the border column (L, n-1), the 1x1 Schur pivot
-    (L,), and per system None or the message _solve_cyclic_scalar raises
-    for it (a non-finite corner entry, else its first zero or non-finite
-    pivot).  One NumPy step per column runs across the L systems, with the
-    float operations of _thomas and _solve_cyclic_scalar in their order,
-    so each entry is bit-identical to eliminating its system alone.
-    Floating-point errors are ignored: a failed system's later entries
-    are garbage, and only its message is read.
+    One NumPy step per column runs across the systems, with the float
+    operations of _thomas in its order, so each solution is bit-identical
+    to eliminating its system alone.  lo[0] and up[-1] lie outside the
+    band and do not enter.  Floating-point errors are ignored: a failed
+    system's entries are garbage, and the caller reads its pivots.
     """
-    n_sys, n = diag.shape
-    piv = np.empty((n_sys, n - 1))
-    cp = np.empty((n_sys, n - 2))
-    z = np.zeros((n_sys, n - 1))  # the border column A[:n-1, n-1], eliminated in place
-    z[:, 0] = lower[:, 0]
-    z[:, -1] = upper[:, -2]
-    tmp = np.empty(n_sys)
+    w, n_sys = di.shape
+    piv, c = np.empty((w, n_sys)), np.empty((w - 1, n_sys))
+    tmp, tmp_x = np.empty(n_sys), np.empty(x.shape[1:])
     with np.errstate(all="ignore"):
-        piv[:, 0] = diag[:, 0]
-        np.divide(upper[:, 0], piv[:, 0], out=cp[:, 0])
-        np.divide(z[:, 0], piv[:, 0], out=z[:, 0])
-        for i in range(1, n - 1):
-            li, pi, zi = lower[:, i], piv[:, i], z[:, i]
-            np.multiply(li, cp[:, i - 1], out=tmp)
-            np.subtract(diag[:, i], tmp, out=pi)
-            if i < n - 2:
-                np.divide(upper[:, i], pi, out=cp[:, i])
-            np.multiply(li, z[:, i - 1], out=tmp)
-            np.subtract(zi, tmp, out=zi)
-            np.divide(zi, pi, out=zi)
-        for i in range(n - 3, -1, -1):
-            np.multiply(cp[:, i], z[:, i + 1], out=tmp)
-            np.subtract(z[:, i], tmp, out=z[:, i])
-        schur = diag[:, -1] - upper[:, -1] * z[:, 0] - lower[:, -1] * z[:, -1]
-    pivots = np.column_stack((piv, schur))  # the pivots of rows 0 .. n-1
-    bad = ~np.isfinite(pivots) | (pivots == 0.0)
-    corner_bad = ~(np.isfinite(lower[:, 0]) & np.isfinite(upper[:, -1]))
-    errors = [None] * n_sys
-    for t in np.flatnonzero(corner_bad | bad.any(axis=1)):
-        errors[t] = "non-finite corner entry" if corner_bad[t] else f"zero pivot at row {np.argmax(bad[t])}"
-    return piv, cp, z, schur, errors
+        piv[0] = di[0]
+        p_prev, x_prev = piv[0], np.divide(x[0], piv[0], out=x[0])
+        # zip takes each column's views once: slicing them per step costs time.
+        for lj, dj, uj, cj, pj, xj in zip(lo[1:], di[1:], up, c, piv[1:], x[1:]):
+            np.divide(uj, p_prev, out=cj)
+            np.subtract(dj, np.multiply(lj, cj, out=tmp), out=pj)
+            np.subtract(xj, np.multiply(lj, x_prev, out=tmp_x), out=xj)
+            p_prev, x_prev = pj, np.divide(xj, pj, out=xj)
+        for cj, xj in zip(c[::-1], x[-2::-1]):
+            x_prev = np.subtract(xj, np.multiply(cj, x_prev, out=tmp_x), out=xj)
+    return piv, c
 
 
 # Rows of at least this many unknowns take the partitioned solve, and so do
@@ -440,9 +421,8 @@ def _solve_partitioned(lower, diag, upper, rhs):
 
     One separator opens every block of 8 points (the first n % 8 blocks
     take a ninth).  The segments between separators are eliminated all at
-    once, one NumPy step per column across every segment, in Gaussian
-    order within each, with m + 2 right-hand sides: each rhs and the
-    couplings to the left and right separators.  The separators' cyclic
+    once (_sweep), with m + 2 right-hand sides: each rhs and the couplings
+    to the left and right separators.  The separators' cyclic
     Schur-complement system (n // 8 unknowns) takes the same two-path rule
     (_elimination), and the segments back-substitute.  Every step is
     elementwise, so each rhs comes out bit for bit as it would alone.
@@ -461,42 +441,24 @@ def _solve_partitioned(lower, diag, upper, rhs):
         _blocks(v, p, b, n_long, pad)
         for v, pad in ((lower, 0.0), (diag, 1.0), (upper, 0.0), (rhs, 0.0))
     )
-    piv = np.empty((w, p))
-    c = np.empty((w, p))
-    # x[j] holds column j of every segment's solution for the right-hand
-    # sides: the m of rhs, then the left and the right coupling (rows
-    # m and m + 1).
+    # x[j] holds column j of every segment's right-hand sides: the m of
+    # rhs, then the left and the right coupling (rows m and m + 1).  The
+    # right coupling sits at each segment's last real row; a pad row after
+    # it keeps the value 0 and decouples.
     x = np.zeros((w, m + 2, p))
     x[:, :m] = rr[..., 1:].transpose(2, 0, 1)
     x[0, m] = lo[:, 1]
-    tmp, tmp2, tmp3 = np.empty(p), np.empty((m + 1, p)), np.empty((m + 2, p))
+    x[w - 1, m + 1, :n_long] = up[:n_long, w]
+    x[w - 2, m + 1, n_long:] = up[n_long:, w - 1]
+    piv, _ = _sweep(lo[:, 1:].T, di[:, 1:].T, up[:, 1:].T, x)
+    bad = ~np.isfinite(piv) | (piv == 0.0)
+    if bad.any():
+        # A pad row's pivot fails only after a non-finite multiplier in
+        # the row before it; it then names the next separator.
+        j, blk = np.unravel_index(np.argmax(bad), bad.shape)
+        row = int(blk * b - max(0, blk - n_long) + j + 1) % n
+        raise SingularJacobian(f"zero pivot at row {row}", row)
     with np.errstate(all="ignore"):
-        piv[0] = di[:, 1]
-        np.divide(up[:, 1], piv[0], out=c[0])
-        np.divide(x[0, : m + 1], piv[0], out=x[0, : m + 1])
-        for j in range(1, w):
-            lj, pj, xj = lo[:, j + 1], piv[j], x[j, : m + 1]
-            np.multiply(lj, c[j - 1], out=tmp)
-            np.subtract(di[:, j + 1], tmp, out=pj)
-            np.divide(up[:, j + 1], pj, out=c[j])
-            np.multiply(lj, x[j - 1, : m + 1], out=tmp2)
-            np.subtract(xj, tmp2, out=xj)
-            np.divide(xj, pj, out=xj)
-        bad = ~np.isfinite(piv) | (piv == 0.0)
-        if bad.any():
-            # A pad row's pivot fails only after a non-finite multiplier
-            # in the row before it; it then names the next separator.
-            j, blk = np.unravel_index(np.argmax(bad), bad.shape)
-            row = int(blk * b - max(0, blk - n_long) + j + 1) % n
-            raise SingularJacobian(f"zero pivot at row {row}", row)
-        # The right coupling enters at each segment's last real row, where
-        # its eliminated value is that row's multiplier; a pad row after
-        # it keeps the value 0 and decouples.
-        x[w - 1, m + 1, :n_long] = c[w - 1, :n_long]
-        x[w - 2, m + 1, n_long:] = c[w - 2, n_long:]
-        for j in range(w - 2, -1, -1):
-            np.multiply(c[j], x[j + 1], out=tmp3)
-            np.subtract(x[j], tmp3, out=x[j])
         first = x[0]
         last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
         sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
@@ -527,22 +489,21 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     shape (n,) or a stack of shape (m, n) with A eliminated once.
 
     A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
-    Bordered elimination in natural order (_solve_cyclic_scalar): for
-    n >= 3 (GridSpec's minimum) the corner entries A[0, n-1] and A[n-1, 0]
-    lie outside the band, and enter only the border column and row.  From
-    n = _PARTITION_MIN_N on, the partition method eliminates the segments
-    between separators (one per 8 points) in vectorized steps, and their
-    cyclic system takes the same rule.  Nothing is shifted, so
-    nothing is refined: on a diagonally dominant A every pivot stays
-    dominant and one solve leaves a backward error at rounding level.
-    Each rhs of a stack comes out bit for bit as its own solve gives it.
-    Newton solves one rhs per call.  The tangent march solves its stack
-    here, one call per level, only from n = _PARTITION_MIN_N on; on
-    shorter rows it factors a whole block of levels at once and
-    substitutes per level (_level_solver), with the same float operations
-    as this solve.  Bands that are not 1-D of one length n >= 3,
-    or an rhs not (n,) or (m, n) with m >= 1, raise ValueError; a zero or
-    non-finite pivot, or a non-finite corner entry, raises SingularJacobian.
+    Bordered elimination in natural order by the scalar sweep
+    (_solve_cyclic_scalar): for n >= 3 (GridSpec's minimum) the corner
+    entries A[0, n-1] and A[n-1, 0] lie outside the band, and enter only
+    the border column and row.  From n = _PARTITION_MIN_N on, the column
+    sweep (_sweep) eliminates the segments between separators (one per 8
+    points) of the partition method, and their cyclic system takes the
+    same rule.  Nothing is shifted, so nothing is refined: on a
+    diagonally dominant A every pivot stays dominant and one solve leaves
+    a backward error at rounding level.  Each rhs of a stack comes out bit
+    for bit as its own solve gives it.  Newton solves one rhs per call;
+    the tangent march, on rows shorter than _PARTITION_MIN_N, factors a
+    block of levels at once with the column sweep instead (_level_solver).
+    Bands that are not 1-D of one length n >= 3, or an rhs not (n,) or
+    (m, n) with m >= 1, raise ValueError; a zero or non-finite pivot, or
+    a non-finite corner entry, raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -575,23 +536,37 @@ def _level_solver(lower, diag, upper):
     systems, bands stacked (L, n), for the right-hand sides rhs (m, n),
     bit for bit as solve_cyclic_tridiagonal gives it.
 
-    Where that solve takes the scalar sweep (_elimination), the L systems
-    are factored here at once (_factor_cyclic) and each solve only
-    substitutes (_substitute, _border_solve); longer rows call
+    Where that solve takes the scalar sweep (_elimination), the leading
+    blocks of the L systems are eliminated here at once (_sweep), with the
+    border column A[:n-1, n-1] as their right-hand side, and each solve
+    only substitutes (_substitute, _border_solve); longer rows call
     solve_cyclic_tridiagonal at each solve.  A system whose elimination
-    fails raises its SingularJacobian only when it is solved.
+    fails raises its SingularJacobian, with the message and row that
+    solve gives, only when it is solved.
     """
     if _elimination(diag.shape[-1]) is _solve_partitioned:
         return lambda t, rhs: solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
-    piv, cp, z, schur, errors = _factor_cyclic(lower, diag, upper)
+    lo, di, up = lower.T, diag.T, upper.T  # (n, L): row i of every system in row i
+    z = np.zeros((len(di) - 1, len(diag)))  # the border column A[:n-1, n-1]
+    z[0], z[-1] = lo[0], up[-2]
+    piv, cp = _sweep(lo[:-1], di[:-1], up[:-1], z[:, None])
+    with np.errstate(all="ignore"):
+        schur = di[-1] - up[-1] * z[0] - lo[-1] * z[-1]
+    pivots = np.vstack((piv, schur))  # the pivots of rows 0 .. n-1
+    bad = ~np.isfinite(pivots) | (pivots == 0.0)
+    corner_bad = ~(np.isfinite(lo[0]) & np.isfinite(up[-1]))
+    errors = [None] * len(diag)
+    for t in np.flatnonzero(corner_bad | bad.any(axis=0)):
+        row = int(np.argmax(bad[:, t]))
+        errors[t] = ("non-finite corner entry",) if corner_bad[t] else (f"zero pivot at row {row}", row)
 
     def solve(t, rhs):
         if errors[t] is not None:
-            raise SingularJacobian(errors[t])
-        lo, rows = lower[t].tolist(), rhs.tolist()
-        p, back = piv[t].tolist(), cp[t, ::-1].tolist()
-        ys = [_substitute(lo, p, back, r) for r in rows]
-        return _border_solve(rows, ys, z[t], float(schur[t]), lo[-1], float(upper[t, -1]))
+            raise SingularJacobian(*errors[t])
+        lo_t, rows = lower[t].tolist(), rhs.tolist()
+        p, back = piv[:, t].tolist(), cp[::-1, t].tolist()
+        ys = [_substitute(lo_t, p, back, r) for r in rows]
+        return _border_solve(rows, ys, z[:, t], float(schur[t]), lo_t[-1], float(upper[t, -1]))
 
     return solve
 

@@ -779,6 +779,24 @@ def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch)
     assert failed == ["legendre_hamiltonian_identity"]
 
 
+def _off_partial(partial: str, vertex: int, rel: float):
+    """geometry_checks._linear_terms with one second partial off: the term
+    that L_aa adds to the gradient of vertex 2 (through dL/da / h), or L_ba
+    to vertex 4 (through dL/db / k), is scaled by 1 + rel, and vertex 1
+    balances it."""
+    real = geometry_checks._linear_terms
+
+    def wrong(a, b, c, h, k, vlo, vhi):
+        terms = real(a, b, c, h, k, vlo, vhi)
+        da = (np.roll(vlo, -1, axis=-1) - vlo) / h
+        extra = rel * da * (c * c / a**3 / h if partial == "aa" else b / k)
+        terms[0] -= extra
+        terms[vertex] += extra
+        return terms
+
+    return wrong
+
+
 @pytest.mark.parametrize(
     "partial, vertex, failed",
     [
@@ -795,21 +813,8 @@ def test_legendre_check_fails_on_a_wrong_momentum(tmp_path, capsys, monkeypatch)
 def test_check_identity_lines_fail_on_a_wrong_second_partial(
     tmp_path, capsys, monkeypatch, partial, vertex, failed
 ):
-    """One second partial off by 1 % in the linearized gradient: the term
-    that L_aa adds to the gradient of vertex 2 (through dL/da / h), or L_ba
-    to vertex 4 (through dL/db / k), is scaled by 1.01, and vertex 1
-    balances it."""
-    real = geometry_checks._linear_terms
-
-    def wrong(a, b, c, h, k, vlo, vhi):
-        terms = real(a, b, c, h, k, vlo, vhi)
-        da = (np.roll(vlo, -1, axis=-1) - vlo) / h
-        extra = 0.01 * da * (c * c / a**3 / h if partial == "aa" else b / k)
-        terms[0] -= extra
-        terms[vertex] += extra
-        return terms
-
-    monkeypatch.setattr(geometry_checks, "_linear_terms", wrong)
+    """One second partial off by 1 % in the linearized gradient."""
+    monkeypatch.setattr(geometry_checks, "_linear_terms", _off_partial(partial, vertex, 0.01))
     out = tmp_path / f"chk-{partial}"
     code = run_cli(
         "check", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "10",
@@ -819,6 +824,24 @@ def test_check_identity_lines_fail_on_a_wrong_second_partial(
     report = json.loads((out / "check.json").read_text())
     assert [c["name"] for c in report["checks"] if c["status"] == "FAIL"] == failed
     assert f"FAIL: {failed[0]}" in capsys.readouterr().out
+
+
+def test_linearized_gradient_line_passes_a_rough_section(monkeypatch):
+    # A valid section far rougher than any trajectory: displacements
+    # uniform in +-0.45 h on 60 levels of 4096 points (cfl 0.25), with the
+    # tangent rows check_suite draws next.  Its vertex terms cancel, so a
+    # scale of their magnitudes read 1.19e-12 against the 1e-12 bound; the
+    # products that _linear_terms adds keep the line at rounding level,
+    # and L_aa off by 1e-9 still fails it.
+    g = GridSpec.from_circle(4096, 60, TWO_PI, 0.25)
+    rng = np.random.default_rng(1)
+    s = del_solver.Section(g, 0.45 * g.h * rng.uniform(-1.0, 1.0, (60, 4096)))
+    a, b, c = del_solver.section_parts(s)
+    v, _ = rng.standard_normal((2, 2) + a.shape)
+    bound = cli.CHECK_BOUNDS["linearized_gradient_identity"]
+    assert cli._linearized_gradient_ratio(a, b, c, g.h, g.k, v) <= bound
+    monkeypatch.setattr(geometry_checks, "_linear_terms", _off_partial("aa", 1, 1e-9))
+    assert cli._linearized_gradient_ratio(a, b, c, g.h, g.k, v) > bound
 
 
 def test_rest_check_all_pass(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section, traced_peak
-from oracles import cyclic_solve, del_residual, del_residual_expanded, label, uniform_translation
+from oracles import cyclic_solve, del_residual, del_residual_expanded, label, thomas, uniform_translation
 
 from chms import del_solver
 from chms.config import RunConfig
@@ -13,6 +13,7 @@ from chms.del_solver import (
     _level_solver,
     _row_parts,
     _solve_cyclic_scalar,
+    _sweep,
     advance_row,
     del_residual_row,
     evolve,
@@ -349,12 +350,13 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
             assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
-@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("n", [256, 1024, 1031, 4096, 4099])
 def test_stacked_solve_matches_each_rhs_bitwise(n):
     # One elimination of the bands for a stack of right-hand sides, as the
     # tangent march takes it, on the scalar (n = 256), the partitioned
-    # (n = 1024) and the twice partitioned (n = 4096) path: each row comes
-    # out as its own solve gives it.
+    # (n = 1024, 1031) and the twice partitioned (n = 4096, 4099) path:
+    # each row comes out as its own solve gives it.  At 1031 and 4099 the
+    # short blocks end in a pad row, after the right coupling.
     s = cosine_trajectory(n_space=n, n_steps=2).section
     lower, diag, upper = jacobian_bands(*_row_parts(s.row_y(2), s.row_y(3), s.grid), s.grid.h, s.grid.k)
     for m in (1, 2, 3):
@@ -387,7 +389,7 @@ def test_level_solver_matches_each_solve_and_its_failures(n, rng):
     # A block's systems factored at once: realistic Newton bands, random
     # dominant bands and failing ones.  Each system's solve gives, bit for
     # bit, what solve_cyclic_tridiagonal gives on that system alone, and
-    # a failing one raises its message, only when it is solved.
+    # a failing one raises its message and row, only when it is solved.
     s = cosine_trajectory(n_space=n, n_steps=4).section
     systems = [jacobian_bands(*section_parts(s, j, j + 1), s.grid.h, s.grid.k) for j in (1, 3)]
     systems = [tuple(band[0] for band in bands) for bands in systems]
@@ -400,8 +402,9 @@ def test_level_solver_matches_each_solve_and_its_failures(n, rng):
             try:
                 want = solve_cyclic_tridiagonal(*systems[t], rhs)
             except SingularJacobian as exc:
-                with pytest.raises(SingularJacobian, match=f"^{exc}$"):
+                with pytest.raises(SingularJacobian, match=f"^{exc}$") as raised:
                     solve(t, rhs)
+                assert raised.value.row == exc.row
             else:
                 assert t < 3
                 assert np.array_equal(solve(t, rhs), want)
@@ -428,6 +431,24 @@ def dominant_bands(rng, n, tight=1.0):
     margin = tight * rng.uniform(0.5, 4.0, n)
     sign = rng.choice([-1.0, 1.0], n)
     return lower, sign * (np.abs(lower) + np.abs(upper) + margin), upper
+
+
+@pytest.mark.parametrize("w, n_sys, n_rhs", [(1, 3, 2), (2, 1, 1), (3, 5, 2), (8, 64, 3), (40, 9, 1), (255, 4, 2)])
+def test_sweep_matches_the_scalar_oracle_bitwise(w, n_sys, n_rhs):
+    # The one column-step elimination, on a random dominant stack of
+    # n_sys systems of w rows: each system, for each right-hand side,
+    # comes out as the scalar oracle eliminates it alone.
+    rng = np.random.default_rng(1000 * w + n_sys)
+    lo, di, up = (band.reshape(w, n_sys) for band in dominant_bands(rng, w * n_sys))
+    rhs = rng.standard_normal((w, n_rhs, n_sys))
+    x = rhs.copy()
+    piv, c = _sweep(lo, di, up, x)
+    assert piv.shape == (w, n_sys) and c.shape == (w - 1, n_sys)
+    assert np.array_equal(c, up[:-1] / piv[:-1])
+    assert np.array_equal(piv[1:], di[1:] - lo[1:] * c)
+    for s in range(n_sys):
+        for r in range(n_rhs):
+            assert np.array_equal(x[:, r, s], thomas(lo[:, s], di[:, s], up[:, s], rhs[:, r, s]))
 
 
 @settings(max_examples=80, deadline=None)
