@@ -162,6 +162,23 @@ def _phase_dx(z: np.ndarray, g: GridSpec):
     return z, zx
 
 
+def _hamilton(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
+    """hamilton_residuals from (z, z_x).  Each row of B1 and B0 holds at
+    most one entry, +-1, so the matrix products are exact."""
+    return zx[1:-1] @ B1.T + _dt(z, g.k) @ B0.T - grad_hamiltonian_phase(z[1:-1])
+
+
+def _conservation(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
+    """conservation_residual from (z, z_x)."""
+    s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
+    return _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
+
+
+def _continuous_el(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
+    """continuous_el_residual from (z, z_x)."""
+    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)
+
+
 def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """Componentwise residual of B1 Z_x + B0 Z_t - grad H(Z).
 
@@ -170,21 +187,14 @@ def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
     equation residual.  It covers the levels of z without the first and
     the last: shape (max(len(z) - 2, 0), n_space, 6).
     """
-    z, zx = _phase_dx(z, g)
-    return (
-        np.einsum("mn,...n->...m", B1, zx[1:-1])
-        + np.einsum("mn,...n->...m", B0, _dt(z, g.k))
-        - grad_hamiltonian_phase(z[1:-1])
-    )
+    return _hamilton(*_phase_dx(z, g), g)
 
 
 def conservation_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """r = d/dx w1(Z_t, Z_x) + d/dt w0(Z_t, Z_x); near zero on resolved
     solutions.  It covers the levels of z without two at each end: shape
     (max(len(z) - 4, 0), n_space)."""
-    z, zx = _phase_dx(z, g)
-    s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
-    return _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
+    return _conservation(*_phase_dx(z, g), g)
 
 
 def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
@@ -198,8 +208,7 @@ def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     of z without the first and the last: shape (max(len(z) - 2, 0),
     n_space).
     """
-    z, zx = _phase_dx(z, g)
-    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)
+    return _continuous_el(*_phase_dx(z, g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +234,29 @@ def residual_maxima(s: Section) -> dict:
     Z-field (conservation, Hamilton, field equation, in that order), None
     for a field that has no level (a run too short for it).
 
-    The rows go in blocks (_blocks): each block's Z-field is built once
-    and all three fields are evaluated on it, so the pass holds one
-    block's arrays whatever the section's length.  Every entry of a
-    field is computed from its own neighbourhood of rows alone (B1 and B0
-    hold at most one nonzero per row), so each block maximum is bit for
-    bit the whole field's maximum over the block's levels.  Hamilton and
-    field-equation levels beside a seam are evaluated twice, which a
-    maximum cannot see; np.maximum folds the blocks' maxima, so a NaN
-    propagates as np.max over the whole field would.
+    The rows go in blocks (_blocks): each block's Z-field and its
+    x-derivative are built once and all three fields are evaluated on
+    them, so the pass holds one block's arrays whatever the section's
+    length.  Every entry of a field is computed from its own
+    neighbourhood of rows alone (B1 and B0 hold at most one nonzero per
+    row), so each block maximum is bit for bit the whole field's maximum
+    over the block's levels.  Hamilton and field-equation levels beside
+    a seam are evaluated twice, which a maximum cannot see; np.maximum
+    folds the blocks' maxima, so a NaN propagates as np.max over the
+    whole field would.
     """
     g = s.grid
     fields = {
-        "conservation_residual_max": conservation_residual,
-        "hamilton_residuals_max": hamilton_residuals,
-        "continuous_el_residual_max": continuous_el_residual,
+        "conservation_residual_max": _conservation,
+        "hamilton_residuals_max": _hamilton,
+        "continuous_el_residual_max": _continuous_el,
     }
     maxima = dict.fromkeys(fields)
     for lo, hi in _blocks(g.n_time, g.n_space):
-        z = phase_field(s, lo, hi)
+        z, zx = _phase_dx(phase_field(s, lo, hi), g)
         for key, field in fields.items():
-            f = field(z, g)
+            f = field(z, zx, g)
             if f.size:
-                m = np.max(np.abs(f))
+                m = np.abs(f).max()
                 maxima[key] = m if maxima[key] is None else np.maximum(maxima[key], m)
     return {key: None if m is None else float(m) for key, m in maxima.items()}

@@ -34,6 +34,8 @@ from .grid import GridSpec
 from .lagrangian import (
     _require_increments,
     _shift,
+    grad_12,
+    grad_34,
     grad_from_parts,
     jacobian_bands,
     stencil_parts,
@@ -215,7 +217,9 @@ def section_parts(s: Section, lo: int = 0, hi: int | None = None):
 
 def _level_equation(top, bot):
     """Residual at a time level, and its scale, from the vertex terms of
-    the rectangle rows above (top) and below (bot), indexed by vertex.
+    the rectangle rows above (top: vertices 1 and 2 first, as grad_12
+    or grad_from_parts give them) and below (bot: 3 and 4 last, as
+    grad_34 or grad_from_parts give them).
 
     Each point sums vertex 1 of the rectangle up-right of it, 2 up-left,
     3 down-left and 4 down-right; the scale is the largest sum of the
@@ -224,17 +228,18 @@ def _level_equation(top, bot):
     along the last axis) give each row's residual and scale.  advance_row
     forms the same sum with the bottom terms t3 + t4 held over its solve.
     """
-    t1, t2, t3, t4 = top[0], _shift(top[1], -1), _shift(bot[2], -1), bot[3]
+    t1, t2, t3, t4 = top[0], _shift(top[1], -1), _shift(bot[-2], -1), bot[-1]
     res = (t1 + t2) + (t3 + t4)
-    return res, np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4), axis=-1)
+    return res, (np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)).max(axis=-1)
 
 
 def _section_equation(s: Section, j: int):
     """Residual and scale of the field equations at time level j of s."""
     if not 1 <= j <= s.grid.n_time - 2:
         raise OutOfRange(f"time level {j} has no two time neighbours")
-    bot, top = np.stack(grad_from_parts(*section_parts(s, j - 1, j + 1), s.grid.h, s.grid.k), 1)
-    return _level_equation(top, bot)
+    h, k = s.grid.h, s.grid.k
+    (a_bot, a_top), (b_bot, b_top), (c_bot, c_top) = section_parts(s, j - 1, j + 1)
+    return _level_equation(grad_12(a_top, b_top, c_top, h, k), grad_34(a_bot, b_bot, c_bot, h, k))
 
 
 def del_residual_row(s: Section, j: int) -> np.ndarray:
@@ -605,8 +610,8 @@ def advance_row(
     # The bottom rectangles' vertex terms (3 of the rectangle down-left
     # of each point, 4 of the one down-right) are fixed during the solve;
     # each residual is _level_equation's, (t1 + t2) + (t3 + t4), bit for bit.
-    bot = grad_from_parts(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
-    t3, t4 = _shift(bot[2], -1), bot[3]
+    g3, t4 = grad_34(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
+    t3 = _shift(g3, -1)
     t34 = t3 + t4
 
     e = y0 - ym1
@@ -615,25 +620,24 @@ def advance_row(
     yp1 = y0 + e
     scale = 1.0
     for it in range(cfg.max_iters + 1):
-        # The iterate's top rectangles give both the residual and the bands.
+        # The iterate's top rectangles give both the residual (their
+        # vertex terms 1 and 2) and the bands.
         b_t = e / k
         c_t = (_shift(e, 1) - e) / (h * k)
-        top = grad_from_parts(a_t, b_t, c_t, h, k)
-        t1, t2 = top[0], _shift(top[1], -1)
+        t1, g2 = grad_12(a_t, b_t, c_t, h, k)
+        t2 = _shift(g2, -1)
         f = (t1 + t2) + t34
-        norm = float(np.max(np.abs(f)))
+        norm = float(np.abs(f).max())
         if it == 0:
-            scale = max(1.0, float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4))))
+            scale = max(1.0, float((np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)).max()))
         if norm <= cfg.tol_residual * scale:
             return yp1, StepStats(it, norm, 0, "tolerance", norm / scale)
         # Stagnation at the attainable floating-point floor of the
         # residual evaluation also counts as converged.  The floor is that
         # of the previous iterate: its Jacobian norm times ulps of its row.
         if it > 0 and norm >= STAGNATION_RATIO * prev_norm:
-            jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-            floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(
-                1.0, float(np.max(np.abs(y_prev)))
-            )
+            jnorm = float((np.abs(lower) + np.abs(diag) + np.abs(upper)).max())
+            floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.abs(y_prev).max()))
             if norm <= floor:
                 return yp1, StepStats(it, norm, 0, "fp_floor", norm / scale)
         if it == cfg.max_iters:

@@ -28,7 +28,7 @@ from .del_solver import (
     section_parts,
     solve_cyclic_tridiagonal,  # noqa: F401  (a binding that perfbench's tracer test checks)
 )
-from .lagrangian import _shift, eval_from_parts, grad_from_parts, jacobian_bands
+from .lagrangian import _shift, eval_from_parts, grad_34, grad_from_parts, jacobian_bands
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,9 @@ def solve_first_variation(
 def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol: float):
     """March the levels j_lo .. j_hi - 1 into vals, given the bottom
     linear terms bot of level j_lo (None at level 1); returns those of
-    level j_hi.  The block's arrays are freed on return."""
+    level j_hi.  The block's gradients and residual field go once their
+    norms and scales are taken, before the bands and the factor; the
+    rest is freed on return."""
     h, k = phi.grid.h, phi.grid.k
     # Rectangle row j is the top row at level j and the bottom row at
     # level j + 1, so its linear terms (level j's check, level j + 1's
@@ -146,14 +148,15 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
     a, b, c = section_parts(phi, j_lo - 1, j_hi)
     if bot is None:
         bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
-    grads = np.array(grad_from_parts(a, b, c, h, k))
-    res, scales = _level_equation(grads[:, 1:], grads[:, :-1])
-    norms = np.max(np.abs(res), axis=-1)
+    g1, g2, g3, g4 = grad_from_parts(a, b, c, h, k)
+    res, scales = _level_equation((g1[1:], g2[1:]), (g3[:-1], g4[:-1]))
+    norms = np.abs(res).max(axis=-1)
+    del g1, g2, g3, g4, res
     bands = jacobian_bands(a[1:], b[1:], c[1:], h, k)
     # Each level's largest absolute row sum: a solve's rounding scales with
     # it times the solution, which the linear terms miss where they cancel
     # (a constant tangent has none).
-    sizes = np.max(sum(np.abs(band) for band in bands), axis=-1)
+    sizes = sum(np.abs(band) for band in bands).max(axis=-1)
     solve = _level_solver(*bands)
     zeros = np.zeros_like(vals[:, 0])
     for t, j in enumerate(range(j_lo, j_hi)):
@@ -171,10 +174,10 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
             raise SingularJacobian(f"tangent row solve at level {j}: {exc}") from exc
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
-        norm = np.max(np.abs(res), axis=-1)
-        size = sizes[t] * np.max(np.abs(vals[:, j + 1]), axis=-1)
+        norm = np.abs(res).max(axis=-1)
+        size = sizes[t] * np.abs(vals[:, j + 1]).max(axis=-1)
         bad = norm > tol * np.maximum(1.0, np.maximum(scale, size))
-        if np.any(bad):
+        if bad.any():
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
             )
@@ -232,7 +235,7 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
     momenta, actions = [], []
     for lo, hi in _row_blocks(g.n_time - 1, g.n_space):
         parts = section_parts(phi, lo, hi)
-        _, _, g3, g4 = grad_from_parts(*parts, g.h, g.k)
+        g3, g4 = grad_34(*parts, g.h, g.k)
         momenta += np.sum(g3 + g4, axis=-1).tolist()
         actions += np.sum(eval_from_parts(*parts), axis=-1).tolist()
     return momenta, actions
@@ -241,5 +244,5 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
 def total_momentum_scale(phi: Section, j: int) -> float:
     """Sum of |dL/dy3| + |dL/dy4| over the rectangle row j: the natural
     magnitude against which momentum drift is measured."""
-    _, _, g3, g4 = grad_from_parts(*section_parts(phi, j, j + 1), phi.grid.h, phi.grid.k)
+    g3, g4 = grad_34(*section_parts(phi, j, j + 1), phi.grid.h, phi.grid.k)
     return float(np.sum(np.abs(g3) + np.abs(g4)))

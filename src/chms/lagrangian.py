@@ -57,7 +57,8 @@ def _require_increments(inc, h: float, what: str, first_row: int = 0):
     along the last axis, counted from `first_row`), the point, the
     increment and the bound."""
     bound = DELTA_MIN_FACTOR * h
-    if not np.all(inc > bound):
+    # min propagates NaN, so one comparison decides the rule.
+    if not inc.min() > bound:
         inc = np.atleast_1d(inc)
         at = np.unravel_index(np.argmin(inc), inc.shape)
         name = f"{what} {first_row + at[0]}" if inc.ndim == 2 else what
@@ -80,7 +81,29 @@ def stencil_parts(y1, y2, y3, y4, h: float, k: float, what: str = "the bottom ro
     """
     y1, y2, y3, y4 = (np.asarray(y, dtype=float) for y in (y1, y2, y3, y4))
     dy = _require_increments(y2 - y1, h, what)
-    return dy / h, (y4 - y1) / k, ((y3 - y2) - (y4 - y1)) / (h * k)
+    left = y4 - y1
+    return dy / h, left / k, ((y3 - y2) - left) / (h * k)
+
+
+def _vertex_terms(a, b, c, h: float, k: float, bottom: bool, top: bool) -> tuple:
+    """dL/dy_l for a batch of rectangles: (g1, g2), the bottom edge's
+    terms, if `bottom`, then (g3, g4), the top edge's, if `top`.
+
+    The one kernel of the first partials: the quantities the vertices
+    share, a*b/k, c/a and (c/a)/(h*k), are formed once, then
+    la_h = (b**2 - (c/a)**2) / (2h) where g1 and g2 need it.  Each half
+    comes out bit for bit as the whole gradient gives it.
+    """
+    ca = c / a
+    lb_k = a * b / k
+    w = ca / (h * k)
+    terms = ()
+    if bottom:
+        la_h = 0.5 * (b * b - ca**2) / h
+        terms = (-la_h - lb_k + w, la_h - w)
+    if top:
+        terms += (w, lb_k - w)
+    return terms
 
 
 def grad_from_parts(a, b, c, h: float, k: float):
@@ -89,14 +112,22 @@ def grad_from_parts(a, b, c, h: float, k: float):
     L depends only on differences of the corner values, so the four
     components sum to zero up to roundoff.
     """
-    la_h = 0.5 * (b * b - (c / a) ** 2) / h
-    lb_k = a * b / k
-    w = (c / a) / (h * k)
-    g1 = -la_h - lb_k + w
-    g2 = la_h - w
-    g3 = w
-    g4 = lb_k - w
-    return g1, g2, g3, g4
+    return _vertex_terms(a, b, c, h, k, True, True)
+
+
+def grad_12(a, b, c, h: float, k: float):
+    """(g1, g2) of grad_from_parts: the terms that a time level reads from
+    the rectangle row above it (vertex 1 of the rectangle up-right of a
+    point, 2 of the one up-left)."""
+    return _vertex_terms(a, b, c, h, k, True, False)
+
+
+def grad_34(a, b, c, h: float, k: float):
+    """(g3, g4) of grad_from_parts: the terms that a time level reads from
+    the rectangle row below it (3 of the rectangle down-left of a point,
+    4 of the one down-right), and that the total momentum sums; la_h is
+    not formed."""
+    return _vertex_terms(a, b, c, h, k, False, True)
 
 
 def eval_from_parts(a, b, c):

@@ -19,20 +19,27 @@ two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit, and ``first_variation_march`` marches
 the tangents level by level, one public cyclic solve per level, as the
 reference that the package's blocked march must reproduce bit for bit.
+``newton_step`` is the Newton row solve written with the four-term
+gradient of both rectangle rows and ``_level_equation``, the reference
+that ``advance_row``, which forms only the vertex terms each level
+reads, must reproduce bit for bit.
 """
 
 import numpy as np
 
 from chms.bridges import section_to_jets
 from chms.del_solver import (
+    FP_FLOOR_ULPS,
     ON_SHELL_FACTOR,
+    STAGNATION_RATIO,
     Section,
     SolverConfig,
+    StepStats,
     _level_equation,
     section_parts,
     solve_cyclic_tridiagonal,
 )
-from chms.errors import NotOnShell, OutOfRange, SingularJacobian
+from chms.errors import MaxItersExceeded, NotOnShell, OutOfRange, SingularJacobian
 from chms.geometry_checks import _linear_terms
 from chms.lagrangian import eval_from_parts, grad_from_parts, jacobian_bands, stencil_parts
 
@@ -385,6 +392,53 @@ def first_variation_march(phi, v0, cfg=None):
             raise SingularJacobian(f"tangent row solve at level {j} left residual {norm.max():g}")
         grad_lo, bot = grad_hi, top
     return vals.reshape(v0.shape[:-2] + (levels, n))
+
+
+# ---------------------------------------------------------------------------
+# Newton row solve with the four-term gradient of both rectangle rows.
+
+
+def newton_step(prev, y0, g, cfg):
+    """(next row, StepStats) as advance_row gives them for the current row
+    y0 and the row ym1 before it, or the stack (ym2, ym1), on rows that
+    stay monotone: Newton on the row increment from the linear or the
+    quadratic start.  Each iterate's residual and scale are
+    _level_equation's over grad_from_parts of the top rectangles and of
+    the bottom ones, all four vertex terms of each."""
+    ym2, ym1 = prev if np.ndim(prev) == 2 else (None, prev)
+    h, k = g.h, g.k
+
+    def nxt(y):  # y[i + 1], with the identity lift across the seam
+        out = np.roll(y, -1)
+        out[-1] = y[0] + g.domain_length
+        return out
+
+    bot = grad_from_parts(*stencil_parts(ym1, nxt(ym1), nxt(y0), y0, h, k), h, k)
+    a_t = (nxt(y0) - y0) / h
+    e = y0 - ym1
+    if ym2 is not None:
+        e = e + (e - (ym1 - ym2))
+    yp1 = y0 + e
+    for it in range(cfg.max_iters + 1):
+        b_t = e / k
+        c_t = (np.roll(e, -1) - e) / (h * k)
+        f, level_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
+        norm = float(np.max(np.abs(f)))
+        if it == 0:
+            scale = max(1.0, float(level_scale))
+        if norm <= cfg.tol_residual * scale:
+            return yp1, StepStats(it, norm, 0, "tolerance", norm / scale)
+        if it > 0 and norm >= STAGNATION_RATIO * prev_norm:
+            jnorm = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
+            floor = FP_FLOOR_ULPS * np.finfo(float).eps * jnorm * max(1.0, float(np.max(np.abs(y_prev))))
+            if norm <= floor:
+                return yp1, StepStats(it, norm, 0, "fp_floor", norm / scale)
+        if it == cfg.max_iters:
+            raise MaxItersExceeded(f"residual {norm:g} after {cfg.max_iters} Newton iterations")
+        lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
+        prev_norm, y_prev = norm, yp1
+        e = e + solve_cyclic_tridiagonal(lower, diag, upper, -f)
+        yp1 = y0 + e
 
 
 # ---------------------------------------------------------------------------

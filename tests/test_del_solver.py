@@ -3,13 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section, traced_peak
-from oracles import cyclic_solve, del_residual, del_residual_expanded, label, thomas, uniform_translation
+from oracles import (
+    cyclic_solve,
+    del_residual,
+    del_residual_expanded,
+    label,
+    newton_step,
+    thomas,
+    uniform_translation,
+)
 
 from chms import del_solver
 from chms.config import RunConfig
 from chms.del_solver import (
     Section,
     SolverConfig,
+    _increments,
     _level_solver,
     _row_parts,
     _solve_cyclic_scalar,
@@ -25,7 +34,7 @@ from chms.del_solver import (
 from chms.errors import BadInitialData, MaxItersExceeded, NonMonotone, OutOfRange, SingularJacobian
 from chms.geometry_checks import level_series
 from chms.grid import GridSpec
-from chms.lagrangian import DELTA_MIN_FACTOR, jacobian_bands
+from chms.lagrangian import DELTA_MIN_FACTOR, _require_increments, jacobian_bands
 
 
 def o1_grid(n_space=16, n_time=6):
@@ -698,6 +707,78 @@ def test_advance_row_names_a_non_monotone_previous_row():
         advance_row(ym1, s.row_y(1), g, SolverConfig())
 
 
+# A bad label at point `pos` of a 1-D row of 16 points, and the point and
+# increment the monotonicity rule names: a NaN spoils the increments on
+# both sides of it and the first is named, +inf leaves -inf after it.
+BAD_LABELS = [
+    (np.nan, 0, 0, "nan"),
+    (np.nan, 6, 5, "nan"),
+    (np.nan, 15, 14, "nan"),
+    (np.inf, 0, 0, "-inf"),
+    (np.inf, 6, 6, "-inf"),
+    (np.inf, 15, 15, "-inf"),
+]
+
+
+@pytest.mark.parametrize("bad, pos, at, inc", BAD_LABELS)
+def test_non_finite_labels_fail_the_rule_at_the_same_point(bad, pos, at, inc, monkeypatch):
+    # The rule is one comparison with the row's smallest increment, which
+    # a NaN propagates to; the message names the point np.argmin finds.
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+    s = evolve(initialize(cosine_u0(0.1, TWO_PI), g), 1).section
+    tail = rf"is not strictly monotone at i={at} \(increment {inc} <= {DELTA_MIN_FACTOR * g.h:g}\)$"
+    y0 = s.row_y(2)
+    y0[pos] = bad
+    with pytest.raises(NonMonotone, match="^the current row y0 " + tail):
+        advance_row(s.row_y(1), y0, s.grid, SolverConfig())
+    # The same label in the first Newton update of the next row.
+    real = del_solver.solve_cyclic_tridiagonal
+
+    def spoiled(*args):
+        update = real(*args)
+        update[pos] = bad
+        return update
+
+    monkeypatch.setattr(del_solver, "solve_cyclic_tridiagonal", spoiled)
+    with pytest.raises(NonMonotone, match="^wave breaking: the Newton update of the next row " + tail):
+        advance_row(s.row_y(1), s.row_y(2), s.grid, SolverConfig())
+
+
+@pytest.mark.parametrize("at", [0, 2000, 4095])
+def test_non_finite_increments_fail_the_stacked_rule_at_the_same_row_and_point(at):
+    # Stacked rows take the same single comparison: the Section check
+    # names the row, counted from row 0 past its first block, and the
+    # point.  A Section's labels are finite, so its -inf comes from an
+    # overflowing difference; the rule's stacked helper takes a NaN too.
+    g = GridSpec.from_circle(4096, 30, TWO_PI, 0.25)
+    bound = f"<= {DELTA_MIN_FACTOR * g.h:g}\\)$"
+    d = np.zeros((30, 4096))
+    d[20, at], d[20, (at + 1) % 4096] = 1e308, -1e308
+    with np.errstate(over="ignore"), pytest.raises(
+        NonMonotone, match=rf"^row 20 is not strictly monotone at i={at} \(increment -inf " + bound
+    ):
+        Section(g, d)
+    rows = Section.identity(g).rows_y()[16:24]
+    rows[4, at] = np.nan
+    with pytest.raises(
+        NonMonotone, match=rf"^row 20 is not strictly monotone at i={max(at - 1, 0)} \(increment nan " + bound
+    ):
+        _increments(rows, g, "row", 16)
+
+
+def test_the_rule_fails_an_increment_at_the_bound_and_passes_infinity():
+    h = 0.5
+    bound = DELTA_MIN_FACTOR * h
+    for shape in ((5,), (3, 5)):
+        inc = np.ones(shape)
+        inc[..., 2] = np.inf
+        assert _require_increments(inc, h, "row") is inc
+        inc.reshape(-1, 5)[-1, 3] = bound  # point 3 of the last row
+        name = "row 2" if len(shape) == 2 else "row"
+        with pytest.raises(NonMonotone, match=rf"^{name} is not strictly monotone at i=3 \(increment 5e-09 <= 5e-09\)$"):
+            _require_increments(inc, h, "row")
+
+
 def test_advance_row_raises_when_newton_runs_out_of_iterations():
     # The first step of `chms run --ic cosine:0.5 --n-space 64 --max-iters 1`.
     g = GridSpec.from_circle(64, 2, TWO_PI, 0.25)
@@ -705,6 +786,33 @@ def test_advance_row_raises_when_newton_runs_out_of_iterations():
     message = r"^residual 1.99878e-06 above tolerance 8.31243e-10 after 1 Newton iterations$"
     with pytest.raises(MaxItersExceeded, match=message):
         advance_row(s.row_y(0), s.row_y(1), g, SolverConfig(max_iters=1))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-16])
+@pytest.mark.parametrize("n", [16, 64, 257, 512, 1031])
+def test_advance_row_matches_the_four_term_newton_step_bitwise(n, tol):
+    # advance_row forms only the vertex terms a level reads: 3 and 4 of
+    # the bottom rectangles once per step, 1 and 2 of the top ones once
+    # per iteration.  Its row and StepStats equal those of the step that
+    # forms all four of both rows (oracles.newton_step), bit for bit:
+    # from the two-row and the three-row start, on the scalar sweep
+    # (n < 512) and the partitioned solve, at the tolerance and at the
+    # floating-point floor, and from a rough current row that takes
+    # several updates.
+    s = cosine_trajectory(n_space=n, n_steps=3, amp=0.3).section
+    g, cfg = s.grid, SolverConfig(tol_residual=tol)
+    rows = s.rows_y()
+    rough = rows[3] + 0.05 * g.h * np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    stats = []
+    for y0 in (rows[3], rough):
+        for prev in (rows[2], rows[1:3]):
+            got_row, got = advance_row(prev, y0, g, cfg)
+            want_row, want = newton_step(prev, y0, g, cfg)
+            assert np.array_equal(got_row, want_row)
+            assert got == want
+            stats.append(got)
+    assert ("fp_floor" in {st.stop_reason for st in stats}) == (tol == 1e-16)
+    assert max(st.iterations for st in stats) >= 2
 
 
 def test_evolve_takes_one_newton_update_per_step():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import EPS, fd_gradient, fd_hessian, random_stencil, smooth_eta_derivs, stencil_fn
 from oracles import rect_grad, rect_hess, rect_value
 
 from chms.errors import NonMonotone
-from chms.lagrangian import _shift, eval_from_parts, jacobian_bands
+from chms.lagrangian import _shift, eval_from_parts, grad_12, grad_34, grad_from_parts, jacobian_bands
 
 
 def test_eval_examples():
@@ -122,3 +123,33 @@ def test_shift_is_a_roll_with_the_seam_lift(rng, shape):
             out = _shift(f, step, lift)
             assert np.array_equal(out, expected)
             assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+
+def _same_bits(x, y) -> bool:
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+# Parts of rectangles: tiny and huge a (a > 0 on any admissible row),
+# either sign of b and c, signed zeros among them.
+_signed = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+_parts = st.lists(
+    st.tuples(st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1e-8, 1.0, 1e300]), _signed, _signed),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(_parts, st.floats(1e-3, 10.0), st.floats(1e-3, 10.0))
+def test_each_half_is_the_matching_gradient_components_bitwise(parts, h, k):
+    a, b, c = np.array(parts).T
+    with np.errstate(all="ignore"):  # huge and tiny parts overflow some terms
+        whole = grad_from_parts(a, b, c, h, k)
+        halves = grad_12(a, b, c, h, k) + grad_34(a, b, c, h, k)
+        # The gradient's closed form as written out in full.
+        la_h = 0.5 * (b * b - (c / a) ** 2) / h
+        lb_k = a * b / k
+        w = (c / a) / (h * k)
+        closed = (-la_h - lb_k + w, la_h - w, w, lb_k - w)
+    for got, half, want in zip(whole, halves, closed):
+        assert _same_bits(got, want)
+        assert _same_bits(half, want)
