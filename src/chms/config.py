@@ -119,10 +119,10 @@ class RunConfig:
             raise ConfigError(f"grid: {exc}") from exc
         parse_initial_condition(self.ic, self.domain_length)
 
-    def grid(self, n_time: int = 2) -> GridSpec:
-        """Lattice for this run; k is derived as cfl * h so refinement
-        studies keep the anisotropy fixed."""
-        return GridSpec.from_circle(self.n_space, n_time, self.domain_length, self.cfl)
+    def grid(self) -> GridSpec:
+        """The two-row lattice a run starts from; k is derived as cfl * h
+        so refinement studies keep the anisotropy fixed."""
+        return GridSpec.from_circle(self.n_space, 2, self.domain_length, self.cfl)
 
     def solver(self) -> SolverConfig:
         return SolverConfig(self.tol_residual, self.max_iters)

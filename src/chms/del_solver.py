@@ -217,9 +217,9 @@ def section_parts(s: Section, lo: int = 0, hi: int | None = None):
 
 def _level_equation(top, bot):
     """Residual at a time level, and its scale, from the vertex terms of
-    the rectangle rows above (top: vertices 1 and 2 first, as grad_12
-    or grad_from_parts give them) and below (bot: 3 and 4 last, as
-    grad_34 or grad_from_parts give them).
+    the rectangle rows above (top: vertices 1 and 2, as grad_12 gives
+    them, or first, as grad_from_parts does) and below (bot: 3 and 4, as
+    grad_34 gives them, or last, as grad_from_parts does).
 
     Each point sums vertex 1 of the rectangle up-right of it, 2 up-left,
     3 down-left and 4 down-right; the scale is the largest sum of the

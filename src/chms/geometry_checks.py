@@ -28,7 +28,7 @@ from .del_solver import (
     section_parts,
     solve_cyclic_tridiagonal,  # noqa: F401  (a binding that perfbench's tracer test checks)
 )
-from .lagrangian import _shift, eval_from_parts, grad_34, grad_from_parts, jacobian_bands
+from .lagrangian import _shift, eval_from_parts, grad_12, grad_34, grad_from_parts, jacobian_bands
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,9 @@ def solve_first_variation(
 def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol: float):
     """March the levels j_lo .. j_hi - 1 into vals, given the bottom
     linear terms bot of level j_lo (None at level 1); returns those of
-    level j_hi.  The block's gradients and residual field go once their
-    norms and scales are taken, before the bands and the factor; the
-    rest is freed on return."""
+    level j_hi.  The on-shell gate's vertex terms and residual field go
+    once their norms and scales are taken, before the bands and the
+    factor; the rest is freed on return."""
     h, k = phi.grid.h, phi.grid.k
     # Rectangle row j is the top row at level j and the bottom row at
     # level j + 1, so its linear terms (level j's check, level j + 1's
@@ -148,10 +148,12 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
     a, b, c = section_parts(phi, j_lo - 1, j_hi)
     if bot is None:
         bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
-    g1, g2, g3, g4 = grad_from_parts(a, b, c, h, k)
-    res, scales = _level_equation((g1[1:], g2[1:]), (g3[:-1], g4[:-1]))
+    # Level j reads vertices 1, 2 of rectangle row j and 3, 4 of row j - 1.
+    res, scales = _level_equation(
+        grad_12(a[1:], b[1:], c[1:], h, k), grad_34(a[:-1], b[:-1], c[:-1], h, k)
+    )
     norms = np.abs(res).max(axis=-1)
-    del g1, g2, g3, g4, res
+    del res
     bands = jacobian_bands(a[1:], b[1:], c[1:], h, k)
     # Each level's largest absolute row sum: a solve's rounding scales with
     # it times the solution, which the linear terms miss where they cancel

@@ -85,49 +85,34 @@ def stencil_parts(y1, y2, y3, y4, h: float, k: float, what: str = "the bottom ro
     return dy / h, left / k, ((y3 - y2) - left) / (h * k)
 
 
-def _vertex_terms(a, b, c, h: float, k: float, bottom: bool, top: bool) -> tuple:
-    """dL/dy_l for a batch of rectangles: (g1, g2), the bottom edge's
-    terms, if `bottom`, then (g3, g4), the top edge's, if `top`.
-
-    The one kernel of the first partials: the quantities the vertices
-    share, a*b/k, c/a and (c/a)/(h*k), are formed once, then
-    la_h = (b**2 - (c/a)**2) / (2h) where g1 and g2 need it.  Each half
-    comes out bit for bit as the whole gradient gives it.
-    """
+def grad_12(a, b, c, h: float, k: float):
+    """(g1, g2) = dL/dy1, dL/dy2 for a batch of rectangles: the terms that
+    a time level reads from the rectangle row above it (vertex 1 of the
+    rectangle up-right of a point, 2 of the one up-left)."""
     ca = c / a
     lb_k = a * b / k
     w = ca / (h * k)
-    terms = ()
-    if bottom:
-        la_h = 0.5 * (b * b - ca**2) / h
-        terms = (-la_h - lb_k + w, la_h - w)
-    if top:
-        terms += (w, lb_k - w)
-    return terms
+    la_h = 0.5 * (b * b - ca**2) / h
+    return -la_h - lb_k + w, la_h - w
+
+
+def grad_34(a, b, c, h: float, k: float):
+    """(g3, g4) = dL/dy3, dL/dy4 for a batch of rectangles: the terms that
+    a time level reads from the rectangle row below it (3 of the rectangle
+    down-left of a point, 4 of the one down-right), and that the total
+    momentum sums."""
+    w = c / a / (h * k)
+    return w, a * b / k - w
 
 
 def grad_from_parts(a, b, c, h: float, k: float):
-    """(g1, g2, g3, g4) arrays for a batch of rectangles: dL/dy_l.
+    """(g1, g2, g3, g4) arrays for a batch of rectangles: dL/dy_l, the
+    two halves grad_12 and grad_34 in turn.
 
     L depends only on differences of the corner values, so the four
     components sum to zero up to roundoff.
     """
-    return _vertex_terms(a, b, c, h, k, True, True)
-
-
-def grad_12(a, b, c, h: float, k: float):
-    """(g1, g2) of grad_from_parts: the terms that a time level reads from
-    the rectangle row above it (vertex 1 of the rectangle up-right of a
-    point, 2 of the one up-left)."""
-    return _vertex_terms(a, b, c, h, k, True, False)
-
-
-def grad_34(a, b, c, h: float, k: float):
-    """(g3, g4) of grad_from_parts: the terms that a time level reads from
-    the rectangle row below it (3 of the rectangle down-left of a point,
-    4 of the one down-right), and that the total momentum sums; la_h is
-    not formed."""
-    return _vertex_terms(a, b, c, h, k, False, True)
+    return grad_12(a, b, c, h, k) + grad_34(a, b, c, h, k)
 
 
 def eval_from_parts(a, b, c):

@@ -483,7 +483,7 @@ def test_cyclic_solve_matches_dense_on_dominant_bands(n, tight, data):
 
 
 @pytest.mark.parametrize("t", [0.03125, 1e-3, 1e-6])
-def test_cyclic_solve_refines_a_cancelled_shift(t):
+def test_cyclic_solve_takes_no_shift_that_would_cancel(t):
     # A dominant A whose last diagonal entry, shifted by a Sherman-Morrison
     # correction with gamma = -diag[0], would cancel to about -2t: a band
     # made near singular by a shift that the bordered solve does not take.

@@ -204,7 +204,8 @@ def test_off_shell_gate_names_first_bad_level():
 
 
 def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
-    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal", "_linear_terms")
+    grads = ("grad_from_parts", "grad_12", "grad_34")
+    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal", "_linear_terms") + grads
     calls = dict.fromkeys(names, 0)
 
     def counting(module, name):
@@ -219,7 +220,8 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
     counting(del_solver, "solve_cyclic_tridiagonal")
-    counting(geometry_checks, "_linear_terms")
+    for name in ("_linear_terms",) + grads:
+        counting(geometry_checks, name)
     # One block of levels, three (the march crosses two block seams), and
     # a row long enough for the partitioned solve.
     for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 3, 1)):
@@ -235,11 +237,17 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
             # its block's factor), one per level from 512 on, whatever the
             # stack size; each level's right-hand side and check; rectangle
             # row j's checked linear terms are level j + 1's bottom terms.
+            # The on-shell gate takes the vertex-1,2 terms of the block's
+            # top rectangle rows and the 3,4 terms of its bottom ones, and
+            # never the four-term gradient.
             assert calls == {
                 "stencil_parts": blocks,
                 "jacobian_bands": blocks,
                 "solve_cyclic_tridiagonal": 0 if n_space < 512 else n_time - 2,
                 "_linear_terms": 2 * (n_time - 2) + 1,
+                "grad_from_parts": 0,
+                "grad_12": blocks,
+                "grad_34": blocks,
             }
 
 
