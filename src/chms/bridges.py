@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonMonotone
+from .errors import NonMonotone, OutOfRange
 from .grid import GridSpec
 from .del_solver import _BLOCK_VALUES, Section
 from .lagrangian import _shift
@@ -148,7 +148,11 @@ def phase_field(s: Section, lo: int = 0, hi: int | None = None) -> np.ndarray:
     their interior levels lo + 1 .. hi - 2, shape (hi - lo - 2, n_space,
     6): the closed-form momenta of the finite-difference jets, no
     interpolation.  Any row range is the same slice of the whole
-    section's field, bit for bit."""
+    section's field, bit for bit; a range that is empty or reaches past
+    rows 0 .. n_time - 1 raises OutOfRange naming it."""
+    hi = s.grid.n_time if hi is None else hi
+    if not 0 <= lo < hi <= s.grid.n_time:
+        raise OutOfRange(f"rows {lo} .. {hi - 1} are not a range of rows 0 .. {s.grid.n_time - 1}")
     return legendre(*_jets(s.xs() + s.displacement[lo:hi], s.grid))
 
 

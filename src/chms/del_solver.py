@@ -204,10 +204,13 @@ def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec, what: str = "the bot
 def section_parts(s: Section, lo: int = 0, hi: int | None = None):
     """(a, b, c) over the rectangle rows lo .. hi - 1 of s (row j spans
     rows j and j + 1), by default all of them, shape (hi - lo, n_space):
-    the one section-to-parts accessor.  A first or last rectangle row
-    outside 0 .. n_time - 2 raises OutOfRange naming it."""
+    the one section-to-parts accessor.  An empty range raises OutOfRange
+    naming it, and a first or last rectangle row outside 0 .. n_time - 2
+    raises OutOfRange naming that row."""
     n_rows = s.grid.n_time - 1
     hi = n_rows if hi is None else hi
+    if hi <= lo:
+        raise OutOfRange(f"rectangle rows {lo} .. {hi - 1} are an empty range")
     for j in (lo, hi - 1):
         if not 0 <= j < n_rows:
             raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
@@ -353,12 +356,10 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
     every rhs and for the border column A[:n-1, n-1]; x[n-1] then takes
     the 1x1 Schur complement diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
     as its pivot, which stays dominant where A is diagonally dominant.
+    A zero or non-finite pivot (a non-finite corner makes the Schur pivot
+    so) raises SingularJacobian naming its row: the one such report.
     """
     lower, diag, upper, rows = (v.tolist() for v in (lower, diag, upper, rhs))
-    # Named here, before it would surface as a non-finite Schur pivot: a
-    # separator system's corners are formed by the partitioned solve.
-    if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
-        raise SingularJacobian("non-finite corner entry")
     border = [lower[0]] + [0.0] * (len(diag) - 3) + [upper[-2]]
     ys, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rows, border)
     schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
@@ -396,10 +397,10 @@ def _sweep(lo, di, up, x):
     return piv, c
 
 
-# Rows of at least this many unknowns take the partitioned solve, and so do
-# its separator systems.  Shorter rows keep the scalar sweep, bit-identical
-# to textbook elimination, where the partitioned solve gains least
-# (CHANGES.md has the timings that set this size and the block length).
+# Rows of at least this many unknowns take the partitioned solve, and so
+# do the systems of its separators.  Shorter rows keep the scalar sweep,
+# bit-identical to textbook elimination, where the partitioned solve gains
+# least (CHANGES.md has the timings that set this size and the block length).
 _PARTITION_MIN_N = 512
 
 
@@ -431,9 +432,10 @@ def _solve_partitioned(lower, diag, upper, rhs):
     Schur-complement system (n // 8 unknowns) takes the same two-path rule
     (_elimination), and the segments back-substitute.  Every step is
     elementwise, so each rhs comes out bit for bit as it would alone.
-    Runs with floating-point errors ignored: a zero or non-finite pivot
-    raises SingularJacobian naming its row here, a separator's after one
-    "separator system: " prefix at any depth.
+    Runs with floating-point errors ignored.  A segment pivot that fails,
+    or a separators' system that raises, sends the whole row to the
+    scalar sweep, under the caller's floating-point settings: unpivoted
+    elimination in this order can fail where natural order does not.
     """
     n = diag.size
     m = len(rhs)
@@ -456,29 +458,22 @@ def _solve_partitioned(lower, diag, upper, rhs):
     x[w - 1, m + 1, :n_long] = up[:n_long, w]
     x[w - 2, m + 1, n_long:] = up[n_long:, w - 1]
     piv, _ = _sweep(lo[:, 1:].T, di[:, 1:].T, up[:, 1:].T, x)
-    bad = ~np.isfinite(piv) | (piv == 0.0)
-    if bad.any():
-        # A pad row's pivot fails only after a non-finite multiplier in
-        # the row before it; it then names the next separator.
-        j, blk = np.unravel_index(np.argmax(bad), bad.shape)
-        row = int(blk * b - max(0, blk - n_long) + j + 1) % n
-        raise SingularJacobian(f"zero pivot at row {row}", row)
-    with np.errstate(all="ignore"):
-        first = x[0]
-        last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
-        sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
-        try:
+    if not (np.isfinite(piv).all() and piv.all()):
+        return _solve_cyclic_scalar(lower, diag, upper, rhs)
+    try:
+        with np.errstate(all="ignore"):
+            first = x[0]
+            last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
+            sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
             xs = _elimination(p)(
                 -sl * last[m],
                 sd - sl * last[m + 1] - su * first[m],
                 -su * first[m + 1],
                 sr - sl * last[:m] - su * first[:m],
             )
-        except SingularJacobian as exc:  # separator k opens block k
-            row = exc.row if exc.row is None else exc.row * b - max(0, exc.row - n_long)
-            what = str(exc).removeprefix("separator system: ") if row is None else f"zero pivot at row {row}"
-            raise SingularJacobian(f"separator system: {what}", row) from exc
-        xi = x[:, :m] - x[:, m : m + 1] * xs - x[:, m + 1 : m + 2] * _shift(xs, 1)
+            xi = x[:, :m] - x[:, m : m + 1] * xs - x[:, m + 1 : m + 2] * _shift(xs, 1)
+    except SingularJacobian:
+        return _solve_cyclic_scalar(lower, diag, upper, rhs)
     out = np.empty((m, n))
     head = out[:, : n_long * b].reshape(m, n_long, b)
     tail = out[:, n_long * b :].reshape(m, p - n_long, w)
@@ -507,8 +502,9 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     the tangent march, on rows shorter than _PARTITION_MIN_N, factors a
     block of levels at once with the column sweep instead (_level_solver).
     Bands that are not 1-D of one length n >= 3, or an rhs not (n,) or
-    (m, n) with m >= 1, raise ValueError; a zero or non-finite pivot, or
-    a non-finite corner entry, raises SingularJacobian.
+    (m, n) with m >= 1, raise ValueError; a non-finite corner entry, or a
+    zero or non-finite pivot of the scalar sweep, which takes what the
+    partition method cannot eliminate, raises SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -523,8 +519,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    # Named here for every n: the partitioned solve would carry a corner
-    # into a separator system or a pivot and name that instead.
+    # Named here, for every n and before any elimination: the scalar sweep
+    # would report a non-finite corner only as a non-finite Schur pivot.
     if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
         raise SingularJacobian("non-finite corner entry")
     return _elimination(n)(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
@@ -545,9 +541,9 @@ def _level_solver(lower, diag, upper):
     blocks of the L systems are eliminated here at once (_sweep), with the
     border column A[:n-1, n-1] as their right-hand side, and each solve
     only substitutes (_substitute, _border_solve); longer rows call
-    solve_cyclic_tridiagonal at each solve.  A system whose elimination
-    fails raises its SingularJacobian, with the message and row that
-    solve gives, only when it is solved.
+    solve_cyclic_tridiagonal at each solve, and so does a system whose
+    factor has a zero or non-finite pivot (a non-finite corner entry
+    makes its Schur pivot so), which then raises that solve's error.
     """
     if _elimination(diag.shape[-1]) is _solve_partitioned:
         return lambda t, rhs: solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
@@ -558,16 +554,11 @@ def _level_solver(lower, diag, upper):
     with np.errstate(all="ignore"):
         schur = di[-1] - up[-1] * z[0] - lo[-1] * z[-1]
     pivots = np.vstack((piv, schur))  # the pivots of rows 0 .. n-1
-    bad = ~np.isfinite(pivots) | (pivots == 0.0)
-    corner_bad = ~(np.isfinite(lo[0]) & np.isfinite(up[-1]))
-    errors = [None] * len(diag)
-    for t in np.flatnonzero(corner_bad | bad.any(axis=0)):
-        row = int(np.argmax(bad[:, t]))
-        errors[t] = ("non-finite corner entry",) if corner_bad[t] else (f"zero pivot at row {row}", row)
+    failed = ~(np.isfinite(pivots).all(axis=0) & pivots.all(axis=0))
 
     def solve(t, rhs):
-        if errors[t] is not None:
-            raise SingularJacobian(*errors[t])
+        if failed[t]:
+            return solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
         lo_t, rows = lower[t].tolist(), rhs.tolist()
         p, back = piv[:, t].tolist(), cp[::-1, t].tolist()
         ys = [_substitute(lo_t, p, back, r) for r in rows]

@@ -23,7 +23,7 @@ from chms.bridges import (
     section_to_jets,
 )
 from chms.del_solver import Section
-from chms.errors import NonMonotone
+from chms.errors import NonMonotone, OutOfRange
 from chms.grid import GridSpec
 from chms.lagrangian import eval_from_parts
 
@@ -264,6 +264,20 @@ def test_hamilton_residual_levels_and_empty_fields():
     assert z.shape == (4, n, 6)
     assert hamilton_residuals(z[:2], g).shape == (0, n, 6)
     assert conservation_residual(z, g).shape == (0, n)  # 5 levels of Z give one
+
+
+def test_phase_field_takes_row_ranges_and_names_a_bad_one():
+    # A row range inside the section is a slice of the whole field, bit for
+    # bit; one that is empty or reaches past rows 0 .. n_time - 1 is
+    # refused, not read through Python slicing as the last rows or all.
+    s = cosine_trajectory(n_space=16, n_steps=8).section  # rows 0 .. 9
+    whole = phase_field(s)
+    for lo, hi in ((0, 10), (2, 7), (4, 6)):
+        assert np.array_equal(phase_field(s, lo, hi), whole[lo : max(hi - 2, lo)])
+    for lo, hi in ((-3, None), (0, 15), (4, 4), (5, 2)):
+        last = 9 if hi is None else hi - 1
+        with pytest.raises(OutOfRange, match=rf"^rows {lo} \.\. {last} are not a range of rows 0 \.\. 9$"):
+            phase_field(s, lo, hi)
 
 
 def sine_wave(n_space: int, n_time: int) -> Section:
