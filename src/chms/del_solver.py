@@ -72,8 +72,11 @@ def _increments(rows: np.ndarray, g: GridSpec, what: str, first_row: int = 0) ->
     """Label increments y[..., i+1] - y[..., i] of one row or stacked rows,
     held to the one monotonicity rule (lagrangian._require_increments):
     a row that breaks it raises NonMonotone naming `what` (and the row of
-    a stack, counted from `first_row`)."""
-    return _require_increments(_shift(rows, 1, g.domain_length) - rows, g.h, what, first_row)
+    a stack, counted from `first_row`).  The increments are formed in
+    place in the shifted copy of rows."""
+    inc = _shift(rows, 1, g.domain_length)
+    inc -= rows
+    return _require_increments(inc, g.h, what, first_row)
 
 
 #: Passes over a whole section (the Section check, the level series)
@@ -230,10 +233,24 @@ def _level_equation(top, bot):
     Hessian-tangent products their linearization.  Stacked rows (space
     along the last axis) give each row's residual and scale.  advance_row
     forms the same sum with the bottom terms t3 + t4 held over its solve.
+    The residual is formed in place in the shifted copies of t2 and t3,
+    so no input is written.
     """
     t1, t2, t3, t4 = top[0], _shift(top[1], -1), _shift(bot[-2], -1), bot[-1]
-    res = (t1 + t2) + (t3 + t4)
-    return res, (np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)).max(axis=-1)
+    scale = _magnitude(t1, t2, t3, t4).max(axis=-1)
+    res = np.add(t1, t2, out=t2)
+    res += np.add(t3, t4, out=t3)
+    return res, scale
+
+
+def _magnitude(t1, t2, t3, t4) -> np.ndarray:
+    """|t1| + |t2| + |t3| + |t4|, added in this order in place in the
+    array of |t1|, with one more array for the other magnitudes."""
+    out, mag = np.abs(t1), np.abs(t2)
+    out += mag
+    out += np.abs(t3, out=mag)
+    out += np.abs(t4, out=mag)
+    return out
 
 
 def _section_equation(s: Section, j: int):
@@ -597,7 +614,8 @@ def advance_row(
     """
     ym2, ym1 = prev if np.ndim(prev) == 2 else (None, prev)
     h, k = g.h, g.k
-    a_t = _increments(y0, g, "the current row y0") / h  # bottom edge of the top rectangles
+    a_t = _increments(y0, g, "the current row y0")
+    a_t /= h  # bottom edge of the top rectangles
     # The bottom rectangles' vertex terms (3 of the rectangle down-left
     # of each point, 4 of the one down-right) are fixed during the solve;
     # each residual is _level_equation's, (t1 + t2) + (t3 + t4), bit for bit.
@@ -607,20 +625,31 @@ def advance_row(
 
     e = y0 - ym1
     if ym2 is not None:
-        e = e + (e - (ym1 - ym2))
+        d = ym1 - ym2
+        e += np.subtract(e, d, out=d)
     yp1 = y0 + e
+    # The top rectangles' b and c and the residual's magnitude are formed
+    # in place at every iteration; e is updated in place, so the views
+    # that form c are taken once.
+    b_t, c_t, mag = np.empty_like(e), np.empty_like(e), np.empty_like(e)
+    e_tail, e_head, e_first, e_seam = e[1:], e[:-1], e[:1], e[-1:]
+    c_head, c_seam = c_t[:-1], c_t[-1:]
     scale = 1.0
     for it in range(cfg.max_iters + 1):
         # The iterate's top rectangles give both the residual (their
-        # vertex terms 1 and 2) and the bands.
-        b_t = e / k
-        c_t = (_shift(e, 1) - e) / (h * k)
-        t1, g2 = grad_12(a_t, b_t, c_t, h, k)
-        t2 = _shift(g2, -1)
-        f = (t1 + t2) + t34
-        norm = float(np.abs(f).max())
+        # vertex terms 1 and 2) and the bands: b = e / k and
+        # c = (shift(e) - e) / (h k), with shift(e)[i] = e[i + 1].
+        np.divide(e, k, out=b_t)
+        np.subtract(e_tail, e_head, out=c_head)
+        np.subtract(e_first, e_seam, out=c_seam)
+        c_t /= h * k
+        t1, t2 = grad_12(a_t, b_t, c_t, h, k)
+        t2 = _shift(t2, -1)
         if it == 0:
-            scale = max(1.0, float((np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)).max()))
+            scale = max(1.0, float(_magnitude(t1, t2, t3, t4).max()))
+        f = np.add(t1, t2, out=t2)
+        f += t34
+        norm = float(np.abs(f, out=mag).max())
         if norm <= cfg.tol_residual * scale:
             return yp1, StepStats(it, norm, 0, "tolerance", norm / scale)
         # Stagnation at the attainable floating-point floor of the
@@ -635,7 +664,7 @@ def advance_row(
             break
         lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
         prev_norm, y_prev = norm, yp1
-        e = e + solve_cyclic_tridiagonal(lower, diag, upper, -f)
+        e += solve_cyclic_tridiagonal(lower, diag, upper, np.negative(f, out=f))
         yp1 = y0 + e
         _increments(yp1, g, "wave breaking: the Newton update of the next row")
     raise MaxItersExceeded(

@@ -112,11 +112,13 @@ def solve_first_variation(
     points or more take one partitioned solve per level).  Levels are read
     in order, each first checked on shell: the first level that is not
     raises NotOnShell, and a level whose system cannot be eliminated
-    raises SingularJacobian naming it, each only when the march reaches
-    that level.  Each solved row is checked: its level residual must stay
-    within tol_residual times the largest of 1, the residual's own scale
-    and the solve's size (the level's largest absolute row sum of the
-    bands times the row's largest magnitude), else SingularJacobian.  The
+    raises SingularJacobian naming it (and, as .row, the pivot's row),
+    each only when the march reaches that level.  Each solved row is
+    checked: its level residual must stay within tol_residual times the
+    largest of 1, the residual's own scale and the solve's size (the
+    level's largest absolute row sum of the bands times the row's largest
+    magnitude), else SingularJacobian; a NaN residual fails the check.
+    A v0 of the wrong shape, or not finite, raises ValueError.  The
     tangents of a stack share each level's factor, and each has its own
     residual bound; each tangent comes out bit for bit as marching it
     alone, one solve per level, gives it.
@@ -126,6 +128,9 @@ def solve_first_variation(
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim not in (2, 3) or v0.shape[-2:] != (2, n):
         raise ValueError("v0 must hold two tangent rows, or a stack of such pairs")
+    # min and max propagate NaN, so they test finiteness with no mask.
+    if not (np.isfinite(v0.min()) and np.isfinite(v0.max())):
+        raise ValueError("v0 must be finite")
     stack = v0.reshape(-1, 2, n)
     vals = np.empty((len(stack), levels, n))  # tangent, level, space
     vals[:, :2] = stack
@@ -173,12 +178,13 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
         try:
             vals[:, j + 1] = solve(t, -rhs)
         except SingularJacobian as exc:
-            raise SingularJacobian(f"tangent row solve at level {j}: {exc}") from exc
+            raise SingularJacobian(f"tangent row solve at level {j}: {exc}", exc.row) from exc
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
         res, scale = _level_equation(top, bot)
         norm = np.abs(res).max(axis=-1)
         size = sizes[t] * np.abs(vals[:, j + 1]).max(axis=-1)
-        bad = norm > tol * np.maximum(1.0, np.maximum(scale, size))
+        # A NaN residual fails too: the bound is written as not <=.
+        bad = ~(norm <= tol * np.maximum(1.0, np.maximum(scale, size)))
         if bad.any():
             raise SingularJacobian(
                 f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
@@ -231,14 +237,16 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
     violation.  One blocked pass gives both sums: the parts of a block of
     rectangle rows (del_solver._row_blocks) are built at once and summed
     along space, which gives each row's sums bit for bit as that row
-    alone would, and holds no more than one block's temporaries.
+    alone would, and holds no more than one block's temporaries.  The
+    momentum density g3 + g4 is formed in place in g3's array.
     """
     g = phi.grid
     momenta, actions = [], []
     for lo, hi in _row_blocks(g.n_time - 1, g.n_space):
         parts = section_parts(phi, lo, hi)
         g3, g4 = grad_34(*parts, g.h, g.k)
-        momenta += np.sum(g3 + g4, axis=-1).tolist()
+        g3 += g4
+        momenta += np.sum(g3, axis=-1).tolist()
         actions += np.sum(eval_from_parts(*parts), axis=-1).tolist()
     return momenta, actions
 

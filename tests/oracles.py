@@ -20,9 +20,16 @@ solver must reproduce bit for bit, and ``first_variation_march`` marches
 the tangents level by level, one public cyclic solve per level, as the
 reference that the package's blocked march must reproduce bit for bit.
 ``newton_step`` is the Newton row solve written with the four-term
-gradient of both rectangle rows and ``_level_equation``, the reference
+gradient of both rectangle rows and the level equation, the reference
 that ``advance_row``, which forms only the vertex terms each level
 reads, must reproduce bit for bit.
+The row kernels form each result in place in an array they allocate;
+their expression forms (``stencil_parts_expr``, ``grad_12_expr``,
+``grad_34_expr``, ``eval_expr``, ``jacobian_bands_expr``,
+``level_equation_expr``, ``increments_expr`` and ``level_series_expr``)
+are the formulas written as one NumPy expression each, with a
+temporary per operation, which the kernels must reproduce bit for bit;
+the oracle marches and level equations use them in place of the kernels.
 ``peakon`` and ``peakon_labels`` are the first exact nonlinear solution:
 the periodic peakon's profile and its particles' labels, from RK4 on
 each particle's own ordinary differential equation.
@@ -38,13 +45,74 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     StepStats,
-    _level_equation,
     section_parts,
     solve_cyclic_tridiagonal,
 )
 from chms.errors import MaxItersExceeded, NotOnShell, OutOfRange, SingularJacobian
 from chms.geometry_checks import _linear_terms
-from chms.lagrangian import eval_from_parts, grad_from_parts, jacobian_bands, stencil_parts
+from chms.lagrangian import eval_from_parts, grad_from_parts, stencil_parts
+
+# ---------------------------------------------------------------------------
+# Expression forms of the row kernels: one NumPy expression per formula,
+# with the operations in the kernels' order.
+
+
+def stencil_parts_expr(y1, y2, y3, y4, h: float, k: float):
+    """(a, b, c) of lagrangian.stencil_parts, with no monotonicity check."""
+    left = y4 - y1
+    return (y2 - y1) / h, left / k, ((y3 - y2) - left) / (h * k)
+
+
+def grad_12_expr(a, b, c, h: float, k: float):
+    ca = c / a
+    lb_k = a * b / k
+    w = ca / (h * k)
+    la_h = 0.5 * (b * b - ca**2) / h
+    return -la_h - lb_k + w, la_h - w
+
+
+def grad_34_expr(a, b, c, h: float, k: float):
+    w = c / a / (h * k)
+    return w, a * b / k - w
+
+
+def grad_expr(a, b, c, h: float, k: float):
+    """(g1, g2, g3, g4): the four-term gradient."""
+    return grad_12_expr(a, b, c, h, k) + grad_34_expr(a, b, c, h, k)
+
+
+def eval_expr(a, b, c):
+    return 0.5 * (a * b * b + c * c / a)
+
+
+def jacobian_bands_expr(a, b, c, h: float, k: float):
+    corner = 1.0 / (a * h * h * k * k) + c / (a * a * h * h * k)
+    bh = b / (h * k)
+    lower = np.roll(corner + bh, 1, axis=-1)
+    diag = -a / (k * k) - corner - bh - np.roll(corner, 1, axis=-1)
+    return lower, diag, corner
+
+
+def level_equation_expr(top, bot):
+    """Residual and scale of del_solver._level_equation."""
+    t1, t2, t3, t4 = top[0], np.roll(top[1], 1, axis=-1), np.roll(bot[-2], 1, axis=-1), bot[-1]
+    return (t1 + t2) + (t3 + t4), (np.abs(t1) + np.abs(t2) + np.abs(t3) + np.abs(t4)).max(axis=-1)
+
+
+def increments_expr(rows, g):
+    """y[..., i + 1] - y[..., i] of label rows, with the identity lift."""
+    nxt = np.roll(rows, -1, axis=-1)
+    nxt[..., -1] = rows[..., 0] + g.domain_length
+    return nxt - rows
+
+
+def level_series_expr(phi):
+    """(momenta, actions) of geometry_checks.level_series, from the parts
+    of all rectangle rows at once."""
+    a, b, c = section_parts(phi)
+    g3, g4 = grad_34_expr(a, b, c, phi.grid.h, phi.grid.k)
+    return np.sum(g3 + g4, axis=-1).tolist(), np.sum(eval_expr(a, b, c), axis=-1).tolist()
+
 
 # ---------------------------------------------------------------------------
 # Second partials: the full Hessian and its two-form contraction.
@@ -275,7 +343,7 @@ def first_variation_residual_row(phi, t, j: int) -> np.ndarray:
         rects = np.stack([t[r], np.roll(t[r], -1), np.roll(t[r + 1], -1), t[r + 1]])
         return np.einsum("nkl,kn->ln", hess, rects)
 
-    return _level_equation(terms(j), terms(j - 1))[0]
+    return level_equation_expr(terms(j), terms(j - 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,23 +443,23 @@ def first_variation_march(phi, v0, cfg=None):
     h, k, tol = g.h, g.k, cfg.tol_residual
     zeros = np.zeros_like(vals[:, 0])
     a, b, c = section_parts(phi)
-    grad_lo = grad_from_parts(a[0], b[0], c[0], h, k)
+    grad_lo = grad_expr(a[0], b[0], c[0], h, k)
     bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
     for j in range(1, levels - 1):
         parts = a[j], b[j], c[j]
-        grad_hi = grad_from_parts(*parts, h, k)
-        res, scale = _level_equation(grad_hi, grad_lo)
+        grad_hi = grad_expr(*parts, h, k)
+        res, scale = level_equation_expr(grad_hi, grad_lo)
         norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
         if norm > bound:
             raise NotOnShell(f"residual {norm:g} at level {j} exceeds {bound:g}")
-        rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
-        bands = jacobian_bands(*parts, h, k)
+        rhs, _ = level_equation_expr(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
+        bands = jacobian_bands_expr(*parts, h, k)
         vals[:, j + 1] = solve_cyclic_tridiagonal(*bands, -rhs)
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
-        res, scale = _level_equation(top, bot)
+        res, scale = level_equation_expr(top, bot)
         norm = np.max(np.abs(res), axis=-1)
         size = np.max(sum(np.abs(band) for band in bands)) * np.max(np.abs(vals[:, j + 1]), axis=-1)
-        if np.any(norm > tol * np.maximum(1.0, np.maximum(scale, size))):
+        if not np.all(norm <= tol * np.maximum(1.0, np.maximum(scale, size))):
             raise SingularJacobian(f"tangent row solve at level {j} left residual {norm.max():g}")
         grad_lo, bot = grad_hi, top
     return vals.reshape(v0.shape[:-2] + (levels, n))
@@ -406,8 +474,9 @@ def newton_step(prev, y0, g, cfg):
     y0 and the row ym1 before it, or the stack (ym2, ym1), on rows that
     stay monotone: Newton on the row increment from the linear or the
     quadratic start.  Each iterate's residual and scale are
-    _level_equation's over grad_from_parts of the top rectangles and of
-    the bottom ones, all four vertex terms of each."""
+    the level equation's over the four-term gradient of the top
+    rectangles and of the bottom ones, all four vertex terms of each
+    (the expression forms)."""
     ym2, ym1 = prev if np.ndim(prev) == 2 else (None, prev)
     h, k = g.h, g.k
 
@@ -416,7 +485,7 @@ def newton_step(prev, y0, g, cfg):
         out[-1] = y[0] + g.domain_length
         return out
 
-    bot = grad_from_parts(*stencil_parts(ym1, nxt(ym1), nxt(y0), y0, h, k), h, k)
+    bot = grad_expr(*stencil_parts_expr(ym1, nxt(ym1), nxt(y0), y0, h, k), h, k)
     a_t = (nxt(y0) - y0) / h
     e = y0 - ym1
     if ym2 is not None:
@@ -425,7 +494,7 @@ def newton_step(prev, y0, g, cfg):
     for it in range(cfg.max_iters + 1):
         b_t = e / k
         c_t = (np.roll(e, -1) - e) / (h * k)
-        f, level_scale = _level_equation(grad_from_parts(a_t, b_t, c_t, h, k), bot)
+        f, level_scale = level_equation_expr(grad_expr(a_t, b_t, c_t, h, k), bot)
         norm = float(np.max(np.abs(f)))
         if it == 0:
             scale = max(1.0, float(level_scale))
@@ -438,7 +507,7 @@ def newton_step(prev, y0, g, cfg):
                 return yp1, StepStats(it, norm, 0, "fp_floor", norm / scale)
         if it == cfg.max_iters:
             raise MaxItersExceeded(f"residual {norm:g} after {cfg.max_iters} Newton iterations")
-        lower, diag, upper = jacobian_bands(a_t, b_t, c_t, h, k)
+        lower, diag, upper = jacobian_bands_expr(a_t, b_t, c_t, h, k)
         prev_norm, y_prev = norm, yp1
         e = e + solve_cyclic_tridiagonal(lower, diag, upper, -f)
         yp1 = y0 + e

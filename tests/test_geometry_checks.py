@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -183,6 +184,32 @@ def test_a_perturbed_tangent_solve_fails_the_residual_check(monkeypatch, n_space
             march(s, v0)
 
 
+def test_solve_first_variation_rejects_a_non_finite_initial_row():
+    # A non-finite v0 is refused rather than marched into a NaN field.
+    s = cosine_section(16, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        v0 = np.ones((2, 16))
+        v0[0, 3] = bad
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            solve_first_variation(s, v0)
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            solve_first_variation(s, np.stack([np.ones((2, 16)), v0]))
+
+
+def test_a_nan_tangent_solve_fails_the_residual_check(monkeypatch):
+    # The post-solve check bounds the residual with not <=, so a NaN
+    # residual (from a NaN solve) raises, naming its level.
+    real_level = geometry_checks._level_solver
+
+    def level_solver(*bands):
+        solve = real_level(*bands)
+        return lambda t, rhs: solve(t, rhs) * (math.nan if t == 2 else 1.0)
+
+    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
+    with pytest.raises(SingularJacobian, match=r"^tangent row solve at level 3 left residual nan$"):
+        solve_first_variation(cosine_section(16, 10), np.ones((2, 16)))
+
+
 def test_solve_first_variation_rejects_off_shell(short_cosine, rng):
     bad = Section(
         short_cosine.grid,
@@ -279,8 +306,9 @@ def _zero_pivot(monkeypatch, level: int, row: int):
 def test_singular_tangent_level_is_named(monkeypatch):
     s = cosine_section(16, 10)
     _zero_pivot(monkeypatch, 4, 7)
-    with pytest.raises(SingularJacobian, match=r"^tangent row solve at level 4: zero pivot at row 7$"):
+    with pytest.raises(SingularJacobian, match=r"^tangent row solve at level 4: zero pivot at row 7$") as err:
         solve_first_variation(s, np.ones((2, 2, 16)))
+    assert err.value.row == 7
 
 
 @pytest.mark.parametrize(
