@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +60,198 @@ def dump_json(obj, path: Path) -> None:
 
 
 #: The writer forms its labels and velocities over blocks of saved levels
-#: this many times smaller than _row_blocks' (about 4096 values): a block
-#: is held as arrays and again as Python floats, which cost about four
-#: times their array.
-_CSV_BLOCK_DIVISOR = 8
+#: this many times smaller than _row_blocks' (about 2048 values): a block
+#: is held as arrays and again as a text buffer of about 140 bytes a line.
+_CSV_BLOCK_DIVISOR = 16
+
+
+# The trajectory CSV's text: each float as "%.17g" writes it, byte for
+# byte, formed in NumPy a block of values at a time.
+#
+# A finite |v| in [1e-4, 1e17) is written in fixed notation: its 17
+# significant digits D = round(|v| 10^(16 - X)), rounded half to even,
+# with X = floor(log10 |v|) after rounding, the point after digit X
+# (after "0." and -X - 1 zeros for X < 0) and trailing zeros dropped.  D
+# is exact in plain doubles: 10^(16 - X) is exact for X >= -4, and
+# Dekker's product gives |v| 10^(16 - X) as hi + lo with no rounding.
+# Every other value (|v| < 1e-4, zeros included, |v| >= 1e17, non-finite
+# values) takes format_float one at a time.
+#
+# A comma and the text of one value are laid out as 11 uint32 words of
+# ASCII bytes in memory order, NUL where a position is unused; the NULs
+# are dropped once a block's lines are laid out.  Words 0-1 hold the
+# comma, the sign and "0." and -X - 1 zeros for X < 0, right-aligned, then
+# D's leading digit; words 2-5 the other 16 digits where they fall in the
+# integer part, word 6 the point, and words 7-10 the same 16 digits where
+# they fall in the fraction.  Words 0-1, without the leading digit, and
+# the keep-masks of words 2-10 come from one table row per (sign, X,
+# trailing zeros of D).
+
+
+def _words(b) -> np.ndarray:
+    """Bytes (..., 4 m) as m uint32 words each, in memory order."""
+    return np.ascontiguousarray(b, dtype=np.uint8).view(np.uint32)
+
+
+def _records(words: np.ndarray) -> np.ndarray:
+    """Words (..., m) with a contiguous last axis as one void record each."""
+    return words.view(np.dtype((np.void, 4 * words.shape[-1])))[..., 0]
+
+
+_FIELD_WORDS = 11
+
+
+@cache
+def _layout_tables():
+    """The layout's lookup tables, built on the first write: built at
+    import, their temporaries and NumPy's first use of the operations
+    raised a run's peak memory by about 0.5 MiB.
+
+    - the four ASCII digits of each group 0000 .. 9999 as one word;
+    - word 1 with only its last byte, a leading digit, for each digit;
+    - the trailing zero digits of each group, 4 for 0000;
+    - words 0-1, without the leading digit, and the keep-masks of words
+      2-10 at (sign * 21 + X + 4) * 17 + trailing zeros of D.
+    """
+    g = np.arange(10_000, dtype=np.int16)
+    zero = ord("0")
+    digits = _words(zero + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1))[:, 0]
+    leads = _words([[0, 0, 0, zero + d] for d in range(10)])[:, 0]
+    group_tz = sum((g % 10**q == 0).astype(np.int8) for q in range(1, 5))
+    pos = np.arange(16)  # positions of the 16 digits after the leading one
+    x = np.arange(-4, 17)[:, None, None]
+    tz = np.arange(17)[None, :, None]
+    fraction = (pos >= np.maximum(x, 0)) & (pos < 16 - tz)
+    point = np.where(fraction.any(axis=-1, keepdims=True) & (x >= 0), [[[ord("."), 0, 0, 0]]], 0)
+    masks = np.concatenate([255 * np.broadcast_to(pos < x, fraction.shape), point, 255 * fraction], axis=-1)
+    prefixes = b"".join(
+        f",{'-' * neg}{'0.' + '0' * (-e - 1) if e < 0 else ''}".encode().rjust(7, b"\0") + b"\0"
+        for neg in (0, 1)
+        for e in range(-4, 17)
+    )
+    prefixes = np.frombuffer(prefixes, np.uint8).reshape(2, 21, 1, 8)
+    table = np.concatenate(
+        [np.broadcast_to(prefixes, (2, 21, 17, 8)), np.broadcast_to(masks, (2, 21, 17, 36))], axis=-1
+    )
+    return digits, leads, group_tz, _words(table).reshape(-1, _FIELD_WORDS)
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a, each of at most 26 significant bits
+    (Veltkamp's split)."""
+    hi = 134217729.0 * a
+    hi -= hi - a
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**p) for p in range(21)])  # exact in binary64 up to 10^22
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _two_product(a, p):
+    """(hi, lo) with hi + lo = a 10^p exactly (Dekker's product)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI.take(p), _POW10_LO.take(p)
+    hi = a * _POW10.take(p)
+    lo = a_hi * b_hi
+    lo -= hi
+    lo += a_hi * b_lo
+    lo += a_lo * b_hi
+    a_lo *= b_lo
+    lo += a_lo
+    return hi, lo
+
+
+def _digits(a: np.ndarray):
+    """(X, leading digit, the other 16 digits as four groups of four)
+    of each a in [1e-4, 1e17): its 17 significant digits D, rounded half
+    to even, and X the exponent of D's leading digit."""
+    x = np.log10(a)
+    np.floor(x, out=x)
+    x = np.clip(x, -4, 16).astype(np.intp)
+    # log10 may miss X by one near a power of ten: an exact product
+    # outside [1e16, 1e17) moves X to the side it lies on.
+    while True:
+        hi, lo = _two_product(a, 16 - x)
+        edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+        h, l = hi[edge], lo[edge]
+        step = ((h > 1e17) | ((h == 1e17) & (l >= 0.0))).astype(np.intp)
+        step -= (h < 1e16) | ((h == 1e16) & (l < 0.0))
+        if not step.any():
+            break
+        x[edge] += step
+    # hi is an even integer (hi >= 2^53), so rounding lo half to even
+    # rounds hi + lo half to even; D = 10^17 carries to 10^16, X + 1.
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    carry = np.flatnonzero(d == 10**17)
+    d[carry] = 10**16
+    x[carry] += 1
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    groups = []
+    for half in (upper, lower):
+        first = half // 10**4
+        groups += [first, half - first * 10**4]
+    return x, lead, groups
+
+
+def _value_words(values: np.ndarray) -> np.ndarray:
+    """"," + format_float(v) for each value v, as _FIELD_WORDS NUL-padded
+    words each, shape values.shape + (_FIELD_WORDS,)."""
+    digit_words, lead_words, group_tz, table = _layout_tables()
+    v = values.ravel()
+    a = np.abs(v)
+    outside = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    a[outside] = 1.0
+    x, lead, groups = _digits(a)
+    # Trailing zeros of the 16 digits after the leading one.
+    tz = group_tz.take(groups[3])
+    at = np.flatnonzero(groups[3] == 0)
+    for g in groups[2::-1]:
+        tz[at] += group_tz.take(g[at])
+        at = at[g[at] == 0]
+    rec = table.take((np.signbit(v) * 21 + x + 4) * 17 + tz, axis=0)
+    rec[:, 1] |= lead_words.take(lead)
+    for w, g in enumerate(groups):
+        digits = digit_words.take(g)
+        rec[:, 2 + w] &= digits
+        rec[:, 7 + w] &= digits
+    if outside.size:
+        texts = [("," + format_float(r)).encode().ljust(4 * _FIELD_WORDS, b"\0") for r in v[outside].tolist()]
+        rec.view(np.uint8)[outside] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, 4 * _FIELD_WORDS)
+    return rec.reshape(values.shape + (_FIELD_WORDS,))
+
+
+def _text_words(texts: list[str]) -> np.ndarray:
+    """The texts as rows of uint32 words, NUL-padded to the longest."""
+    width = -(-max(map(len, texts)) // 4) * 4
+    padded = b"".join(t.encode().ljust(width, b"\0") for t in texts)
+    return _words(np.frombuffer(padded, np.uint8).reshape(len(texts), width))
+
+
+_NEWLINE = _words(np.array([10, 0, 0, 0]))[0]
+
+
+def _block_text(t: np.ndarray, ix: np.ndarray, eta: np.ndarray, u: np.ndarray) -> str:
+    """The CSV lines of a block of levels: the words of each level's t
+    (_text_words), of each point's ",i,x", then eta and u, shape
+    (levels, points), each after a comma.  Each line's fields are word
+    columns of one buffer, and its NULs are dropped in one pass."""
+    cols = np.cumsum([0, t.shape[1], ix.shape[1], _FIELD_WORDS, _FIELD_WORDS, 1])
+    text = bytearray(4 * eta.size * cols[-1])
+    lines = np.frombuffer(text, np.uint32).reshape(eta.shape + (cols[-1],))
+    t_f, ix_f, eta_f, u_f = (_records(lines[..., a:b]) for a, b in zip(cols[:-2], cols[1:-1]))
+    t_f[...] = _records(t)[:, None]
+    ix_f[...] = _records(ix)
+    eta_f[...] = _records(_value_words(eta))
+    u_f[...] = _records(_value_words(u))
+    lines[..., -1] = _NEWLINE
+    del lines, t_f, ix_f, eta_f, u_f
+    text = text.translate(None, b"\0")  # the buffer goes before the text is decoded
+    return text.decode("ascii")
 
 
 def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
@@ -71,17 +259,16 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
 
     u is the forward-difference particle velocity; the final level uses
     the backward difference since no later row exists.  The file is
-    streamed: the header, then each saved level's text, formatted and
-    written one level at a time.  The labels and velocities of a block
-    of saved levels (_CSV_BLOCK_DIVISOR) are formed at once, one NumPy
-    call per quantity.  Each level is formatted by one printf template
-    ("%.17g" writes a finite float as format_float does); a level with a
-    non-finite value takes the per-value path, which quotes it.
+    streamed: the header, then the text of each block of saved levels
+    (_CSV_BLOCK_DIVISOR), formed and written one block at a time.  A
+    block's labels and velocities are formed at once, one NumPy call per
+    quantity, and so is their "%.17g" text (_block_text); the
+    values outside fixed notation, non-finite ones among them, take
+    format_float one at a time, which quotes them.
     """
     g = s.grid
     n, last = g.n_space, g.n_time - 1
-    ix = [f",{i},{format_float(i * g.h)}," for i in range(n)]
-    template = "".join(f"%s{x}%.17g,%.17g\n" for x in ix)
+    ix = _text_words([f",{i},{format_float(i * g.h)}" for i in range(n)])
     levels = np.append(np.arange(0, last, save_every), last)
 
     def chunks():
@@ -97,16 +284,8 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
             if js[-1] == last:
                 u[-1] = eta[-1] - near[-1]
             u /= g.k
-            finite = np.isfinite(eta).all(axis=1) & np.isfinite(u).all(axis=1)
-            for j, ok, e_j, u_j in zip(js.tolist(), finite.tolist(), eta.tolist(), u.tolist()):
-                t = format_float(j * g.k)
-                if ok:
-                    vals = [t] * (3 * n)
-                    vals[1::3], vals[2::3] = e_j, u_j
-                    yield template % tuple(vals)
-                else:
-                    rows = zip(ix, e_j, u_j)
-                    yield "".join(f"{t}{x}{format_float(e)},{format_float(v)}\n" for x, e, v in rows)
+            t = _text_words([format_float(j * g.k) for j in js.tolist()])
+            yield _block_text(t, ix, eta, u)
 
     _write_text(path, chunks())
 

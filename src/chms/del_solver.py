@@ -209,8 +209,10 @@ def section_parts(s: Section, lo: int = 0, hi: int | None = None):
     rows j and j + 1), by default all of them, shape (hi - lo, n_space):
     the one section-to-parts accessor.  An empty range raises OutOfRange
     naming it, and a first or last rectangle row outside 0 .. n_time - 2
-    raises OutOfRange naming that row."""
-    n_rows = s.grid.n_time - 1
+    raises OutOfRange naming that row.  The rows are shifted once, and
+    the bottom and top rows of the rectangles are slices of them."""
+    g = s.grid
+    n_rows = g.n_time - 1
     hi = n_rows if hi is None else hi
     if hi <= lo:
         raise OutOfRange(f"rectangle rows {lo} .. {hi - 1} are an empty range")
@@ -218,7 +220,8 @@ def section_parts(s: Section, lo: int = 0, hi: int | None = None):
         if not 0 <= j < n_rows:
             raise OutOfRange(f"rectangle row {j} needs rows {j} and {j + 1}")
     y = s.xs() + s.displacement[lo : hi + 1]
-    return _row_parts(y[:-1], y[1:], s.grid)
+    shifted = _shift(y, 1, g.domain_length)
+    return stencil_parts(y[:-1], shifted[:-1], shifted[1:], y[1:], g.h, g.k)
 
 
 def _level_equation(top, bot):

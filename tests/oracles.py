@@ -30,6 +30,9 @@ their expression forms (``stencil_parts_expr``, ``grad_12_expr``,
 are the formulas written as one NumPy expression each, with a
 temporary per operation, which the kernels must reproduce bit for bit;
 the oracle marches and level equations use them in place of the kernels.
+``section_parts_two_shift`` forms the parts of a range of rectangle rows
+from its bottom and top rows shifted apart, the reference that
+``section_parts``, which shifts the rows once, must reproduce bit for bit.
 ``peakon`` and ``peakon_labels`` are the first exact nonlinear solution:
 the periodic peakon's profile and its particles' labels, from RK4 on
 each particle's own ordinary differential equation.
@@ -45,6 +48,7 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     StepStats,
+    _row_parts,
     section_parts,
     solve_cyclic_tridiagonal,
 )
@@ -104,6 +108,14 @@ def increments_expr(rows, g):
     nxt = np.roll(rows, -1, axis=-1)
     nxt[..., -1] = rows[..., 0] + g.domain_length
     return nxt - rows
+
+
+def section_parts_two_shift(phi, lo: int = 0, hi: int | None = None):
+    """(a, b, c) of section_parts over rectangle rows lo .. hi - 1, from
+    the bottom rows and the top rows, each shifted on its own."""
+    hi = phi.grid.n_time - 1 if hi is None else hi
+    y = phi.xs() + phi.displacement[lo : hi + 1]
+    return _row_parts(y[:-1], y[1:], phi.grid)
 
 
 def level_series_expr(phi):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -230,11 +231,82 @@ def test_trajectory_csv_of_every_level_matches_the_per_value_format(tmp_path):
 
 
 def test_trajectory_csv_is_streamed_level_by_level(tmp_path, rng):
-    # About 10 MB of CSV; the writer holds one level's text at a time.
+    # About 10 MB of CSV; the writer holds one block's text at a time.
     s = random_section(GridSpec.from_circle(64, 2001, TWO_PI, 0.25), rng)
     path = tmp_path / "t.csv"
     assert traced_peak(write_trajectory_csv, path, s, 1) < 2 * 2**20
     assert path.stat().st_size > 8 * 2**20
+
+
+def test_trajectory_csv_of_long_rows_holds_one_level_at_a_time(tmp_path, rng):
+    # 4096 points: each block is one saved level (levels 0 and 200),
+    # held as arrays and as one text buffer of about 140 bytes a line.
+    s = random_section(GridSpec.from_circle(4096, 201, TWO_PI, 0.25), rng)
+    path = tmp_path / "t.csv"
+    assert traced_peak(write_trajectory_csv, path, s, 200) < 1.75 * 2**20
+    assert path.read_text().count("\n") == 1 + 2 * 4096
+
+
+def _value_texts(values) -> list[str]:
+    """The text of each value as the CSV writer forms it, its comma and
+    NUL padding dropped, with floating-point errors raised as in main."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        words = cli._value_words(v)
+    texts = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+    assert all(t.startswith(",") for t in texts)
+    return [t[1:] for t in texts]
+
+
+def _both_signs(values) -> list[float]:
+    return [*values, *(-v for v in values)]
+
+
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+_FIXED = st.floats(1e-4, 1e17, exclude_max=True)  # the values written in fixed notation
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_BITS, _FIXED), min_size=1, max_size=32))
+def test_value_words_match_format_float(values):
+    values = _both_signs(values)
+    assert _value_texts(values) == [format_float(v) for v in values]
+
+
+@st.composite
+def _ties(draw):
+    """m / 2^(p + 1) with m odd and p = 16 - X: |v| 10^p ends in exactly
+    one half, a tie at the 17th significant digit.  X = 16 has none, as
+    every binary64 from 2^53 on is an integer, so X = 15 is the largest."""
+    x = draw(st.integers(-4, 15))
+    q = 2 ** (17 - x)
+    lo = math.ceil(Fraction(10) ** x * q)
+    hi = min(math.ceil(Fraction(10) ** (x + 1) * q), 2**53)
+    m = 2 * draw(st.integers(lo // 2, (hi - 2) // 2)) + 1
+    v = m / q
+    assert Fraction(v) == Fraction(m, q) and 10 ** Fraction(x) <= v < 10 ** Fraction(x + 1)
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ties(), min_size=1, max_size=32))
+def test_value_words_round_exact_ties_half_to_even(values):
+    values = _both_signs(values)
+    assert _value_texts(values) == [format_float(v) for v in values]
+
+
+def test_value_words_match_format_float_at_the_notation_edges():
+    # Powers of ten one ulp either side for every X of fixed notation
+    # and one beyond, 1e-4 and its lower neighbour (exponent notation),
+    # the largest value below 1e17 and 1e17, zeros and the smallest
+    # subnormal, each with both signs.
+    values = [1e-4, 9.999999999999999e-05, 9.999999999999999e16, 1e17, 0.0, 5e-324]
+    for x in range(-5, 18):
+        p = float(f"1e{x}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    values = _both_signs(values)
+    assert _value_texts(values) == [format_float(v) for v in values]
+    assert _value_texts([np.nan, np.inf, -np.inf]) == ['"nan"', '"inf"', '"-inf"']
 
 
 def _recording(field):

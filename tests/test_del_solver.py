@@ -11,6 +11,7 @@ from oracles import (
     newton_step,
     peakon,
     peakon_labels,
+    section_parts_two_shift,
     thomas,
     uniform_translation,
 )
@@ -101,6 +102,18 @@ def test_expanded_form_matches_gradient(rng):
             raw = del_residual_row(s, j)[i]
             expanded = del_residual_expanded(s, (i, j))
             assert expanded == pytest.approx(raw, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_space, n_time", [(3, 2), (16, 9), (64, 40)])
+def test_section_parts_matches_the_two_shift_form_bit_for_bit(rng, n_space, n_time):
+    s = random_section(GridSpec.from_circle(n_space, n_time, TWO_PI, 0.25), rng)
+    n_rows = n_time - 1
+    ranges = [(0, None), (0, n_rows)] + [(j, j + 1) for j in range(n_rows)]
+    ranges += [tuple(sorted(rng.choice(n_rows + 1, 2, replace=False).tolist())) for _ in range(5)]
+    for lo, hi in ranges:
+        got, ref = section_parts(s, lo, hi), section_parts_two_shift(s, lo, hi)
+        for part, want in zip(got, ref):
+            assert part.shape == want.shape and part.tobytes() == want.tobytes()
 
 
 def test_section_parts_takes_rectangle_row_ranges_and_names_the_first_outside():
