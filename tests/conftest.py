@@ -9,6 +9,7 @@ import pytest
 
 from oracles import rect_value
 
+from chms import geometry_checks
 from chms.del_solver import Section, SolverConfig, evolve, initialize
 from chms.grid import GridSpec
 
@@ -48,6 +49,31 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def rough_section(rng) -> Section:
+    """A valid section far rougher than any trajectory: displacements
+    uniform in +-0.45 h on 60 levels of 4096 points (cfl 0.25)."""
+    g = GridSpec.from_circle(4096, 60, TWO_PI, 0.25)
+    return Section(g, 0.45 * g.h * rng.uniform(-1.0, 1.0, (60, 4096)))
+
+
+def off_partial(partial: str, vertex: int, rel: float):
+    """geometry_checks._linear_terms with one second partial off: the term
+    that L_aa adds to the gradient of vertex 2 (through dL/da / h), or L_ba
+    to vertex 4 (through dL/db / k), is scaled by 1 + rel, and vertex 1
+    balances it."""
+    real = geometry_checks._linear_terms
+
+    def wrong(a, b, c, h, k, vlo, vhi):
+        terms = real(a, b, c, h, k, vlo, vhi)
+        da = (np.roll(vlo, -1, axis=-1) - vlo) / h
+        extra = rel * da * (c * c / a**3 / h if partial == "aa" else b / k)
+        terms[0] -= extra
+        terms[vertex] += extra
+        return terms
+
+    return wrong
 
 
 def constant_tangent(grid: GridSpec, c: float) -> np.ndarray:

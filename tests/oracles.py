@@ -33,6 +33,12 @@ the oracle marches and level equations use them in place of the kernels.
 ``section_parts_two_shift`` forms the parts of a range of rectangle rows
 from its bottom and top rows shifted apart, the reference that
 ``section_parts``, which shifts the rows once, must reproduce bit for bit.
+``identity_ratios`` measures the four kernel identities, which hold for
+any admissible data, on every rectangle and jet of a section against
+``IDENTITY_BOUNDS``: the two-forms and the momentum-map terms of each
+rectangle sum to zero, the linearized gradient is the complex-step
+derivative of the gradient, and the phase-space Hamiltonian is the
+Legendre transform of the density.
 ``peakon`` and ``peakon_labels`` are the first exact nonlinear solution:
 the periodic peakon's profile and its particles' labels, from RK4 on
 each particle's own ordinary differential equation.
@@ -40,6 +46,7 @@ each particle's own ordinary differential equation.
 
 import numpy as np
 
+from chms import bridges, geometry_checks
 from chms.bridges import section_to_jets
 from chms.del_solver import (
     FP_FLOOR_ULPS,
@@ -166,6 +173,90 @@ def omega_from_hess(hess: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarra
     """
     anti = v[:, None] * w[None, :] - v[None, :] * w[:, None]  # [k, l] = v_k w_l - v_l w_k
     return np.einsum("...kl,kl...->l...", hess, anti)
+
+
+# ---------------------------------------------------------------------------
+# Kernel identities.  They hold for any admissible data, so they test the
+# package kernels' algebra on whatever section they are given; each is a
+# worst ratio against its bound.
+
+#: The bound of each identity: rounding level for the sums, 8 ulp for the
+#: two forms of H, which agree exactly in real arithmetic.
+IDENTITY_BOUNDS = {
+    "omega_closure_identity": 1e-12,
+    "momentum_closure_identity": 1e-12,
+    "linearized_gradient_identity": 1e-12,
+    "legendre_hamiltonian_identity": 8.0 * np.finfo(float).eps,
+}
+
+
+def worst_ratio(dev: np.ndarray, terms: np.ndarray) -> float:
+    """Worst |dev| / sum_l |t_l| over a batch of rectangles, the terms t
+    (vertex terms or products) indexed first; a rectangle whose terms are
+    all zero passes."""
+    scale = np.sum(np.abs(terms), axis=0)
+    dev = np.abs(dev)
+    return float(np.max(np.divide(dev, scale, out=np.zeros_like(dev), where=scale > 0.0)))
+
+
+def linearized_gradient_ratio(a, b, c, h: float, k: float, v) -> float:
+    """The linearized gradient (geometry_checks._linear_terms) along the
+    tangent rows v = (bottom, top) against the complex-step derivative of
+    the gradient, Im grad(a + i tau da, ...) / tau with the tangent's parts
+    (da, db, dc): exact to rounding, with no step-size trade-off.
+
+    The worst ratio over the rectangles with parts (a, b, c) of the worst
+    vertex's deviation to the sum of the magnitudes of the products that
+    _linear_terms adds, where its rounding arises: the vertex terms
+    themselves cancel on rough sections.
+    """
+    tau = 1e-100
+    da, db, dc = dparts = geometry_checks._tangent_parts(*v, h, k)
+    shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
+    ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
+    err = np.max(np.abs(geometry_checks._linear_terms(a, b, c, h, k, *v) - ref), axis=0)
+    ca2 = c / (a * a)
+    products = [(c * ca2 / a) * da / h, b * db / h, ca2 * dc / h, b * da / k, a * db / k]
+    products += [dc / a / (h * k), ca2 * da / (h * k)]
+    return worst_ratio(err, np.stack(products))
+
+
+def legendre_hamiltonian_ratio(eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx) -> float:
+    """The phase-space polynomial (bridges.hamiltonian_phase) at the
+    phase point of each jet (bridges.legendre) against the defining
+    identity H = L - px*eta_x - pt*eta_t - ptx*eta_tx on the same jet,
+    relative to the largest of |L|, the pairings and 1."""
+    z = bridges.legendre(eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx)
+    dens = eval_from_parts(eta_x, eta_t, eta_tx)
+    pairings = [z[..., 3] * eta_x, z[..., 4] * eta_t, z[..., 5] * eta_tx]
+    ham = dens - pairings[0] - pairings[1] - pairings[2]
+    scale = np.maximum(np.max(np.abs([dens, *pairings]), axis=0), 1.0)
+    return float(np.max(np.abs(bridges.hamiltonian_phase(z) - ham) / scale))
+
+
+def identity_ratios(s: Section, rng, draws: int = 1) -> dict:
+    """The four identity ratios, keyed as IDENTITY_BOUNDS, with `draws`
+    stacked pairs of tangent rows per rectangle and one symmetry generator
+    per rectangle drawn from rng:
+
+    - the four two-forms (geometry_checks.two_forms) of each rectangle
+      of s sum to zero;
+    - its four momentum-map terms xi * dL/dy_l sum to zero (translation
+      invariance);
+    - linearized_gradient_ratio on every rectangle of s;
+    - legendre_hamiltonian_ratio on every jet of s's interior levels.
+    """
+    h, k = s.grid.h, s.grid.k
+    a, b, c = section_parts(s)
+    v, w = rng.standard_normal((2, 2, draws) + a.shape)  # (bottom, top) row pairs
+    omega = geometry_checks.two_forms(a, b, c, h, k, v, w)
+    momentum = rng.uniform(-2.0, 2.0, a.shape) * np.stack(grad_from_parts(a, b, c, h, k))
+    return {
+        "omega_closure_identity": worst_ratio(omega.sum(axis=0), omega),
+        "momentum_closure_identity": worst_ratio(momentum.sum(axis=0), momentum),
+        "linearized_gradient_identity": linearized_gradient_ratio(a, b, c, h, k, v),
+        "legendre_hamiltonian_identity": legendre_hamiltonian_ratio(*section_to_jets(s)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,20 @@ def test_wave_breaking_reported():
     assert len(res.steps) == res.section.grid.n_time - 2
 
 
+def test_corner_scheme_breaks_a_global_solution():
+    """A property of the corner scheme, not of the equation: for
+    u0 = 0.5 + 0.2 cos x, m0 = u0 - u0'' = 0.5 + 0.4 cos x >= 0.1, so the
+    exact solution exists for all time (McKean; Constantin-Escher), yet
+    the lattice's Q = m(eta) eta_x^2, which the equation keeps at m0 along
+    each particle, drifts until a row folds as if the wave broke (at
+    step 3507, t = 344, here)."""
+    g = GridSpec.from_circle(32, 2, TWO_PI, 0.5)
+    res = evolve(initialize(lambda x: 0.5 + 0.2 * np.cos(x), g), 4000)
+    assert not res.ok
+    assert res.failure.error == "NonMonotone"
+    assert res.failure.step < 4000
+
+
 def test_advance_row_rejects_a_non_monotone_current_row():
     g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
     s = initialize(cosine_u0(0.1, TWO_PI), g)
