@@ -52,10 +52,59 @@ def _write_text(path: Path, chunks) -> None:
         raise ConfigError(f"out_dir: cannot write {str(path)!r}: {exc}") from exc
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@cache
+def _flat_encode(depth: int):
+    """The standard library's encode for a value at nesting depth `depth`
+    that holds no container.  Without an indent it runs the C encoder; the
+    indent goes into its item separator, so a flat container's items come
+    out as the indented encoder lays them out, between bare brackets."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_key(key) -> str:
+    """A dict key's text as the encoder writes it: float, int, bool and
+    None keys become strings first."""
+    if isinstance(key, (int, float)) or key is None:
+        key = json.dumps(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.encoder.encode_basestring_ascii(key) + ": "
+
+
+def _json_chunks(obj, depth: int = 0):
+    """obj's text as json.JSONEncoder(indent=2) writes it, in chunks.
+
+    Each value that holds no container, a flat container included, is
+    one chunk from the C encoder (_flat_encode), whose brackets then get
+    their own lines; only the nesting is walked in Python, as the
+    pure-Python indented encoder walks it."""
+    items = obj.values() if isinstance(obj, dict) else obj
+    if not isinstance(obj, _CONTAINERS) or not any(isinstance(v, _CONTAINERS) for v in items):
+        text = _flat_encode(depth)(obj)
+        if isinstance(obj, _CONTAINERS) and obj:
+            text = f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+        yield text
+        return
+    is_dict = isinstance(obj, dict)
+    sep = "\n" + "  " * (depth + 1)
+    yield "{" if is_dict else "["
+    for i, item in enumerate(obj.items() if is_dict else obj):
+        yield ("," if i else "") + sep
+        if is_dict:
+            key, item = item
+            yield _json_key(key)
+        yield from _json_chunks(item, depth + 1)
+    yield "\n" + "  " * depth + ("}" if is_dict else "]")
+
+
 def dump_json(obj, path: Path) -> None:
-    """Write obj as two-space-indented JSON and a final newline, streamed
-    chunk by chunk from the standard library's encoder."""
-    _write_text(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"]))
+    """Write obj as two-space-indented JSON and a final newline, byte for
+    byte as json.JSONEncoder(indent=2) writes it, streamed chunk by chunk
+    (_json_chunks)."""
+    _write_text(path, itertools.chain(_json_chunks(obj), ["\n"]))
 
 
 #: The writer forms its labels and velocities over blocks of saved levels
@@ -369,7 +418,11 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def run_command(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    # Only the mff diagnostic draws from the generator, and creating one
+    # imports numpy.random (about 5 MiB of a run's memory high-water).  It
+    # is created before the march: created after it, it raised an mff
+    # run's high-water by about 0.6 MiB.
+    rng = np.random.default_rng(cfg.seed) if "mff" in cfg.diagnostics else None
     result = _execute(cfg)
     s = result.section
     momenta, actions = gc.level_series(s)

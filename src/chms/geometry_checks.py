@@ -238,7 +238,8 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
     rectangle rows (del_solver._row_blocks) are built at once and summed
     along space, which gives each row's sums bit for bit as that row
     alone would, and holds no more than one block's temporaries.  The
-    momentum density g3 + g4 is formed in place in g3's array.
+    momentum density g3 + g4 is formed in place in g3's array, and both
+    are dropped before the action is formed.
     """
     g = phi.grid
     momenta, actions = [], []
@@ -247,6 +248,7 @@ def level_series(phi: Section) -> tuple[list[float], list[float]]:
         g3, g4 = grad_34(*parts, g.h, g.k)
         g3 += g4
         momenta += np.sum(g3, axis=-1).tolist()
+        del g3, g4
         actions += np.sum(eval_from_parts(*parts), axis=-1).tolist()
     return momenta, actions
 

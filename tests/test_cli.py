@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TWO_PI, cosine_trajectory, off_partial, random_section, rough_section, traced_peak
 from oracles import IDENTITY_BOUNDS, linearized_gradient_ratio
@@ -112,6 +112,36 @@ def test_dump_json_layout_and_exact_floats(tmp_path):
     assert back["levels"][0]["label"] == "η₀" and back["pair"][0] == 2**60
     got = np.array(back["floats"])
     assert got.view(np.uint64).tolist() == np.array(floats).view(np.uint64).tolist()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**60, -(2**63), 5e-324, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.text(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+@example({"ü": [], "η₀": {}, "x": [[], {}, ()], "v": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**60, "ßé"]})
+@example([{"a": [1, {"b": ()}]}, [[[]]], {"c": {"d": [{}]}}])
+def test_dump_json_writes_the_indented_encoders_bytes(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "dump.json"
+    cli.dump_json(obj, path)
+    assert path.read_text(encoding="utf-8") == json.JSONEncoder(indent=2).encode(obj) + "\n"
 
 
 def test_diagnostic_windows():
@@ -1116,6 +1146,41 @@ def test_module_entry_point_runs_main(tmp_path):
                          "--out-dir", str(tmp_path / "o"), cwd=tmp_path)
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("diagnostics, loaded", [
+    ("none", False), ("noether", False), ("bridges", False), ("mff", True),
+])
+def test_run_imports_numpy_random_only_for_mff(tmp_path, diagnostics, loaded):
+    # Importing numpy.random costs a fresh run about 10 ms and 5 MiB of
+    # its high-water; only the mff tangent pair draws from a generator.
+    argv = ["run", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "8",
+            "--diagnostics", diagnostics, "--out-dir", str(tmp_path / "o")]
+    code = (f"import sys; from chms.cli import main; code = main({argv!r}); "
+            "print(code, 'numpy.random' in sys.modules)")
+    proc = _fresh_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), str(loaded)]
+
+
+def test_run_mff_sums_come_from_the_seeds_first_draw(tmp_path):
+    # The tangent pair's initial rows are the generator's first draw,
+    # (2, 2, n_space) standard normals, so the mff sums are reproducible
+    # from the seed alone.
+    out = tmp_path / "mff"
+    argv = ["--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "10", "--seed", "7"]
+    assert run_cli("run", *argv, "--diagnostics", "mff", "--out-dir", str(out)) == EXIT_OK
+    windows = json.loads((out / "diagnostics.json").read_text())["windows"]
+    cfg = cli._resolve_config(cli.build_parser().parse_args(["run", *argv]))
+    s = cli._execute(cfg).section
+    v0 = np.random.default_rng(7).standard_normal((2, 2, 16))
+    v, w = geometry_checks.solve_first_variation(s, v0, cfg.solver())
+    assert [(rec["j_lo"], rec["j_hi"]) for rec in windows] == diagnostic_windows(s.grid.n_time)
+    for rec in windows:
+        terms = geometry_checks.mff_boundary_terms(s, v, w, (rec["j_lo"], rec["j_hi"]))
+        assert rec["mff_boundary_sum"] == float(np.sum(terms))
+        assert rec["mff_abs_sum"] == float(np.sum(np.abs(terms)))
+        assert "noether_boundary_sum" not in rec
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
