@@ -117,10 +117,6 @@ def _dx(f: np.ndarray, h: float, lift: float = 0.0) -> np.ndarray:
     return (_shift(f, 1, lift) - _shift(f, -1, lift)) / (2.0 * h)
 
 
-def _dxx(f: np.ndarray, h: float, lift: float = 0.0) -> np.ndarray:
-    return (_shift(f, 1, lift) - 2.0 * f + _shift(f, -1, lift)) / (h * h)
-
-
 def _dt(f: np.ndarray, k: float) -> np.ndarray:
     """Central t-derivative; drops the first and last time level."""
     return (f[2:] - f[:-2]) / (2.0 * k)
@@ -131,9 +127,11 @@ def _jets(y: np.ndarray, g: GridSpec) -> tuple[np.ndarray, ...]:
     eta_txx) of the label rows y, shape (r, n_space), on their interior
     rows 1 .. r - 2: six arrays of shape (max(r - 2, 0), n_space)."""
     h, k, lam = g.h, g.k, g.domain_length
+    up, down = _shift(y, 1, lam), _shift(y, -1, lam)
     eta_t = _dt(y, k)
-    eta_xx = _dxx(y, h, lam)
-    return y[1:-1].copy(), _dx(y, h, lam)[1:-1], eta_t, eta_xx[1:-1], _dx(eta_t, h), _dt(eta_xx, k)
+    eta_x = (up[1:-1] - down[1:-1]) / (2.0 * h)
+    eta_xx = (up - 2.0 * y + down) / (h * h)
+    return y[1:-1].copy(), eta_x, eta_t, eta_xx[1:-1], _dx(eta_t, h), _dt(eta_xx, k)
 
 
 def section_to_jets(s: Section) -> tuple[np.ndarray, ...]:

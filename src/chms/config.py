@@ -131,14 +131,14 @@ class RunConfig:
         return parse_initial_condition(self.ic, self.domain_length)
 
     def as_dict(self) -> dict:
-        h = self.domain_length / self.n_space
+        g = self.grid()
         return {
             "n_space": self.n_space,
             "n_steps": self.n_steps,
             "domain_length": self.domain_length,
             "cfl": self.cfl,
-            "h": h,
-            "k": self.cfl * h,
+            "h": g.h,
+            "k": g.k,
             "initial_condition": self.ic,
             "out_dir": self.out_dir,
             "save_every": self.save_every,

@@ -193,17 +193,6 @@ class EvolveResult:
         return self.failure is None
 
 
-def _row_parts(lo: np.ndarray, hi: np.ndarray, g: GridSpec, what: str = "the bottom row"):
-    """(a, b, c) arrays over the rectangle row with bottom `lo`, top `hi`;
-    a non-monotone `lo` raises NonMonotone naming it `what`.
-
-    Stacked rows (any leading shape, space along the last axis) give the
-    parts of every rectangle row at once.
-    """
-    lam = g.domain_length
-    return stencil_parts(lo, _shift(lo, 1, lam), _shift(hi, 1, lam), hi, g.h, g.k, what)
-
-
 def section_parts(s: Section, lo: int = 0, hi: int | None = None):
     """(a, b, c) over the rectangle rows lo .. hi - 1 of s (row j spans
     rows j and j + 1), by default all of them, shape (hi - lo, n_space):
@@ -617,12 +606,15 @@ def advance_row(
     """
     ym2, ym1 = prev if np.ndim(prev) == 2 else (None, prev)
     h, k = g.h, g.k
-    a_t = _increments(y0, g, "the current row y0")
-    a_t /= h  # bottom edge of the top rectangles
+    # ym1 and y0 are shifted once each: y0's shift gives the bottom edge
+    # of the top rectangles and, with ym1's, the parts of the bottom ones.
+    ym1_up, y0_up = _shift(ym1, 1, g.domain_length), _shift(y0, 1, g.domain_length)
+    a_t = _require_increments(y0_up - y0, h, "the current row y0")
+    a_t /= h
     # The bottom rectangles' vertex terms (3 of the rectangle down-left
     # of each point, 4 of the one down-right) are fixed during the solve;
     # each residual is _level_equation's, (t1 + t2) + (t3 + t4), bit for bit.
-    g3, t4 = grad_34(*_row_parts(ym1, y0, g, "the previous row ym1"), h, k)
+    g3, t4 = grad_34(*stencil_parts(ym1, ym1_up, y0_up, y0, h, k, "the previous row ym1"), h, k)
     t3 = _shift(g3, -1)
     t34 = t3 + t4
 

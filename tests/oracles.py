@@ -41,7 +41,11 @@ derivative of the gradient, and the phase-space Hamiltonian is the
 Legendre transform of the density.
 ``peakon`` and ``peakon_labels`` are the first exact nonlinear solution:
 the periodic peakon's profile and its particles' labels, from RK4 on
-each particle's own ordinary differential equation.
+each particle's own ordinary differential equation.  ``green`` is the
+periodic Green's function of the N-peakon profiles, and
+``collision_time`` the exact time at which a symmetric
+peakon-antipeakon pair collides (the wave breaks), by quadrature of the
+reduced Hamiltonian system with no time march.
 """
 
 import numpy as np
@@ -55,13 +59,12 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     StepStats,
-    _row_parts,
     section_parts,
     solve_cyclic_tridiagonal,
 )
 from chms.errors import MaxItersExceeded, NotOnShell, OutOfRange, SingularJacobian
 from chms.geometry_checks import _linear_terms
-from chms.lagrangian import eval_from_parts, grad_from_parts, stencil_parts
+from chms.lagrangian import _shift, eval_from_parts, grad_from_parts, stencil_parts
 
 # ---------------------------------------------------------------------------
 # Expression forms of the row kernels: one NumPy expression per formula,
@@ -120,9 +123,12 @@ def increments_expr(rows, g):
 def section_parts_two_shift(phi, lo: int = 0, hi: int | None = None):
     """(a, b, c) of section_parts over rectangle rows lo .. hi - 1, from
     the bottom rows and the top rows, each shifted on its own."""
-    hi = phi.grid.n_time - 1 if hi is None else hi
+    g = phi.grid
+    hi = g.n_time - 1 if hi is None else hi
     y = phi.xs() + phi.displacement[lo : hi + 1]
-    return _row_parts(y[:-1], y[1:], phi.grid)
+    bot, top = y[:-1], y[1:]
+    lam = g.domain_length
+    return stencil_parts(bot, _shift(bot, 1, lam), _shift(top, 1, lam), top, g.h, g.k)
 
 
 def level_series_expr(phi):
@@ -679,3 +685,39 @@ def peakon_labels(xs, t: float, c: float, n_steps: int = 2000) -> np.ndarray:
         k4 = f(xi + dt * k3)
         xi = xi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return xi + c * t
+
+
+# ---------------------------------------------------------------------------
+# Peakon-antipeakon collision: the exact breaking time.
+
+
+def green(x):
+    """G(x) = cosh((x mod 2 pi) - pi) / (2 sinh pi), the periodic Green's
+    function of 1 - d^2/dx^2 on the circle of length 2 pi: the N-peakon
+    profile with weights p_i at peaks q_i is u = sum_i p_i G(x - q_i)."""
+    return np.cosh(np.mod(x, 2.0 * np.pi) - np.pi) / (2.0 * np.sinh(np.pi))
+
+
+def collision_time(s0: float) -> float:
+    """T* at which the peakon-antipeakon pair p = (1, -1) at q = pi -+ s0
+    collides at pi, the exact breaking time of u0 = G(x - q1) - G(x - q2).
+
+    The peaks follow Hamilton's equations for H = sum_ij p_i p_j
+    G(q_i - q_j) / 2.  By symmetry p = (P, -P) and q = pi -+ s, so
+    H = P^2 (G(0) - G(2 s)) = G(0) - G(2 s0) is conserved, and the
+    half-gap obeys s' = -P (G(0) - G(2 s)) = -sqrt(H (G(0) - G(2 s))).
+    Hence
+
+        T* = integral over 0 < s < s0 of ds / sqrt(H (G(0) - G(2 s))).
+
+    G(0) - G(2 s) ~ s at s = 0, so after s = sigma^2 the integrand
+    2 sigma / sqrt(H (G(0) - G(2 sigma^2))) is smooth, and 40-point
+    Gauss-Legendre on 0 < sigma < sqrt(s0) meets it to about 1e-12
+    (T* = 2.7351182 at s0 = 0.5, 2.5666273 at s0 = pi / 8)."""
+    g0 = green(0.0)
+    energy = g0 - green(2.0 * s0)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    half = 0.5 * np.sqrt(s0)
+    sigma = half * (nodes + 1.0)
+    integrand = 2.0 * sigma / np.sqrt(energy * (g0 - green(2.0 * sigma * sigma)))
+    return float(half * np.sum(weights * integrand))

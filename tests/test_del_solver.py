@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TWO_PI, cosine_trajectory, cosine_u0, random_section, traced_peak
 from oracles import (
+    collision_time,
     cyclic_solve,
     del_residual,
     del_residual_expanded,
+    green,
     label,
     newton_step,
     peakon,
@@ -16,14 +20,13 @@ from oracles import (
     uniform_translation,
 )
 
-from chms import del_solver
+from chms import del_solver, lagrangian
 from chms.config import RunConfig
 from chms.del_solver import (
     Section,
     SolverConfig,
     _increments,
     _level_solver,
-    _row_parts,
     _solve_cyclic_scalar,
     _sweep,
     advance_row,
@@ -370,7 +373,7 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
     for j in range(1, s.grid.n_time - 1):
-        a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
+        a, b, c = (p[0] for p in section_parts(s, j, j + 1))
         lower, diag, upper = jacobian_bands(a, b, c, s.grid.h, s.grid.k)
         for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
             x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
@@ -385,7 +388,7 @@ def test_stacked_solve_matches_each_rhs_bitwise(n):
     # each row comes out as its own solve gives it.  At 1031 and 4099 the
     # short blocks end in a pad row, after the right coupling.
     s = cosine_trajectory(n_space=n, n_steps=2).section
-    lower, diag, upper = jacobian_bands(*_row_parts(s.row_y(2), s.row_y(3), s.grid), s.grid.h, s.grid.k)
+    lower, diag, upper = jacobian_bands(*(p[0] for p in section_parts(s, 2, 3)), s.grid.h, s.grid.k)
     for m in (1, 2, 3):
         rhs = np.random.default_rng(n + m).standard_normal((m, n))
         x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
@@ -522,7 +525,7 @@ def test_newton_bands_solve_to_rounding_level(n):
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
     for j in range(1, s.grid.n_time - 1):
-        a, b, c = _row_parts(s.row_y(j), s.row_y(j + 1), s.grid)
+        a, b, c = (p[0] for p in section_parts(s, j, j + 1))
         lower, diag, upper = jacobian_bands(a, b, c, s.grid.h, s.grid.k)
         for rhs in (-del_residual_row(s, j), rng.standard_normal(n)):
             x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
@@ -534,7 +537,7 @@ def long_row_bands(kind, n):
     if kind == "dominant":
         return dominant_bands(np.random.default_rng(n), n)
     s = cosine_trajectory(n_space=n, n_steps=2).section
-    a, b, c = _row_parts(s.row_y(2), s.row_y(3), s.grid)
+    a, b, c = (p[0] for p in section_parts(s, 2, 3))
     return jacobian_bands(a, b, c, s.grid.h, s.grid.k)
 
 
@@ -739,6 +742,17 @@ def test_advance_row_rejects_a_non_monotone_current_row():
         advance_row(s.row_y(0), y0, g, SolverConfig())
 
 
+def test_advance_row_names_the_current_row_when_both_rows_fold():
+    # y0 is checked before ym1, so a step whose two rows both fold names y0.
+    g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
+    s = initialize(cosine_u0(0.1, TWO_PI), g)
+    ym1, y0 = s.row_y(0), s.row_y(1)
+    ym1[[4, 5]] = ym1[[5, 4]]
+    y0[[9, 10]] = y0[[10, 9]]
+    with pytest.raises(NonMonotone, match=r"^the current row y0 is not strictly monotone at i=9 "):
+        advance_row(ym1, y0, g, SolverConfig())
+
+
 def test_advance_row_names_a_non_monotone_previous_row():
     g = GridSpec.from_circle(16, 2, TWO_PI, 0.25)
     s = initialize(cosine_u0(0.1, TWO_PI), g)
@@ -873,15 +887,18 @@ def test_evolve_takes_one_newton_update_per_step():
 def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
     # Neither start, the linear guess 2*y0 - ym1 nor the quadratic one
     # from ym2 too, is checked: an accepted step with k Newton updates
-    # applies the monotonicity rule to y0 and to each update.
+    # applies the one monotonicity rule to y0, then to ym1 (in the bottom
+    # rectangles' parts), then once to each update.  The calls are
+    # counted by the name each passes, wherever the rule is reached from.
     calls = []
-    real = del_solver._increments
+    real = lagrangian._require_increments
 
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counting(inc, h, what, *rest):
+        calls.append(what)
+        return real(inc, h, what, *rest)
 
-    monkeypatch.setattr(del_solver, "_increments", counting)
+    monkeypatch.setattr(del_solver, "_require_increments", counting)
+    monkeypatch.setattr(lagrangian, "_require_increments", counting)
     for n_space, amp in ((16, 0.1), (64, 0.5)):
         g = GridSpec.from_circle(n_space, 2, TWO_PI, 0.25)
         s = evolve(initialize(cosine_u0(amp, TWO_PI), g), 1).section
@@ -889,8 +906,9 @@ def test_advance_row_checks_the_current_row_and_each_update_once(monkeypatch):
             calls.clear()
             _, stats = advance_row(prev, y0, s.grid, SolverConfig())
             assert stats.iterations >= 1
-            assert len(calls) == 1 + stats.iterations
-            assert calls[0] == "the current row y0"
+            assert calls == ["the current row y0", "the previous row ym1"] + [
+                "wave breaking: the Newton update of the next row"
+            ] * stats.iterations
 
 
 def test_evolve_starts_newton_from_the_last_three_rows():
@@ -942,6 +960,32 @@ def test_the_scheme_converges_to_the_periodic_peakon_at_first_order():
         errors.append(np.abs(s.row_y(j) - peakon_labels(s.xs(), j * g.k, c)).max())
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 0.9), (errors, orders)
+
+
+def test_peakon_antipeakon_breaks_before_the_exact_collision_time():
+    # The pair p = (1, -1) at pi -+ pi/8 (lattice points when 16 divides
+    # n) collides at T* = collision_time(pi/8) = 2.5666.  The scheme must
+    # break between the initial peaks, before T*, and the gap T* - t_abort
+    # must shrink at first order (0.161, 0.088, 0.051 and 0.026 at
+    # n = 64 ... 512; ratios 1.84, 1.72 and 1.93).
+    # The quadrature meets RK4 on the reduced system, 2.73505 at s0 = 0.5.
+    assert abs(collision_time(0.5) - 2.73505) < 1e-4
+    s0 = np.pi / 8
+    t_star = collision_time(s0)
+
+    def u0(x):
+        return green(x - (np.pi - s0)) - green(x - (np.pi + s0))
+
+    gaps = []
+    for n in (64, 128, 256, 512):
+        g = GridSpec.from_circle(n, 2, TWO_PI, 0.25)
+        res = evolve(initialize(u0, g), int(t_star / g.k) + 1)
+        assert not res.ok and res.failure.error == "NonMonotone", res.failure
+        at = int(re.search(r"at i=(\d+) ", res.failure.message).group(1))
+        assert 7 * n // 16 < at < 9 * n // 16
+        gaps.append(t_star - (res.section.grid.n_time - 1) * g.k)
+    assert gaps[-1] > 0.0
+    assert all(a >= 1.6 * b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_evolve_continuation_matches_single_run():
