@@ -378,10 +378,11 @@ def _solve_cyclic_scalar(lower, diag, upper, rhs):
 
 
 def _sweep(lo, di, up, x):
-    """Unpivoted elimination of S tridiagonal systems of w rows at once,
-    stacked along the last axis: the bands are (w, S), row j of every
-    system in row j, and the right-hand sides x (w, R, S) are solved in
-    place.  Returns the pivots (w, S) and the multipliers (w - 1, S).
+    """Unpivoted elimination of tridiagonal systems of w rows at once,
+    stacked along the trailing axes: the bands are (w, ...), row j of
+    every system in row j, and the right-hand sides x (w, R, ...) are
+    solved in place.  Returns the pivots (w, ...) and the multipliers
+    (w - 1, ...).
 
     One NumPy step per column runs across the systems, with the float
     operations of _thomas in its order, so each solution is bit-identical
@@ -389,9 +390,8 @@ def _sweep(lo, di, up, x):
     band and do not enter.  Floating-point errors are ignored: a failed
     system's entries are garbage, and the caller reads its pivots.
     """
-    w, n_sys = di.shape
-    piv, c = np.empty((w, n_sys)), np.empty((w - 1, n_sys))
-    tmp, tmp_x = np.empty(n_sys), np.empty(x.shape[1:])
+    piv, c = np.empty(di.shape), np.empty((len(di) - 1, *di.shape[1:]))
+    tmp, tmp_x = np.empty(di.shape[1:]), np.empty(x.shape[1:])
     with np.errstate(all="ignore"):
         piv[0] = di[0]
         p_prev, x_prev = piv[0], np.divide(x[0], piv[0], out=x[0])
@@ -406,11 +406,28 @@ def _sweep(lo, di, up, x):
     return piv, c
 
 
+def _substitute_columns(lo, piv, c, x):
+    """Solve x (w, R, ...) in place through the pivots and multipliers
+    _sweep returned for the sub-diagonal lo, with _sweep's float
+    operations in its order, floating-point errors ignored."""
+    tmp = np.empty(x.shape[1:])
+    with np.errstate(all="ignore"):
+        x_prev = np.divide(x[0], piv[0], out=x[0])
+        for lj, pj, xj in zip(lo[1:], piv[1:], x[1:]):
+            np.subtract(xj, np.multiply(lj, x_prev, out=tmp), out=xj)
+            x_prev = np.divide(xj, pj, out=xj)
+        for cj, xj in zip(c[::-1], x[-2::-1]):
+            x_prev = np.subtract(xj, np.multiply(cj, x_prev, out=tmp), out=xj)
+
+
 # Rows of at least this many unknowns take the partitioned solve, and so
-# do the systems of its separators.  Shorter rows keep the scalar sweep,
-# bit-identical to textbook elimination, where the partitioned solve gains
-# least (CHANGES.md has the timings that set this size and the block length).
-_PARTITION_MIN_N = 512
+# do the systems of its separators; shorter rows keep the scalar sweep,
+# bit-identical to textbook elimination.  One solve of a cosine row's
+# bands, one rhs, in us, scalar / partitioned: n = 128: 58 / 93, 192:
+# 87 / 97, 224: 97 / 98, 256: 106 / 94, 512: 206 / 114; a tangent pair's
+# substitution into a block's factor at 256 points: 97 / 64 (CHANGES.md
+# has the hardware).
+_PARTITION_MIN_N = 256
 
 
 def _blocks(v, p: int, b: int, n_long: int, pad: float) -> np.ndarray:
@@ -430,67 +447,103 @@ def _blocks(v, p: int, b: int, n_long: int, pad: float) -> np.ndarray:
     return out
 
 
-def _solve_partitioned(lower, diag, upper, rhs):
-    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows, for
-    the right-hand sides rhs, shape (m, n); returns shape (m, n).
-
-    One separator opens every block of 8 points (the first n % 8 blocks
-    take a ninth).  The segments between separators are eliminated all at
-    once (_sweep), with m + 2 right-hand sides: each rhs and the couplings
-    to the left and right separators.  The separators' cyclic
-    Schur-complement system (n // 8 unknowns) takes the same two-path rule
-    (_elimination), and the segments back-substitute.  Every step is
-    elementwise, so each rhs comes out bit for bit as it would alone.
-    Runs with floating-point errors ignored.  A segment pivot that fails,
-    or a separators' system that raises, sends the whole row to the
-    scalar sweep, under the caller's floating-point settings: unpivoted
-    elimination in this order can fail where natural order does not.
+def _segments(lower, diag, upper, rhs):
+    """The partition method's segment sweep for one cyclic system (n,)
+    or a stack (L, n), and rhs (m, n) or (m, L, n): one separator opens
+    every block of 8 points (the first n % 8 blocks take a ninth), and the
+    segments between them are eliminated at once (_sweep) for each rhs and
+    the couplings to the left and right separators.  Returns the blocked
+    bands and rhs (_blocks), the solutions x (w, m + 2, ..., p) (column j
+    of every segment in x[j], the couplings in rows m and m + 1), the
+    pivots and multipliers, and n_long.  The right coupling sits at each
+    segment's last real row; a pad row after it stays 0 and decouples.
     """
-    n = diag.size
-    m = len(rhs)
+    n, m = diag.shape[-1], len(rhs)
     p = n // 8
     q, r = divmod(n, p)
     b = q + (r > 0)  # block length, separator included
     n_long = r or p
-    w = b - 1  # segment columns
     lo, di, up, rr = (
         _blocks(v, p, b, n_long, pad)
         for v, pad in ((lower, 0.0), (diag, 1.0), (upper, 0.0), (rhs, 0.0))
     )
-    # x[j] holds column j of every segment's right-hand sides: the m of
-    # rhs, then the left and the right coupling (rows m and m + 1).  The
-    # right coupling sits at each segment's last real row; a pad row after
-    # it keeps the value 0 and decouples.
-    x = np.zeros((w, m + 2, p))
-    x[:, :m] = rr[..., 1:].transpose(2, 0, 1)
-    x[0, m] = lo[:, 1]
-    x[w - 1, m + 1, :n_long] = up[:n_long, w]
-    x[w - 2, m + 1, n_long:] = up[n_long:, w - 1]
-    piv, _ = _sweep(lo[:, 1:].T, di[:, 1:].T, up[:, 1:].T, x)
-    if not (np.isfinite(piv).all() and piv.all()):
-        return _solve_cyclic_scalar(lower, diag, upper, rhs)
-    try:
-        with np.errstate(all="ignore"):
-            first = x[0]
-            last = _shift(np.concatenate((x[w - 1, :, :n_long], x[w - 2, :, n_long:]), axis=1), -1)
-            sl, sd, su, sr = lo[:, 0], di[:, 0], up[:, 0], rr[..., 0]
-            xs = _elimination(p)(
-                -sl * last[m],
-                sd - sl * last[m + 1] - su * first[m],
-                -su * first[m + 1],
-                sr - sl * last[:m] - su * first[:m],
-            )
-            xi = x[:, :m] - x[:, m : m + 1] * xs - x[:, m + 1 : m + 2] * _shift(xs, 1)
-    except SingularJacobian:
-        return _solve_cyclic_scalar(lower, diag, upper, rhs)
-    out = np.empty((m, n))
-    head = out[:, : n_long * b].reshape(m, n_long, b)
-    tail = out[:, n_long * b :].reshape(m, p - n_long, w)
+    x = np.zeros((b - 1, m + 2, *diag.shape[:-1], p))
+    x[:, :m] = _columns(rr)
+    x[0, m] = lo[..., 1]
+    x[-1, m + 1, ..., :n_long] = up[..., :n_long, -1]
+    x[-2, m + 1, ..., n_long:] = up[..., n_long:, -2]
+    return (lo, di, up, rr), x, _sweep(_columns(lo), _columns(di), _columns(up), x), n_long
+
+
+def _columns(v):
+    """The segment rows of blocked v (at most two leading axes), column
+    first: (w, ..., p)."""
+    return v.T[1:].swapaxes(1, -1)
+
+
+def _ends(x, n_long: int):
+    """The segments' first unknowns and their last, shifted so that entry
+    k belongs to the segment before separator k (a short block's last
+    real row is its second to last), from x (w, ..., p)."""
+    return x[0], _shift(np.concatenate((x[-1, ..., :n_long], x[-2, ..., n_long:]), axis=-1), -1)
+
+
+def _separator_bands(lo, di, up, first, last):
+    """The bands of the separators' cyclic Schur-complement system, from
+    the blocked bands and the couplings' _ends (their last two rows)."""
+    sl, su = lo[..., 0], up[..., 0]
+    return -sl * last[-2], di[..., 0] - sl * last[-1] - su * first[-2], -su * first[-1]
+
+
+def _separator_rhs(lo, up, rr, first, last):
+    """The separators' right-hand sides, from the blocked bands and rhs
+    and the _ends of the segments' solutions for rhs."""
+    return rr[..., 0] - lo[..., 0] * last - up[..., 0] * first
+
+
+def _back_fill(xr, couplings, xs, n_long: int) -> np.ndarray:
+    """The solutions (m, n), from the segments' xr (w, m, p) and the
+    couplings' (w, 2, p) solutions and the separators' xs (m, p)."""
+    w, m, p = xr.shape
+    xi = xr - couplings[:, :1] * xs - couplings[:, 1:] * _shift(xs, 1)
+    out = np.empty((m, p * w + n_long))
+    head = out[:, : n_long * (w + 1)].reshape(m, n_long, w + 1)
+    tail = out[:, n_long * (w + 1) :].reshape(m, p - n_long, w)
     head[..., 0] = xs[:, :n_long]
     head[..., 1:] = xi[..., :n_long].transpose(1, 2, 0)
     tail[..., 0] = xs[:, n_long:]
     tail[..., 1:] = xi[: w - 1, :, n_long:].transpose(1, 2, 0)
     return out
+
+
+def _solve_partitioned(lower, diag, upper, rhs):
+    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows, for
+    the right-hand sides rhs, shape (m, n); returns shape (m, n).
+
+    The segments are eliminated for each rhs and the two couplings
+    (_segments), the separators' cyclic Schur-complement system (n // 8
+    unknowns) takes the same two-path rule (_elimination), and the
+    segments back-substitute.  Every step is elementwise, so each rhs
+    comes out bit for bit as it would alone.  Runs with floating-point
+    errors ignored.  A segment pivot that fails, or a separators' system
+    that raises, sends the whole row to the scalar sweep, under the
+    caller's floating-point settings: unpivoted elimination in this order
+    can fail where natural order does not.
+    """
+    m = len(rhs)
+    (lo, di, up, rr), x, (piv, _), n_long = _segments(lower, diag, upper, rhs)
+    if not (np.isfinite(piv).all() and piv.all()):
+        return _solve_cyclic_scalar(lower, diag, upper, rhs)
+    try:
+        with np.errstate(all="ignore"):
+            first, last = _ends(x, n_long)
+            xs = _elimination(x.shape[-1])(
+                *_separator_bands(lo, di, up, first, last),
+                _separator_rhs(lo, up, rr, first[:m], last[:m]),
+            )
+            return _back_fill(x[:, :m], x[:, m:], xs, n_long)
+    except SingularJacobian:
+        return _solve_cyclic_scalar(lower, diag, upper, rhs)
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
@@ -508,8 +561,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     diagonally dominant A every pivot stays dominant and one solve leaves
     a backward error at rounding level.  Each rhs of a stack comes out bit
     for bit as its own solve gives it.  Newton solves one rhs per call;
-    the tangent march, on rows shorter than _PARTITION_MIN_N, factors a
-    block of levels at once with the column sweep instead (_level_solver).
+    the tangent march factors a block of levels at once instead, by the
+    same path, and substitutes per level (_level_solver).
     Bands that are not 1-D of one length n >= 3, or an rhs not (n,) or
     (m, n) with m >= 1, raise ValueError; a non-finite corner entry, or a
     zero or non-finite pivot of the scalar sweep, which takes what the
@@ -537,7 +590,8 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
 
 def _elimination(n: int):
     """The solve of one cyclic system of n unknowns: the partition method
-    from _PARTITION_MIN_N unknowns on, else the scalar bordered sweep."""
+    from _PARTITION_MIN_N unknowns on, else the scalar bordered sweep; a
+    block of such systems is factored by the same path (_level_solver)."""
     return _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
 
 
@@ -546,16 +600,39 @@ def _level_solver(lower, diag, upper):
     systems, bands stacked (L, n), for the right-hand sides rhs (m, n),
     bit for bit as solve_cyclic_tridiagonal gives it.
 
-    Where that solve takes the scalar sweep (_elimination), the leading
-    blocks of the L systems are eliminated here at once (_sweep), with the
-    border column A[:n-1, n-1] as their right-hand side, and each solve
-    only substitutes (_substitute, _border_solve); longer rows call
-    solve_cyclic_tridiagonal at each solve, and so does a system whose
-    factor has a zero or non-finite pivot (a non-finite corner entry
-    makes its Schur pivot so), which then raises that solve's error.
+    The L systems are factored here at once, by the path that solve takes
+    (_elimination), and each solve only substitutes.  The scalar factor
+    eliminates their leading blocks (_sweep) with the border column
+    A[:n-1, n-1] as right-hand side (a solve: _substitute, _border_solve);
+    the partitioned one eliminates the L * p segments for the couplings
+    alone (_segments) and factors the separators' L systems with
+    _level_solver (a solve: _substitute_columns, the separators' solve,
+    _back_fill).  A system whose pivots or separators' solve fail calls
+    solve_cyclic_tridiagonal, which raises its error or takes its
+    fallback.
     """
     if _elimination(diag.shape[-1]) is _solve_partitioned:
-        return lambda t, rhs: solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
+        (lo, di, up, _), x, (piv, c), n_long = _segments(lower, diag, upper, np.empty((0, *diag.shape)))
+        with np.errstate(all="ignore"):
+            inner = _level_solver(*_separator_bands(lo, di, up, *_ends(x, n_long)))
+        # Pivots only: a non-finite corner makes a separators' system fail.
+        failed = ~(np.isfinite(piv).all(axis=(0, 2)) & piv.all(axis=(0, 2)))
+
+        def solve(t, rhs):
+            if not failed[t]:
+                rr = _blocks(rhs, *lo.shape[1:], n_long, 0.0)
+                xr = _columns(rr).copy()
+                _substitute_columns(_columns(lo[t]), piv[:, t], c[:, t], xr)
+                try:
+                    with np.errstate(all="ignore"):
+                        first, last = _ends(xr, n_long)
+                        xs = inner(t, _separator_rhs(lo[t], up[t], rr, first, last))
+                        return _back_fill(xr, x[:, :, t], xs, n_long)
+                except SingularJacobian:
+                    pass
+            return solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
+
+        return solve
     lo, di, up = lower.T, diag.T, upper.T  # (n, L): row i of every system in row i
     z = np.zeros((len(di) - 1, len(diag)))  # the border column A[:n-1, n-1]
     z[0], z[-1] = lo[0], up[-2]

@@ -107,9 +107,9 @@ def solve_first_variation(
     The levels go in blocks (del_solver._row_blocks), and the march holds
     one block's arrays at a time: the block's parts, gradients, on-shell
     residuals and bands come from one stacked pass, and its systems are
-    factored at once (del_solver._level_solver), so each level only
-    substitutes its tangents' right-hand sides (rows of _PARTITION_MIN_N
-    points or more take one partitioned solve per level).  Levels are read
+    factored at once (del_solver._level_solver: the scalar sweep below
+    _PARTITION_MIN_N points, the partition method from there on), so each
+    level only substitutes its tangents' right-hand sides.  Levels are read
     in order, each first checked on shell: the first level that is not
     raises NotOnShell, and a level whose system cannot be eliminated
     raises SingularJacobian naming it (and, as .row, the pivot's row),

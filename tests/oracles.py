@@ -39,11 +39,11 @@ any admissible data, on every rectangle and jet of a section against
 rectangle sum to zero, the linearized gradient is the complex-step
 derivative of the gradient, and the phase-space Hamiltonian is the
 Legendre transform of the density.
-``peakon`` and ``peakon_labels`` are the first exact nonlinear solution:
-the periodic peakon's profile and its particles' labels, from RK4 on
-each particle's own ordinary differential equation.  ``green`` is the
-periodic Green's function of the N-peakon profiles, and
-``collision_time`` the exact time at which a symmetric
+``multipeakon`` and ``multipeakon_labels`` are the exact nonlinear
+solutions: the N-peakon profile, built on the periodic Green's function
+``green``, and its particles' labels, from RK4 on the peaks, the weights
+and the labels together; ``peakon`` and ``peakon_labels`` are their
+N = 1 case.  ``collision_time`` is the exact time at which a symmetric
 peakon-antipeakon pair collides (the wave breaks), by quadrature of the
 reduced Hamiltonian system with no time march.
 """
@@ -515,7 +515,7 @@ def thomas(lower, diag, upper, rhs):
 
 
 def cyclic_solve(lower, diag, upper, rhs):
-    """Scalar path (n < 512) of the package solver: eliminate rows and
+    """Scalar path (n < 256) of the package solver: eliminate rows and
     columns 0 .. n-2 for rhs and for the border column A[:n-1, n-1],
     then solve for x[n-1] with the 1x1 Schur complement."""
     n = diag.size
@@ -652,43 +652,7 @@ def continuous_el_residual(s):
 
 
 # ---------------------------------------------------------------------------
-# The periodic peakon: an exact nonlinear solution and its particle labels.
-
-
-def peakon(c: float):
-    """The profile phi(xi) = c cosh(xi - pi) / cosh(pi) on [0, 2 pi),
-    extended periodically: u(x, t) = phi(x - c t) is an exact weak
-    solution of the Camassa-Holm equation on the circle of length 2 pi,
-    with its peak, phi = c, at xi = 0."""
-    return lambda xi: c * np.cosh(np.mod(xi, 2.0 * np.pi) - np.pi) / np.cosh(np.pi)
-
-
-def peakon_labels(xs, t: float, c: float, n_steps: int = 2000) -> np.ndarray:
-    """Exact labels eta(X, t) = xi(t) + c t of the peakon's particles
-    started at X = xs in [0, 2 pi), with dxi/dt = phi(xi) - c and
-    xi(0) = X, by n_steps steps of classical RK4.
-
-    The particle at X = 0 stays on the peak (phi(0) - c = 0); every
-    other one stays inside (0, 2 pi), where phi is smooth, so RK4's error
-    is O((t / n_steps)^4), far below any lattice error here."""
-    phi = peakon(c)
-    xi = np.asarray(xs, dtype=float)
-    dt = t / n_steps
-
-    def f(v):
-        return phi(v) - c
-
-    for _ in range(n_steps):
-        k1 = f(xi)
-        k2 = f(xi + 0.5 * dt * k1)
-        k3 = f(xi + 0.5 * dt * k2)
-        k4 = f(xi + dt * k3)
-        xi = xi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return xi + c * t
-
-
-# ---------------------------------------------------------------------------
-# Peakon-antipeakon collision: the exact breaking time.
+# N-peakons: exact nonlinear solutions and their particles' labels.
 
 
 def green(x):
@@ -696,6 +660,70 @@ def green(x):
     function of 1 - d^2/dx^2 on the circle of length 2 pi: the N-peakon
     profile with weights p_i at peaks q_i is u = sum_i p_i G(x - q_i)."""
     return np.cosh(np.mod(x, 2.0 * np.pi) - np.pi) / (2.0 * np.sinh(np.pi))
+
+
+def green_dx(x):
+    """G'(x) = sinh((x mod 2 pi) - pi) / (2 sinh pi), read as 0 at the
+    kink x = 0 mod 2 pi (the mean of its one-sided values)."""
+    r = np.mod(x, 2.0 * np.pi)
+    return np.where(r == 0.0, 0.0, np.sinh(r - np.pi) / (2.0 * np.sinh(np.pi)))
+
+
+def multipeakon(p, q):
+    """The N-peakon profile u(x) = sum_i p_i G(x - q_i) with weights p at
+    peaks q: the initial data of an exact weak solution of the
+    Camassa-Holm equation on the circle of length 2 pi."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return lambda x: (p * green(np.asarray(x, dtype=float)[..., None] - q)).sum(axis=-1)
+
+
+def multipeakon_labels(xs, t: float, p, q, n_steps: int = 2000) -> np.ndarray:
+    """Exact labels eta(X, t) of the N-peakon's particles started at
+    X = xs, with weights p at peaks q at t = 0, by n_steps steps of
+    classical RK4 on the peaks, the weights and the labels together:
+
+        q_i' = u(q_i),  p_i' = -p_i sum_j p_j G'(q_i - q_j),  eta' = u(eta),
+
+    with u = sum_j p_j G(x - q_j) and G'(0) read as 0.  A peak is a
+    particle, so no particle crosses one, and a particle started on a
+    peak stays on it (its stages are the peak's)."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    eta = np.asarray(xs, dtype=float)
+    dt = t / n_steps
+
+    def f(q, p, eta):
+        def u(x):
+            return (p * green(x[..., None] - q)).sum(axis=-1)
+
+        return u(q), -p * (p * green_dx(q[:, None] - q)).sum(axis=-1), u(eta)
+
+    for _ in range(n_steps):
+        y = (q, p, eta)
+        k1 = f(*y)
+        k2 = f(*(v + 0.5 * dt * k for v, k in zip(y, k1)))
+        k3 = f(*(v + 0.5 * dt * k for v, k in zip(y, k2)))
+        k4 = f(*(v + dt * k for v, k in zip(y, k3)))
+        q, p, eta = (
+            v + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)
+        )
+    return eta
+
+
+def peakon(c: float):
+    """The periodic peakon of speed c, phi(xi) = c cosh(xi - pi) / cosh(pi)
+    on [0, 2 pi) with its peak, phi = c, at xi = 0: the N = 1 profile with
+    p = 2 c tanh(pi) at q = 0."""
+    return multipeakon([2.0 * c * np.tanh(np.pi)], [0.0])
+
+
+def peakon_labels(xs, t: float, c: float, n_steps: int = 2000) -> np.ndarray:
+    """Exact labels eta(X, t) of the peakon's particles started at X = xs:
+    the N = 1 case of multipeakon_labels."""
+    return multipeakon_labels(xs, t, [2.0 * c * np.tanh(np.pi)], [0.0], n_steps)
+
+
+# ---------------------------------------------------------------------------
+# Peakon-antipeakon collision: the exact breaking time.
 
 
 def collision_time(s0: float) -> float:

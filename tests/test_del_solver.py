@@ -12,6 +12,8 @@ from oracles import (
     del_residual_expanded,
     green,
     label,
+    multipeakon,
+    multipeakon_labels,
     newton_step,
     peakon,
     peakon_labels,
@@ -328,7 +330,7 @@ def test_cyclic_tridiagonal_singular():
     "n, bad",
     [(n, bad) for n in (5, 12, 1000, 1031) for bad in (np.nan, np.inf, -np.inf)],
 )
-# From n = 512 on, rows 0 and 3 are a separator and a segment row.  "corner"
+# From n = 256 on, rows 0 and 3 are a separator and a segment row.  "corner"
 # puts the bad value in upper[-1], the border row's first entry, against
 # lower[0] = 0, the border column's first entry.
 @pytest.mark.parametrize("row", [0, 3, "corner"])
@@ -368,7 +370,7 @@ def test_cyclic_tridiagonal_singular_circulant(n):
         solve_cyclic_tridiagonal(np.ones(n), np.full(n, -2.0), np.ones(n), np.arange(n, dtype=float))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 64, 300])
+@pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 64, 255])
 def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
@@ -380,11 +382,11 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
             assert np.array_equal(x, cyclic_solve(lower, diag, upper, rhs))
 
 
-@pytest.mark.parametrize("n", [256, 1024, 1031, 4096, 4099])
+@pytest.mark.parametrize("n", [255, 256, 1024, 1031, 4096, 4099])
 def test_stacked_solve_matches_each_rhs_bitwise(n):
-    # One elimination of the bands for a stack of right-hand sides, as the
-    # tangent march takes it, on the scalar (n = 256), the partitioned
-    # (n = 1024, 1031) and the twice partitioned (n = 4096, 4099) path:
+    # One elimination of the bands for a stack of right-hand sides, on the
+    # scalar (n = 255), the partitioned (n = 256, 1024, 1031) and the
+    # twice partitioned (n = 4096, 4099) path:
     # each row comes out as its own solve gives it.  At 1031 and 4099 the
     # short blocks end in a pad row, after the right coupling.
     s = cosine_trajectory(n_space=n, n_steps=2).section
@@ -407,26 +409,34 @@ def _failing_bands(n: int, kind: str):
         diag[1] = 0.25  # eliminates to 0.25 - 1 * (1 / 4) = 0 exactly
     elif kind == "nan":
         diag[min(3, n - 1)] = np.nan
+    elif kind == "inf":  # an infinite pivot leaves every later entry finite
+        diag[min(3, n - 1)] = np.inf
     elif kind == "corner":
         lower[0], upper[-1] = 0.0, np.inf
+    elif kind == "separator":
+        diag[min(8, n - 1)] = np.nan
     else:  # "circulant": the Schur pivot comes out exactly 0 at n = 3 and 5
         diag[:] = -2.0
     return lower, diag, upper
 
 
-@pytest.mark.parametrize("n", [3, 5, 12, 300])
+@pytest.mark.parametrize("n", [3, 5, 12, 255, 256, 263, 300, 1031, 2048])
 def test_level_solver_matches_each_solve_and_its_failures(n, rng):
     # A block's systems factored at once: realistic Newton bands, random
-    # dominant bands and failing ones.  Each system's solve gives, bit for
-    # bit, what solve_cyclic_tridiagonal gives on that system alone, and
-    # a failing one raises its message and row, only when it is solved.
+    # dominant bands and failing ones, on the scalar factor (n < 256) and
+    # the partitioned one (263, 300 and 1031 leave short blocks with a pad
+    # row; at 2048 the separators' 256-unknown systems are partitioned
+    # again).  Each system's solve gives, bit for bit, what
+    # solve_cyclic_tridiagonal gives on that system alone, and a failing
+    # one raises its message and row, only when it is solved.
     s = cosine_trajectory(n_space=n, n_steps=4).section
     systems = [jacobian_bands(*section_parts(s, j, j + 1), s.grid.h, s.grid.k) for j in (1, 3)]
     systems = [tuple(band[0] for band in bands) for bands in systems]
     systems.append((rng.uniform(-1, 1, n), 4.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n)))
-    kinds = ["row 0", "row 1", "nan", "corner"] + (["circulant"] if n in (3, 5) else [])
+    kinds = ["row 0", "row 1", "nan", "inf", "corner", "separator"] + (["circulant"] if n in (3, 5) else [])
     systems += [_failing_bands(n, kind) for kind in kinds]
     solve = _level_solver(*(np.array(band) for band in zip(*systems)))
+    failed = set()
     for t in reversed(range(len(systems))):  # any order: the factor holds every system
         for rhs in (rng.standard_normal((1, n)), rng.standard_normal((2, n))):
             try:
@@ -435,9 +445,15 @@ def test_level_solver_matches_each_solve_and_its_failures(n, rng):
                 with pytest.raises(SingularJacobian, match=f"^{exc}$") as raised:
                     solve(t, rhs)
                 assert raised.value.row == exc.row
+                failed.add(kinds[t - 3])
             else:
-                assert t < 3
                 assert np.array_equal(solve(t, rhs), want)
+    # A zero diagonal at row 0 fails only the scalar sweep: from 256 points
+    # on, row 0 is a separator, and the separators' system is regular.  A
+    # NaN at row 8 fails a separators' system there (at 2048 a segment of
+    # the separators' own partitioned system), and its solve reaches the
+    # scalar sweep through the public solve.
+    assert failed == set(kinds) - ({"row 0"} if n >= 256 else set())
 
 
 EPS = np.finfo(float).eps
@@ -542,10 +558,10 @@ def long_row_bands(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["cosine", "dominant"])
-@pytest.mark.parametrize("n", [300, 511, 512, 1000, 1024, 1031])
+@pytest.mark.parametrize("n", [255, 256, 300, 511, 512, 1000, 1024, 1031])
 def test_long_row_solve_matches_dense(kind, n):
-    # Both sides of the switch to the partitioned solve at n = 512; 1000
-    # and the prime 1031 leave some blocks one point short.
+    # Both sides of the switch to the partitioned solve at n = 256; 300,
+    # 511, 1000 and the prime 1031 leave some blocks one point short.
     lower, diag, upper = long_row_bands(kind, n)
     dense = dense_cyclic(lower, diag, upper)
     for rhs in np.random.default_rng(n + 1).standard_normal((2, n)):
@@ -589,10 +605,10 @@ def spy_on_eliminations(monkeypatch):
     return partitioned, scalar
 
 
-@pytest.mark.parametrize("n, depth", [(4095, 1), (4096, 2), (4099, 2)])
+@pytest.mark.parametrize("n, depth", [(2047, 1), (2048, 2), (4096, 2), (4099, 2)])
 def test_separator_system_takes_the_same_two_path_rule(n, depth, monkeypatch):
     # The separator system of a row of n points has n // 8 unknowns, and is
-    # partitioned again from _PARTITION_MIN_N = 512 of them on.  A dominant
+    # partitioned again from _PARTITION_MIN_N = 256 of them on.  A dominant
     # row reaches the scalar sweep only for its innermost separator system,
     # never for the whole row: no partitioned solve falls back.
     partitioned, scalar = spy_on_eliminations(monkeypatch)
@@ -605,7 +621,7 @@ def test_separator_system_takes_the_same_two_path_rule(n, depth, monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    n=st.one_of(st.integers(512, 1100), st.integers(4096, 4700)),
+    n=st.one_of(st.integers(256, 1100), st.integers(4096, 4700)),
     tight=TIGHT,
     seed=st.integers(0, 2**32 - 1),
 )
@@ -855,7 +871,7 @@ def test_advance_row_matches_the_four_term_newton_step_bitwise(n, tol):
     # per iteration.  Its row and StepStats equal those of the step that
     # forms all four of both rows (oracles.newton_step), bit for bit:
     # from the two-row and the three-row start, on the scalar sweep
-    # (n < 512) and the partitioned solve, at the tolerance and at the
+    # (n < 256) and the partitioned solve, at the tolerance and at the
     # floating-point floor, and from a rough current row that takes
     # several updates.
     s = cosine_trajectory(n_space=n, n_steps=3, amp=0.3).section
@@ -958,6 +974,25 @@ def test_the_scheme_converges_to_the_periodic_peakon_at_first_order():
         assert res.ok, res.failure
         s = res.section
         errors.append(np.abs(s.row_y(j) - peakon_labels(s.xs(), j * g.k, c)).max())
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 0.9), (errors, orders)
+
+
+def test_the_scheme_converges_to_overtaking_peakons_at_first_order():
+    # Two peakons, p = (2, 0.5) at q = (pi/4, 3pi/4) (lattice points when
+    # 8 divides n), the faster one behind, to the level nearest t = 2,
+    # through their overtaking collision: the max label error against the
+    # exact labels of multipeakon_labels halves with h (4.86e-2, 2.52e-2
+    # and 1.27e-2 at n = 64, 128 and 256; orders 0.95 and 0.99).  At
+    # n = 256 every Newton step takes the partitioned solve.
+    p, q, errors = (2.0, 0.5), (np.pi / 4, 3 * np.pi / 4), []
+    for n in (64, 128, 256):
+        g = GridSpec.from_circle(n, 2, TWO_PI, 0.25)
+        j = round(2.0 / g.k)
+        res = evolve(initialize(multipeakon(p, q), g), j - 1)
+        assert res.ok, res.failure
+        s = res.section
+        errors.append(np.abs(s.row_y(j) - multipeakon_labels(s.xs(), j * g.k, p, q)).max())
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= 0.9), (errors, orders)
 

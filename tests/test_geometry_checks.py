@@ -69,8 +69,9 @@ def short_cosine():
 
 #: (n_space, n_steps, tol_residual) of the march's sections: the smallest
 #: circle, a short row, 257 points over three blocks of levels (the block
-#: seams are crossed), and 512 points (the partitioned solve) under a
-#: tolerance whose on-shell gate accepts that section.
+#: seams are crossed; the partitioned factor from 256 points on, with
+#: short blocks), and 512 points under a tolerance whose on-shell gate
+#: accepts that section.
 MARCH_CASES = [(3, 10, 1e-12), (16, 40, 1e-12), (257, 300, 1e-12), (512, 12, 1e-10)]
 
 
@@ -260,8 +261,8 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
             calls.update(dict.fromkeys(names, 0))
             solve_first_variation(s, v0, SolverConfig(tol_residual=tol))
             # One parts pass and one stacked band set per block of levels;
-            # no public solve below 512 points (each level substitutes into
-            # its block's factor), one per level from 512 on, whatever the
+            # no public solve at any length (each level substitutes into
+            # its block's factor, scalar or partitioned), whatever the
             # stack size; each level's right-hand side and check; rectangle
             # row j's checked linear terms are level j + 1's bottom terms.
             # The on-shell gate takes the vertex-1,2 terms of the block's
@@ -270,7 +271,7 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
             assert calls == {
                 "stencil_parts": blocks,
                 "jacobian_bands": blocks,
-                "solve_cyclic_tridiagonal": 0 if n_space < 512 else n_time - 2,
+                "solve_cyclic_tridiagonal": 0,
                 "_linear_terms": 2 * (n_time - 2) + 1,
                 "grad_from_parts": 0,
                 "grad_12": blocks,
