@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -360,27 +361,34 @@ def _drift(momenta: list[float]) -> tuple[float, float]:
 
 
 def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
-    records = []
-    for m, st in enumerate(result.steps, 1):
-        records.append(
-            {
-                "step": m,
-                "newton_iterations": st.iterations,
-                "residual_inf_norm": st.residual_norm,
-                "relative_residual": st.relative_residual,
-                "backtracks": st.backtracks,
-                "stop_reason": st.stop_reason,
-                "total_momentum": momenta[m],
-                "action_increment": actions[m],
-            }
-        )
-    return records
+    return [
+        {
+            "step": m,
+            "newton_iterations": st.iterations,
+            "residual_inf_norm": st.residual_norm,
+            "relative_residual": st.relative_residual,
+            "backtracks": st.backtracks,
+            "stop_reason": st.stop_reason,
+            "total_momentum": momenta[m],
+            "action_increment": actions[m],
+        }
+        for m, st in enumerate(result.steps, 1)
+    ]
 
 
-def _tangent_pair(s: Section, cfg: RunConfig, rng) -> np.ndarray:
-    """Two tangent-linear solutions from random initial rows, marched
-    together: shape (2, n_time, n_space)."""
-    return gc.solve_first_variation(s, rng.standard_normal((2, 2, s.grid.n_space)), cfg.solver())
+def _normals(rng: random.Random, shape) -> np.ndarray:
+    """Standard normals of the given shape from rng's next bytes, in NumPy: uniforms
+    from each little-endian uint64's top 53 bits, first half with second by Box-Muller."""
+    half = (math.prod(shape) + 1) // 2
+    u = (np.frombuffer(rng.randbytes(16 * half), "<u8") >> 11) * 2.0**-53
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * math.pi * u[half:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[: math.prod(shape)].reshape(shape)
+
+
+def _tangent_pair(s: Section, cfg: RunConfig, rng: random.Random) -> np.ndarray:
+    """Two tangent-linear solutions from the next (2, 2, n_space) normals
+    of rng as initial rows, marched together: shape (2, n_time, n_space)."""
+    return gc.solve_first_variation(s, _normals(rng, (2, 2, s.grid.n_space)), cfg.solver())
 
 
 def _window_records(s: Section, noether: bool, tangents) -> list[dict]:
@@ -418,11 +426,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def run_command(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
-    # Only the mff diagnostic draws from the generator, and creating one
-    # imports numpy.random (about 5 MiB of a run's memory high-water).  It
-    # is created before the march: created after it, it raised an mff
-    # run's high-water by about 0.6 MiB.
-    rng = np.random.default_rng(cfg.seed) if "mff" in cfg.diagnostics else None
     result = _execute(cfg)
     s = result.section
     momenta, actions = gc.level_series(s)
@@ -459,7 +462,7 @@ def run_command(cfg: RunConfig) -> int:
         # and the failure report are still written before exiting 3.
         try:
             if s.grid.n_time >= 3 and ({"noether", "mff"} & set(cfg.diagnostics)):
-                tangents = _tangent_pair(s, cfg, rng) if "mff" in cfg.diagnostics else None
+                tangents = _tangent_pair(s, cfg, random.Random(cfg.seed)) if "mff" in cfg.diagnostics else None
                 report["windows"] = _window_records(s, "noether" in cfg.diagnostics, tangents)
             if "bridges" in cfg.diagnostics:
                 summary["bridges"] = bridges.residual_maxima(s)
@@ -618,7 +621,6 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     perturbation makes all three lines fail.  The kernel identities,
     which hold for any admissible data, are tested in the test suite.
     """
-    rng = np.random.default_rng(cfg.seed)
     result = _execute(cfg)
     if not result.ok:
         failure = result.failure
@@ -626,10 +628,11 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     s = result.section
     # Tangent solutions are always computed along the true solution; the
     # checks below run on the optionally perturbed trajectory.
+    rng = random.Random(cfg.seed)
     tangents = _tangent_pair(s, cfg, rng)
     target = s
     if cfg.inject_off_shell:
-        bump = 0.03 * s.grid.h * rng.standard_normal(s.displacement.shape)
+        bump = 0.03 * s.grid.h * _normals(rng, s.displacement.shape)
         target = Section(s.grid, s.displacement + bump)
 
     checks: list[dict] = []

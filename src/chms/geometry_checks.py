@@ -49,12 +49,34 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
 # Tangent-linear (first variation) marching.
 
 
-def _tangent_parts(vlo: np.ndarray, vhi: np.ndarray, h: float, k: float):
-    """(da, db, dc): a tangent's difference variables over a rectangle
-    row, from its rows vlo (bottom) and vhi (top), grouped as
-    stencil_parts groups (a, b, c) (tangents are periodic, no lift)."""
-    v2, v3 = _shift(vlo, 1), _shift(vhi, 1)
-    return (v2 - vlo) / h, (vhi - vlo) / k, ((v3 - v2) - (vhi - vlo)) / (h * k)
+def _tangent_parts(vlo: np.ndarray, h: float, k: float):
+    """parts(vhi): (da, db, dc), a tangent's difference variables over a
+    rectangle row with rows vlo (bottom) and vhi (top), grouped as stencil_parts
+    groups (a, b, c) (periodic, no lift); vlo's shift and da serve every vhi."""
+    v2 = _shift(vlo, 1)
+    da = (v2 - vlo) / h
+
+    def parts(vhi: np.ndarray):
+        dv = vhi - vlo
+        return da, dv / k, ((_shift(vhi, 1) - v2) - dv) / (h * k)
+
+    return parts
+
+
+def _coefficients(a, b, c):
+    """(a, b, c/a^2, c (c/a^2)/a): what the linear terms read of (a, b, c)."""
+    ca2 = c / (a * a)
+    return a, b, ca2, c * ca2 / a
+
+
+def _vertex_terms(coef, h: float, k: float, da, db, dc, upper_only: bool = False):
+    """Vertex terms 1-4 (1, 2 if upper_only) from _coefficients and (da, db, dc)."""
+    a, b, ca2, cca = coef
+    la_h = (cca * da + b * db - ca2 * dc) / h
+    lb_k = (b * da + a * db) / k
+    w = (dc / a - ca2 * da) / (h * k)
+    upper = (-la_h - lb_k + w, la_h - w)
+    return upper if upper_only else upper + (w, lb_k - w)
 
 
 def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
@@ -66,14 +88,9 @@ def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray)
     difference variables (da, db, dc) give dL_p = sum_q L_pq dq for
     p, q in (a, b, c), with L_aa = c^2/a^3, L_ab = b, L_ac = -c/a^2,
     L_bb = a, L_bc = 0 and L_cc = 1/a, and the vertex terms follow the
-    gradient's.  No per-rectangle 4x4 Hessian is formed.
+    gradient's (_vertex_terms).  No per-rectangle 4x4 Hessian is formed.
     """
-    da, db, dc = _tangent_parts(vlo, vhi, h, k)
-    ca2 = c / (a * a)
-    la_h = ((c * ca2 / a) * da + b * db - ca2 * dc) / h
-    lb_k = (b * da + a * db) / k
-    w = (dc / a - ca2 * da) / (h * k)
-    return np.stack([-la_h - lb_k + w, la_h - w, w, lb_k - w])
+    return np.stack(_vertex_terms(_coefficients(a, b, c), h, k, *_tangent_parts(vlo, h, k)(vhi)))
 
 
 def two_forms(a, b, c, h: float, k: float, v, w) -> np.ndarray:
@@ -142,17 +159,15 @@ def solve_first_variation(
 
 def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol: float):
     """March the levels j_lo .. j_hi - 1 into vals, given the bottom
-    linear terms bot of level j_lo (None at level 1); returns those of
+    vertex terms bot of level j_lo (None at level 1); returns those of
     level j_hi.  The on-shell gate's vertex terms and residual field go
-    once their norms and scales are taken, before the bands and the
-    factor; the rest is freed on return."""
+    once their norms and scales are taken, and c once the bands and the
+    linear terms' coefficients are formed, all before the factor."""
     h, k = phi.grid.h, phi.grid.k
     # Rectangle row j is the top row at level j and the bottom row at
     # level j + 1, so its linear terms (level j's check, level j + 1's
     # bottom) are built once, for every tangent.
     a, b, c = section_parts(phi, j_lo - 1, j_hi)
-    if bot is None:
-        bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
     # Level j reads vertices 1, 2 of rectangle row j and 3, 4 of row j - 1.
     res, scales = _level_equation(
         grad_12(a[1:], b[1:], c[1:], h, k), grad_34(a[:-1], b[:-1], c[:-1], h, k)
@@ -160,11 +175,15 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
     norms = np.abs(res).max(axis=-1)
     del res
     bands = jacobian_bands(a[1:], b[1:], c[1:], h, k)
+    coef = _coefficients(a, b, c)
+    del c
     # Each level's largest absolute row sum: a solve's rounding scales with
     # it times the solution, which the linear terms miss where they cancel
     # (a constant tangent has none).
     sizes = sum(np.abs(band) for band in bands).max(axis=-1)
     solve = _level_solver(*bands)
+    if bot is None:
+        bot = _vertex_terms([x[0] for x in coef], h, k, *_tangent_parts(vals[:, 0], h, k)(vals[:, 1]))
     zeros = np.zeros_like(vals[:, 0])
     for t, j in enumerate(range(j_lo, j_hi)):
         norm, bound = float(norms[t]), ON_SHELL_FACTOR * tol * max(1.0, scales[t])
@@ -173,13 +192,16 @@ def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol:
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
             )
-        parts = a[t + 1], b[t + 1], c[t + 1]
-        rhs, _ = _level_equation(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
+        # The right-hand side: the level residual at vals[:, j + 1] = 0.
+        coef_t, parts = [x[t + 1] for x in coef], _tangent_parts(vals[:, j], h, k)
+        t1, t2 = _vertex_terms(coef_t, h, k, *parts(zeros), True)
+        rhs = t1 + _shift(t2, -1)
+        rhs += _shift(bot[-2], -1) + bot[-1]
         try:
             vals[:, j + 1] = solve(t, -rhs)
         except SingularJacobian as exc:
             raise SingularJacobian(f"tangent row solve at level {j}: {exc}", exc.row) from exc
-        top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
+        top = _vertex_terms(coef_t, h, k, *parts(vals[:, j + 1]))
         res, scale = _level_equation(top, bot)
         norm = np.abs(res).max(axis=-1)
         size = sizes[t] * np.abs(vals[:, j + 1]).max(axis=-1)

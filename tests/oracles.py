@@ -217,7 +217,7 @@ def linearized_gradient_ratio(a, b, c, h: float, k: float, v) -> float:
     themselves cancel on rough sections.
     """
     tau = 1e-100
-    da, db, dc = dparts = geometry_checks._tangent_parts(*v, h, k)
+    da, db, dc = dparts = geometry_checks._tangent_parts(v[0], h, k)(v[1])
     shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
     ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
     err = np.max(np.abs(geometry_checks._linear_terms(a, b, c, h, k, *v) - ref), axis=0)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from chms.cli import (
     write_trajectory_csv,
 )
 from chms.config import DEFAULTS, RunConfig, parse_initial_condition
+from chms.del_solver import Section
 from chms.errors import ConfigError
 from chms.grid import GridSpec
 
@@ -1148,19 +1150,76 @@ def test_module_entry_point_runs_main(tmp_path):
     assert proc.stderr.startswith("config error:")
 
 
-@pytest.mark.parametrize("diagnostics, loaded", [
+def test_no_command_imports_numpy_random(tmp_path):
+    # Importing numpy.random costs a fresh process about 10 ms and 5 MiB
+    # of its high-water; the random draws come from the standard library's
+    # generator (cli._normals), which every chms process has loaded.
+    base = ["--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "8", "--out-dir", "o"]
+    commands = [["run", *base, "--diagnostics", d] for d in ("none", "noether", "bridges", "mff", "all")]
+    commands += [["check", *base], ["check", *base, "--inject-off-shell"]]
+    commands += [["converge", *base, "--levels", "1,2,4"]]
+    code = ("import json, sys; from chms.cli import main\n"
+            f"seen = [(main(argv), 'numpy.random' in sys.modules) for argv in {commands!r}]\n"
+            "print(json.dumps(seen))")
+    proc = _fresh_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes = [EXIT_OK] * 6 + [EXIT_CHECK, EXIT_OK]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[c, False] for c in codes]
+
+
+@pytest.mark.parametrize("diagnostics, draws", [
     ("none", False), ("noether", False), ("bridges", False), ("mff", True),
 ])
-def test_run_imports_numpy_random_only_for_mff(tmp_path, diagnostics, loaded):
-    # Importing numpy.random costs a fresh run about 10 ms and 5 MiB of
-    # its high-water; only the mff tangent pair draws from a generator.
+def test_run_imports_numpy_random_only_for_mff(tmp_path, diagnostics, draws):
+    # One fresh process per run: only the mff run draws a tangent pair, and
+    # it draws it from the standard library's generator, so no run, the mff
+    # one included, imports numpy.random.
     argv = ["run", "--ic", "cosine:0.1", "--n-space", "16", "--n-steps", "8",
             "--diagnostics", diagnostics, "--out-dir", str(tmp_path / "o")]
     code = (f"import sys; from chms.cli import main; code = main({argv!r}); "
             "print(code, 'numpy.random' in sys.modules)")
     proc = _fresh_python("-c", code, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_OK), str(loaded)]
+    assert proc.stdout.split() == [str(EXIT_OK), "False"]
+    windows = json.loads((tmp_path / "o" / "diagnostics.json").read_text())["windows"]
+    assert any("mff_boundary_sum" in rec for rec in windows) == draws
+
+
+def test_normals_are_reproducible_standard_normals():
+    for shape in ((2, 2, 16), (2, 2, 3), (11, 7), (1,)):
+        got = cli._normals(random.Random(7), shape)
+        assert got.shape == shape and np.isfinite(got).all()
+        assert np.array_equal(got, cli._normals(random.Random(7), shape))
+        assert not np.array_equal(got, cli._normals(random.Random(8), shape))
+    # Against the same map, one value at a time: the top 53 bits of each
+    # little-endian 8-byte word are a uniform, and the first and second
+    # halves pair up by Box-Muller.
+    raw = random.Random(7).randbytes(16 * 6)
+    u = [(int.from_bytes(raw[8 * i : 8 * i + 8], "little") >> 11) / 2.0**53 for i in range(12)]
+    r = [math.sqrt(-2.0 * math.log(1.0 - x)) for x in u[:6]]
+    ref = [ri * math.cos(2.0 * math.pi * x) for ri, x in zip(r, u[6:])]
+    ref += [ri * math.sin(2.0 * math.pi * x) for ri, x in zip(r, u[6:])]
+    assert np.allclose(cli._normals(random.Random(7), (11,)), ref[:11], rtol=1e-13, atol=1e-15)
+    # Draws continue the generator's stream.
+    rng = random.Random(7)
+    first, second = cli._normals(rng, (2, 2, 4)), cli._normals(rng, (16,))
+    assert not np.array_equal(first.ravel(), second)
+    z = cli._normals(random.Random(1), (2**16,))
+    assert abs(z.mean()) <= 0.02 and abs(z.var() - 1.0) <= 0.03
+
+
+@pytest.mark.parametrize("n_space", [16, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_check_verdicts_hold_for_every_seed(tmp_path, n_space, seed):
+    # The seed draws the tangent pair and the off-shell bump: on the
+    # solution every theorem line passes, off shell every one fails.
+    argv = ["check", "--ic", "cosine:0.1", "--n-space", str(n_space), "--n-steps", "10",
+            "--seed", str(seed), "--out-dir", str(tmp_path / "o")]
+    for extra, code, status in (([], EXIT_OK, "PASS"), (["--inject-off-shell"], EXIT_CHECK, "FAIL")):
+        assert run_cli(*argv, *extra) == code
+        checks = json.loads((tmp_path / "o" / "check.json").read_text())["checks"]
+        lines = [(c["name"], c["status"]) for c in checks if c["status"] != "INFO"]
+        assert lines == [(name, status) for name in CHECK_LINES]
 
 
 def test_run_mff_sums_come_from_the_seeds_first_draw(tmp_path):
@@ -1173,7 +1232,7 @@ def test_run_mff_sums_come_from_the_seeds_first_draw(tmp_path):
     windows = json.loads((out / "diagnostics.json").read_text())["windows"]
     cfg = cli._resolve_config(cli.build_parser().parse_args(["run", *argv]))
     s = cli._execute(cfg).section
-    v0 = np.random.default_rng(7).standard_normal((2, 2, 16))
+    v0 = cli._normals(random.Random(7), (2, 2, 16))
     v, w = geometry_checks.solve_first_variation(s, v0, cfg.solver())
     assert [(rec["j_lo"], rec["j_hi"]) for rec in windows] == diagnostic_windows(s.grid.n_time)
     for rec in windows:
@@ -1181,6 +1240,22 @@ def test_run_mff_sums_come_from_the_seeds_first_draw(tmp_path):
         assert rec["mff_boundary_sum"] == float(np.sum(terms))
         assert rec["mff_abs_sum"] == float(np.sum(np.abs(terms)))
         assert "noether_boundary_sum" not in rec
+
+
+def test_check_draws_its_tangent_pair_then_its_bump():
+    # check's tangent pair is the seed's first draw, as run's is, and its
+    # off-shell bump the draw after it.
+    cfg = RunConfig(ic="cosine:0.1", n_space=16, n_steps=10, seed=7, inject_off_shell=True)
+    checks, code = cli.check_suite(cfg)
+    s = cli._execute(cfg).section
+    rng = random.Random(7)
+    tangents = geometry_checks.solve_first_variation(s, cli._normals(rng, (2, 2, 16)), cfg.solver())
+    bump = 0.03 * s.grid.h * cli._normals(rng, s.displacement.shape)
+    windows = cli._window_records(Section(s.grid, s.displacement + bump), True, tangents)
+    for line, name in zip(checks, ("noether", "mff")):
+        ratios = [cli._boundary_ratio(w[f"{name}_boundary_sum"], w[f"{name}_abs_sum"]) for w in windows]
+        assert (line["name"], line["value"]) == (f"{name}_boundary_sum_on_shell", max(ratios))
+    assert code == EXIT_CHECK
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):

@@ -233,23 +233,33 @@ def test_off_shell_gate_names_first_bad_level():
 
 def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
     grads = ("grad_from_parts", "grad_12", "grad_34")
-    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal", "_linear_terms") + grads
+    kernels = ("_linear_terms", "_coefficients", "_tangent_parts")
+    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal") + kernels + grads
     calls = dict.fromkeys(names, 0)
+    vertex_terms = []  # the number of vertex terms of each _vertex_terms call
 
     def counting(module, name):
         real = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(del_solver, "stencil_parts")
     counting(geometry_checks, "jacobian_bands")
     counting(del_solver, "solve_cyclic_tridiagonal")
-    for name in ("_linear_terms",) + grads:
+    for name in kernels + grads:
         counting(geometry_checks, name)
+    real_terms = geometry_checks._vertex_terms
+
+    def sized_terms(*args, **kwargs):
+        terms = real_terms(*args, **kwargs)
+        vertex_terms.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(geometry_checks, "_vertex_terms", sized_terms)
     # One block of levels, three (the march crosses two block seams), and
     # a row long enough for the partitioned solve.
     for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 3, 1)):
@@ -259,12 +269,16 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
         assert blocks == n_blocks
         for v0 in (rng.standard_normal((2, n_space)), rng.standard_normal((2, 2, n_space))):
             calls.update(dict.fromkeys(names, 0))
+            vertex_terms.clear()
             solve_first_variation(s, v0, SolverConfig(tol_residual=tol))
-            # One parts pass and one stacked band set per block of levels;
-            # no public solve at any length (each level substitutes into
-            # its block's factor, scalar or partitioned), whatever the
-            # stack size; each level's right-hand side and check; rectangle
-            # row j's checked linear terms are level j + 1's bottom terms.
+            # One parts pass, one set of the linear terms' coefficients and
+            # one stacked band set per block of levels; no public solve at
+            # any length (each level substitutes into its block's factor,
+            # scalar or partitioned), whatever the stack size.  Each level
+            # forms its row's shift and da once, then the vertex terms 1, 2
+            # of its right-hand side and the four of its check; rectangle
+            # row j's checked terms are level j + 1's bottom terms, so only
+            # row 0's come first.  The stacked _linear_terms is never formed.
             # The on-shell gate takes the vertex-1,2 terms of the block's
             # top rectangle rows and the 3,4 terms of its bottom ones, and
             # never the four-term gradient.
@@ -272,11 +286,14 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
                 "stencil_parts": blocks,
                 "jacobian_bands": blocks,
                 "solve_cyclic_tridiagonal": 0,
-                "_linear_terms": 2 * (n_time - 2) + 1,
+                "_linear_terms": 0,
+                "_coefficients": blocks,
+                "_tangent_parts": (n_time - 2) + 1,
                 "grad_from_parts": 0,
                 "grad_12": blocks,
                 "grad_34": blocks,
             }
+            assert vertex_terms == [4] + [2, 4] * (n_time - 2)
 
 
 @pytest.mark.parametrize("n_space, n_steps, tol", MARCH_CASES)
