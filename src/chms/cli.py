@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bridges, geometry_checks as gc
 from .config import DEFAULTS, RunConfig, _coerce, build_run_config, parse_config_file
-from .del_solver import STOP_REASONS, EvolveResult, Section, _row_blocks, evolve, initialize
+from .del_solver import STOP_REASONS, EvolveResult, Section, _increments, _row_blocks, evolve, initialize
 from .errors import BadInitialData, ChmsError, ConfigError
 
 EXIT_OK = 0
@@ -53,59 +53,10 @@ def _write_text(path: Path, chunks) -> None:
         raise ConfigError(f"out_dir: cannot write {str(path)!r}: {exc}") from exc
 
 
-_CONTAINERS = (list, tuple, dict)
-
-
-@cache
-def _flat_encode(depth: int):
-    """The standard library's encode for a value at nesting depth `depth`
-    that holds no container.  Without an indent it runs the C encoder; the
-    indent goes into its item separator, so a flat container's items come
-    out as the indented encoder lays them out, between bare brackets."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode
-
-
-def _json_key(key) -> str:
-    """A dict key's text as the encoder writes it: float, int, bool and
-    None keys become strings first."""
-    if isinstance(key, (int, float)) or key is None:
-        key = json.dumps(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return json.encoder.encode_basestring_ascii(key) + ": "
-
-
-def _json_chunks(obj, depth: int = 0):
-    """obj's text as json.JSONEncoder(indent=2) writes it, in chunks.
-
-    Each value that holds no container, a flat container included, is
-    one chunk from the C encoder (_flat_encode), whose brackets then get
-    their own lines; only the nesting is walked in Python, as the
-    pure-Python indented encoder walks it."""
-    items = obj.values() if isinstance(obj, dict) else obj
-    if not isinstance(obj, _CONTAINERS) or not any(isinstance(v, _CONTAINERS) for v in items):
-        text = _flat_encode(depth)(obj)
-        if isinstance(obj, _CONTAINERS) and obj:
-            text = f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
-        yield text
-        return
-    is_dict = isinstance(obj, dict)
-    sep = "\n" + "  " * (depth + 1)
-    yield "{" if is_dict else "["
-    for i, item in enumerate(obj.items() if is_dict else obj):
-        yield ("," if i else "") + sep
-        if is_dict:
-            key, item = item
-            yield _json_key(key)
-        yield from _json_chunks(item, depth + 1)
-    yield "\n" + "  " * depth + ("}" if is_dict else "]")
-
-
 def dump_json(obj, path: Path) -> None:
-    """Write obj as two-space-indented JSON and a final newline, byte for
-    byte as json.JSONEncoder(indent=2) writes it, streamed chunk by chunk
-    (_json_chunks)."""
-    _write_text(path, itertools.chain(_json_chunks(obj), ["\n"]))
+    """Write obj as two-space-indented JSON and a final newline, streamed
+    chunk by chunk from the standard library's encoder."""
+    _write_text(path, itertools.chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"]))
 
 
 #: The writer forms its labels and velocities over blocks of saved levels
@@ -377,12 +328,20 @@ def _step_records(result: EvolveResult, momenta, actions) -> list[dict]:
 
 
 def _normals(rng: random.Random, shape) -> np.ndarray:
-    """Standard normals of the given shape from rng's next bytes, in NumPy: uniforms
-    from each little-endian uint64's top 53 bits, first half with second by Box-Muller."""
+    """Standard normals of the given shape from rng's next bytes, in NumPy: uniforms from each
+    little-endian uint64's top 53 bits, first half with second by Box-Muller, in place."""
     half = (math.prod(shape) + 1) // 2
     u = (np.frombuffer(rng.randbytes(16 * half), "<u8") >> 11) * 2.0**-53
-    r, theta = np.sqrt(-2.0 * np.log1p(-u[:half])), 2.0 * math.pi * u[half:]
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[: math.prod(shape)].reshape(shape)
+    r, theta = u[:half], u[half:]
+    np.log1p(np.negative(r, out=r), out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    sin = np.sin(theta)
+    sin *= r
+    r *= np.cos(theta, out=theta)
+    theta[...] = sin
+    return u[: math.prod(shape)].reshape(shape)
 
 
 def _tangent_pair(s: Section, cfg: RunConfig, rng: random.Random) -> np.ndarray:
@@ -632,8 +591,14 @@ def check_suite(cfg: RunConfig) -> tuple[list[dict], int]:
     tangents = _tangent_pair(s, cfg, rng)
     target = s
     if cfg.inject_off_shell:
-        bump = 0.03 * s.grid.h * _normals(rng, s.displacement.shape)
-        target = Section(s.grid, s.displacement + bump)
+        # Row j's bump is 0.03 min(h, m_j) z, m_j its smallest label increment: |z| <=
+        # sqrt(-2 ln 2^-53) < 8.6, so an increment moves by at most 0.52 m_j and stays positive.
+        bump = _normals(rng, s.displacement.shape)
+        for lo, hi in _row_blocks(*bump.shape):
+            m = _increments(s.xs() + s.displacement[lo:hi], s.grid, "row", lo).min(axis=1)
+            bump[lo:hi] *= 0.03 * np.minimum(s.grid.h, m)[:, None]
+        bump += s.displacement
+        target = Section(s.grid, bump)
 
     checks: list[dict] = []
     windows = _window_records(target, noether=True, tangents=tangents)

@@ -146,6 +146,21 @@ def test_dump_json_writes_the_indented_encoders_bytes(tmp_path_factory, obj):
     assert path.read_text(encoding="utf-8") == json.JSONEncoder(indent=2).encode(obj) + "\n"
 
 
+def test_dump_json_streams_its_text(tmp_path):
+    # A report of 5000 step records is about 1.4 MiB of text; the writer
+    # holds a few chunks of it at a time, never the whole text.
+    steps = [
+        {"step": m, "newton_iterations": 1, "residual_inf_norm": m * 1e-15, "relative_residual": m / 7e15,
+         "backtracks": 0, "stop_reason": "tolerance", "total_momentum": 1.0 + m / 3e9,
+         "action_increment": -m / 9e7}
+        for m in range(1, 5001)
+    ]
+    report = {"config": RunConfig().as_dict(), "steps": steps, "windows": [], "summary": {"status": "ok"}}
+    path = tmp_path / "diagnostics.json"
+    assert traced_peak(cli.dump_json, report, path) < 0.25 * 2**20
+    assert path.stat().st_size > 2**20
+
+
 def test_diagnostic_windows():
     assert diagnostic_windows(102) == [(0, 101), (0, 50), (50, 101)]
     assert diagnostic_windows(3) == [(0, 2), (0, 1), (1, 2)]
@@ -1250,12 +1265,39 @@ def test_check_draws_its_tangent_pair_then_its_bump():
     s = cli._execute(cfg).section
     rng = random.Random(7)
     tangents = geometry_checks.solve_first_variation(s, cli._normals(rng, (2, 2, 16)), cfg.solver())
-    bump = 0.03 * s.grid.h * cli._normals(rng, s.displacement.shape)
+    # Row j's bump is scaled by min(h, its smallest label increment), the
+    # wrap-around increment included.
+    y = s.rows_y()
+    m = np.diff(np.concatenate([y, y[:, :1] + s.grid.domain_length], axis=1), axis=1).min(axis=1)
+    assert (m < s.grid.h).any()
+    bump = 0.03 * np.minimum(s.grid.h, m)[:, None] * cli._normals(rng, s.displacement.shape)
     windows = cli._window_records(Section(s.grid, s.displacement + bump), True, tangents)
     for line, name in zip(checks, ("noether", "mff")):
         ratios = [cli._boundary_ratio(w[f"{name}_boundary_sum"], w[f"{name}_abs_sum"]) for w in windows]
         assert (line["name"], line["value"]) == (f"{name}_boundary_sum_on_shell", max(ratios))
     assert code == EXIT_CHECK
+
+
+def test_check_off_shell_fails_on_a_steep_trajectory(tmp_path):
+    # Late rows of this run have label increments far below h: a bump of
+    # 0.03 h would break their monotonicity (exit 3), the bump scaled by
+    # each row's smallest increment fails the three theorem lines.
+    argv = ["check", "--ic", "cosine:1.5", "--n-space", "64", "--n-steps", "30",
+            "--out-dir", str(tmp_path / "o")]
+    for extra, code, status in (([], EXIT_OK, "PASS"), (["--inject-off-shell"], EXIT_CHECK, "FAIL")):
+        assert run_cli(*argv, *extra) == code
+        checks = json.loads((tmp_path / "o" / "check.json").read_text())["checks"]
+        assert [(c["name"], c["status"]) for c in checks if c["status"] != "INFO"] == [
+            (name, status) for name in CHECK_LINES
+        ]
+
+
+def test_normals_hold_one_half_sized_temporary():
+    # The normals are formed in the array of the uniforms: the draw's peak
+    # is about twice its output (the bytes and the words, then the
+    # uniforms and the half-sized sines), not four times.
+    shape = (1000, 256)
+    assert traced_peak(cli._normals, random.Random(7), shape) < 2.5 * 8 * math.prod(shape)
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
