@@ -28,7 +28,15 @@ from .del_solver import (
     section_parts,
     solve_cyclic_tridiagonal,  # noqa: F401  (a binding that perfbench's tracer test checks)
 )
-from .lagrangian import _shift, eval_from_parts, grad_12, grad_34, grad_from_parts, jacobian_bands
+from .lagrangian import (
+    _shift,
+    eval_from_parts,
+    grad_12,
+    grad_34,
+    grad_from_parts,
+    jacobian_bands,
+    self_bands,
+)
 
 
 @dataclass(frozen=True)
@@ -49,34 +57,22 @@ def _tangent_rects(vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
 # Tangent-linear (first variation) marching.
 
 
-def _tangent_parts(vlo: np.ndarray, h: float, k: float):
-    """parts(vhi): (da, db, dc), a tangent's difference variables over a
-    rectangle row with rows vlo (bottom) and vhi (top), grouped as stencil_parts
-    groups (a, b, c) (periodic, no lift); vlo's shift and da serve every vhi."""
-    v2 = _shift(vlo, 1)
-    da = (v2 - vlo) / h
-
-    def parts(vhi: np.ndarray):
-        dv = vhi - vlo
-        return da, dv / k, ((_shift(vhi, 1) - v2) - dv) / (h * k)
-
-    return parts
+def _tangent_parts(vlo: np.ndarray, vhi: np.ndarray, h: float, k: float):
+    """(da, db, dc), a tangent's difference variables over a rectangle row
+    with rows vlo (bottom) and vhi (top), grouped as stencil_parts groups
+    (a, b, c) (periodic, no lift)."""
+    v2, dv = _shift(vlo, 1), vhi - vlo
+    return (v2 - vlo) / h, dv / k, ((_shift(vhi, 1) - v2) - dv) / (h * k)
 
 
-def _coefficients(a, b, c):
-    """(a, b, c/a^2, c (c/a^2)/a): what the linear terms read of (a, b, c)."""
+def _vertex_terms(a, b, c, h: float, k: float, da, db, dc):
+    """Vertex terms 1-4 of the linearized gradient over a rectangle row with
+    parts (a, b, c), from the tangent's (da, db, dc) (_linear_terms)."""
     ca2 = c / (a * a)
-    return a, b, ca2, c * ca2 / a
-
-
-def _vertex_terms(coef, h: float, k: float, da, db, dc, upper_only: bool = False):
-    """Vertex terms 1-4 (1, 2 if upper_only) from _coefficients and (da, db, dc)."""
-    a, b, ca2, cca = coef
-    la_h = (cca * da + b * db - ca2 * dc) / h
+    la_h = (c * ca2 / a * da + b * db - ca2 * dc) / h
     lb_k = (b * da + a * db) / k
     w = (dc / a - ca2 * da) / (h * k)
-    upper = (-la_h - lb_k + w, la_h - w)
-    return upper if upper_only else upper + (w, lb_k - w)
+    return -la_h - lb_k + w, la_h - w, w, lb_k - w
 
 
 def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray) -> np.ndarray:
@@ -87,10 +83,16 @@ def _linear_terms(a, b, c, h: float, k: float, vlo: np.ndarray, vhi: np.ndarray)
     The Hessian is applied as the linearized gradient: the tangent's
     difference variables (da, db, dc) give dL_p = sum_q L_pq dq for
     p, q in (a, b, c), with L_aa = c^2/a^3, L_ab = b, L_ac = -c/a^2,
-    L_bb = a, L_bc = 0 and L_cc = 1/a, and the vertex terms follow the
-    gradient's (_vertex_terms).  No per-rectangle 4x4 Hessian is formed.
+    L_bb = a, L_bc = 0 and L_cc = 1/a, so that
+
+        la_h = (c (c/a^2)/a da + b db - c/a^2 dc) / h,  lb_k = (b da + a db) / k,
+        w = (dc/a - c/a^2 da) / (h k),
+
+    and the vertex terms follow the gradient's: (-la_h - lb_k + w,
+    la_h - w, w, lb_k - w) (_vertex_terms).  No per-rectangle 4x4
+    Hessian is formed.
     """
-    return np.stack(_vertex_terms(_coefficients(a, b, c), h, k, *_tangent_parts(vlo, h, k)(vhi)))
+    return np.stack(_vertex_terms(a, b, c, h, k, *_tangent_parts(vlo, vhi, h, k)))
 
 
 def two_forms(a, b, c, h: float, k: float, v, w) -> np.ndarray:
@@ -121,23 +123,32 @@ def solve_first_variation(
     converged rows, so constants and any other tangent-linear solution
     are propagated to linear-solve accuracy.
 
-    The levels go in blocks (del_solver._row_blocks), and the march holds
-    one block's arrays at a time: the block's parts, gradients, on-shell
-    residuals and bands come from one stacked pass, and its systems are
-    factored at once (del_solver._level_solver: the scalar sweep below
+    The tangent-linear equation at level j is the linearized level
+    equation A_j v[j + 1] = -(B_j v[j] + C_j v[j - 1]): A_j is the Newton
+    Jacobian of rectangle row j (jacobian_bands), B_j the level's
+    self-coupling bands (self_bands) and, since the discrete action's
+    second variation is symmetric, C_j is A_{j - 1} transposed.  The
+    levels go in blocks (del_solver._row_blocks, sized for four rows of
+    values per level: 32 levels at 256 points), and the march holds one
+    block's arrays at a time: the block's parts, on-shell residuals and
+    bands come from one stacked pass, and its systems are factored at
+    once (del_solver._level_solver: the scalar sweep below
     _PARTITION_MIN_N points, the partition method from there on), so each
-    level only substitutes its tangents' right-hand sides.  Levels are read
-    in order, each first checked on shell: the first level that is not
-    raises NotOnShell, and a level whose system cannot be eliminated
-    raises SingularJacobian naming it (and, as .row, the pivot's row),
-    each only when the march reaches that level.  Each solved row is
-    checked: its level residual must stay within tol_residual times the
-    largest of 1, the residual's own scale and the solve's size (the
-    level's largest absolute row sum of the bands times the row's largest
-    magnitude), else SingularJacobian; a NaN residual fails the check.
-    A v0 of the wrong shape, or not finite, raises ValueError.  The
-    tangents of a stack share each level's factor, and each has its own
-    residual bound; each tangent comes out bit for bit as marching it
+    level only forms its right-hand side from two band products and
+    substitutes.  Levels are read in order, each first checked on shell:
+    the first level that is not raises NotOnShell, and a level whose
+    system cannot be eliminated raises SingularJacobian naming it (and,
+    as .row, the pivot's row), each only when the march reaches that
+    level.  Then the block's solved rows are checked at once against the
+    level equation in its vertex-term form (the linearized gradient,
+    which shares no band with the march): each level's residual must
+    stay within tol_residual times the largest of 1, the residual's own
+    scale and the solve's size (the level's largest absolute row sum of
+    the bands times the row's largest magnitude), else SingularJacobian;
+    a NaN residual fails the check.  What fails first in level order is
+    raised.  A v0 of the wrong shape, or not finite, raises ValueError.
+    The tangents of a stack share each level's factor, and each has its
+    own residual bound; each tangent comes out bit for bit as marching it
     alone, one solve per level, gives it.
     """
     cfg = cfg or SolverConfig()
@@ -151,68 +162,114 @@ def solve_first_variation(
     stack = v0.reshape(-1, 2, n)
     vals = np.empty((len(stack), levels, n))  # tangent, level, space
     vals[:, :2] = stack
-    bot = None
-    for lo, hi in _row_blocks(levels - 2, n):
-        bot = _march_block(phi, vals, lo + 1, hi + 1, bot, cfg.tol_residual)
+    for lo, hi in _row_blocks(levels - 2, 4 * n):
+        _march_block(phi, vals, lo + 1, hi + 1, cfg.tol_residual)
     return vals.reshape(v0.shape[:-2] + (levels, n))
 
 
-def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, bot, tol: float):
-    """March the levels j_lo .. j_hi - 1 into vals, given the bottom
-    vertex terms bot of level j_lo (None at level 1); returns those of
-    level j_hi.  The on-shell gate's vertex terms and residual field go
-    once their norms and scales are taken, and c once the bands and the
-    linear terms' coefficients are formed, all before the factor."""
-    h, k = phi.grid.h, phi.grid.k
-    # Rectangle row j is the top row at level j and the bottom row at
-    # level j + 1, so its linear terms (level j's check, level j + 1's
-    # bottom) are built once, for every tangent.
-    a, b, c = section_parts(phi, j_lo - 1, j_hi)
-    # Level j reads vertices 1, 2 of rectangle row j and 3, 4 of row j - 1.
+def _put_rows(out: np.ndarray, v: np.ndarray):
+    """Write the rows v (..., n) into out (..., n + 2) with a one-point
+    periodic halo: v[..., -1] first and v[..., 0] last."""
+    out[..., 1:-1] = v
+    out[..., 0] = v[..., -1]
+    out[..., -1] = v[..., 0]
+
+
+def _march_block(phi: Section, vals: np.ndarray, j_lo: int, j_hi: int, tol: float):
+    """March the levels j_lo .. j_hi - 1 into vals (_solve_levels), then
+    check the rows solved (_check_levels); the first failure in level
+    order is raised.  Level j reads rectangle rows j - 1 and j, so the
+    block's rows j_lo - 1 .. j_hi - 1 are built once, for every tangent."""
+    parts = section_parts(phi, j_lo - 1, j_hi)
+    j_end, failure, sizes = _solve_levels(phi.grid, parts, vals, j_lo, j_hi, tol)
+    _check_levels(parts, sizes, vals, j_lo, j_end, phi.grid.h, phi.grid.k, tol)
+    if failure is not None:
+        raise failure
+
+
+def _solve_levels(g, parts, vals: np.ndarray, j_lo: int, j_hi: int, tol: float):
+    """Solve the levels j_lo .. j_hi - 1 into vals in order, from the parts
+    of rectangle rows j_lo - 1 .. j_hi - 1, until one fails.  Returns
+    (j_end, failure, sizes): the first level not solved (j_hi when all
+    were), its NotOnShell, SingularJacobian or FloatingPointError (else
+    None), and each level's largest absolute row sum of its bands.  The
+    on-shell gate's vertex terms and residual field go once their norms
+    and scales are taken, and the bands and the factor on return."""
+    h, k, n = g.h, g.k, g.n_space
+    a, b, c = parts
     res, scales = _level_equation(
         grad_12(a[1:], b[1:], c[1:], h, k), grad_34(a[:-1], b[:-1], c[:-1], h, k)
     )
     norms = np.abs(res).max(axis=-1)
     del res
-    bands = jacobian_bands(a[1:], b[1:], c[1:], h, k)
-    coef = _coefficients(a, b, c)
-    del c
+    lower, diag, upper = jacobian_bands(a, b, c, h, k)
+    # Level j's couplings to its rows j - 1 and j, laid out (band, level,
+    # row, 1, space): A_{j - 1} transposed (lower'[i] = upper[i - 1],
+    # upper'[i] = lower[i + 1]) and self_bands, so that one product takes
+    # both rows of every tangent.
+    couplings = np.empty((3, j_hi - j_lo, 2, 1, n))
+    couplings[:, :, 0, 0] = _shift(upper[:-1], -1), diag[:-1], _shift(lower[:-1], 1)
+    couplings[:, :, 1, 0] = self_bands(a[1:], b[1:], c[1:], a[:-1], h, k)
+    bands = lower[1:], diag[1:], upper[1:]
+    del lower, diag, upper
     # Each level's largest absolute row sum: a solve's rounding scales with
     # it times the solution, which the linear terms miss where they cancel
     # (a constant tangent has none).
     sizes = sum(np.abs(band) for band in bands).max(axis=-1)
     solve = _level_solver(*bands)
-    if bot is None:
-        bot = _vertex_terms([x[0] for x in coef], h, k, *_tangent_parts(vals[:, 0], h, k)(vals[:, 1]))
-    zeros = np.zeros_like(vals[:, 0])
+    # The block's tangent rows j_lo - 1 .. j_hi with a periodic halo, so
+    # that rows[t : t + 2] are rows j - 1 and j of level j = j_lo + t.
+    rows = np.empty((j_hi - j_lo + 2, len(vals), n + 2))
+    _put_rows(rows[:2], vals[:, j_lo - 1 : j_lo + 1].swapaxes(0, 1))
     for t, j in enumerate(range(j_lo, j_hi)):
         norm, bound = float(norms[t]), ON_SHELL_FACTOR * tol * max(1.0, scales[t])
         if norm > bound:
-            raise NotOnShell(
+            return j, NotOnShell(
                 f"residual {norm:g} at level {j} exceeds {bound:g}; "
                 "the base section does not solve the field equations"
-            )
-        # The right-hand side: the level residual at vals[:, j + 1] = 0.
-        coef_t, parts = [x[t + 1] for x in coef], _tangent_parts(vals[:, j], h, k)
-        t1, t2 = _vertex_terms(coef_t, h, k, *parts(zeros), True)
-        rhs = t1 + _shift(t2, -1)
-        rhs += _shift(bot[-2], -1) + bot[-1]
+            ), sizes
+        # The right-hand side -(A_{j-1}^T v[j - 1] + B_j v[j]), each
+        # product (lower v[i - 1] + diag v[i]) + upper v[i + 1].
+        lo, di, up = couplings[:, t]
+        pair = rows[t : t + 2]
         try:
-            vals[:, j + 1] = solve(t, -rhs)
+            terms = lo * pair[..., :-2]
+            terms += di * pair[..., 1:-1]
+            terms += up * pair[..., 2:]
+            rhs = np.add(terms[1], terms[0], out=terms[1])
+            new = solve(t, np.negative(rhs, out=rhs))
         except SingularJacobian as exc:
-            raise SingularJacobian(f"tangent row solve at level {j}: {exc}", exc.row) from exc
-        top = _vertex_terms(coef_t, h, k, *parts(vals[:, j + 1]))
-        res, scale = _level_equation(top, bot)
-        norm = np.abs(res).max(axis=-1)
-        size = sizes[t] * np.abs(vals[:, j + 1]).max(axis=-1)
-        # A NaN residual fails too: the bound is written as not <=.
-        bad = ~(norm <= tol * np.maximum(1.0, np.maximum(scale, size)))
-        if bad.any():
-            raise SingularJacobian(
-                f"tangent row solve at level {j} left residual {norm[np.argmax(bad)]:g}"
-            )
-        bot = top
-    return bot
+            return j, SingularJacobian(f"tangent row solve at level {j}: {exc}", exc.row), sizes
+        except FloatingPointError as exc:
+            return j, exc, sizes
+        vals[:, j + 1] = new
+        _put_rows(rows[t + 2], new)
+    return j_hi, None, sizes
+
+
+def _check_levels(parts, sizes, vals: np.ndarray, j_lo: int, j_hi: int, h: float, k: float, tol):
+    """Check the tangent rows solved at levels j_lo .. j_hi - 1 at once,
+    from the vertex terms of rectangle rows j_lo - 1 .. j_hi - 1 (parts
+    holds the block's (a, b, c) from row j_lo - 1 on, sizes its levels'
+    largest absolute row sums).  Each level's residual must stay
+    within tol times the largest of 1, the residual's own scale and the
+    solve's size (sizes times the row's largest magnitude); the first
+    level that does not, a NaN residual too, raises SingularJacobian."""
+    if j_hi == j_lo:
+        return
+    rows = vals[:, j_lo - 1 : j_hi + 1]
+    terms = _vertex_terms(
+        *(x[: j_hi - j_lo + 1] for x in parts), h, k, *_tangent_parts(rows[:, :-1], rows[:, 1:], h, k)
+    )
+    res, scale = _level_equation([x[:, 1:] for x in terms[:2]], [x[:, :-1] for x in terms[2:]])
+    norm = np.abs(res).max(axis=-1)  # tangent, level
+    size = sizes[: j_hi - j_lo] * np.abs(rows[:, 2:]).max(axis=-1)
+    # A NaN residual fails too: the bound is written as not <=.
+    bad = ~(norm <= tol * np.maximum(1.0, np.maximum(scale, size)))
+    if bad.any():
+        t = int(np.argmax(bad.any(axis=0)))
+        first = norm[np.argmax(bad[:, t]), t]  # the first tangent that fails there
+        raise SingularJacobian(f"tangent row solve at level {j_lo + t} left residual {first:g}")
 
 
 # ---------------------------------------------------------------------------

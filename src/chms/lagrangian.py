@@ -10,10 +10,11 @@ corner values (y1, y2, y3, y4) and spacings (h, k):
 in which the rectangle Lagrangian is L = (a*b**2 + c**2/a) / 2, the same
 expression as the continuous density evaluated on (a, b, c).  The closed
 form first partials and the second partials in the Newton Jacobian
-bands below were derived by hand once and are pinned against finite
-differences in the test suite.  The structure checks apply the second
-partials as the linearized gradient (geometry_checks._linear_terms), so
-no 4x4 Hessian is formed.
+bands and a level's self-coupling bands below were derived by hand once
+and are pinned against finite differences and the full Hessian in the
+test suite.  The structure checks apply the second partials as the
+linearized gradient (geometry_checks._linear_terms), so no 4x4 Hessian
+is formed.
 
 The kernels take arrays with one entry per rectangle (any shape; the
 row solver passes rectangle rows), so each quantity has one vectorized
@@ -208,4 +209,54 @@ def jacobian_bands(a, b, c, h: float, k: float):
     d_tail -= e_head
     d_first = diag[..., :1]
     d_first -= e_seam
+    return lower, diag, upper
+
+
+def self_bands(a, b, c, a_lo, h: float, k: float):
+    """Cyclic tridiagonal bands coupling a level's residual to its own row,
+    from the parts (a, b, c) of the rectangle row above the level and the
+    part a_lo of the row below.
+
+    The residual at point i reaches its own row through H11, H12 of its
+    up-right rectangle, H21, H22 of its up-left one, H44, H43 of its
+    down-right one and H33, H34 of its down-left one, with
+
+        H12 = -(c/a + 1/k)**2 / a / (h h) - b/(hk)   (the row above),
+        H34 = -1/(a_lo h h k k)                      (the row below),
+
+    and, as L depends only on differences of the corners and its Hessian
+    is symmetric, H11 = -H12 + a/k**2 + b/(hk), H22 = -H12 - b/(hk),
+    H33 = -H34 and H44 = a_lo/k**2 - H34.  Returns the symmetric bands
+    (lower, diag, upper) indexed by the residual point:
+
+        upper = H12 + H34 = -(((c/a + 1/k)**2 / a / (h h) + 1/(a_lo h h k k)) + b/(hk)),
+        lower = shift(upper),
+        diag = (a + a_lo)/(k k) - upper - lower + b/(hk) - shift(b/(hk)),
+
+    with shift(f)[i] = f[i - 1] (periodic).  Each band is formed in place
+    in its own array (b/(hk) and 1/(a_lo h h k k) take one more each).
+    Stacked rows (space along the last axis) give the bands of every
+    level; the four parts are of one shape, with at least one axis.
+    """
+    upper = c / a
+    upper += 1.0 / k
+    upper *= upper
+    upper /= a
+    upper /= h * h
+    below = a_lo * (h * h * k * k)
+    np.divide(1.0, below, out=below)
+    upper += below
+    bh = b / (h * k)
+    upper += bh
+    np.negative(upper, out=upper)
+    lower = _shift(upper, -1)
+    diag = a + a_lo
+    diag /= k * k
+    diag -= upper
+    diag -= lower
+    diag += bh
+    d_tail = diag[..., 1:]
+    d_tail -= bh[..., :-1]
+    d_first = diag[..., :1]
+    d_first -= bh[..., -1:]
     return lower, diag, upper

@@ -17,8 +17,11 @@ by row, as the tangent march does, but with those full Hessians, so that
 the tests can hold the row assembly against the pointwise form.  The
 two-sweep cyclic solve is the reference that the package's one-sweep
 solver must reproduce bit for bit, and ``first_variation_march`` marches
-the tangents level by level, one public cyclic solve per level, as the
-reference that the package's blocked march must reproduce bit for bit.
+the tangents level by level, one public cyclic solve per level, each
+right-hand side from the expression forms of the level's self-coupling
+bands and of the previous level's Newton bands, transposed
+(``band_product_expr``, ``transposed_bands``), as the reference that the
+package's blocked march must reproduce bit for bit.
 ``newton_step`` is the Newton row solve written with the four-term
 gradient of both rectangle rows and the level equation, the reference
 that ``advance_row``, which forms only the vertex terms each level
@@ -26,8 +29,8 @@ reads, must reproduce bit for bit.
 The row kernels form each result in place in an array they allocate;
 their expression forms (``stencil_parts_expr``, ``grad_12_expr``,
 ``grad_34_expr``, ``eval_expr``, ``jacobian_bands_expr``,
-``level_equation_expr``, ``increments_expr`` and ``level_series_expr``)
-are the formulas written as one NumPy expression each, with a
+``self_bands_expr``, ``level_equation_expr``, ``increments_expr`` and
+``level_series_expr``) are the formulas written as one NumPy expression each, with a
 temporary per operation, which the kernels must reproduce bit for bit;
 the oracle marches and level equations use them in place of the kernels.
 ``section_parts_two_shift`` forms the parts of a range of rectangle rows
@@ -105,6 +108,24 @@ def jacobian_bands_expr(a, b, c, h: float, k: float):
     lower = np.roll(corner + bh, 1, axis=-1)
     diag = -a / (k * k) - corner - bh - np.roll(corner, 1, axis=-1)
     return lower, diag, corner
+
+
+def self_bands_expr(a, b, c, a_lo, h: float, k: float):
+    """(lower, diag, upper) of lagrangian.self_bands."""
+    bh = b / (h * k)
+    upper = -(((c / a + 1.0 / k) ** 2 / a / (h * h) + 1.0 / (a_lo * (h * h * k * k))) + bh)
+    lower = np.roll(upper, 1, axis=-1)
+    return lower, (a + a_lo) / (k * k) - upper - lower + bh - np.roll(bh, 1, axis=-1), upper
+
+
+def transposed_bands(lower, diag, upper):
+    """The bands of the transposed cyclic tridiagonal matrix."""
+    return np.roll(upper, 1, axis=-1), diag, np.roll(lower, -1, axis=-1)
+
+
+def band_product_expr(lower, diag, upper, v):
+    """The cyclic tridiagonal product A v, as the tangent march forms it."""
+    return lower * np.roll(v, 1, axis=-1) + diag * v + upper * np.roll(v, -1, axis=-1)
 
 
 def level_equation_expr(top, bot):
@@ -217,7 +238,7 @@ def linearized_gradient_ratio(a, b, c, h: float, k: float, v) -> float:
     themselves cancel on rough sections.
     """
     tau = 1e-100
-    da, db, dc = dparts = geometry_checks._tangent_parts(v[0], h, k)(v[1])
+    da, db, dc = dparts = geometry_checks._tangent_parts(v[0], v[1], h, k)
     shifted = [p + 1j * tau * dp for p, dp in zip((a, b, c), dparts)]
     ref = np.stack(grad_from_parts(*shifted, h, k)).imag / tau
     err = np.max(np.abs(geometry_checks._linear_terms(a, b, c, h, k, *v) - ref), axis=0)
@@ -541,7 +562,10 @@ def first_variation_march(phi, v0, cfg=None):
     """Tangents of shape (m, n_time, n_space), or (n_time, n_space) for one
     pair of initial rows v0 (2, n_space), with the package's level
     equations, gate and residual check; each level eliminates its own
-    bands."""
+    bands.  Level j's right-hand side is -(B_j v[j] + A_{j-1}^T v[j - 1])
+    from the expression forms of its self-coupling bands and of the
+    previous level's Newton bands, and its solve is checked against the
+    linear terms of both of its rectangle rows."""
     cfg = cfg or SolverConfig()
     g = phi.grid
     n, levels = g.n_space, g.n_time
@@ -550,10 +574,10 @@ def first_variation_march(phi, v0, cfg=None):
     vals = np.empty((len(stack), levels, n))
     vals[:, :2] = stack
     h, k, tol = g.h, g.k, cfg.tol_residual
-    zeros = np.zeros_like(vals[:, 0])
     a, b, c = section_parts(phi)
     grad_lo = grad_expr(a[0], b[0], c[0], h, k)
     bot = _linear_terms(a[0], b[0], c[0], h, k, vals[:, 0], vals[:, 1])
+    bands_lo = jacobian_bands_expr(a[0], b[0], c[0], h, k)
     for j in range(1, levels - 1):
         parts = a[j], b[j], c[j]
         grad_hi = grad_expr(*parts, h, k)
@@ -561,7 +585,9 @@ def first_variation_march(phi, v0, cfg=None):
         norm, bound = float(np.max(np.abs(res))), ON_SHELL_FACTOR * tol * max(1.0, scale)
         if norm > bound:
             raise NotOnShell(f"residual {norm:g} at level {j} exceeds {bound:g}")
-        rhs, _ = level_equation_expr(_linear_terms(*parts, h, k, vals[:, j], zeros), bot)
+        own = self_bands_expr(*parts, a[j - 1], h, k)
+        rhs = band_product_expr(*own, vals[:, j])
+        rhs = rhs + band_product_expr(*transposed_bands(*bands_lo), vals[:, j - 1])
         bands = jacobian_bands_expr(*parts, h, k)
         vals[:, j + 1] = solve_cyclic_tridiagonal(*bands, -rhs)
         top = _linear_terms(*parts, h, k, vals[:, j], vals[:, j + 1])
@@ -570,7 +596,7 @@ def first_variation_march(phi, v0, cfg=None):
         size = np.max(sum(np.abs(band) for band in bands)) * np.max(np.abs(vals[:, j + 1]), axis=-1)
         if not np.all(norm <= tol * np.maximum(1.0, np.maximum(scale, size))):
             raise SingularJacobian(f"tangent row solve at level {j} left residual {norm.max():g}")
-        grad_lo, bot = grad_hi, top
+        grad_lo, bot, bands_lo = grad_hi, top, bands
     return vals.reshape(v0.shape[:-2] + (levels, n))
 
 

@@ -233,8 +233,9 @@ def test_off_shell_gate_names_first_bad_level():
 
 def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
     grads = ("grad_from_parts", "grad_12", "grad_34")
-    kernels = ("_linear_terms", "_coefficients", "_tangent_parts")
-    names = ("stencil_parts", "jacobian_bands", "solve_cyclic_tridiagonal") + kernels + grads
+    kernels = ("_linear_terms", "_tangent_parts", "_vertex_terms", "_put_rows", "_shift")
+    names = ("stencil_parts", "jacobian_bands", "self_bands", "solve_cyclic_tridiagonal")
+    names += kernels + grads
     calls = dict.fromkeys(names, 0)
     vertex_terms = []  # the number of vertex terms of each _vertex_terms call
 
@@ -243,57 +244,59 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name == "_vertex_terms":
+                vertex_terms.append(len(result))
+            return result
 
         monkeypatch.setattr(module, name, wrapper)
 
     counting(del_solver, "stencil_parts")
-    counting(geometry_checks, "jacobian_bands")
     counting(del_solver, "solve_cyclic_tridiagonal")
-    for name in kernels + grads:
+    for name in ("jacobian_bands", "self_bands") + kernels + grads:
         counting(geometry_checks, name)
-    real_terms = geometry_checks._vertex_terms
-
-    def sized_terms(*args, **kwargs):
-        terms = real_terms(*args, **kwargs)
-        vertex_terms.append(len(terms))
-        return terms
-
-    monkeypatch.setattr(geometry_checks, "_vertex_terms", sized_terms)
-    # One block of levels, three (the march crosses two block seams), and
+    # One block of levels, ten (the march crosses nine block seams), and
     # a row long enough for the partitioned solve.
-    for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 3, 1)):
+    for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 10, 1)):
         s = cosine_section(n_space, n_steps)
         n_time = s.grid.n_time
-        blocks = len(_row_blocks(n_time - 2, n_space))
+        blocks = len(_row_blocks(n_time - 2, 4 * n_space))
         assert blocks == n_blocks
         for v0 in (rng.standard_normal((2, n_space)), rng.standard_normal((2, 2, n_space))):
             calls.update(dict.fromkeys(names, 0))
             vertex_terms.clear()
             solve_first_variation(s, v0, SolverConfig(tol_residual=tol))
-            # One parts pass, one set of the linear terms' coefficients and
-            # one stacked band set per block of levels; no public solve at
-            # any length (each level substitutes into its block's factor,
-            # scalar or partitioned), whatever the stack size.  Each level
-            # forms its row's shift and da once, then the vertex terms 1, 2
-            # of its right-hand side and the four of its check; rectangle
-            # row j's checked terms are level j + 1's bottom terms, so only
-            # row 0's come first.  The stacked _linear_terms is never formed.
-            # The on-shell gate takes the vertex-1,2 terms of the block's
-            # top rectangle rows and the 3,4 terms of its bottom ones, and
-            # never the four-term gradient.
+            # One parts pass, one Newton band set (with the row below the
+            # block's first level, whose transpose couples that level to
+            # its previous row) and one self-coupling band set per block
+            # of levels; no public solve at any length (each level
+            # substitutes into its block's factor, scalar or partitioned),
+            # whatever the stack size.  Each level forms its right-hand
+            # side from the band products of its two rows, held with a
+            # periodic halo that each new row is written into once, so no
+            # row is shifted per level: each block shifts the previous
+            # level's two off-diagonal bands once, and its check shifts the
+            # block's tangent rows once for their difference variables.
+            # The check takes the four vertex terms of all of the block's
+            # rectangle rows in one call, and the stacked _linear_terms is
+            # never formed.  The on-shell gate takes the vertex-1,2 terms
+            # of the block's top rectangle rows and the 3,4 terms of its
+            # bottom ones, and never the four-term gradient.
             assert calls == {
                 "stencil_parts": blocks,
                 "jacobian_bands": blocks,
+                "self_bands": blocks,
                 "solve_cyclic_tridiagonal": 0,
                 "_linear_terms": 0,
-                "_coefficients": blocks,
-                "_tangent_parts": (n_time - 2) + 1,
+                "_tangent_parts": blocks,
+                "_vertex_terms": blocks,
+                "_put_rows": blocks + (n_time - 2),
+                "_shift": 4 * blocks,
                 "grad_from_parts": 0,
                 "grad_12": blocks,
                 "grad_34": blocks,
             }
-            assert vertex_terms == [4] + [2, 4] * (n_time - 2)
+            assert vertex_terms == [4] * blocks
 
 
 @pytest.mark.parametrize("n_space, n_steps, tol", MARCH_CASES)
@@ -310,12 +313,13 @@ def test_march_matches_the_per_level_march_bitwise(n_space, n_steps, tol, m, rng
 def _zero_pivot(monkeypatch, level: int, row: int):
     """Make the system of `level` meet a zero pivot at `row`, on a section
     of one block of levels: its diagonal and sub-diagonal entries there
-    are zeroed in the stacked bands the march builds (levels 1, 2, ...)."""
+    are zeroed in the stacked bands the march builds (levels 0, 1, 2, ...:
+    level 0's couple level 1 to row 0)."""
     real = geometry_checks.jacobian_bands
 
     def wrapper(a, b, c, h, k):
         lower, diag, upper = real(a, b, c, h, k)
-        diag[level - 1, row] = lower[level - 1, row] = 0.0
+        diag[level, row] = lower[level, row] = 0.0
         return lower, diag, upper
 
     monkeypatch.setattr(geometry_checks, "jacobian_bands", wrapper)
@@ -349,15 +353,61 @@ def test_tangent_march_fails_at_the_first_failing_level(
         solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
 
 
+def _perturb_solve(monkeypatch, level: int):
+    """Scale the tangent solve of `level` by 1 + 1e-9 on a section of one
+    block of levels, so that its post-solve check fails."""
+    real = geometry_checks._level_solver
+
+    def level_solver(*bands):
+        solve = real(*bands)
+        return lambda t, rhs: solve(t, rhs) * (1.0 + 1e-9 if t == level - 1 else 1.0)
+
+    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
+
+
+@pytest.mark.parametrize("later", ["off shell", "singular"])
+def test_a_failed_check_precedes_a_later_failing_level(monkeypatch, later):
+    # The block's rows are checked at once after its levels are solved;
+    # a check that fails at level 2 is still raised before level 5's gate
+    # or level 4's singular solve, with the message it has alone.
+    s = cosine_section(16, 10)
+    v0 = np.ones((2, 16))
+    _perturb_solve(monkeypatch, 2)
+    with pytest.raises(SingularJacobian) as alone:
+        solve_first_variation(s, v0)
+    message = str(alone.value)
+    assert message.startswith("tangent row solve at level 2 left residual ")
+    if later == "off shell":
+        d = s.displacement.copy()
+        d[6] += 0.05 * s.grid.h * np.cos(np.arange(16))  # levels 5 .. 7
+        s = Section(s.grid, d)
+        with pytest.raises(NotOnShell, match="at level 5 "):
+            first_variation_march(s, v0)
+    else:
+        _zero_pivot(monkeypatch, 4, 7)
+    with pytest.raises(SingularJacobian) as err:
+        solve_first_variation(s, v0)
+    assert str(err.value) == message and err.value.row is None
+
+
+def test_tangent_pair_of_a_full_diagnostics_run_stays_below_2_5_mib(rng):
+    # A 256 x 200 cosine:0.1 section and a (2, 2, 256) stack: the march
+    # holds one block of 32 levels at a time (3.66 MiB when it held 128
+    # levels and each level formed its own temporaries).
+    s = cosine_section(256, 200)
+    v0 = rng.standard_normal((2, 2, 256))
+    assert traced_peak(solve_first_variation, s, v0) < 2.5 * 2**20
+
+
 def test_tangent_march_holds_one_block_of_factors(rng):
     long = cosine_section(256, 640)
-    n_short = 130  # one whole block of 128 levels
-    assert _row_blocks(n_short - 2, 256) == [(0, 128)]
-    assert len(_row_blocks(long.grid.n_time - 2, 256)) == 5
+    n_short = 34  # one whole block of 32 levels
+    assert _row_blocks(n_short - 2, 4 * 256) == [(0, 32)]
+    assert len(_row_blocks(long.grid.n_time - 2, 4 * 256)) == 20
     short = Section(replace(long.grid, n_time=n_short), long.displacement[:n_short])
     v0 = rng.standard_normal((2, 256))
     grown = (long.grid.n_time - n_short) * 256 * 8  # the returned array's growth
-    factor = 3 * 128 * 255 * 8  # pivots, multipliers, border solution
+    factor = 3 * 32 * 255 * 8  # three band-sized arrays of one block
     peaks = [traced_peak(solve_first_variation, sec, v0) for sec in (short, long)]
     assert peaks[1] - peaks[0] <= grown + factor
 

@@ -4,11 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import EPS, fd_gradient, fd_hessian, random_stencil, smooth_eta_derivs, stencil_fn
-from oracles import rect_grad, rect_hess, rect_value
+from conftest import (
+    EPS,
+    TWO_PI,
+    fd_gradient,
+    fd_hessian,
+    random_section,
+    random_stencil,
+    smooth_eta_derivs,
+    stencil_fn,
+)
+from oracles import hess_full_from_parts, rect_grad, rect_hess, rect_value
 
+from chms.del_solver import section_parts
 from chms.errors import NonMonotone
-from chms.lagrangian import _shift, eval_from_parts, grad_12, grad_34, grad_from_parts, jacobian_bands
+from chms.grid import GridSpec
+from chms.lagrangian import (
+    _shift,
+    eval_from_parts,
+    grad_12,
+    grad_34,
+    grad_from_parts,
+    jacobian_bands,
+    self_bands,
+)
 
 
 def test_eval_examples():
@@ -109,6 +128,65 @@ def test_jacobian_bands_of_stacked_rows_match_each_row(rng):
     for m in range(3):
         for band, row in zip(stacked, jacobian_bands(a[m], b[m], c[m], 0.7, 0.4)):
             assert np.array_equal(band[m], row)
+
+
+def _dense(lower, diag, upper) -> np.ndarray:
+    """The cyclic tridiagonal matrix of the bands, n >= 3."""
+    n = len(diag)
+    i = np.arange(n)
+    out = np.zeros((n, n))
+    out[i, i], out[i, (i + 1) % n], out[i, (i - 1) % n] = diag, upper, lower
+    return out
+
+
+def _level_couplings(hess_lo, hess_hi) -> np.ndarray:
+    """dR/dy of a level's residual R with respect to the rows below, at and
+    above the level, dense (3, n, n), from the full Hessians (n, 4, 4) of
+    the rectangle rows below and above it.  Rectangle i has vertex 1 at
+    point i of its bottom row, 2 at i + 1, 3 at i + 1 of its top row and
+    4 at i; the residual at a point sums the gradient of each rectangle
+    touching it at that point's vertex."""
+    n = len(hess_lo)
+    out = np.zeros((3, n, n))
+    for i in range(n):
+        points = (i, (i + 1) % n, (i + 1) % n, i)
+        # The level is the top row of the rectangles below it and the
+        # bottom row of those above it.
+        for hess, vertices, offset in ((hess_lo, (2, 3), 0), (hess_hi, (0, 1), 1)):
+            for l in vertices:
+                for m in range(4):
+                    out[offset + m // 2, points[l], points[m]] += hess[i, m, l]
+    return out
+
+
+def _level_parts(rng, n: int):
+    """(a, b, c) of the two rectangle rows about level 1 of a random
+    admissible section of three rows, h and k."""
+    g = GridSpec.from_circle(n, 3, TWO_PI, 0.25)
+    return section_parts(random_section(g, rng, amp=0.4)), g.h, g.k
+
+
+@pytest.mark.parametrize("n", [3, 16, 263])
+def test_self_bands_are_the_level_hessian_and_symmetric(rng, n):
+    (a, b, c), h, k = _level_parts(rng, n)
+    hess = hess_full_from_parts(a, b, c, h, k)
+    want = _level_couplings(*hess)[1]
+    got = _dense(*self_bands(a[1], b[1], c[1], a[0], h, k))
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(hess))
+
+
+@pytest.mark.parametrize("n", [3, 16, 263])
+def test_coupling_to_the_previous_row_is_the_previous_level_bands_transposed(rng, n):
+    # The second variation of the discrete action is symmetric, so
+    # dR_j/dy_{j-1} = (dR_{j-1}/dy_j)^T: the Newton bands of level j - 1.
+    (a, b, c), h, k = _level_parts(rng, n)
+    hess = hess_full_from_parts(a, b, c, h, k)
+    below, _, above = _level_couplings(*hess)
+    scale = np.max(np.abs(hess))
+    previous, own = (_dense(*jacobian_bands(a[r], b[r], c[r], h, k)) for r in (0, 1))
+    assert np.max(np.abs(below - previous.T)) <= 1e-14 * scale
+    assert np.max(np.abs(above - own)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("shape", [(7,), (3, 7), (3, 2, 7)])

@@ -23,13 +23,21 @@ from oracles import (
     jacobian_bands_expr,
     level_equation_expr,
     level_series_expr,
+    self_bands_expr,
     stencil_parts_expr,
 )
 
 from chms.del_solver import SolverConfig, _increments, _level_equation, advance_row, section_parts
 from chms.geometry_checks import level_series
 from chms.grid import GridSpec
-from chms.lagrangian import eval_from_parts, grad_12, grad_34, jacobian_bands, stencil_parts
+from chms.lagrangian import (
+    eval_from_parts,
+    grad_12,
+    grad_34,
+    jacobian_bands,
+    self_bands,
+    stencil_parts,
+)
 
 
 def _same(got, want) -> bool:
@@ -76,6 +84,18 @@ def test_first_partials_and_value_match_their_expression_forms(parts, h, k):
 def test_jacobian_bands_match_their_expression_form(parts, h, k):
     with np.errstate(all="ignore"):
         assert _all_same(jacobian_bands(*parts, h, k), jacobian_bands_expr(*parts, h, k))
+
+
+@given(
+    _batch(st.sampled_from([(1,), (2,), (5,), (2, 3), (3, 4)])), st.data(), _spacing, _spacing
+)
+def test_self_bands_match_their_expression_form(parts, data, h, k):
+    # a_lo, the part a of the rectangle row below, is drawn like a.
+    shape = parts[0].shape
+    size = math.prod(shape)
+    a_lo = np.array(data.draw(st.lists(_a, min_size=size, max_size=size))).reshape(shape)
+    with np.errstate(all="ignore"):
+        assert _all_same(self_bands(*parts, a_lo, h, k), self_bands_expr(*parts, a_lo, h, k))
 
 
 def test_kernels_of_python_floats_and_complex_parts_match_their_expression_forms(rng):
@@ -161,6 +181,7 @@ def _kernel_calls(s):
         ("eval_from_parts", lambda: eval_from_parts(a[1:3], b[1:3], c[1:3])),
         ("eval_from_parts 0-d", lambda: eval_from_parts(a[1, 2, ...], b[1, 2, ...], c[1, 2, ...])),
         ("jacobian_bands", lambda: jacobian_bands(a[1:], b[1:], c[1:], h, k)),
+        ("self_bands", lambda: self_bands(a[1:], b[1:], c[1:], a[:-1], h, k)),
         ("_level_equation", lambda: _level_equation(top, bot)),
         ("_level_equation stacked", lambda: _level_equation(np.stack(top), np.stack(bot))),
         ("_increments", lambda: _increments(y[1:4], g, "row")),
