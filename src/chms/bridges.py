@@ -40,6 +40,19 @@ B1 = _skew((0, 3), (2, 5))
 B0 = _skew((0, 4))
 
 
+def _momenta(eta_x, eta_t, eta_xx, eta_tx, eta_txx) -> tuple:
+    """(px, pt, ptx) of a jet, the momenta of legendre."""
+    ptx = eta_tx / eta_x
+    px = 0.5 * (eta_t * eta_t - ptx * ptx)
+    pt = eta_x * eta_t - (eta_txx * eta_x - eta_tx * eta_xx) / (eta_x * eta_x)
+    return px, pt, ptx
+
+
+def _require_positive(eta_x) -> None:
+    if not np.all(np.asarray(eta_x) > 0.0):  # NaN fails too
+        raise NonMonotone("eta_x must be positive")
+
+
 def legendre(eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx) -> np.ndarray:
     """The phase point Z = (eta, eta_x, eta_t, px, pt, ptx) of a jet, with
     the momenta conjugate to (eta, eta_x, eta_t):
@@ -51,12 +64,14 @@ def legendre(eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx) -> np.ndarray:
     The pt formula carries the spatial total derivative of ptx.  Jets of
     equal-shape arrays give shape + (6,); eta_x must be positive.
     """
-    if not np.all(np.asarray(eta_x) > 0.0):  # NaN fails too
-        raise NonMonotone("eta_x must be positive")
-    ptx = eta_tx / eta_x
-    px = 0.5 * (eta_t * eta_t - ptx * ptx)
-    pt = eta_x * eta_t - (eta_txx * eta_x - eta_tx * eta_xx) / (eta_x * eta_x)
-    return np.stack([eta, eta_x, eta_t, px, pt, ptx], axis=-1)
+    _require_positive(eta_x)
+    return np.stack([eta, eta_x, eta_t, *_momenta(eta_x, eta_t, eta_xx, eta_tx, eta_txx)], axis=-1)
+
+
+def _components(z) -> tuple:
+    """The six components of a Z-field whose last axis holds them, as
+    views."""
+    return tuple(np.moveaxis(np.asarray(z, dtype=float), -1, 0))
 
 
 def hamiltonian_phase(z: np.ndarray) -> np.ndarray:
@@ -67,29 +82,16 @@ def hamiltonian_phase(z: np.ndarray) -> np.ndarray:
     Eliminating eta_tx = eta_x * ptx gives the polynomial
     H = eta_x*(eta_t**2 - ptx**2)/2 - px*eta_x - pt*eta_t.
     """
-    z = np.asarray(z, dtype=float)
-    etax, etat = z[..., 1], z[..., 2]
-    px, pt, ptx = z[..., 3], z[..., 4], z[..., 5]
+    _, etax, etat, px, pt, ptx = _components(z)
     return 0.5 * etax * (etat * etat - ptx * ptx) - px * etax - pt * etat
 
 
-def grad_hamiltonian_phase(z: np.ndarray) -> np.ndarray:
-    """Gradient of the phase-space Hamiltonian (last axis holds the 6
-    components), in closed form from the polynomial of hamiltonian_phase."""
-    z = np.asarray(z, dtype=float)
-    etax, etat = z[..., 1], z[..., 2]
-    px, pt, ptx = z[..., 3], z[..., 4], z[..., 5]
-    return np.stack(
-        [
-            np.zeros_like(etax),
-            0.5 * (etat * etat - ptx * ptx) - px,
-            etax * etat - pt,
-            -etax,
-            -etat,
-            -etax * ptx,
-        ],
-        axis=-1,
-    )
+def _omega(u, v) -> tuple:
+    """omega_pair on the six components of u and of v (sequences; their
+    second entries are not read)."""
+    w1 = (v[0] * u[3] - v[3] * u[0]) + (v[2] * u[5] - v[5] * u[2])
+    w0 = v[0] * u[4] - v[4] * u[0]
+    return w1, w0
 
 
 def omega_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +100,7 @@ def omega_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     Written as paired products so skew-symmetry is exact in floating
     point; identical to the matrix pairing.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w1 = (v[..., 0] * u[..., 3] - v[..., 3] * u[..., 0]) + (
-        v[..., 2] * u[..., 5] - v[..., 5] * u[..., 2]
-    )
-    w0 = v[..., 0] * u[..., 4] - v[..., 4] * u[..., 0]
-    return w1, w0
+    return _omega(_components(u), _components(v))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +137,16 @@ def section_to_jets(s: Section) -> tuple[np.ndarray, ...]:
     return _jets(s.rows_y(), s.grid)
 
 
+def _phase_rows(s: Section, lo: int, hi: int) -> tuple:
+    """(Z, eta_tx) of the rows lo .. hi - 1 of s over their interior
+    levels: the six components of Z, each of shape (hi - lo - 2,
+    n_space), and eta_tx.  eta_x and eta_tx are _dx of the components
+    eta and eta_t, bit for bit, taken once by the jets."""
+    eta, eta_x, eta_t, eta_xx, eta_tx, eta_txx = _jets(s.xs() + s.displacement[lo:hi], s.grid)
+    _require_positive(eta_x)
+    return (eta, eta_x, eta_t, *_momenta(eta_x, eta_t, eta_xx, eta_tx, eta_txx)), eta_tx
+
+
 def phase_field(s: Section, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Z-field of the rows lo .. hi - 1 of s (by default all of them) over
     their interior levels lo + 1 .. hi - 2, shape (hi - lo - 2, n_space,
@@ -151,34 +157,57 @@ def phase_field(s: Section, lo: int = 0, hi: int | None = None) -> np.ndarray:
     hi = s.grid.n_time if hi is None else hi
     if not 0 <= lo < hi <= s.grid.n_time:
         raise OutOfRange(f"rows {lo} .. {hi - 1} are not a range of rows 0 .. {s.grid.n_time - 1}")
-    return legendre(*_jets(s.xs() + s.displacement[lo:hi], s.grid))
+    return np.stack(_phase_rows(s, lo, hi)[0], axis=-1)
 
 
-def _phase_dx(z: np.ndarray, g: GridSpec):
-    """(z, z_x) of a Z-field; eta carries the identity lift, the momenta
-    are periodic."""
-    z = np.asarray(z, dtype=float)
-    zx = np.empty_like(z)
-    for m in range(6):
-        zx[..., m] = _dx(z[..., m], g.h, g.domain_length if m == 0 else 0.0)
-    return z, zx
+# The three residual fields, each one kernel over the six components of
+# Z (eta, eta_x, eta_t, px, pt, ptx), held as separate arrays, and their
+# derivatives: zx on every level of Z, zt on its levels without the
+# first and the last, None where no field reads one (the derivatives of
+# eta_x).
 
 
-def _hamilton(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
-    """hamilton_residuals from (z, z_x).  Each row of B1 and B0 holds at
-    most one entry, +-1, so the matrix products are exact."""
-    return zx[1:-1] @ B1.T + _dt(z, g.k) @ B0.T - grad_hamiltonian_phase(z[1:-1])
+def _derivatives(z: tuple, g: GridSpec, eta_x, eta_tx) -> tuple:
+    """(zx, zt) of the components z, with eta_x and eta_tx as the
+    x-derivatives of eta and eta_t."""
+    zx = (eta_x, None, eta_tx, *(_dx(f, g.h) for f in z[3:]))
+    zt = tuple(None if m == 1 else _dt(f, g.k) for m, f in enumerate(z))
+    return zx, zt
 
 
-def _conservation(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
-    """conservation_residual from (z, z_x)."""
-    s1, s0 = omega_pair(_dt(z, g.k), zx[1:-1])
+def _field_derivatives(z: np.ndarray, g: GridSpec) -> tuple:
+    """(z, zx, zt) of a Z-field whose last axis holds the components."""
+    z = _components(z)
+    return (z, *_derivatives(z, g, _dx(z[0], g.h, g.domain_length), _dx(z[2], g.h)))
+
+
+def _hamilton(z: tuple, zx: tuple, zt: tuple):
+    """The six components of hamilton_residuals in turn.  Row m of B1
+    and of B0 holds at most one entry, +-1, so component m of
+    B1 Z_x + B0 Z_t is that entry's component of Z_x or Z_t, or their
+    sum, and minus grad H, from the polynomial of hamiltonian_phase, is
+    written out after it: each component is the matrix form's, bit for
+    bit on finite data.
+    """
+    eta_x, eta_t, px, pt, ptx = (f[1:-1] for f in z[1:])
+    yield zx[3][1:-1] + zt[4]
+    yield px - 0.5 * (eta_t * eta_t - ptx * ptx)
+    yield zx[5][1:-1] - (eta_x * eta_t - pt)
+    yield eta_x - zx[0][1:-1]
+    yield eta_t - zt[0]
+    yield eta_x * ptx - zx[2][1:-1]
+
+
+def _conservation(zx: tuple, zt: tuple, g: GridSpec) -> np.ndarray:
+    """conservation_residual from the derivatives of the components."""
+    s1, s0 = _omega(zt, [None if f is None else f[1:-1] for f in zx])
     return _dx(s1, g.h)[1:-1] + _dt(s0, g.k)
 
 
-def _continuous_el(z: np.ndarray, zx: np.ndarray, g: GridSpec) -> np.ndarray:
-    """continuous_el_residual from (z, z_x)."""
-    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)
+def _continuous_el(z: tuple, zx: tuple, g: GridSpec) -> np.ndarray:
+    """continuous_el_residual from the components and their
+    x-derivatives."""
+    return -zx[3][1:-1] - _dt(z[1] * z[2], g.k) + _dt(zx[5], g.k)
 
 
 def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
@@ -189,14 +218,15 @@ def hamilton_residuals(z: np.ndarray, g: GridSpec) -> np.ndarray:
     equation residual.  It covers the levels of z without the first and
     the last: shape (max(len(z) - 2, 0), n_space, 6).
     """
-    return _hamilton(*_phase_dx(z, g), g)
+    return np.stack(tuple(_hamilton(*_field_derivatives(z, g))), axis=-1)
 
 
 def conservation_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     """r = d/dx w1(Z_t, Z_x) + d/dt w0(Z_t, Z_x); near zero on resolved
     solutions.  It covers the levels of z without two at each end: shape
     (max(len(z) - 4, 0), n_space)."""
-    return _conservation(*_phase_dx(z, g), g)
+    _, zx, zt = _field_derivatives(z, g)
+    return _conservation(zx, zt, g)
 
 
 def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
@@ -210,7 +240,8 @@ def continuous_el_residual(z: np.ndarray, g: GridSpec) -> np.ndarray:
     of z without the first and the last: shape (max(len(z) - 2, 0),
     n_space).
     """
-    return _continuous_el(*_phase_dx(z, g), g)
+    z, zx, _ = _field_derivatives(z, g)
+    return _continuous_el(z, zx, g)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +267,30 @@ def residual_maxima(s: Section) -> dict:
     Z-field (conservation, Hamilton, field equation, in that order), None
     for a field that has no level (a run too short for it).
 
-    The rows go in blocks (_blocks): each block's Z-field and its
-    x-derivative are built once and all three fields are evaluated on
-    them, so the pass holds one block's arrays whatever the section's
-    length.  Every entry of a field is computed from its own
-    neighbourhood of rows alone (B1 and B0 hold at most one nonzero per
-    row), so each block maximum is bit for bit the whole field's maximum
-    over the block's levels.  Hamilton and field-equation levels beside
-    a seam are evaluated twice, which a maximum cannot see; np.maximum
-    folds the blocks' maxima, so a NaN propagates as np.max over the
-    whole field would.
+    The rows go in blocks (_blocks): each block's jets are built once
+    (_phase_rows) and all three fields are evaluated on its six Z
+    components, with eta_x and eta_tx as the x-derivatives of eta and
+    eta_t and no other derivative formed twice.  Every entry of a field
+    is computed from its own neighbourhood of rows alone, so each block
+    maximum is bit for bit the whole field's maximum over the block's
+    levels.  Hamilton and field-equation levels beside a seam are
+    evaluated twice, which a maximum cannot see.  np.maximum folds the
+    maxima of the blocks and of the Hamilton components, so a NaN
+    propagates as np.max over the whole field would.
     """
     g = s.grid
-    fields = {
-        "conservation_residual_max": _conservation,
-        "hamilton_residuals_max": _hamilton,
-        "continuous_el_residual_max": _continuous_el,
-    }
-    maxima = dict.fromkeys(fields)
+    maxima = dict.fromkeys(("conservation_residual_max", "hamilton_residuals_max", "continuous_el_residual_max"))
+
+    def fold(key, f):
+        if f.size:
+            m = np.abs(f, out=f).max()
+            maxima[key] = m if maxima[key] is None else np.maximum(maxima[key], m)
+
     for lo, hi in _blocks(g.n_time, g.n_space):
-        z, zx = _phase_dx(phase_field(s, lo, hi), g)
-        for key, field in fields.items():
-            f = field(z, zx, g)
-            if f.size:
-                m = np.abs(f).max()
-                maxima[key] = m if maxima[key] is None else np.maximum(maxima[key], m)
+        z, eta_tx = _phase_rows(s, lo, hi)
+        zx, zt = _derivatives(z, g, z[1], eta_tx)
+        fold("conservation_residual_max", _conservation(zx, zt, g))
+        for f in _hamilton(z, zx, zt):
+            fold("hamilton_residuals_max", f)
+        fold("continuous_el_residual_max", _continuous_el(z, zx, g))
     return {key: None if m is None else float(m) for key, m in maxima.items()}

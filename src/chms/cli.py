@@ -232,6 +232,22 @@ def _text_words(texts: list[str]) -> np.ndarray:
     return _words(np.frombuffer(padded, np.uint8).reshape(len(texts), width))
 
 
+def _point_words(n: int, h: float) -> np.ndarray:
+    """The words of ",i,x" for each point i, x = i h, as _text_words lays
+    out those texts: the "%.17g" text of i, an integer-valued double, is
+    str(i), so both fields are _value_words, their NULs dropped from the
+    whole buffer and each line read back from where it starts."""
+    i = np.arange(n, dtype=float)
+    b = np.concatenate((_value_words(i), _value_words(i * h)), axis=1).view(np.uint8)
+    lengths = np.count_nonzero(b, axis=1)
+    width = -(-int(lengths.max()) // 4) * 4
+    text = np.frombuffer(b.tobytes().translate(None, b"\0") + bytes(width), np.uint8)
+    del b
+    out = np.lib.stride_tricks.sliding_window_view(text, width)[np.cumsum(lengths) - lengths]
+    out[np.arange(width) >= lengths[:, None]] = 0
+    return _words(out)
+
+
 _NEWLINE = _words(np.array([10, 0, 0, 0]))[0]
 
 
@@ -260,7 +276,8 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     u is the forward-difference particle velocity; the final level uses
     the backward difference since no later row exists.  The file is
     streamed: the header, then the text of each block of saved levels
-    (_CSV_BLOCK_DIVISOR), formed and written one block at a time.  A
+    (_CSV_BLOCK_DIVISOR), formed and written one block at a time.  The
+    points' ",i,x" text is formed once, in NumPy (_point_words).  A
     block's labels and velocities are formed at once, one NumPy call per
     quantity, and so is their "%.17g" text (_block_text); the
     values outside fixed notation, non-finite ones among them, take
@@ -268,7 +285,7 @@ def write_trajectory_csv(path: Path, s: Section, save_every: int) -> None:
     """
     g = s.grid
     n, last = g.n_space, g.n_time - 1
-    ix = _text_words([f",{i},{format_float(i * g.h)}" for i in range(n)])
+    ix = _point_words(n, g.h)
     levels = np.append(np.arange(0, last, save_every), last)
 
     def chunks():
@@ -638,7 +655,7 @@ def check_command(cfg: RunConfig) -> int:
 
 
 _FLAG_HELP = {
-    "ic": "rest | uniform:c | cosine:a | gaussian_bump:a,w",
+    "ic": "rest | uniform:c | cosine:a[,mean] | gaussian_bump:a,w",
     "diagnostics": "comma list of noether,mff,bridges (or all/none)",
 }
 

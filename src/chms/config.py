@@ -25,7 +25,8 @@ def _finite(text: str) -> float:
 def parse_initial_condition(spec: str, domain_length: float):
     """Initial-velocity sampler from a spec string.
 
-    Supported: ``rest``, ``uniform:c``, ``cosine:amplitude``,
+    Supported: ``rest``, ``uniform:c``, ``cosine:amplitude`` and
+    ``cosine:amplitude,mean`` (mean + amplitude cos(2 pi x / L)),
     ``gaussian_bump:amplitude,width`` (bump centred on the circle, using
     circular distance so the profile is periodic).
     """
@@ -40,9 +41,15 @@ def parse_initial_condition(spec: str, domain_length: float):
             c = _finite(rest)
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
         if name == "cosine":
-            a = _finite(rest)
+            params = rest.split(",")
+            if len(params) > 2:
+                raise ValueError("cosine takes an amplitude and at most a mean")
+            a = _finite(params[0])
             w = 2.0 * math.pi / domain_length
-            return lambda x: a * np.cos(w * np.asarray(x, dtype=float))
+            if len(params) == 1:
+                return lambda x: a * np.cos(w * np.asarray(x, dtype=float))
+            mean = _finite(params[1])
+            return lambda x: mean + a * np.cos(w * np.asarray(x, dtype=float))
         if name == "gaussian_bump":
             amp_s, _, width_s = rest.partition(",")
             a = _finite(amp_s)

@@ -42,6 +42,15 @@ any admissible data, on every rectangle and jet of a section against
 rectangle sum to zero, the linearized gradient is the complex-step
 derivative of the gradient, and the phase-space Hamiltonian is the
 Legendre transform of the density.
+``hamilton_residuals_matrix``, ``conservation_residual_matrix`` and
+``continuous_el_residual_matrix`` are the bridges residual fields in
+matrix form, on a Z-field whose last axis holds the six components: its
+x-derivative one component at a time, ``B1 Z_x + B0 Z_t`` as products
+with ``B1.T`` and ``B0.T`` and ``grad H`` stacked
+(``grad_hamiltonian_phase``), the reference that
+the package's kernels over six component arrays must reproduce bit for
+bit on finite data, as must ``residual_maxima`` the maxima of these
+fields (``residual_maxima_matrix``).
 ``multipeakon`` and ``multipeakon_labels`` are the exact nonlinear
 solutions: the N-peakon profile, built on the periodic Green's function
 ``green``, and its particles' labels, from RK4 on the peaks, the weights
@@ -675,6 +684,92 @@ def continuous_el_residual(s):
     momentum = eta_x * eta_t
     res = dx(flux)[1:-1] - dt(momentum) + dt(dx(ratio))
     return res
+
+
+# ---------------------------------------------------------------------------
+# The bridges residual fields in matrix form: the Z-field's x-derivative
+# one component at a time, B1 Z_x + B0 Z_t as matrix products and grad H
+# stacked (grad_hamiltonian_phase), on arrays whose last axis holds the
+# six components.
+
+
+def grad_hamiltonian_phase(z):
+    """Gradient of the phase-space Hamiltonian (last axis holds the 6
+    components), in closed form from the polynomial of
+    bridges.hamiltonian_phase."""
+    z = np.asarray(z, dtype=float)
+    etax, etat = z[..., 1], z[..., 2]
+    px, pt, ptx = z[..., 3], z[..., 4], z[..., 5]
+    return np.stack(
+        [
+            np.zeros_like(etax),
+            0.5 * (etat * etat - ptx * ptx) - px,
+            etax * etat - pt,
+            -etax,
+            -etat,
+            -etax * ptx,
+        ],
+        axis=-1,
+    )
+
+
+def _roll_dx(f, h, lift=0.0):
+    """Central x-derivative by np.roll, the seam entries moved by the
+    identity lift `lift`."""
+    up, down = np.roll(f, -1, axis=-1), np.roll(f, 1, axis=-1)
+    if lift:
+        up[..., -1] += lift
+        down[..., 0] -= lift
+    return (up - down) / (2.0 * h)
+
+
+def _dt(f, k):
+    return (f[2:] - f[:-2]) / (2.0 * k)
+
+
+def _phase_dx(z, g):
+    """(z, z_x) of a Z-field; eta carries the identity lift, the momenta
+    are periodic."""
+    z = np.asarray(z, dtype=float)
+    zx = np.empty_like(z)
+    for m in range(6):
+        zx[..., m] = _roll_dx(z[..., m], g.h, g.domain_length if m == 0 else 0.0)
+    return z, zx
+
+
+def hamilton_residuals_matrix(z, g):
+    """bridges.hamilton_residuals as zx @ B1.T + zt @ B0.T - grad H."""
+    z, zx = _phase_dx(z, g)
+    return zx[1:-1] @ bridges.B1.T + _dt(z, g.k) @ bridges.B0.T - grad_hamiltonian_phase(z[1:-1])
+
+
+def conservation_residual_matrix(z, g):
+    """bridges.conservation_residual with the pairings read off the last
+    axis."""
+    z, zx = _phase_dx(z, g)
+    u, v = _dt(z, g.k), zx[1:-1]
+    s1 = (v[..., 0] * u[..., 3] - v[..., 3] * u[..., 0]) + (v[..., 2] * u[..., 5] - v[..., 5] * u[..., 2])
+    s0 = v[..., 0] * u[..., 4] - v[..., 4] * u[..., 0]
+    return _roll_dx(s1, g.h)[1:-1] + _dt(s0, g.k)
+
+
+def continuous_el_residual_matrix(z, g):
+    """bridges.continuous_el_residual on the columns of (z, z_x)."""
+    z, zx = _phase_dx(z, g)
+    return -zx[1:-1, :, 3] - _dt(z[..., 1] * z[..., 2], g.k) + _dt(zx[..., 5], g.k)
+
+
+def residual_maxima_matrix(s) -> list:
+    """(key, max |field|) of the matrix-form fields of the whole
+    section's Z-field, None for a field with no level, in the order of
+    bridges.residual_maxima."""
+    z = bridges.phase_field(s)
+    fields = {
+        "conservation_residual_max": conservation_residual_matrix(z, s.grid),
+        "hamilton_residuals_max": hamilton_residuals_matrix(z, s.grid),
+        "continuous_el_residual_max": continuous_el_residual_matrix(z, s.grid),
+    }
+    return [(key, float(np.max(np.abs(f))) if f.size else None) for key, f in fields.items()]
 
 
 # ---------------------------------------------------------------------------

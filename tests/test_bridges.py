@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import EPS, TWO_PI, cosine_trajectory, smooth_eta_derivs, traced_peak
-from oracles import continuous_el_residual as el_oracle, uniform_translation
+from conftest import EPS, TWO_PI, cosine_trajectory, random_section, smooth_eta_derivs, traced_peak
+from oracles import (
+    conservation_residual_matrix,
+    continuous_el_residual as el_oracle,
+    continuous_el_residual_matrix,
+    grad_hamiltonian_phase,
+    hamilton_residuals_matrix,
+    residual_maxima_matrix,
+    uniform_translation,
+)
 
 from chms import bridges
 from chms.bridges import (
@@ -13,7 +22,6 @@ from chms.bridges import (
     _blocks,
     conservation_residual,
     continuous_el_residual,
-    grad_hamiltonian_phase,
     hamilton_residuals,
     hamiltonian_phase,
     legendre,
@@ -342,19 +350,44 @@ def test_residual_maxima_match_the_whole_fields_bitwise(monkeypatch):
 
 
 def test_residual_maxima_propagate_nan(monkeypatch):
-    # A NaN in the first block's fields is the summary's maximum, as np.max
-    # over the whole field gives it, though the later blocks are finite.
-    real = bridges.phase_field
+    # A NaN at one point of the first block's Z (px at level 4) is every
+    # field's maximum, as np.max over the whole field gives it, though the
+    # later blocks are finite.
+    real = bridges._phase_rows
 
-    def nan_at_level_5(sec, lo=0, hi=None):
-        z = real(sec, lo, hi)
+    def nan_at_level_4(sec, lo, hi):
+        z, eta_tx = real(sec, lo, hi)
         if lo <= 4 < hi - 2:
-            z[4 - lo, 7, 3] = np.nan
-        return z
+            z[3][4 - lo, 7] = np.nan
+        return z, eta_tx
 
-    monkeypatch.setattr(bridges, "phase_field", nan_at_level_5)
-    maxima = residual_maxima(sine_wave(256, 100))
+    monkeypatch.setattr(bridges, "_phase_rows", nan_at_level_4)
+    wave = sine_wave(256, 100)
+    assert [lo <= 4 < hi - 2 for lo, hi in _blocks(100, 256)] == [True, False, False, False, False]
+    maxima = residual_maxima(wave)
     assert all(math.isnan(m) for m in maxima.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_time=st.integers(2, 12),
+    n_space=st.integers(3, 64),
+    amp=st.floats(0.0, 0.45),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_fields_match_the_matrix_form_bitwise(n_time, n_space, amp, seed):
+    # On a random monotone section each public field, over the six
+    # component arrays, is the matrix form's bit for bit, and so are the
+    # summary's maxima; a section too short for a field gives it no level.
+    s = random_section(GridSpec.from_circle(n_space, n_time, TWO_PI, 0.25), np.random.default_rng(seed), amp)
+    z = phase_field(s)
+    for field, oracle in (
+        (hamilton_residuals, hamilton_residuals_matrix),
+        (conservation_residual, conservation_residual_matrix),
+        (continuous_el_residual, continuous_el_residual_matrix),
+    ):
+        assert np.array_equal(field(z, s.grid), oracle(z, s.grid))
+    assert list(residual_maxima(s).items()) == residual_maxima_matrix(s)
 
 
 def test_residual_maxima_memory_is_bounded():

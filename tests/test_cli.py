@@ -48,6 +48,10 @@ def test_initial_condition_parsing():
     assert np.allclose(parse_initial_condition("uniform:0.4", lam)(x), 0.4)
     cos = parse_initial_condition("cosine:0.2", lam)
     assert cos(0.0) == pytest.approx(0.2)
+    # A mean shifts the cosine: u0 = mean + a cos(2 pi x / L), bit for bit.
+    shifted = parse_initial_condition("cosine:0.2,0.5", lam)
+    assert np.array_equal(shifted(x), 0.5 + 0.2 * np.cos(x))
+    assert np.array_equal(parse_initial_condition("cosine:0.2,0", lam)(x), cos(x))
     bump = parse_initial_condition("gaussian_bump:0.1,0.5", lam)
     vals = bump(x)
     assert vals.max() == pytest.approx(0.1, rel=1e-6)
@@ -357,6 +361,20 @@ def test_value_words_match_format_float_at_the_notation_edges():
     assert _value_texts([np.nan, np.inf, -np.inf]) == ['"nan"', '"inf"', '"-inf"']
 
 
+@pytest.mark.parametrize("n", [3, 16, 4096, 4099])
+def test_point_words_match_the_per_point_format(n):
+    # ",i,x" of every point, x = i h, as the per-point f-string writes it:
+    # x = 0 at i = 0; with h a power of ten or one ulp either side of one,
+    # multiples of h land on and beside powers of ten, and the first of
+    # them below 1e-4 takes exponent notation.
+    steps = [TWO_PI / n, 0.1, 1e-3, 1e-4, 1e-5, 1.0, 1.0 / 3.0]
+    steps += [np.nextafter(p, q) for p in (1e-4, 0.1, 1.0) for q in (0.0, np.inf)]
+    for h in steps:
+        expected = cli._text_words([f",{i},{format_float(i * h)}" for i in range(n)])
+        words = cli._point_words(n, h)
+        assert words.shape == expected.shape and np.array_equal(words, expected), h
+
+
 def _recording(field):
     """A stand-in for field whose row_y records the levels of each call."""
     calls = []
@@ -558,6 +576,14 @@ _PARSE_ERRORS = [
     # argparse drops a value that is exactly "--"; it reaches the parser.
     (("--max-iters=--",), "max_iters: cannot parse '--': invalid literal for int() with base 10: '--'"),
     (("--ic", "rest:1"), "initial_condition: cannot parse 'rest:1': rest takes no parameters"),
+    # cosine takes an amplitude and at most a finite mean.
+    (("--ic", "cosine:0.2,0.5,1"),
+     "initial_condition: cannot parse 'cosine:0.2,0.5,1': cosine takes an amplitude and at most a mean"),
+    (("--ic", "cosine:0.2,inf"), "initial_condition: cannot parse 'cosine:0.2,inf': parameters must be finite"),
+    (("--ic", "cosine:0.2,"),
+     "initial_condition: cannot parse 'cosine:0.2,': could not convert string to float: ''"),
+    (("--ic", "cosine:0.2,x"),
+     "initial_condition: cannot parse 'cosine:0.2,x': could not convert string to float: 'x'"),
 ]
 
 

@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from chms import del_solver, lagrangian
-from chms.config import RunConfig
+from chms.config import RunConfig, parse_initial_condition
 from chms.del_solver import (
     Section,
     SolverConfig,
@@ -741,9 +741,9 @@ def test_corner_scheme_breaks_a_global_solution():
     exact solution exists for all time (McKean; Constantin-Escher), yet
     the lattice's Q = m(eta) eta_x^2, which the equation keeps at m0 along
     each particle, drifts until a row folds as if the wave broke (at
-    step 3507, t = 344, here)."""
+    step 3507, t = 344, here).  The data is the CLI's cosine:0.2,0.5."""
     g = GridSpec.from_circle(32, 2, TWO_PI, 0.5)
-    res = evolve(initialize(lambda x: 0.5 + 0.2 * np.cos(x), g), 4000)
+    res = evolve(initialize(parse_initial_condition("cosine:0.2,0.5", TWO_PI), g), 4000)
     assert not res.ok
     assert res.failure.error == "NonMonotone"
     assert res.failure.step < 4000
