@@ -10,14 +10,15 @@ row j+1.  Newton iterates on the row increment y[:, j+1] - y[:, j],
 whose updates round to its own magnitude rather than to that of the
 labels, and starts from the quadratic extrapolation of the last three
 rows.  The solve uses the analytic Jacobian with bordered elimination:
-the leading tridiagonal block, then a 1x1 Schur complement for the last
-unknown.  A Newton update that leaves the row
+the leading tridiagonal block (LAPACK's dgtsv), then a 1x1 Schur
+complement for the last unknown.  A Newton update that leaves the row
 non-monotone is reported at once as wave breaking, naming the point;
 it is never shortened or silently regularized.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 
@@ -344,206 +345,100 @@ def _substitute(lower, piv, back, r):
     return x[::-1]
 
 
-def _border_solve(rows, ys, z, schur: float, lower_last: float, upper_last: float) -> np.ndarray:
-    """The bordered solutions, shape (m, n), from each right-hand side
-    row r (a list of n) and its leading block's solution y: the last
+def _border_solve(rhs, y, z, schur: float, lower_last: float, upper_last: float) -> np.ndarray:
+    """The bordered solutions, shape (m, n), from the right-hand sides rhs
+    (m, n) and the leading block's solutions y (m, n - 1): the last
     unknown over the 1x1 Schur pivot, then x[:n-1] = y - z * x[n-1],
     with z the leading block's solution for the border column."""
-    x = np.empty((len(rows), len(z) + 1))
-    for i, (r, y) in enumerate(zip(rows, ys)):
-        last = (r[-1] - upper_last * y[0] - lower_last * y[-1]) / schur
-        x[i] = y + [last]
-        x[i, :-1] -= z * last
+    x = np.empty(rhs.shape)
+    last = x[:, -1]
+    np.subtract(rhs[:, -1], upper_last * y[:, 0], out=last)
+    last -= lower_last * y[:, -1]
+    last /= schur
+    head = np.multiply.outer(last, z, out=x[:, :-1])
+    np.subtract(y, head, out=head)
     return x
 
 
 def _solve_cyclic_scalar(lower, diag, upper, rhs):
     """Bordered elimination of a cyclic tridiagonal system (n >= 3) for
-    the right-hand sides rhs, shape (m, n); returns shape (m, n).
+    the right-hand sides rhs, shape (m, n), in natural order with no
+    pivoting; returns shape (m, n).
 
-    _thomas eliminates rows 0 .. n-2 in natural order, unshifted, for
-    every rhs and for the border column A[:n-1, n-1]; x[n-1] then takes
-    the 1x1 Schur complement diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
-    as its pivot, which stays dominant where A is diagonally dominant.
-    A zero or non-finite pivot (a non-finite corner makes the Schur pivot
-    so) raises SingularJacobian naming its row: the one such report.
+    _thomas eliminates rows 0 .. n-2 for every rhs and for the border
+    column A[:n-1, n-1]; x[n-1] then takes the 1x1 Schur complement
+    diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1] as its pivot.  A
+    non-finite corner entry A[0, n-1] or A[n-1, 0] is named before any
+    elimination, and a zero or non-finite pivot raises SingularJacobian
+    naming its row: the one such report.
     """
     lower, diag, upper, rows = (v.tolist() for v in (lower, diag, upper, rhs))
+    # Named here: the sweep would report it only as a non-finite Schur pivot.
+    if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
+        raise SingularJacobian("non-finite corner entry")
     border = [lower[0]] + [0.0] * (len(diag) - 3) + [upper[-2]]
     ys, z = _thomas(lower[:-1], diag[:-1], upper[:-1], rows, border)
     schur = diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1]
     if schur == 0.0 or not math.isfinite(schur):
         raise SingularJacobian(f"zero pivot at row {len(diag) - 1}", len(diag) - 1)
-    return _border_solve(rows, ys, np.array(z, dtype=float), schur, lower[-1], upper[-1])
+    return _border_solve(rhs, np.array(ys), np.array(z), schur, lower[-1], upper[-1])
 
 
-def _sweep(lo, di, up, x):
-    """Unpivoted elimination of tridiagonal systems of w rows at once,
-    stacked along the trailing axes: the bands are (w, ...), row j of
-    every system in row j, and the right-hand sides x (w, R, ...) are
-    solved in place.  Returns the pivots (w, ...) and the multipliers
-    (w - 1, ...).
-
-    One NumPy step per column runs across the systems, with the float
-    operations of _thomas in its order, so each solution is bit-identical
-    to eliminating its system alone.  lo[0] and up[-1] lie outside the
-    band and do not enter.  Floating-point errors are ignored: a failed
-    system's entries are garbage, and the caller reads its pivots.
-    """
-    piv, c = np.empty(di.shape), np.empty((len(di) - 1, *di.shape[1:]))
-    tmp, tmp_x = np.empty(di.shape[1:]), np.empty(x.shape[1:])
-    with np.errstate(all="ignore"):
-        piv[0] = di[0]
-        p_prev, x_prev = piv[0], np.divide(x[0], piv[0], out=x[0])
-        # zip takes each column's views once: slicing them per step costs time.
-        for lj, dj, uj, cj, pj, xj in zip(lo[1:], di[1:], up, c, piv[1:], x[1:]):
-            np.divide(uj, p_prev, out=cj)
-            np.subtract(dj, np.multiply(lj, cj, out=tmp), out=pj)
-            np.subtract(xj, np.multiply(lj, x_prev, out=tmp_x), out=xj)
-            p_prev, x_prev = pj, np.divide(xj, pj, out=xj)
-        for cj, xj in zip(c[::-1], x[-2::-1]):
-            x_prev = np.subtract(xj, np.multiply(cj, x_prev, out=tmp_x), out=xj)
-    return piv, c
-
-
-def _substitute_columns(lo, piv, c, x):
-    """Solve x (w, R, ...) in place through the pivots and multipliers
-    _sweep returned for the sub-diagonal lo, with _sweep's float
-    operations in its order, floating-point errors ignored."""
-    tmp = np.empty(x.shape[1:])
-    with np.errstate(all="ignore"):
-        x_prev = np.divide(x[0], piv[0], out=x[0])
-        for lj, pj, xj in zip(lo[1:], piv[1:], x[1:]):
-            np.subtract(xj, np.multiply(lj, x_prev, out=tmp), out=xj)
-            x_prev = np.divide(xj, pj, out=xj)
-        for cj, xj in zip(c[::-1], x[-2::-1]):
-            x_prev = np.subtract(xj, np.multiply(cj, x_prev, out=tmp), out=xj)
-
-
-# Rows of at least this many unknowns take the partitioned solve, and so
-# do the systems of its separators; shorter rows keep the scalar sweep,
-# bit-identical to textbook elimination.  One solve of a cosine row's
-# bands, one rhs, in us, scalar / partitioned: n = 128: 58 / 93, 192:
-# 87 / 97, 224: 97 / 98, 256: 106 / 94, 512: 206 / 114; a tangent pair's
-# substitution into a block's factor at 256 points: 97 / 64 (CHANGES.md
-# has the hardware).
-_PARTITION_MIN_N = 256
-
-
-def _blocks(v, p: int, b: int, n_long: int, pad: float) -> np.ndarray:
-    """v laid out as (p, b) along its last axis: row m holds block m, its
-    separator first.
-
-    The first n_long blocks hold b points and the rest b - 1, so the
-    short blocks end in one pad entry (a decoupled identity row when
-    pad is 1 on the diagonal and 0 elsewhere)."""
-    lead = v.shape[:-1]
-    if n_long == p:
-        return v.reshape(*lead, p, b)
-    out = np.empty((*lead, p, b))
-    out[..., :n_long, :] = v[..., : n_long * b].reshape(*lead, n_long, b)
-    out[..., n_long:, :-1] = v[..., n_long * b :].reshape(*lead, p - n_long, b - 1)
-    out[..., n_long:, -1] = pad
-    return out
-
-
-def _segments(lower, diag, upper, rhs):
-    """The partition method's segment sweep for one cyclic system (n,)
-    or a stack (L, n), and rhs (m, n) or (m, L, n): one separator opens
-    every block of 8 points (the first n % 8 blocks take a ninth), and the
-    segments between them are eliminated at once (_sweep) for each rhs and
-    the couplings to the left and right separators.  Returns the blocked
-    bands and rhs (_blocks), the solutions x (w, m + 2, ..., p) (column j
-    of every segment in x[j], the couplings in rows m and m + 1), the
-    pivots and multipliers, and n_long.  The right coupling sits at each
-    segment's last real row; a pad row after it stays 0 and decouples.
-    """
-    n, m = diag.shape[-1], len(rhs)
-    p = n // 8
-    q, r = divmod(n, p)
-    b = q + (r > 0)  # block length, separator included
-    n_long = r or p
-    lo, di, up, rr = (
-        _blocks(v, p, b, n_long, pad)
-        for v, pad in ((lower, 0.0), (diag, 1.0), (upper, 0.0), (rhs, 0.0))
-    )
-    x = np.zeros((b - 1, m + 2, *diag.shape[:-1], p))
-    x[:, :m] = _columns(rr)
-    x[0, m] = lo[..., 1]
-    x[-1, m + 1, ..., :n_long] = up[..., :n_long, -1]
-    x[-2, m + 1, ..., n_long:] = up[..., n_long:, -2]
-    return (lo, di, up, rr), x, _sweep(_columns(lo), _columns(di), _columns(up), x), n_long
-
-
-def _columns(v):
-    """The segment rows of blocked v (at most two leading axes), column
-    first: (w, ..., p)."""
-    return v.T[1:].swapaxes(1, -1)
-
-
-def _ends(x, n_long: int):
-    """The segments' first unknowns and their last, shifted so that entry
-    k belongs to the segment before separator k (a short block's last
-    real row is its second to last), from x (w, ..., p)."""
-    return x[0], _shift(np.concatenate((x[-1, ..., :n_long], x[-2, ..., n_long:]), axis=-1), -1)
-
-
-def _separator_bands(lo, di, up, first, last):
-    """The bands of the separators' cyclic Schur-complement system, from
-    the blocked bands and the couplings' _ends (their last two rows)."""
-    sl, su = lo[..., 0], up[..., 0]
-    return -sl * last[-2], di[..., 0] - sl * last[-1] - su * first[-2], -su * first[-1]
-
-
-def _separator_rhs(lo, up, rr, first, last):
-    """The separators' right-hand sides, from the blocked bands and rhs
-    and the _ends of the segments' solutions for rhs."""
-    return rr[..., 0] - lo[..., 0] * last - up[..., 0] * first
-
-
-def _back_fill(xr, couplings, xs, n_long: int) -> np.ndarray:
-    """The solutions (m, n), from the segments' xr (w, m, p) and the
-    couplings' (w, 2, p) solutions and the separators' xs (m, p)."""
-    w, m, p = xr.shape
-    xi = xr - couplings[:, :1] * xs - couplings[:, 1:] * _shift(xs, 1)
-    out = np.empty((m, p * w + n_long))
-    head = out[:, : n_long * (w + 1)].reshape(m, n_long, w + 1)
-    tail = out[:, n_long * (w + 1) :].reshape(m, p - n_long, w)
-    head[..., 0] = xs[:, :n_long]
-    head[..., 1:] = xi[..., :n_long].transpose(1, 2, 0)
-    tail[..., 0] = xs[:, n_long:]
-    tail[..., 1:] = xi[: w - 1, :, n_long:].transpose(1, 2, 0)
-    return out
-
-
-def _solve_partitioned(lower, diag, upper, rhs):
-    """Partition method (H. H. Wang, ACM TOMS 7, 1981) for long rows, for
-    the right-hand sides rhs, shape (m, n); returns shape (m, n).
-
-    The segments are eliminated for each rhs and the two couplings
-    (_segments), the separators' cyclic Schur-complement system (n // 8
-    unknowns) takes the same two-path rule (_elimination), and the
-    segments back-substitute.  Every step is elementwise, so each rhs
-    comes out bit for bit as it would alone.  Runs with floating-point
-    errors ignored.  A segment pivot that fails, or a separators' system
-    that raises, sends the whole row to the scalar sweep, under the
-    caller's floating-point settings: unpivoted elimination in this order
-    can fail where natural order does not.
-    """
-    m = len(rhs)
-    (lo, di, up, rr), x, (piv, _), n_long = _segments(lower, diag, upper, rhs)
-    if not (np.isfinite(piv).all() and piv.all()):
-        return _solve_cyclic_scalar(lower, diag, upper, rhs)
+def _lapack_dgtsv():
+    """LAPACK's dgtsv (ILP64: integers are int64) from the OpenBLAS that
+    NumPy's own extension module links, or None where it exports none."""
     try:
-        with np.errstate(all="ignore"):
-            first, last = _ends(x, n_long)
-            xs = _elimination(x.shape[-1])(
-                *_separator_bands(lo, di, up, first, last),
-                _separator_rhs(lo, up, rr, first[:m], last[:m]),
-            )
-            return _back_fill(x[:, :m], x[:, m:], xs, n_long)
-    except SingularJacobian:
+        dgtsv = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dgtsv_64_
+    except (OSError, AttributeError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    dgtsv.argtypes = [int_p, int_p] + [ctypes.c_void_p] * 4 + [int_p, int_p]
+    dgtsv.restype = None
+    return dgtsv
+
+
+#: dgtsv(N, NRHS, DL, D, DU, B, LDB, INFO), or None: then every cyclic
+#: solve takes the scalar sweep.
+_DGTSV = _lapack_dgtsv()
+
+
+def _solve_bordered(lower, diag, upper, rhs):
+    """Bordered solve of a cyclic tridiagonal system (n >= 3) for the
+    right-hand sides rhs, shape (m, n); returns shape (m, n).
+
+    One dgtsv call (Gaussian elimination with partial pivoting) solves the
+    leading (n-1) block for every rhs and for the border column
+    A[:n-1, n-1] at once, as the n - 1 rows of the columns of one C-order
+    (m + 1, n - 1) array; x[n-1] then takes the 1x1 Schur complement as
+    its pivot (_border_solve).  Bands that are not all finite (dgtsv
+    solves an infinite diagonal to a silent 0), a singular leading block
+    (INFO > 0) and a zero or non-finite Schur pivot go to the scalar sweep
+    (_solve_cyclic_scalar), which raises SingularJacobian naming the row
+    where its elimination fails, or solves the system; so does every solve
+    where NumPy's OpenBLAS exports no dgtsv.
+    """
+    n, m = diag.size, len(rhs)
+    work = np.empty(3 * n + (m + 1) * (n - 1))
+    work[:n], work[n : 2 * n], work[2 * n : 3 * n] = lower, diag, upper
+    bands = work[: 3 * n]
+    # min and max propagate NaN, so they test finiteness with no mask.
+    if _DGTSV is None or not (math.isfinite(bands.min()) and math.isfinite(bands.max())):
         return _solve_cyclic_scalar(lower, diag, upper, rhs)
+    b = work[3 * n :].reshape(m + 1, n - 1)
+    b[:m] = rhs[:, :-1]
+    b[m] = 0.0
+    b[m, 0], b[m, -1] = lower[0], upper[-2]
+    # The leading block's bands are lower[1:n-1], diag[:n-1] and
+    # upper[:n-2], overwritten in the copy.
+    at = work.ctypes.data
+    size, cols, info = ctypes.c_int64(n - 1), ctypes.c_int64(m + 1), ctypes.c_int64()
+    ref = ctypes.byref
+    _DGTSV(ref(size), ref(cols), at + 8, at + 8 * n, at + 16 * n, at + 24 * n, ref(size), ref(info))
+    y, z = b[:m], b[m]
+    schur = float(diag[-1] - upper[-1] * z[0] - lower[-1] * z[-1])
+    if info.value or schur == 0.0 or not math.isfinite(schur):
+        return _solve_cyclic_scalar(lower, diag, upper, rhs)
+    return _border_solve(rhs, y, z, schur, lower[-1], upper[-1])
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
@@ -551,22 +446,21 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     shape (n,) or a stack of shape (m, n) with A eliminated once.
 
     A[i, i] = diag[i], A[i, (i+1) % n] = upper[i], A[i, (i-1) % n] = lower[i].
-    Bordered elimination in natural order by the scalar sweep
-    (_solve_cyclic_scalar): for n >= 3 (GridSpec's minimum) the corner
-    entries A[0, n-1] and A[n-1, 0] lie outside the band, and enter only
-    the border column and row.  From n = _PARTITION_MIN_N on, the column
-    sweep (_sweep) eliminates the segments between separators (one per 8
-    points) of the partition method, and their cyclic system takes the
-    same rule.  Nothing is shifted, so nothing is refined: on a
-    diagonally dominant A every pivot stays dominant and one solve leaves
-    a backward error at rounding level.  Each rhs of a stack comes out bit
-    for bit as its own solve gives it.  Newton solves one rhs per call;
-    the tangent march factors a block of levels at once instead, by the
-    same path, and substitutes per level (_level_solver).
+    Bordered elimination (_solve_bordered): for n >= 3 (GridSpec's
+    minimum) the corner entries A[0, n-1] and A[n-1, 0] lie outside the
+    band and enter only the border column and row.  LAPACK's dgtsv solves
+    the leading (n-1) block for every rhs and the border column in one
+    call, with partial pivoting, so one solve leaves a backward error at
+    rounding level, and x[n-1] takes the 1x1 Schur complement; each rhs of
+    a stack comes out bit for bit as its own solve gives it.  Nothing is
+    shifted, so nothing is refined.  Newton solves one rhs per call, and
+    the tangent march solves each level's tangents in one
+    _solve_bordered call.
     Bands that are not 1-D of one length n >= 3, or an rhs not (n,) or
-    (m, n) with m >= 1, raise ValueError; a non-finite corner entry, or a
-    zero or non-finite pivot of the scalar sweep, which takes what the
-    partition method cannot eliminate, raises SingularJacobian.
+    (m, n) with m >= 1, raise ValueError.  Non-finite bands and systems
+    that dgtsv or the Schur pivot cannot solve take the scalar sweep in
+    natural order (_solve_cyclic_scalar), which names a non-finite corner
+    entry or the row of a zero or non-finite pivot in a SingularJacobian.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -581,76 +475,7 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     if n < 3:
         raise ValueError("a cyclic tridiagonal system needs n >= 3")
-    # Named here, for every n and before any elimination: the scalar sweep
-    # would report a non-finite corner only as a non-finite Schur pivot.
-    if not (math.isfinite(lower[0]) and math.isfinite(upper[-1])):
-        raise SingularJacobian("non-finite corner entry")
-    return _elimination(n)(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
-
-
-def _elimination(n: int):
-    """The solve of one cyclic system of n unknowns: the partition method
-    from _PARTITION_MIN_N unknowns on, else the scalar bordered sweep; a
-    block of such systems is factored by the same path (_level_solver)."""
-    return _solve_partitioned if n >= _PARTITION_MIN_N else _solve_cyclic_scalar
-
-
-def _level_solver(lower, diag, upper):
-    """solve(t, rhs): the solution of the t-th of L cyclic tridiagonal
-    systems, bands stacked (L, n), for the right-hand sides rhs (m, n),
-    bit for bit as solve_cyclic_tridiagonal gives it.
-
-    The L systems are factored here at once, by the path that solve takes
-    (_elimination), and each solve only substitutes.  The scalar factor
-    eliminates their leading blocks (_sweep) with the border column
-    A[:n-1, n-1] as right-hand side (a solve: _substitute, _border_solve);
-    the partitioned one eliminates the L * p segments for the couplings
-    alone (_segments) and factors the separators' L systems with
-    _level_solver (a solve: _substitute_columns, the separators' solve,
-    _back_fill).  A system whose pivots or separators' solve fail calls
-    solve_cyclic_tridiagonal, which raises its error or takes its
-    fallback.
-    """
-    if _elimination(diag.shape[-1]) is _solve_partitioned:
-        (lo, di, up, _), x, (piv, c), n_long = _segments(lower, diag, upper, np.empty((0, *diag.shape)))
-        with np.errstate(all="ignore"):
-            inner = _level_solver(*_separator_bands(lo, di, up, *_ends(x, n_long)))
-        # Pivots only: a non-finite corner makes a separators' system fail.
-        failed = ~(np.isfinite(piv).all(axis=(0, 2)) & piv.all(axis=(0, 2)))
-
-        def solve(t, rhs):
-            if not failed[t]:
-                rr = _blocks(rhs, *lo.shape[1:], n_long, 0.0)
-                xr = _columns(rr).copy()
-                _substitute_columns(_columns(lo[t]), piv[:, t], c[:, t], xr)
-                try:
-                    with np.errstate(all="ignore"):
-                        first, last = _ends(xr, n_long)
-                        xs = inner(t, _separator_rhs(lo[t], up[t], rr, first, last))
-                        return _back_fill(xr, x[:, :, t], xs, n_long)
-                except SingularJacobian:
-                    pass
-            return solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
-
-        return solve
-    lo, di, up = lower.T, diag.T, upper.T  # (n, L): row i of every system in row i
-    z = np.zeros((len(di) - 1, len(diag)))  # the border column A[:n-1, n-1]
-    z[0], z[-1] = lo[0], up[-2]
-    piv, cp = _sweep(lo[:-1], di[:-1], up[:-1], z[:, None])
-    with np.errstate(all="ignore"):
-        schur = di[-1] - up[-1] * z[0] - lo[-1] * z[-1]
-    pivots = np.vstack((piv, schur))  # the pivots of rows 0 .. n-1
-    failed = ~(np.isfinite(pivots).all(axis=0) & pivots.all(axis=0))
-
-    def solve(t, rhs):
-        if failed[t]:
-            return solve_cyclic_tridiagonal(lower[t], diag[t], upper[t], rhs)
-        lo_t, rows = lower[t].tolist(), rhs.tolist()
-        p, back = piv[:, t].tolist(), cp[::-1, t].tolist()
-        ys = [_substitute(lo_t, p, back, r) for r in rows]
-        return _border_solve(rows, ys, z[:, t], float(schur[t]), lo_t[-1], float(upper[t, -1]))
-
-    return solve
+    return _solve_bordered(lower, diag, upper, rhs.reshape(-1, n)).reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .del_solver import (
     Section,
     SolverConfig,
     _level_equation,
-    _level_solver,
     _row_blocks,
+    _solve_bordered,
     section_parts,
     solve_cyclic_tridiagonal,  # noqa: F401  (a binding that perfbench's tracer test checks)
 )
@@ -131,23 +131,23 @@ def solve_first_variation(
     levels go in blocks (del_solver._row_blocks, sized for four rows of
     values per level: 32 levels at 256 points), and the march holds one
     block's arrays at a time: the block's parts, on-shell residuals and
-    bands come from one stacked pass, and its systems are factored at
-    once (del_solver._level_solver: the scalar sweep below
-    _PARTITION_MIN_N points, the partition method from there on), so each
-    level only forms its right-hand side from two band products and
-    substitutes.  Levels are read in order, each first checked on shell:
-    the first level that is not raises NotOnShell, and a level whose
-    system cannot be eliminated raises SingularJacobian naming it (and,
-    as .row, the pivot's row), each only when the march reaches that
-    level.  Then the block's solved rows are checked at once against the
-    level equation in its vertex-term form (the linearized gradient,
-    which shares no band with the march): each level's residual must
-    stay within tol_residual times the largest of 1, the residual's own
-    scale and the solve's size (the level's largest absolute row sum of
-    the bands times the row's largest magnitude), else SingularJacobian;
-    a NaN residual fails the check.  What fails first in level order is
-    raised.  A v0 of the wrong shape, or not finite, raises ValueError.
-    The tangents of a stack share each level's factor, and each has its
+    bands come from one stacked pass, and each level forms its right-hand
+    sides from two band products and solves its system for all of them in
+    one bordered solve (del_solver._solve_bordered: one dgtsv call, as in
+    the public cyclic solve).  Levels are read in order, each first
+    checked on shell: the first level that is not raises NotOnShell, and
+    a level whose system cannot be eliminated raises SingularJacobian
+    naming it (and, as .row, the pivot's row), each only when the march
+    reaches that level.  Then the block's solved rows are checked at once
+    against the level equation in its vertex-term form (the linearized
+    gradient, which shares no band with the march): each level's
+    residual must stay within tol_residual times the largest of 1, the
+    residual's own scale and the solve's size (the level's largest
+    absolute row sum of the bands times the row's largest magnitude),
+    else SingularJacobian; a NaN residual fails the check.  What fails
+    first in level order is raised.  A v0 of the wrong shape, or not
+    finite, raises ValueError.
+    The tangents of a stack share each level's solve, and each has its
     own residual bound; each tangent comes out bit for bit as marching it
     alone, one solve per level, gives it.
     """
@@ -192,9 +192,12 @@ def _solve_levels(g, parts, vals: np.ndarray, j_lo: int, j_hi: int, tol: float):
     of rectangle rows j_lo - 1 .. j_hi - 1, until one fails.  Returns
     (j_end, failure, sizes): the first level not solved (j_hi when all
     were), its NotOnShell, SingularJacobian or FloatingPointError (else
-    None), and each level's largest absolute row sum of its bands.  The
-    on-shell gate's vertex terms and residual field go once their norms
-    and scales are taken, and the bands and the factor on return."""
+    None), and each level's largest absolute row sum of its bands.  Each
+    level solves its tangents' right-hand sides in one
+    del_solver._solve_bordered call, not through the public
+    solve_cyclic_tridiagonal, which counts Newton's solves.  The on-shell
+    gate's vertex terms and residual field go once their norms and scales
+    are taken, and the bands on return."""
     h, k, n = g.h, g.k, g.n_space
     a, b, c = parts
     res, scales = _level_equation(
@@ -216,7 +219,6 @@ def _solve_levels(g, parts, vals: np.ndarray, j_lo: int, j_hi: int, tol: float):
     # it times the solution, which the linear terms miss where they cancel
     # (a constant tangent has none).
     sizes = sum(np.abs(band) for band in bands).max(axis=-1)
-    solve = _level_solver(*bands)
     # The block's tangent rows j_lo - 1 .. j_hi with a periodic halo, so
     # that rows[t : t + 2] are rows j - 1 and j of level j = j_lo + t.
     rows = np.empty((j_hi - j_lo + 2, len(vals), n + 2))
@@ -237,7 +239,7 @@ def _solve_levels(g, parts, vals: np.ndarray, j_lo: int, j_hi: int, tol: float):
             terms += di * pair[..., 1:-1]
             terms += up * pair[..., 2:]
             rhs = np.add(terms[1], terms[0], out=terms[1])
-            new = solve(t, np.negative(rhs, out=rhs))
+            new = _solve_bordered(*(band[t] for band in bands), np.negative(rhs, out=rhs))
         except SingularJacobian as exc:
             return j, SingularJacobian(f"tangent row solve at level {j}: {exc}", exc.row), sizes
         except FloatingPointError as exc:

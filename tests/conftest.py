@@ -9,7 +9,7 @@ import pytest
 
 from oracles import rect_value
 
-from chms import geometry_checks
+from chms import del_solver, geometry_checks
 from chms.del_solver import Section, SolverConfig, evolve, initialize
 from chms.grid import GridSpec
 
@@ -20,6 +20,13 @@ EPS = np.finfo(float).eps
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def scalar_sweep(monkeypatch):
+    """Every cyclic solve takes the scalar sweep, as where NumPy's OpenBLAS
+    exports no dgtsv."""
+    monkeypatch.setattr(del_solver, "_DGTSV", None)
 
 
 def random_stencil(rng, h=1.0, k=1.0) -> np.ndarray:

@@ -15,8 +15,8 @@ gradient (``geometry_checks._linear_terms``) and never forms a Hessian.
 ``first_variation_residual_row`` assembles the linearized residual row
 by row, as the tangent march does, but with those full Hessians, so that
 the tests can hold the row assembly against the pointwise form.  The
-two-sweep cyclic solve is the reference that the package's one-sweep
-solver must reproduce bit for bit, and ``first_variation_march`` marches
+two-sweep cyclic solve is the reference that the package's scalar
+sweep must reproduce bit for bit, and ``first_variation_march`` marches
 the tangents level by level, one public cyclic solve per level, each
 right-hand side from the expression forms of the level's self-coupling
 bands and of the previous level's Newton bands, transposed
@@ -545,7 +545,7 @@ def thomas(lower, diag, upper, rhs):
 
 
 def cyclic_solve(lower, diag, upper, rhs):
-    """Scalar path (n < 256) of the package solver: eliminate rows and
+    """The package solver's scalar sweep: eliminate rows and
     columns 0 .. n-2 for rhs and for the border column A[:n-1, n-1],
     then solve for x[n-1] with the 1x1 Schur complement."""
     n = diag.size

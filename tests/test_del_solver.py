@@ -28,9 +28,7 @@ from chms.del_solver import (
     Section,
     SolverConfig,
     _increments,
-    _level_solver,
     _solve_cyclic_scalar,
-    _sweep,
     advance_row,
     del_residual_row,
     evolve,
@@ -330,9 +328,10 @@ def test_cyclic_tridiagonal_singular():
     "n, bad",
     [(n, bad) for n in (5, 12, 1000, 1031) for bad in (np.nan, np.inf, -np.inf)],
 )
-# From n = 256 on, rows 0 and 3 are a separator and a segment row.  "corner"
-# puts the bad value in upper[-1], the border row's first entry, against
-# lower[0] = 0, the border column's first entry.
+# Non-finite bands never reach dgtsv, which solves an infinite diagonal
+# to a silent 0.  "corner" puts the bad value in upper[-1], the border
+# row's first entry, against lower[0] = 0, the border column's first
+# entry.
 @pytest.mark.parametrize("row", [0, 3, "corner"])
 def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
     lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
@@ -344,14 +343,60 @@ def test_cyclic_tridiagonal_non_finite_diagonal(n, bad, row):
         solve_cyclic_tridiagonal(lower, diag, upper, np.ones(n))
 
 
-def test_cyclic_tridiagonal_zero_pivot_after_first_row():
-    # Row 0 has pivot 4, so row 1 eliminates to 0.25 - 1 * (1 / 4) = 0
-    # exactly.
-    n = 12
+def row_1_system(n=12):
+    """A regular cyclic system whose row 1 eliminates to a zero pivot in
+    natural order: row 0 has pivot 4, so row 1 gives 0.25 - 1 * (1 / 4)."""
     diag = np.full(n, 4.0)
     diag[1] = 0.25
+    return np.ones(n), diag, np.ones(n)
+
+
+def test_cyclic_tridiagonal_zero_pivot_after_first_row(scalar_sweep):
+    # The scalar sweep, unpivoted, names row 1.
     with pytest.raises(SingularJacobian, match="zero pivot at row 1"):
-        solve_cyclic_tridiagonal(np.ones(n), diag, np.ones(n), np.ones(n))
+        solve_cyclic_tridiagonal(*row_1_system(), np.ones(12))
+
+
+@pytest.mark.skipif(del_solver._DGTSV is None, reason="NumPy's OpenBLAS exports no dgtsv")
+def test_lapack_solves_the_row_1_system_to_rounding_level():
+    # The system is regular, and dgtsv's row interchanges solve it.
+    bands, rhs = row_1_system(), np.ones(12)
+    x = solve_cyclic_tridiagonal(*bands, rhs)
+    assert backward_error(*bands, x, rhs) <= 2 * EPS
+
+
+def spy_on_the_scalar_sweep(monkeypatch):
+    """The systems that reach the scalar sweep, as a list that later
+    solves fill with (bands, rhs)."""
+    calls, real = [], del_solver._solve_cyclic_scalar
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(del_solver, "_solve_cyclic_scalar", spy)
+    return calls
+
+
+def test_a_singular_leading_block_reaches_the_scalar_sweep(monkeypatch):
+    # Finite bands whose row 5 is zero: dgtsv returns INFO > 0, and the
+    # scalar sweep names the row where natural order fails.
+    n = 12
+    lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
+    lower[5] = diag[5] = upper[5] = 0.0
+    calls = spy_on_the_scalar_sweep(monkeypatch)
+    with pytest.raises(SingularJacobian, match="^zero pivot at row 5$") as err:
+        solve_cyclic_tridiagonal(lower, diag, upper, np.ones(n))
+    assert err.value.row == 5 and len(calls) == 1
+
+
+def test_a_zero_schur_pivot_reaches_the_scalar_sweep(monkeypatch):
+    # The circulant (1, -2, 1) at n = 3: dgtsv solves its regular leading
+    # block, and the Schur pivot -2 - 1 * (-1) - 1 * (-1) is exactly 0.
+    calls = spy_on_the_scalar_sweep(monkeypatch)
+    with pytest.raises(SingularJacobian, match="^zero pivot at row 2$") as err:
+        solve_cyclic_tridiagonal(np.ones(3), np.full(3, -2.0), np.ones(3), np.ones(3))
+    assert err.value.row == 2 and len(calls) == 1
 
 
 def test_cyclic_tridiagonal_zero_pivot_at_row_0():
@@ -371,7 +416,7 @@ def test_cyclic_tridiagonal_singular_circulant(n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 8, 9, 64, 255])
-def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
+def test_cyclic_solve_matches_scalar_oracle_bitwise(n, scalar_sweep):
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
     for j in range(1, s.grid.n_time - 1):
@@ -384,11 +429,8 @@ def test_cyclic_solve_matches_scalar_oracle_bitwise(n):
 
 @pytest.mark.parametrize("n", [255, 256, 1024, 1031, 4096, 4099])
 def test_stacked_solve_matches_each_rhs_bitwise(n):
-    # One elimination of the bands for a stack of right-hand sides, on the
-    # scalar (n = 255), the partitioned (n = 256, 1024, 1031) and the
-    # twice partitioned (n = 4096, 4099) path:
-    # each row comes out as its own solve gives it.  At 1031 and 4099 the
-    # short blocks end in a pad row, after the right coupling.
+    # One dgtsv call for a stack of right-hand sides: each row comes out
+    # as its own solve gives it.
     s = cosine_trajectory(n_space=n, n_steps=2).section
     lower, diag, upper = jacobian_bands(*(p[0] for p in section_parts(s, 2, 3)), s.grid.h, s.grid.k)
     for m in (1, 2, 3):
@@ -397,63 +439,6 @@ def test_stacked_solve_matches_each_rhs_bitwise(n):
         assert x.shape == (m, n)
         for xi, r in zip(x, rhs):
             assert np.array_equal(xi, solve_cyclic_tridiagonal(lower, diag, upper, r))
-
-
-def _failing_bands(n: int, kind: str):
-    """Bands of one cyclic system whose elimination fails in the way
-    `kind` names."""
-    lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
-    if kind == "row 0":
-        diag[0] = 0.0
-    elif kind == "row 1":
-        diag[1] = 0.25  # eliminates to 0.25 - 1 * (1 / 4) = 0 exactly
-    elif kind == "nan":
-        diag[min(3, n - 1)] = np.nan
-    elif kind == "inf":  # an infinite pivot leaves every later entry finite
-        diag[min(3, n - 1)] = np.inf
-    elif kind == "corner":
-        lower[0], upper[-1] = 0.0, np.inf
-    elif kind == "separator":
-        diag[min(8, n - 1)] = np.nan
-    else:  # "circulant": the Schur pivot comes out exactly 0 at n = 3 and 5
-        diag[:] = -2.0
-    return lower, diag, upper
-
-
-@pytest.mark.parametrize("n", [3, 5, 12, 255, 256, 263, 300, 1031, 2048])
-def test_level_solver_matches_each_solve_and_its_failures(n, rng):
-    # A block's systems factored at once: realistic Newton bands, random
-    # dominant bands and failing ones, on the scalar factor (n < 256) and
-    # the partitioned one (263, 300 and 1031 leave short blocks with a pad
-    # row; at 2048 the separators' 256-unknown systems are partitioned
-    # again).  Each system's solve gives, bit for bit, what
-    # solve_cyclic_tridiagonal gives on that system alone, and a failing
-    # one raises its message and row, only when it is solved.
-    s = cosine_trajectory(n_space=n, n_steps=4).section
-    systems = [jacobian_bands(*section_parts(s, j, j + 1), s.grid.h, s.grid.k) for j in (1, 3)]
-    systems = [tuple(band[0] for band in bands) for bands in systems]
-    systems.append((rng.uniform(-1, 1, n), 4.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n)))
-    kinds = ["row 0", "row 1", "nan", "inf", "corner", "separator"] + (["circulant"] if n in (3, 5) else [])
-    systems += [_failing_bands(n, kind) for kind in kinds]
-    solve = _level_solver(*(np.array(band) for band in zip(*systems)))
-    failed = set()
-    for t in reversed(range(len(systems))):  # any order: the factor holds every system
-        for rhs in (rng.standard_normal((1, n)), rng.standard_normal((2, n))):
-            try:
-                want = solve_cyclic_tridiagonal(*systems[t], rhs)
-            except SingularJacobian as exc:
-                with pytest.raises(SingularJacobian, match=f"^{exc}$") as raised:
-                    solve(t, rhs)
-                assert raised.value.row == exc.row
-                failed.add(kinds[t - 3])
-            else:
-                assert np.array_equal(solve(t, rhs), want)
-    # A zero diagonal at row 0 fails only the scalar sweep: from 256 points
-    # on, row 0 is a separator, and the separators' system is regular.  A
-    # NaN at row 8 fails a separators' system there (at 2048 a segment of
-    # the separators' own partitioned system), and its solve reaches the
-    # scalar sweep through the public solve.
-    assert failed == set(kinds) - ({"row 0"} if n >= 256 else set())
 
 
 EPS = np.finfo(float).eps
@@ -477,24 +462,6 @@ def dominant_bands(rng, n, tight=1.0):
     margin = tight * rng.uniform(0.5, 4.0, n)
     sign = rng.choice([-1.0, 1.0], n)
     return lower, sign * (np.abs(lower) + np.abs(upper) + margin), upper
-
-
-@pytest.mark.parametrize("w, n_sys, n_rhs", [(1, 3, 2), (2, 1, 1), (3, 5, 2), (8, 64, 3), (40, 9, 1), (255, 4, 2)])
-def test_sweep_matches_the_scalar_oracle_bitwise(w, n_sys, n_rhs):
-    # The one column-step elimination, on a random dominant stack of
-    # n_sys systems of w rows: each system, for each right-hand side,
-    # comes out as the scalar oracle eliminates it alone.
-    rng = np.random.default_rng(1000 * w + n_sys)
-    lo, di, up = (band.reshape(w, n_sys) for band in dominant_bands(rng, w * n_sys))
-    rhs = rng.standard_normal((w, n_rhs, n_sys))
-    x = rhs.copy()
-    piv, c = _sweep(lo, di, up, x)
-    assert piv.shape == (w, n_sys) and c.shape == (w - 1, n_sys)
-    assert np.array_equal(c, up[:-1] / piv[:-1])
-    assert np.array_equal(piv[1:], di[1:] - lo[1:] * c)
-    for s in range(n_sys):
-        for r in range(n_rhs):
-            assert np.array_equal(x[:, r, s], thomas(lo[:, s], di[:, s], up[:, s], rhs[:, r, s]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -534,10 +501,9 @@ def test_cyclic_solve_takes_no_shift_that_would_cancel(t):
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_newton_bands_solve_to_rounding_level(n):
-    # The Newton systems of a cosine:0.1 run, on both sides of the switch
-    # to the partitioned solve, need no refinement: one solve meets two
-    # roundings of backward error, for the level's own residual and for a
-    # random right-hand side.
+    # The Newton systems of a cosine:0.1 run need no refinement: one solve
+    # meets two roundings of backward error, for the level's own residual
+    # and for a random right-hand side.
     s = cosine_trajectory(n_space=n, n_steps=6).section
     rng = np.random.default_rng(n)
     for j in range(1, s.grid.n_time - 1):
@@ -560,8 +526,8 @@ def long_row_bands(kind, n):
 @pytest.mark.parametrize("kind", ["cosine", "dominant"])
 @pytest.mark.parametrize("n", [255, 256, 300, 511, 512, 1000, 1024, 1031])
 def test_long_row_solve_matches_dense(kind, n):
-    # Both sides of the switch to the partitioned solve at n = 256; 300,
-    # 511, 1000 and the prime 1031 leave some blocks one point short.
+    # Even and odd lengths, and the prime 1031: the pivoted solve stays
+    # within four times the scalar sweep's backward error.
     lower, diag, upper = long_row_bands(kind, n)
     dense = dense_cyclic(lower, diag, upper)
     for rhs in np.random.default_rng(n + 1).standard_normal((2, n)):
@@ -578,10 +544,9 @@ def test_long_row_solve_matches_dense(kind, n):
 @pytest.mark.parametrize("kind", ["cosine", "dominant"])
 @pytest.mark.parametrize("n", [4096, 4099])
 def test_twice_partitioned_solve_backward_error(kind, n):
-    # From n = 4096 on the separator system (n // 8 unknowns) is partitioned
-    # again.  Its backward error is held, not its agreement with the scalar
-    # sweep: at n = 4096 the cosine bands' conditioning alone parts the two
-    # by about 1e-12.
+    # The backward error of the longest rows is held, not their agreement
+    # with the scalar sweep: at n = 4096 the cosine bands' conditioning
+    # alone parts the two by about 1e-12.
     lower, diag, upper = long_row_bands(kind, n)
     for rhs in np.random.default_rng(n + 1).standard_normal((2, n)):
         x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
@@ -591,32 +556,95 @@ def test_twice_partitioned_solve_backward_error(kind, n):
         assert error <= 8 * EPS
 
 
-def spy_on_eliminations(monkeypatch):
-    """The sizes of the systems that reach the partition method and the
-    scalar sweep, in call order, as two lists filled by later solves."""
-    partitioned, scalar = [], []
-    for name, sizes in (("_solve_partitioned", partitioned), ("_solve_cyclic_scalar", scalar)):
+def on_both_paths(monkeypatch, solve):
+    """What solve() returns, or the (type, message, row) of what it
+    raises, on the LAPACK path and on the scalar sweep."""
 
-        def spy(*args, sizes=sizes, real=getattr(del_solver, name)):
-            sizes.append(args[1].size)
-            return real(*args)
+    def outcome():
+        try:
+            return solve()
+        except (SingularJacobian, ValueError) as exc:
+            return type(exc), str(exc), getattr(exc, "row", None)
 
-        monkeypatch.setattr(del_solver, name, spy)
-    return partitioned, scalar
+    lapack = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(del_solver, "_DGTSV", None)
+        return lapack, outcome()
 
 
-@pytest.mark.parametrize("n, depth", [(2047, 1), (2048, 2), (4096, 2), (4099, 2)])
-def test_separator_system_takes_the_same_two_path_rule(n, depth, monkeypatch):
-    # The separator system of a row of n points has n // 8 unknowns, and is
-    # partitioned again from _PARTITION_MIN_N = 256 of them on.  A dominant
-    # row reaches the scalar sweep only for its innermost separator system,
-    # never for the whole row: no partitioned solve falls back.
-    partitioned, scalar = spy_on_eliminations(monkeypatch)
-    lower, diag, upper = dominant_bands(np.random.default_rng(n), n)
-    solve_cyclic_tridiagonal(lower, diag, upper, np.ones(n))
-    sizes = [n, n // 8, n // 64]
-    assert partitioned == sizes[:depth]
-    assert scalar == [sizes[depth]]
+def normwise_backward_error(lower, diag, upper, x, rhs):
+    """||A x - rhs|| / (||A|| ||x|| + ||rhs||) in the max norm."""
+    ax = diag * x + lower * np.roll(x, 1) + upper * np.roll(x, -1)
+    norm_a = np.max(np.abs(lower) + np.abs(diag) + np.abs(upper))
+    return np.max(np.abs(ax - rhs)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+@pytest.fixture(scope="module")
+def evolve_jacobian():
+    """The bands of the first Newton solve of a 4096-point evolve, whose
+    diagonal dominates its row by a factor of only about 1 + 1e-6."""
+    captured = []
+
+    def capture(lower, diag, upper, rhs):
+        captured.append((lower, diag, upper))
+        return solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(del_solver, "solve_cyclic_tridiagonal", capture)
+        cosine_trajectory(n_space=4096, n_steps=1)
+    return captured[0]
+
+
+@pytest.mark.parametrize("n", [3, 5, 64, 255, 256, 1031, 4096])
+def test_lapack_and_scalar_paths_agree(n, evolve_jacobian, monkeypatch):
+    # The same systems on both paths: random dominant bands and a cosine
+    # row's Newton bands of n points, and at 4096 points a Newton
+    # Jacobian that evolve solved, for stacks of 1 to 3 right-hand sides:
+    # each solution meets a normwise backward error of 4e-15 on both.
+    rng = np.random.default_rng(n)
+    systems = [dominant_bands(rng, n), long_row_bands("cosine", n)]
+    systems += [evolve_jacobian] if n == 4096 else []
+    for bands in systems:
+        for m in (1, 2, 3):
+            rhs = rng.standard_normal((m, n))
+            for x in on_both_paths(monkeypatch, lambda: solve_cyclic_tridiagonal(*bands, rhs)):
+                assert x.shape == (m, n)
+                for xi, r in zip(x, rhs):
+                    assert normwise_backward_error(*bands, xi, r) <= 4e-15
+
+
+def singular_systems(n: int):
+    """(name, bands) of cyclic systems of n points that neither path can
+    solve: a zero diagonal entry of a diagonal matrix, a zero row, a NaN
+    or an infinite diagonal entry, and an infinite corner entry."""
+    for row in (0, 1, n // 2, n - 1):
+        diag = np.ones(n)
+        diag[row] = 0.0
+        yield f"zero diagonal {row}", (np.zeros(n), diag, np.zeros(n))
+        bands = np.ones(n), np.full(n, 4.0), np.ones(n)
+        for band in bands:
+            band[row] = 0.0
+        yield f"zero row {row}", bands
+        for bad in (np.nan, np.inf, -np.inf):
+            lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
+            diag[row] = bad
+            yield f"diagonal {row} = {bad}", (lower, diag, upper)
+    lower, upper = np.ones(n), np.ones(n)
+    lower[0], upper[-1] = 0.0, np.inf
+    yield "corner", (lower, np.full(n, 4.0), upper)
+
+
+@pytest.mark.parametrize("n", [3, 5, 64, 256, 1031])
+def test_lapack_and_scalar_paths_raise_the_same_errors(n, monkeypatch):
+    # Zero pivots of singular systems, non-finite bands and bad shapes:
+    # the same exception, message and row on both paths.
+    cases = list(singular_systems(n))
+    cases += [("short rhs", (np.ones(n), np.full(n, 4.0), np.ones(n), np.ones(n - 1)))]
+    cases += [("short lower", (np.ones(n - 1), np.full(n, 4.0), np.ones(n), np.ones(n)))]
+    for name, args in cases:
+        args = args if len(args) == 4 else (*args, np.ones((2, n)))
+        lapack, scalar = on_both_paths(monkeypatch, lambda: solve_cyclic_tridiagonal(*args))
+        assert isinstance(lapack, tuple) and lapack == scalar, name
 
 
 @settings(max_examples=25, deadline=None)
@@ -639,10 +667,8 @@ def test_long_row_solve_backward_error_on_dominant_bands(n, tight, seed):
 
 
 def test_long_row_non_finite_multiplier_before_a_pad_row():
-    # n = 1031 leaves the blocks from the eighth on one point short; an
-    # infinite upper entry on the last row of the first of them (row 70)
-    # fails the pad row's pivot, which is reported as row 71, the
-    # separator after it, as the scalar sweep would.
+    # An infinite upper entry at row 70 sends the row to the scalar
+    # sweep, which reports the pivot of row 71 that it spoils.
     n = 1031
     upper = np.ones(n)
     upper[70] = np.inf
@@ -655,8 +681,7 @@ def test_long_row_non_finite_multiplier_before_a_pad_row():
 @pytest.mark.parametrize("n", [1000, 1031, 4096, 4099])
 def test_long_row_non_finite_corner_is_named_as_one(n):
     # Either corner entry, upper[-1] against lower[0] = 0 or lower[0]
-    # against upper[-1] = 0, is named before the partitioned solve would
-    # carry it into a separator system or a pivot.
+    # against upper[-1] = 0, is named as one, before any elimination.
     for corner in (0, -1):
         lower, upper = np.ones(n), np.ones(n)
         lower[0], upper[-1] = (np.inf, 0.0) if corner == 0 else (0.0, np.inf)
@@ -668,10 +693,8 @@ def test_long_row_non_finite_corner_is_named_as_one(n):
 
 @pytest.mark.parametrize("n", [1000, 1031, 4099])
 def test_long_row_zero_pivot_at_any_row(n):
-    # A diagonal matrix with one zero entry: wherever it falls, on a
-    # separator or inside a segment, also where the separator system is
-    # partitioned again (n = 4099), the solve reports it by its row of
-    # this system, as the scalar sweep does.
+    # A diagonal matrix with one zero entry: wherever it falls, dgtsv
+    # fails (INFO > 0) and the scalar sweep reports it by its row.
     for row in range(40):
         diag = np.ones(n)
         diag[row] = 0.0
@@ -681,12 +704,12 @@ def test_long_row_zero_pivot_at_any_row(n):
         assert info.value.row == row
 
 
-def test_long_row_zero_pivot_after_first_segment_row(monkeypatch):
-    # Row 1 opens the first segment with pivot 2, so row 2 eliminates to
-    # 0.5 - 1 * (1 / 2) = 0 exactly in the partition order.  The matrix is
-    # well conditioned, and natural order eliminates it: the whole row
-    # goes to the scalar sweep, which solves it to rounding level.
-    partitioned, scalar = spy_on_eliminations(monkeypatch)
+def test_long_row_zero_pivot_after_first_segment_row(monkeypatch, scalar_sweep):
+    # Row 1 has diagonal 2 and row 2 0.5, so that eliminating row 1 first
+    # leaves row 2 the pivot 0.5 - 1 * (1 / 2) = 0 exactly.  The matrix is
+    # well conditioned, and natural order, which eliminates row 0 first,
+    # solves it to rounding level.
+    calls = spy_on_the_scalar_sweep(monkeypatch)
     n = 1031
     lower, diag, upper = np.ones(n), np.full(n, 4.0), np.ones(n)
     diag[1] = 2.0
@@ -695,7 +718,7 @@ def test_long_row_zero_pivot_after_first_segment_row(monkeypatch):
     with np.errstate(all="raise"):
         x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
     assert backward_error(lower, diag, upper, x, rhs) <= 8 * EPS
-    assert (partitioned, scalar) == ([n], [n])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [8, 600])
@@ -704,9 +727,8 @@ def test_long_row_zero_pivot_after_first_segment_row(monkeypatch):
     ["short_rhs", "short_lower", "long_upper", "rhs_2d", "rhs_3d", "rhs_empty", "diag_2d"],
 )
 def test_cyclic_tridiagonal_rejects_mismatched_bands(n, bad):
-    # Both paths, scalar (n = 8) and partitioned (n = 600), check the
-    # shapes before any elimination.  An rhs is one row (n,) or a stack
-    # (m, n) of m >= 1 rows.
+    # Short and long rows check the shapes before any elimination.  An
+    # rhs is one row (n,) or a stack (m, n) of m >= 1 rows.
     bands = {"lower": np.ones(n), "diag": np.full(n, 4.0), "upper": np.ones(n), "rhs": np.ones(n)}
     name, value = {
         "short_rhs": ("rhs", np.ones(5)),
@@ -863,17 +885,17 @@ def test_advance_row_raises_when_newton_runs_out_of_iterations():
         advance_row(s.row_y(0), s.row_y(1), g, SolverConfig(max_iters=1))
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-16])
+@pytest.mark.parametrize("tol", [1e-12, 1e-17])
 @pytest.mark.parametrize("n", [16, 64, 257, 512, 1031])
 def test_advance_row_matches_the_four_term_newton_step_bitwise(n, tol):
     # advance_row forms only the vertex terms a level reads: 3 and 4 of
     # the bottom rectangles once per step, 1 and 2 of the top ones once
     # per iteration.  Its row and StepStats equal those of the step that
     # forms all four of both rows (oracles.newton_step), bit for bit:
-    # from the two-row and the three-row start, on the scalar sweep
-    # (n < 256) and the partitioned solve, at the tolerance and at the
-    # floating-point floor, and from a rough current row that takes
-    # several updates.
+    # from the two-row and the three-row start, every step at the
+    # tolerance (1e-12) or every step at the floating-point floor (1e-17,
+    # below the floor of each row here), and from a rough current row
+    # that takes several updates.
     s = cosine_trajectory(n_space=n, n_steps=3, amp=0.3).section
     g, cfg = s.grid, SolverConfig(tol_residual=tol)
     rows = s.rows_y()
@@ -886,7 +908,7 @@ def test_advance_row_matches_the_four_term_newton_step_bitwise(n, tol):
             assert np.array_equal(got_row, want_row)
             assert got == want
             stats.append(got)
-    assert ("fp_floor" in {st.stop_reason for st in stats}) == (tol == 1e-16)
+    assert {st.stop_reason for st in stats} == {"fp_floor" if tol == 1e-17 else "tolerance"}
     assert max(st.iterations for st in stats) >= 2
 
 
@@ -983,8 +1005,7 @@ def test_the_scheme_converges_to_overtaking_peakons_at_first_order():
     # 8 divides n), the faster one behind, to the level nearest t = 2,
     # through their overtaking collision: the max label error against the
     # exact labels of multipeakon_labels halves with h (4.86e-2, 2.52e-2
-    # and 1.27e-2 at n = 64, 128 and 256; orders 0.95 and 0.99).  At
-    # n = 256 every Newton step takes the partitioned solve.
+    # and 1.27e-2 at n = 64, 128 and 256; orders 0.95 and 0.99).
     p, q, errors = (2.0, 0.5), (np.pi / 4, 3 * np.pi / 4), []
     for n in (64, 128, 256):
         g = GridSpec.from_circle(n, 2, TWO_PI, 0.25)

@@ -69,9 +69,8 @@ def short_cosine():
 
 #: (n_space, n_steps, tol_residual) of the march's sections: the smallest
 #: circle, a short row, 257 points over three blocks of levels (the block
-#: seams are crossed; the partitioned factor from 256 points on, with
-#: short blocks), and 512 points under a tolerance whose on-shell gate
-#: accepts that section.
+#: seams are crossed), and 512 points under a tolerance whose on-shell
+#: gate accepts that section.
 MARCH_CASES = [(3, 10, 1e-12), (16, 40, 1e-12), (257, 300, 1e-12), (512, 12, 1e-10)]
 
 
@@ -165,16 +164,29 @@ def test_constant_tangents_pass_the_solve_residual_check(n_space):
     assert np.array_equal(v, first_variation_march(s, v0))
 
 
+def _scale_level_solve(monkeypatch, level: int, factor: float):
+    """Multiply the tangent solve of `level` by factor, in every march.
+    Each block of levels solves its levels in order, one call each."""
+    real_block, real_solve = geometry_checks._march_block, geometry_checks._solve_bordered
+    next_level = []
+
+    def march_block(phi, vals, j_lo, j_hi, tol):
+        next_level[:] = [j_lo]
+        return real_block(phi, vals, j_lo, j_hi, tol)
+
+    def solve(*args):
+        next_level[0] += 1
+        return real_solve(*args) * (factor if next_level[0] - 1 == level else 1.0)
+
+    monkeypatch.setattr(geometry_checks, "_march_block", march_block)
+    monkeypatch.setattr(geometry_checks, "_solve_bordered", solve)
+
+
 @pytest.mark.parametrize("n_space, constant", [(16, True), (64, True), (64, False), (256, False)])
 def test_a_perturbed_tangent_solve_fails_the_residual_check(monkeypatch, n_space, constant, rng):
     # Every solve scaled by 1 + 1e-9 is caught by the residual check.
-    real_level, real_solve = geometry_checks._level_solver, oracles.solve_cyclic_tridiagonal
-
-    def level_solver(*bands):
-        solve = real_level(*bands)
-        return lambda t, rhs: solve(t, rhs) * (1.0 + 1e-9)
-
-    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
+    real_bordered, real_solve = geometry_checks._solve_bordered, oracles.solve_cyclic_tridiagonal
+    monkeypatch.setattr(geometry_checks, "_solve_bordered", lambda *args: real_bordered(*args) * (1.0 + 1e-9))
     monkeypatch.setattr(
         oracles, "solve_cyclic_tridiagonal", lambda *args: real_solve(*args) * (1.0 + 1e-9)
     )
@@ -200,13 +212,7 @@ def test_solve_first_variation_rejects_a_non_finite_initial_row():
 def test_a_nan_tangent_solve_fails_the_residual_check(monkeypatch):
     # The post-solve check bounds the residual with not <=, so a NaN
     # residual (from a NaN solve) raises, naming its level.
-    real_level = geometry_checks._level_solver
-
-    def level_solver(*bands):
-        solve = real_level(*bands)
-        return lambda t, rhs: solve(t, rhs) * (math.nan if t == 2 else 1.0)
-
-    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
+    _scale_level_solve(monkeypatch, 3, math.nan)
     with pytest.raises(SingularJacobian, match=r"^tangent row solve at level 3 left residual nan$"):
         solve_first_variation(cosine_section(16, 10), np.ones((2, 16)))
 
@@ -256,7 +262,7 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
     for name in ("jacobian_bands", "self_bands") + kernels + grads:
         counting(geometry_checks, name)
     # One block of levels, ten (the march crosses nine block seams), and
-    # a row long enough for the partitioned solve.
+    # a 512-point row.
     for (n_space, n_steps, tol), n_blocks in zip([(16, 5, 1e-12)] + MARCH_CASES[2:], (1, 10, 1)):
         s = cosine_section(n_space, n_steps)
         n_time = s.grid.n_time
@@ -269,8 +275,8 @@ def test_tangent_march_builds_each_rectangle_row_once(monkeypatch, rng):
             # One parts pass, one Newton band set (with the row below the
             # block's first level, whose transpose couples that level to
             # its previous row) and one self-coupling band set per block
-            # of levels; no public solve at any length (each level
-            # substitutes into its block's factor, scalar or partitioned),
+            # of levels; no public solve at any length (each level takes
+            # one private bordered solve for its stack of tangents),
             # whatever the stack size.  Each level forms its right-hand
             # side from the band products of its two rows, held with a
             # periodic halo that each new row is written into once, so no
@@ -311,15 +317,15 @@ def test_march_matches_the_per_level_march_bitwise(n_space, n_steps, tol, m, rng
 
 
 def _zero_pivot(monkeypatch, level: int, row: int):
-    """Make the system of `level` meet a zero pivot at `row`, on a section
-    of one block of levels: its diagonal and sub-diagonal entries there
-    are zeroed in the stacked bands the march builds (levels 0, 1, 2, ...:
+    """Make the system of `level` singular, with a zero pivot at `row` in
+    natural order, on a section of one block of levels: its row `row` is
+    zeroed in the stacked bands the march builds (levels 0, 1, 2, ...:
     level 0's couple level 1 to row 0)."""
     real = geometry_checks.jacobian_bands
 
     def wrapper(a, b, c, h, k):
         lower, diag, upper = real(a, b, c, h, k)
-        diag[level, row] = lower[level, row] = 0.0
+        diag[level, row] = lower[level, row] = upper[level, row] = 0.0
         return lower, diag, upper
 
     monkeypatch.setattr(geometry_checks, "jacobian_bands", wrapper)
@@ -353,18 +359,6 @@ def test_tangent_march_fails_at_the_first_failing_level(
         solve_first_variation(Section(s.grid, d), np.ones((2, 16)))
 
 
-def _perturb_solve(monkeypatch, level: int):
-    """Scale the tangent solve of `level` by 1 + 1e-9 on a section of one
-    block of levels, so that its post-solve check fails."""
-    real = geometry_checks._level_solver
-
-    def level_solver(*bands):
-        solve = real(*bands)
-        return lambda t, rhs: solve(t, rhs) * (1.0 + 1e-9 if t == level - 1 else 1.0)
-
-    monkeypatch.setattr(geometry_checks, "_level_solver", level_solver)
-
-
 @pytest.mark.parametrize("later", ["off shell", "singular"])
 def test_a_failed_check_precedes_a_later_failing_level(monkeypatch, later):
     # The block's rows are checked at once after its levels are solved;
@@ -372,7 +366,7 @@ def test_a_failed_check_precedes_a_later_failing_level(monkeypatch, later):
     # or level 4's singular solve, with the message it has alone.
     s = cosine_section(16, 10)
     v0 = np.ones((2, 16))
-    _perturb_solve(monkeypatch, 2)
+    _scale_level_solve(monkeypatch, 2, 1.0 + 1e-9)
     with pytest.raises(SingularJacobian) as alone:
         solve_first_variation(s, v0)
     message = str(alone.value)
